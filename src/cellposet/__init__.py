@@ -9,16 +9,15 @@ from .posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                      is_pseudomanifold, is_pure, poset_from_json,
                      poset_to_json, proper_coloring, to_graph, validate_poset)
 from .homology import (ChainComplexGF2, betti_gf2, betti_order_complex,
-                       betti_presentation, h_double_prime,
-                       is_homology_manifold, is_homology_sphere,
-                       is_orientable_gf2)
+                       h_double_prime, is_homology_manifold,
+                       is_homology_sphere, is_orientable_gf2)
 from .constructions import (boundary_of_simplex, connected_sum,
                             cross_polytope_quotient, parallel_edges_graph,
                             product_spheres_graph, staircase_facet)
 from .reduction import (CancellationError, Dipole, Schedule, cancel,
                         cancellation_schedule, check_dipole, colors_between,
-                        find_dipoles, greedy_reduce, is_dipole,
-                        reduce_product_spheres, run_schedule)
+                        find_dipoles, greedy_reduce, reduce_product_spheres,
+                        run_schedule)
 from .checkers import (CheckResult, check_manifold_h, check_rp_h,
                        check_sphere_h, h_beta, r_value, sphere_h_geq)
 

@@ -27,9 +27,9 @@ def _emit(data) -> None:
 
 def _load_any(path: str) -> ColoredGraph | SimplicialPoset:
     data = json.loads(Path(path).read_text())
-    if "edges" in data:
+    if isinstance(data, dict) and "edges" in data:
         return graph_from_dict(data)
-    if "cells" in data:
+    if isinstance(data, dict) and "cells" in data:
         return poset_from_dict(data)
     raise ValueError(f"{path}: neither a graph nor a poset JSON file")
 
@@ -60,13 +60,12 @@ def _invariants(p: SimplicialPoset) -> dict:
 
 def cmd_build(args) -> int:
     if args.target == "product-spheres":
-        g = constructions.product_spheres_graph(args.n, args.m)
         if args.reduce:
-            g, steps = reduction.run_schedule(
-                g, reduction.cancellation_schedule(args.n, args.m))
+            g, steps = reduction.reduce_product_spheres(args.n, args.m)
             _emit({"vertices": len(g.vertices),
                    "steps": [s.to_dict() for s in steps]})
         else:
+            g = constructions.product_spheres_graph(args.n, args.m)
             _emit({"vertices": len(g.vertices), "edges": len(g.edges)})
         _write_out(args.out, graph_to_json(g))
         return 0

@@ -5,6 +5,11 @@ of interest are *admissible*: connected, with each color class a perfect
 matching.  Every admissible graph encodes a simplicial cell decomposition
 of a closed pseudomanifold (see :mod:`cellposet.posets`).
 
+A vertex's partners, and so the colors between two vertices, come from
+the cached incidence index.  Components of a color-restricted subgraph
+come from :meth:`ColoredGraph.component_roots`, the one component routine;
+:meth:`ColoredGraph.components` is its view by vertex label.
+
 All values are immutable; operations return new objects and are safe to
 share between threads.
 """
@@ -59,6 +64,9 @@ class ColoredGraph:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        # type(...) is int, not isinstance: JSON true/false load as bools
+        if type(self.d) is not int:
+            raise ValueError(f"d must be an integer, got {self.d!r}")
         if self.d < 1:
             raise ValueError(f"need at least one color, got d={self.d}")
         if len(set(self.vertices)) != len(self.vertices):
@@ -69,7 +77,7 @@ class ColoredGraph:
                 raise ValueError(f"loop at vertex {u!r}")
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u!r}, {v!r}) has unknown endpoint")
-            if not 1 <= c <= self.d:
+            if type(c) is not int or not 1 <= c <= self.d:
                 raise ValueError(f"edge color {c} outside 1..{self.d}")
 
     @cached_property
@@ -93,13 +101,7 @@ class ColoredGraph:
             raise ValueError(f"colors {sorted(bad)} outside 1..{self.d}")
         return s
 
-    def restrict(self, colors) -> "ColoredGraph":
-        """Subgraph with the same vertices and only the edges colored in `colors`."""
-        s = self._check_color_set(colors)
-        return ColoredGraph(self.d, self.vertices,
-                            tuple(e for e in self.edges if e[2] in s))
-
-    def _component_roots(self, colors) -> list[int]:
+    def component_roots(self, colors) -> list[int]:
         """Per-vertex root (least index in its component) under color restriction."""
         s = self._check_color_set(colors)
         uf = UnionFind(len(self.vertices))
@@ -109,13 +111,14 @@ class ColoredGraph:
         return [uf.find(i) for i in range(len(self.vertices))]
 
     def components(self, colors) -> tuple[tuple[str, ...], ...]:
-        """Connected components of the color-restricted graph.
+        """Connected components of the color-restricted graph, as vertex
+        labels grouped by :meth:`component_roots`.
 
         Components are ordered by their smallest vertex index, vertices
         inside a component likewise; this canonical order makes poset
         construction deterministic.
         """
-        roots = self._component_roots(colors)
+        roots = self.component_roots(colors)
         groups: dict[int, list[str]] = {}
         for i, r in enumerate(roots):
             groups.setdefault(r, []).append(self.vertices[i])
@@ -133,14 +136,6 @@ class ColoredGraph:
                 "graph is not admissible there")
         return self.vertices[others[0]]
 
-    def is_connected_between(self, x: str, y: str, colors) -> bool:
-        """True iff a path of edges colored within `colors` joins x and y."""
-        if x not in self.index or y not in self.index:
-            missing = x if x not in self.index else y
-            raise ValueError(f"unknown vertex {missing!r}")
-        roots = self._component_roots(colors)
-        return roots[self.index[x]] == roots[self.index[y]]
-
 
 def validate_admissible(g: ColoredGraph) -> list[str]:
     """Report admissibility violations; an empty list means admissible.
@@ -149,6 +144,8 @@ def validate_admissible(g: ColoredGraph) -> list[str]:
     matching, naming the offending color and vertex.
     """
     violations: list[str] = []
+    # a transient count, not the cached incidence index: validated graphs
+    # are often kept, and the index would stay with them
     degree: dict[tuple[str, int], int] = {}
     for u, v, c in g.edges:
         degree[u, c] = degree.get((u, c), 0) + 1

@@ -178,11 +178,6 @@ def h_double_prime(h: tuple[int, ...], betti: tuple[int, ...]) -> tuple[int, ...
     return tuple(out)
 
 
-def betti_presentation(betti: tuple[int, ...]) -> tuple[int, ...]:
-    """Betti vector in the (1, beta_1, ..., beta_{d-1}) presentation."""
-    return (1,) + tuple(betti[1:])
-
-
 # --- homology sphere / manifold predicates --------------------------------------
 
 def _sphere_pattern(length: int) -> tuple[int, ...]:

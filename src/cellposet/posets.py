@@ -46,6 +46,12 @@ class SimplicialPoset:
         n = len(self.ranks)
         if not (len(self.covers) == len(self.labels) == n):
             raise ValueError("ranks/covers/labels length mismatch")
+        # type(...) is int, not isinstance: JSON true/false load as bools
+        if type(self.d) is not int:
+            raise ValueError(f"d must be an integer, got {self.d!r}")
+        for i, r in enumerate(self.ranks):
+            if type(r) is not int or not 0 <= r <= self.d:
+                raise ValueError(f"cell {i} has rank {r!r} outside 0..{self.d}")
         if n == 0 or self.ranks[0] != 0:
             raise ValueError("cell 0 must be the rank-0 minimum")
         if any(self.ranks[i] == 0 for i in range(1, n)):
@@ -57,8 +63,9 @@ class SimplicialPoset:
                     f"cell {i} (rank {self.ranks[i]}) covers {len(cov)} cells, "
                     f"expected {self.ranks[i]} distinct")
             for j in cov:
-                if not 0 <= j < n or self.ranks[j] != self.ranks[i] - 1:
-                    raise ValueError(f"cell {i} covers {j} of wrong rank")
+                if (type(j) is not int or not 0 <= j < n
+                        or self.ranks[j] != self.ranks[i] - 1):
+                    raise ValueError(f"cell {i} covers {j!r} of wrong rank")
         if self.covers[0]:
             raise ValueError("the minimum cell covers nothing")
 
@@ -120,15 +127,8 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     d = g.d
     colors = tuple(range(1, d + 1))
 
-    roots: dict[frozenset[int], list[int]] = {}
-    for size in range(d + 1):
-        for sub in combinations(colors, size):
-            s = frozenset(sub)
-            uf = UnionFind(len(g.vertices))
-            for u, v, c in g.edges:
-                if c in s:
-                    uf.union(g.index[u], g.index[v])
-            roots[s] = [uf.find(i) for i in range(len(g.vertices))]
+    roots = {frozenset(sub): g.component_roots(sub)
+             for size in range(d + 1) for sub in combinations(colors, size)}
 
     cell_id: dict[tuple[frozenset[int], int], int] = {}
     ranks: list[int] = []
@@ -191,6 +191,10 @@ def to_graph(p: SimplicialPoset, coloring: dict[int, int]) -> ColoredGraph:
     facet_ids = p.cells_by_rank[p.d]
     if len(set(p.labels[f] for f in facet_ids)) != len(facet_ids):
         raise ValueError("facet labels are not distinct")
+    for v in p.cells_by_rank[1]:
+        if v not in coloring:
+            raise ValueError(f"coloring leaves vertex {v} ({p.labels[v]!r}) "
+                             "uncolored")
     for f in facet_ids:
         cols = {coloring[v] for v in p.vertex_sets[f]}
         if len(cols) != p.d:

@@ -12,6 +12,7 @@ homeomorphism type of the associated cell complex.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -40,7 +41,9 @@ def colors_between(g: ColoredGraph, x: str, y: str) -> frozenset[int]:
     for v in (x, y):
         if v not in g.index:
             raise ValueError(f"unknown vertex {v!r}")
-    return frozenset(c for u, v, c in g.edges if {u, v} == {x, y})
+    ix, iy = g.index[x], g.index[y]
+    return frozenset(c for c in range(1, g.d + 1)
+                     if iy in g._incidence.get((ix, c), ()))
 
 
 def check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
@@ -48,27 +51,28 @@ def check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
     cols = colors_between(g, x, y)
     if not cols:
         return None
-    rest = frozenset(range(1, g.d + 1)) - cols
-    if g.is_connected_between(x, y, rest):
+    roots = g.component_roots(frozenset(range(1, g.d + 1)) - cols)
+    rx, ry = roots[g.index[x]], roots[g.index[y]]
+    if rx == ry:
         return None
-    comps = g.components(rest)
-    sizes = tuple(len(c) for c in comps if x in c or y in c)
-    return Dipole(x, y, cols, (sizes[0], sizes[1]))
+    # sizes in component order, i.e. by root, the least vertex index
+    lo, hi = sorted((rx, ry))
+    return Dipole(x, y, cols, (roots.count(lo), roots.count(hi)))
 
 
-def is_dipole(g: ColoredGraph, x: str, y: str) -> bool:
-    return check_dipole(g, x, y) is not None
+def find_dipoles(g: ColoredGraph) -> Iterator[Dipole]:
+    """Yield the dipoles lazily, scanning vertex pairs (i, j) with i < j in
+    index order.
 
-
-def find_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
-    """All dipoles, scanning vertex pairs in index order."""
-    out = []
-    for i, x in enumerate(g.vertices):
-        for y in g.vertices[i + 1:]:
-            d = check_dipole(g, x, y)
-            if d is not None:
-                out.append(d)
-    return tuple(out)
+    Only pairs joined by an edge are checked: a pair without one has no
+    colors between it and so is never a dipole.
+    """
+    pairs = sorted({tuple(sorted((g.index[u], g.index[v])))
+                    for u, v, _ in g.edges})
+    for i, j in pairs:
+        dip = check_dipole(g, g.vertices[i], g.vertices[j])
+        if dip is not None:
+            yield dip
 
 
 def cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
@@ -168,12 +172,11 @@ class CancellationStep:
     step: int
     pair: tuple[str, str]
     colors: tuple[int, ...]
-    dipole: bool
     vertices_after: int
 
     def to_dict(self) -> dict:
         return {"step": self.step, "pair": list(self.pair),
-                "colors": list(self.colors), "dipole": self.dipole,
+                "colors": list(self.colors),
                 "vertices_after": self.vertices_after}
 
 
@@ -189,7 +192,7 @@ def run_schedule(g: ColoredGraph, schedule: Schedule
                 f"step {k}: pair ({x!r}, {y!r}) is not a dipole")
         g = cancel(g, x, y)
         steps.append(CancellationStep(k, entry.pair, tuple(sorted(dip.colors)),
-                                      True, len(g.vertices)))
+                                      len(g.vertices)))
     return g, tuple(steps)
 
 
@@ -234,7 +237,7 @@ def greedy_reduce(g: ColoredGraph
             k += 1
             g = g2
             steps.append(CancellationStep(k, (dip.x, dip.y),
-                                          tuple(sorted(dip.colors)), True,
+                                          tuple(sorted(dip.colors)),
                                           len(g.vertices)))
             break
         else:

@@ -2,8 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cellposet.cli import main
+from cellposet.constructions import boundary_of_simplex, parallel_edges_graph
+from cellposet.graphs import graph_to_dict
+from cellposet.posets import poset_to_dict
 
 DATA = Path(__file__).parent / "data"
 TORUS = str(DATA / "torus_crystallization.json")
@@ -78,7 +82,8 @@ class TestReduce:
         assert json.loads(out) == {"vertices": 8, "steps": 2}
         cert = json.loads(cert_file.read_text())
         assert [c["step"] for c in cert] == [1, 2]
-        assert all(c["dipole"] for c in cert)
+        assert all(c.keys() == {"step", "pair", "colors", "vertices_after"}
+                   for c in cert)
 
     def test_greedy_on_minimal_graph_is_a_no_op(self, capsys):
         code, out, _ = run(capsys, "reduce", TORUS, "--schedule", "greedy")
@@ -137,6 +142,89 @@ class TestExport:
             str(tmp_path / "rp.json"))
         code, _, err = run(capsys, "export", str(tmp_path / "rp.json"))
         assert code == 2 and "graph JSON" in err
+
+
+# d = 1 with a rank-2 cell: the rank exceeds the dimension
+RANK_ABOVE_D = {"d": 1, "cells": [
+    {"id": 0, "rank": 0, "covers": [], "label": "0"},
+    {"id": 1, "rank": 1, "covers": [0], "label": "a"},
+    {"id": 2, "rank": 1, "covers": [0], "label": "b"},
+    {"id": 3, "rank": 2, "covers": [1, 2], "label": "ab"}]}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", [("build", "from-json"),
+                                         ("invariants",), ("reduce",)])
+    @pytest.mark.parametrize("colors,d", [(2, 2.0), (1, True), (2, "2")])
+    def test_graph_d_must_be_an_int(self, capsys, tmp_path, command, colors,
+                                    d):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(
+            {**graph_to_dict(parallel_edges_graph(colors)), "d": d}))
+        code, out, err = run(capsys, *command, str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "d must be an integer" in err
+
+    def test_graph_color_must_be_an_int(self, capsys, tmp_path):
+        data = json.loads(Path(TORUS).read_text())
+        data["edges"][0]["color"] = True
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(data))
+        code, _, err = run(capsys, "invariants", str(src))
+        assert code == 2 and "edge color True" in err
+
+    @pytest.mark.parametrize("command", [("build", "from-json"),
+                                         ("invariants",)])
+    def test_poset_rank_above_d(self, capsys, tmp_path, command):
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(RANK_ABOVE_D))
+        code, out, err = run(capsys, *command, str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "rank 2 outside 0..1" in err
+
+
+json_values = st.recursive(
+    # small integers: d scales the admissibility report as d x V lines
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid graph or poset document with one nested value replaced or
+    deleted."""
+    doc = draw(st.sampled_from([json.loads(Path(TORUS).read_text()),
+                                poset_to_dict(boundary_of_simplex(2))]))
+    node = doc
+    while isinstance(node, (dict, list)) and node:
+        parent = node
+        key = draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+        if draw(st.booleans()):
+            break
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(json_values)
+    return doc
+
+
+class TestFuzz:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(malformed_documents() | json_values,
+           st.sampled_from([("build", "from-json"), ("invariants",),
+                            ("reduce",), ("export",)]))
+    def test_exit_code_and_no_traceback(self, capsys, tmp_path, doc,
+                                        command):
+        src = tmp_path / "doc.json"
+        src.write_text(json.dumps(doc))
+        code, _, err = run(capsys, *command, str(src))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
 
 
 class TestUsage:

@@ -65,27 +65,31 @@ class TestValidation:
 
 
 class TestRestrict:
+    """Restriction to a color set, seen through its components."""
+
     def test_single_color_is_a_matching(self, torus_graph):
-        r = torus_graph.restrict({1})
-        assert len(r.edges) == 3
-        assert {frozenset(e[:2]) for e in r.edges} == {
-            frozenset("15"), frozenset("24"), frozenset("36")}
+        assert set(torus_graph.components({1})) == {
+            ("1", "5"), ("2", "4"), ("3", "6")}
 
     def test_empty_set_gives_edgeless(self, torus_graph):
-        r = torus_graph.restrict(set())
-        assert r.edges == () and r.vertices == torus_graph.vertices
+        assert torus_graph.component_roots(set()) == list(
+            range(len(torus_graph.vertices)))
 
     def test_full_set_is_identity(self, torus_graph):
-        assert torus_graph.restrict({1, 2, 3}) == torus_graph
+        assert torus_graph.component_roots({1, 2, 3}) == [0] * 6
 
     def test_color_out_of_range(self, torus_graph):
-        with pytest.raises(ValueError):
-            torus_graph.restrict({4})
+        with pytest.raises(ValueError, match="outside"):
+            torus_graph.component_roots({4})
+        with pytest.raises(ValueError, match="outside"):
+            torus_graph.components({0, 1})
 
     @given(admissible_graphs())
     def test_one_color_has_half_the_vertices_in_edges(self, g):
         for c in range(1, g.d + 1):
-            assert len(g.restrict({c}).edges) == len(g.vertices) // 2
+            comps = g.components({c})
+            assert len(comps) == len(g.vertices) // 2
+            assert all(len(comp) == 2 for comp in comps)
 
 
 class TestComponents:
@@ -139,16 +143,21 @@ class TestColorPartner:
 
 
 class TestConnectedBetween:
+    """Two vertices are joined within a color set iff they share a root."""
+
     def test_trivial_self_path(self, torus_graph):
-        assert torus_graph.is_connected_between("1", "1", set())
+        roots = torus_graph.component_roots(set())
+        assert roots[torus_graph.index["1"]] == torus_graph.index["1"]
 
     def test_single_color_edge(self, torus_graph):
-        assert torus_graph.is_connected_between("1", "6", {3})
-        assert not torus_graph.is_connected_between("1", "2", {3})
+        roots = torus_graph.component_roots({3})
+        root = {v: roots[torus_graph.index[v]] for v in ("1", "2", "6")}
+        assert root["1"] == root["6"]
+        assert root["1"] != root["2"]
 
     def test_unknown_vertex(self, torus_graph):
         with pytest.raises(ValueError, match="unknown"):
-            torus_graph.is_connected_between("1", "zz", {1})
+            torus_graph.color_partner("zz", 1)
 
 
 class TestInterchange:

@@ -7,7 +7,7 @@ from cellposet.constructions import (boundary_of_simplex,
                                      cross_polytope_quotient,
                                      parallel_edges_graph)
 from cellposet.homology import (ChainComplexGF2, betti_gf2,
-                                betti_order_complex, betti_presentation,
+                                betti_order_complex,
                                 gf2_rank, h_double_prime,
                                 is_homology_manifold, is_homology_sphere,
                                 is_orientable_gf2)
@@ -116,9 +116,6 @@ class TestHDoublePrime:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             h_double_prime((1, 0, 0, 1), (0, 1))
-
-    def test_presentation(self):
-        assert betti_presentation((0, 2, 1)) == (1, 2, 1)
 
 
 class TestSphereManifoldPredicates:

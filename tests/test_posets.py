@@ -111,11 +111,10 @@ class TestLink:
         # pick a rank-1 cell: component H of a 2-color restriction
         v = p.cells_by_rank[1][0]
         s, root = p.origins[v]
-        sub = torus_graph.restrict(s)
-        comp = next(c for c in sub.components(s) if root in c)
+        comp = next(c for c in torus_graph.components(s) if root in c)
         relabel = {c: i + 1 for i, c in enumerate(sorted(s))}
-        edges = tuple((u, w, relabel[c]) for u, w, c in sub.edges
-                      if u in comp and w in comp)
+        edges = tuple((u, w, relabel[c]) for u, w, c in torus_graph.edges
+                      if c in s and u in comp and w in comp)
         h_graph = ColoredGraph(len(s), comp, edges)
         assert f_vector(link(p, v)) == f_vector(from_graph(h_graph))
 
@@ -209,6 +208,14 @@ class TestToGraph:
         bad = {v: 1 for v in p.cells_by_rank[1]}
         with pytest.raises(ValueError, match="rainbow"):
             to_graph(p, bad)
+
+    def test_rejects_partial_coloring(self, torus_graph):
+        p = from_graph(torus_graph)
+        partial = induced_coloring(p)
+        v = p.cells_by_rank[1][-1]
+        del partial[v]
+        with pytest.raises(ValueError, match=f"vertex {v} .* uncolored"):
+            to_graph(p, partial)
 
 
 class TestJson:

@@ -11,11 +11,13 @@ from cellposet.constructions import (cross_polytope_quotient,
 from cellposet.graphs import ColoredGraph, validate_admissible
 from cellposet.homology import betti_gf2
 from cellposet.posets import f_vector, from_graph, proper_coloring, to_graph
-from cellposet.reduction import (CancellationError, cancel,
+from cellposet.reduction import (CancellationError, Dipole, cancel,
                                  cancellation_schedule, check_dipole,
                                  colors_between, find_dipoles, greedy_reduce,
-                                 is_dipole, reduce_product_spheres,
-                                 rlex_greater, run_schedule)
+                                 reduce_product_spheres, rlex_greater,
+                                 run_schedule)
+
+from conftest import admissible_graphs
 
 EXPECTED_2_2 = [
     (1, (2, 3), ("A:{2,3}", "A:{1,3}")),
@@ -24,6 +26,57 @@ EXPECTED_2_2 = [
     (2, (3,), ("B:{1,3}", "B:{1,2}")),
     (2, (4,), ("B:{2,4}", "B:{2,3}")),
 ]
+
+
+def reach(g: ColoredGraph, start: str, colors) -> set[str]:
+    """Oracle: labels reachable from `start` by a DFS over edges colored in
+    `colors`."""
+    seen, stack = {start}, [start]
+    while stack:
+        x = stack.pop()
+        for u, v, c in g.edges:
+            if c in colors and x in (u, v):
+                w = v if u == x else u
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return seen
+
+
+def brute_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
+    """Oracle for find_dipoles: every vertex pair in index order, colors by
+    scanning the edge list, components by DFS, sizes ordered by each
+    component's least vertex index."""
+    out = []
+    for i, x in enumerate(g.vertices):
+        for y in g.vertices[i + 1:]:
+            cols = frozenset(c for u, v, c in g.edges if {u, v} == {x, y})
+            if not cols:
+                continue
+            rest = set(range(1, g.d + 1)) - cols
+            cx = reach(g, x, rest)
+            if y in cx:
+                continue
+            pair = sorted((cx, reach(g, y, rest)),
+                          key=lambda comp: min(map(g.vertices.index, comp)))
+            out.append(Dipole(x, y, cols, (len(pair[0]), len(pair[1]))))
+    return tuple(out)
+
+
+def naive_greedy(g: ColoredGraph):
+    """Oracle for greedy_reduce: cancel the first cancellable dipole of the
+    brute-force list until none is left."""
+    pairs = []
+    while True:
+        for dip in brute_dipoles(g):
+            try:
+                g = cancel(g, dip.x, dip.y)
+            except CancellationError:
+                continue
+            pairs.append((dip.x, dip.y))
+            break
+        else:
+            return g, pairs
 
 
 def k4_graph() -> ColoredGraph:
@@ -65,12 +118,20 @@ class TestCheckDipole:
     def test_adjacent_but_still_connected_is_not_a_dipole(self):
         g = k4_graph()
         assert validate_admissible(g) == []
-        assert not is_dipole(g, "x", "y")
+        assert check_dipole(g, "x", "y") is None
 
     def test_disconnection_claim_verified_by_component_search(self):
         g = product_spheres_graph(2, 2)
-        rest = frozenset(range(1, 6)) - {2}
-        assert not g.is_connected_between("A:{2,3}", "A:{1,3}", rest)
+        roots = g.component_roots(frozenset(range(1, 6)) - {2})
+        x, y = g.index["A:{2,3}"], g.index["A:{1,3}"]
+        assert roots[x] != roots[y]
+        dip = check_dipole(g, "A:{2,3}", "A:{1,3}")
+        assert dip.component_sizes == (roots.count(min(roots[x], roots[y])),
+                                       roots.count(max(roots[x], roots[y])))
+
+    def test_unknown_vertex(self, torus_graph):
+        with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+            check_dipole(torus_graph, "1", "zz")
 
 
 class TestCancel:
@@ -96,7 +157,7 @@ class TestCancel:
     def test_cancelling_a_non_dipole_can_change_the_space(self, torus_graph):
         # 1 and 6 are joined by one edge but stay connected without it:
         # cancelling crushes the torus down to a sphere
-        assert not is_dipole(torus_graph, "1", "6")
+        assert check_dipole(torus_graph, "1", "6") is None
         g2 = cancel(torus_graph, "1", "6")
         assert validate_admissible(g2) == []
         assert betti_gf2(from_graph(g2)) == (0, 0, 1)
@@ -118,7 +179,7 @@ class TestCancel:
         except CancellationError:
             return
         for c in range(1, g2.d + 1):
-            assert len(g2.restrict({c}).edges) == len(g2.vertices) // 2
+            assert all(len(comp) == 2 for comp in g2.components({c}))
 
 
 class TestRlex:
@@ -188,7 +249,6 @@ class TestReduceProductSpheres:
         final, steps = reduce_product_spheres(n, m)
         assert len(final.vertices) == expect == 2 + 2 * comb(n + m, n)
         assert len(steps) == comb(n + m, n) - 1
-        assert all(s.dipole for s in steps)
         assert steps[-1].vertices_after == expect
 
     def test_1_1_reduces_to_the_minimal_torus(self, torus_graph):
@@ -208,9 +268,8 @@ class TestReduceProductSpheres:
     def test_certificate_serialization(self):
         _, steps = reduce_product_spheres(1, 2)
         payload = json.loads(json.dumps([s.to_dict() for s in steps]))
-        assert payload[0].keys() == {"step", "pair", "colors", "dipole",
+        assert payload[0].keys() == {"step", "pair", "colors",
                                      "vertices_after"}
-        assert payload[0]["dipole"] is True
         assert payload[-1]["vertices_after"] == 8
 
     def test_final_graph_is_a_crystallization(self):
@@ -237,16 +296,25 @@ class TestFindDipoles:
 
     def test_minimal_torus_has_none(self):
         final, _ = reduce_product_spheres(1, 1)
-        assert find_dipoles(final) == ()
+        assert tuple(find_dipoles(final)) == ()
 
     def test_two_vertex_graph_has_exactly_one(self):
         g = parallel_edges_graph(4)
-        dips = find_dipoles(g)
+        dips = tuple(find_dipoles(g))
         assert len(dips) == 1 and dips[0].colors == {1, 2, 3, 4}
 
     def test_scan_order_is_deterministic(self):
         g = product_spheres_graph(1, 2)
-        assert find_dipoles(g) == find_dipoles(g)
+        assert tuple(find_dipoles(g)) == tuple(find_dipoles(g))
+
+    @given(admissible_graphs())
+    def test_matches_the_brute_force_scan(self, g):
+        assert tuple(find_dipoles(g)) == brute_dipoles(g)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2)])
+    def test_product_graph_matches_the_brute_force_scan(self, n, m):
+        g = product_spheres_graph(n, m)
+        assert tuple(find_dipoles(g)) == brute_dipoles(g)
 
 
 class TestGreedy:
@@ -256,6 +324,13 @@ class TestGreedy:
             assert len(final.vertices) == 2 + 2 * comb(n + m, n)
             assert betti_gf2(from_graph(final)) == \
                    betti_gf2(from_graph(product_spheres_graph(n, m)))
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 2)])
+    def test_greedy_matches_the_naive_loop(self, n, m):
+        final, steps = greedy_reduce(product_spheres_graph(n, m))
+        oracle_final, oracle_pairs = naive_greedy(product_spheres_graph(n, m))
+        assert [s.pair for s in steps] == oracle_pairs
+        assert final == oracle_final
 
     def test_greedy_is_a_no_op_without_dipoles(self, torus_graph):
         final, steps = greedy_reduce(torus_graph)
