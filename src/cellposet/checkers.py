@@ -2,8 +2,12 @@
 h''-vectors of cell spheres / products of spheres, as h-vectors of real
 projective spaces, and as h-vectors of odd-dimensional manifolds.
 
-All arithmetic is exact; negative results carry the violated condition,
-positive ones a witness where the theorem calls for one.
+Every decider is a direct test on the entries of its vector, and takes
+O(d) steps: the projective-space test is the sphere test on a shifted
+vector, and the manifold test has a closed form (see
+:func:`check_manifold_h`).  All arithmetic is exact; negative results carry
+the violated condition, positive ones a witness where the theorem calls
+for one.
 """
 
 from __future__ import annotations
@@ -75,54 +79,52 @@ def check_rp_h(h, n: int) -> CheckResult:
     """Does `h` occur as the h-vector of a cell decomposition of
     (n-1)-dimensional real projective space?
 
-    The sphere conditions are applied to the shifted entries
-    h_i - r(n, i).
+    It does when the shifted vector (h_0, h_1 - r(n, 1), ..., h_n - r(n, n))
+    passes :func:`check_sphere_h`; a failed condition is reported with the
+    prefix ``"shifted "``.  For n >= 2 the r(n, i) sum to an even number, so
+    the parity test on the shifted entry sum is the one on sum(h).
     """
     h = tuple(h)
     if len(h) != n + 1:
         raise ValueError(f"h must have length {n + 1}, got {len(h)}")
-    shifted = [h[0]] + [h[i] - r_value(n, i) for i in range(1, n + 1)]
-    if any(shifted[i] < 0 for i in range(1, n)):
-        return CheckResult(False, "shifted nonnegativity")
-    if shifted[0] != 1 or shifted[n] != 1 \
-            or any(shifted[i] != shifted[n - i] for i in range(1, n)):
-        return CheckResult(False, "shifted symmetry with ends equal to 1")
-    if any(shifted[i] == 0 for i in range(1, n)) and sum(h) % 2 == 1:
-        return CheckResult(False, "internal shifted zero with odd entry sum")
-    return CheckResult(True)
-
-
-def h_beta(h, beta) -> tuple[int, ...]:
-    """The h''-style transform of `h` by a hypothetical Betti vector
-    beta = (1, beta_1, ..., beta_{d-1}).
-
-    For a connected poset with its actual h- and Betti vectors this equals
-    the h''-vector.
-    """
-    h, beta = tuple(h), tuple(beta)
-    d = len(h) - 1
-    if len(beta) != d:
-        raise ValueError(f"beta must have length {d}, got {len(beta)}")
-    if beta[0] != 1:
-        raise ValueError("beta must start with 1")
-    out = [h[0]]
-    for k in range(1, d):
-        s = sum((-1) ** ((k - l) % 2) * beta[l - 1] for l in range(2, k + 1))
-        out.append(h[k] - comb(d, k) * s)
-    s = sum((-1) ** ((d - l) % 2) * beta[l - 1] for l in range(2, d))
-    out.append(h[d] - s)
-    return tuple(out)
+    res = check_sphere_h(
+        (h[0],) + tuple(h[i] - r_value(n, i) for i in range(1, n + 1)))
+    if res:
+        return res
+    return CheckResult(False, "shifted " + res.failed_condition)
 
 
 def check_manifold_h(h, d: int) -> CheckResult:
     """For even d: does `h` occur as the h-vector of a cell decomposition
     of some closed (d-1)-manifold?
 
-    Searches exhaustively for a nonnegative symmetric Betti vector
-    beta = (1, beta_1, ..., beta_{d-1}), beta_i = beta_{d-1-i} for interior
-    i, whose transform passes :func:`check_sphere_h`.  Nonnegativity of the
-    transform bounds each free entry, so the search terminates; the
-    lexicographically smallest witness is reported.
+    It does when some Betti vector beta = (1, beta_1, ..., beta_{d-1}) with
+    nonnegative entries, beta_i = beta_{d-1-i} for 0 < i < d-1 and
+    beta_{d-1} = 0, makes the transform t a sphere h-vector
+    (:func:`check_sphere_h`).  Here t_0 = h_0, t_d = h_d and
+    t_k = h_k - C(d, k) a_k for 0 < k < d, where
+    a_k = beta_{k-1} - beta_{k-2} + ... + (-1)^k beta_1 (so a_1 = 0).  The
+    witness is the lexicographically least such beta.
+
+    The decision is closed-form and takes O(d) steps.  With N = d/2:
+
+    * A symmetric beta gives a_{d-k} = a_k, so t is symmetric exactly when
+      h is, and t_d = h_d.
+    * The entries of t sum to sum(h) minus the even number
+      sum_k C(d, k) a_k: the terms k and d-k are equal and C(2N, N) is
+      even.  For symmetric h the parity is that of h_N.
+    * Let s = h_N mod 2.  An odd sum forbids internal zeros, so every
+      interior entry must be at least s.  By symmetry only t_1 = h_1 and
+      t_k for 2 <= k <= N matter: h_1 >= s and a_k <= u_k with
+      u_k = floor((h_k - s) / C(d, k)).
+    * beta_k = a_k + a_{k+1} >= 0 asks a_{k+1} >= -a_k.  So for k < N,
+      a_{k+1} <= u_{k+1} needs a_k >= -u_{k+1}, and later entries ask
+      nothing more of a_k: the least a_k with a continuation is
+      max(-a_{k-1}, -u_{k+1}).  At k = N the same rule gives -a_{N-1},
+      the least value beta_{N-1} >= 0 allows (beta_N = beta_{N-1} asks
+      nothing more), because u_{N+1} = u_{N-1} >= a_{N-1}.
+    * The least a_2, ..., a_N in turn give the lexicographically least
+      beta, and some beta exists iff each of them stays at most u_k.
     """
     h = tuple(h)
     if d % 2 == 1:
@@ -131,35 +133,20 @@ def check_manifold_h(h, d: int) -> CheckResult:
         raise ValueError(f"h must have length {d + 1}, got {len(h)}")
     if d == 0:
         raise ValueError("need d >= 2")
+    half = d // 2
+    s = h[half] % 2
 
-    n_free = (d - 2) // 2           # beta_1 .. beta_{(d-2)/2}; mirrors fill the rest
+    def u(k: int) -> int:
+        return (h[k] - s) // comb(d, k)
 
-    def full_beta(free: list[int]) -> tuple[int, ...]:
-        beta = [0] * d
-        beta[0] = 1
-        for i, val in enumerate(free, start=1):
-            beta[i] = val
-            beta[d - 1 - i] = val
-        return tuple(beta)
-
-    def search(free: list[int], partial_sum: int) -> tuple[int, ...] | None:
-        k = len(free) + 1
-        if len(free) == n_free:
-            beta = full_beta(free)
-            if check_sphere_h(h_beta(h, beta)):
-                return beta
-            return None
-        # transform entry k+1 must stay nonnegative:
-        #   sum_{l<=k+1} (-1)^(l-k-1) beta_{l-1} <= h_{k+1} / C(d, k+1)
-        bound = h[k + 1] // comb(d, k + 1) + partial_sum
-        for val in range(0, bound + 1):
-            found = search(free + [val], val - partial_sum)
-            if found is not None:
-                return found
-        return None
-
-    witness = search([], 0)
-    if witness is None:
-        return CheckResult(False, "no symmetric Betti vector makes the "
+    rejected = CheckResult(False, "no symmetric Betti vector makes the "
                                   "transform a sphere h-vector")
-    return CheckResult(True, witness=witness)
+    if h[0] != 1 or h != h[::-1] or h[1] < s:
+        return rejected
+    a = [0, 0]                      # a_0 (unused) and a_1
+    for k in range(2, half + 1):
+        a.append(max(-a[k - 1], -u(k + 1)))
+        if a[k] > u(k):
+            return rejected
+    beta = [a[i] + a[i + 1] for i in range(1, half)]
+    return CheckResult(True, witness=(1, *beta, *beta[::-1], 0))

@@ -1,14 +1,11 @@
-"""Explicit builders: staircase product triangulations, the 4-block colored
-graph presenting a product of two spheres, the antipodal cross-polytope
-quotient presenting real projective space, connected sums, and simplex
-boundary fixtures.
+"""Explicit builders: the 4-block colored graph presenting a product of
+two spheres, the antipodal cross-polytope quotient presenting real
+projective space, connected sums, and simplex boundary fixtures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .graphs import ColoredGraph
 from .posets import SimplicialPoset, proper_coloring
@@ -20,42 +17,6 @@ def set_label(s) -> str:
 
 def block_label(block: str, s) -> str:
     return f"{block}:{set_label(s)}"
-
-
-# --- staircase triangulation of a product of simplexes ---------------------------
-
-@dataclass(frozen=True)
-class StaircaseFacet:
-    """One facet of the staircase triangulation of (n-simplex) x (m-simplex).
-
-    The n-subset `steps` of 1..n+m marks the positions where the lattice
-    path from (0,0) to (n,m) moves right; vertices are the path's lattice
-    points w_(i,j), colored i+j+1.
-    """
-
-    n: int
-    m: int
-    steps: frozenset[int]
-    path: tuple[tuple[int, int], ...]
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(f"w({i},{j})" for i, j in self.path)
-
-    @property
-    def colors(self) -> tuple[int, ...]:
-        return tuple(i + j + 1 for i, j in self.path)
-
-
-def staircase_facet(n: int, m: int, steps) -> StaircaseFacet:
-    s = frozenset(steps)
-    if not s <= set(range(1, n + m + 1)) or len(s) != n:
-        raise ValueError(f"steps must be an {n}-subset of 1..{n + m}")
-    path = [(0, 0)]
-    for l in range(1, n + m + 1):
-        i, j = path[-1]
-        path.append((i + 1, j) if l in s else (i, j + 1))
-    return StaircaseFacet(n, m, s, tuple(path))
 
 
 # --- the product-of-spheres graph -------------------------------------------------

@@ -141,7 +141,9 @@ def validate_admissible(g: ColoredGraph) -> list[str]:
     """Report admissibility violations; an empty list means admissible.
 
     Checks (a) connectivity and (b) that every color class is a perfect
-    matching, naming the offending color and vertex.
+    matching, naming the offending color and vertex.  The colors that no
+    edge carries are named together in one line, so the report grows with
+    the edge list and not with d.
     """
     violations: list[str] = []
     # a transient count, not the cached incidence index: validated graphs
@@ -150,7 +152,8 @@ def validate_admissible(g: ColoredGraph) -> list[str]:
     for u, v, c in g.edges:
         degree[u, c] = degree.get((u, c), 0) + 1
         degree[v, c] = degree.get((v, c), 0) + 1
-    for c in range(1, g.d + 1):
+    carried = sorted({c for _, _, c in g.edges})
+    for c in carried:
         for v in g.vertices:
             n = degree.get((v, c), 0)
             if n != 1:
@@ -159,10 +162,22 @@ def validate_admissible(g: ColoredGraph) -> list[str]:
     if not g.vertices:
         violations.append("graph has no vertices")
     else:
-        comps = g.components(range(1, g.d + 1))
+        bounds = [0, *carried, g.d + 1]
+        missing = [str(a + 1) if b - a == 2 else f"{a + 1}..{b - 1}"
+                   for a, b in zip(bounds, bounds[1:]) if b - a > 1]
+        if missing:
+            violations.append("no edge has color " + ", ".join(missing))
+        comps = g.components(carried)
         if len(comps) != 1:
             violations.append(f"graph is disconnected ({len(comps)} components)")
     return violations
+
+
+def require_admissible(g: ColoredGraph) -> None:
+    """Raise ValueError naming every violation unless `g` is admissible."""
+    violations = validate_admissible(g)
+    if violations:
+        raise ValueError("graph is not admissible: " + "; ".join(violations))
 
 
 def is_admissible(g: ColoredGraph) -> bool:

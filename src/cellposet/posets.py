@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .graphs import ColoredGraph, UnionFind, validate_admissible
+from .graphs import ColoredGraph, UnionFind, require_admissible
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,7 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     color set and the least vertex of the component; facet labels are the
     vertex labels themselves.
     """
-    violations = validate_admissible(g)
-    if violations:
-        raise ValueError("graph is not admissible: " + "; ".join(violations))
+    require_admissible(g)
     d = g.d
     colors = tuple(range(1, d + 1))
 

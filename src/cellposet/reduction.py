@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, require_admissible
 from .constructions import block_label, product_spheres_graph
 
 
@@ -102,7 +102,6 @@ def cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    stage: int                      # the index j of the family the subset lives in
     subset: tuple[int, ...]
     pair: tuple[str, str]
 
@@ -161,7 +160,7 @@ def cancellation_schedule(n: int, m: int) -> Schedule:
             else:
                 first = block_label("B", _rng(i1 - j, i1 - 2) + list(s))
                 second = block_label("B", _rng(i1 - j, i1 - 1) + list(s_rest))
-            entries.append(ScheduleEntry(j, s, (first, second)))
+            entries.append(ScheduleEntry(s, (first, second)))
     return Schedule(n, m, tuple(entries))
 
 
@@ -182,7 +181,9 @@ class CancellationStep:
 
 def run_schedule(g: ColoredGraph, schedule: Schedule
                  ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
-    """Apply a schedule, verifying the dipole condition at every step."""
+    """Apply a schedule to an admissible graph, verifying the dipole
+    condition at every step."""
+    require_admissible(g)
     steps = []
     for k, entry in enumerate(schedule.entries, start=1):
         x, y = entry.pair
@@ -224,8 +225,9 @@ def reduce_product_spheres(n: int, m: int
 
 def greedy_reduce(g: ColoredGraph
                   ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
-    """Cancel dipoles greedily (first cancellable pair in scan order) until
-    none is left."""
+    """Cancel dipoles of an admissible graph greedily (first cancellable
+    pair in scan order) until none is left."""
+    require_admissible(g)
     steps = []
     k = 0
     while True:

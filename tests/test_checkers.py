@@ -1,13 +1,107 @@
-import pytest
-from hypothesis import given, strategies as st
+from math import comb
 
-from cellposet.checkers import (check_manifold_h, check_rp_h, check_sphere_h,
-                                h_beta, r_value, sphere_h_geq)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cellposet.checkers import (CheckResult, check_manifold_h, check_rp_h,
+                                check_sphere_h, r_value, sphere_h_geq)
 from cellposet.constructions import (boundary_of_simplex,
                                      cross_polytope_quotient,
-                                     parallel_edges_graph)
+                                     parallel_edges_graph,
+                                     product_spheres_graph)
 from cellposet.homology import betti_gf2, h_double_prime
 from cellposet.posets import f_vector, from_graph, h_vector
+
+NO_BETTI_VECTOR = ("no symmetric Betti vector makes the transform a sphere "
+                   "h-vector")
+
+
+def h_beta(h, beta) -> tuple[int, ...]:
+    """The transform of `h` (even d = len(h) - 1) by a symmetric Betti
+    vector beta = (1, beta_1, ..., beta_{d-1}): h'' of `h` with beta_0 = 0
+    and the top Betti number read off h_d.  Entry 0 is 1 whatever h_0 is.
+    """
+    d = len(h) - 1
+    return h_double_prime(h, (0, *beta[1:d - 1], h[d]))
+
+
+def search_manifold_h(h, d: int) -> CheckResult:
+    """Oracle for check_manifold_h: exhaustive search, in lexicographic
+    order, over nonnegative symmetric Betti vectors beta with
+    beta_{d-1} = 0 for one whose transform passes check_sphere_h.
+    Nonnegativity of transform entry k+1 bounds the choice of beta_k, so
+    the search ends, but its run time grows with the entries of h."""
+    h = tuple(h)
+    n_free = (d - 2) // 2           # beta_1 .. beta_{(d-2)/2}; mirrors fill the rest
+
+    def full_beta(free: list[int]) -> tuple[int, ...]:
+        beta = [0] * d
+        beta[0] = 1
+        for i, val in enumerate(free, start=1):
+            beta[i] = val
+            beta[d - 1 - i] = val
+        return tuple(beta)
+
+    def search(free: list[int], partial_sum: int) -> tuple[int, ...] | None:
+        k = len(free) + 1
+        if len(free) == n_free:
+            beta = full_beta(free)
+            return beta if check_sphere_h(h_beta(h, beta)) else None
+        # transform entry k+1 must stay nonnegative:
+        #   sum_{l<=k+1} (-1)^(l-k-1) beta_{l-1} <= h_{k+1} / C(d, k+1)
+        bound = h[k + 1] // comb(d, k + 1) + partial_sum
+        for val in range(0, bound + 1):
+            found = search(free + [val], val - partial_sum)
+            if found is not None:
+                return found
+        return None
+
+    witness = search([], 0) if h[0] == 1 else None
+    if witness is None:
+        return CheckResult(False, NO_BETTI_VECTOR)
+    return CheckResult(True, witness=witness)
+
+
+def explicit_rp_h(h, n: int) -> bool:
+    """Oracle for check_rp_h: the sphere conditions written out on the
+    shifted entries, with the parity test on the unshifted sum(h)."""
+    shifted = [h[0]] + [h[i] - r_value(n, i) for i in range(1, n + 1)]
+    return (all(x >= 0 for x in shifted[1:n])
+            and shifted[0] == shifted[n] == 1
+            and all(shifted[i] == shifted[n - i] for i in range(1, n))
+            and not (0 in shifted[1:n] and sum(h) % 2 == 1))
+
+
+@st.composite
+def rp_candidates(draw):
+    """(h, n) whose shifted vector has small entries, zeros and negatives,
+    and is mostly symmetric."""
+    n = draw(st.integers(2, 7))
+    half = [draw(st.sampled_from([1, 1, 1, 0]))]
+    half += [draw(st.integers(-1, 2)) for _ in range(n // 2)]
+    shifted = half + half[:n + 1 - len(half)][::-1]
+    if draw(st.integers(0, 4)) == 0:
+        shifted[draw(st.integers(0, n))] += draw(st.sampled_from([-1, 1]))
+    return ((shifted[0],) + tuple(shifted[i] + r_value(n, i)
+                                  for i in range(1, n + 1)), n)
+
+
+@st.composite
+def manifold_candidates(draw):
+    """Vectors near the boundary of acceptance: entries k >= 2 within a
+    few units of a multiple of C(d, k), mostly symmetric, with negative
+    entries and the occasional wrong end."""
+    d = draw(st.sampled_from([2, 4, 6, 8]))
+    half = [draw(st.sampled_from([1, 1, 1, 1, 0, 2])),
+            draw(st.integers(-2, 4))]
+    for k in range(2, d // 2 + 1):
+        half.append(comb(d, k) * draw(st.integers(-2, 3))
+                    + draw(st.integers(-2, 2)))
+    h = half + half[:-1][::-1]
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, d))
+        h[i] += draw(st.sampled_from([-1, 1]))
+    return tuple(h), d
 
 
 class TestSphereH:
@@ -82,35 +176,37 @@ class TestRpH:
         with pytest.raises(ValueError):
             check_rp_h((1, 0, 3, 0), 4)
 
+    @given(rp_candidates())
+    def test_is_the_sphere_test_on_the_shifted_vector(self, case):
+        h, n = case
+        shifted = (h[0],) + tuple(h[i] - r_value(n, i) for i in range(1, n + 1))
+        res, sphere = check_rp_h(h, n), check_sphere_h(shifted)
+        assert res.ok == sphere.ok == explicit_rp_h(h, n)
+        if not res:
+            assert res.failed_condition == "shifted " + sphere.failed_condition
+
+
+def odd_dimensional_manifolds() -> list:
+    """Closed manifolds of odd dimension d - 1 (even d): S^3 twice, RP^3,
+    RP^5, S^1 x S^2 and S^2 x S^3."""
+    return [boundary_of_simplex(4), from_graph(parallel_edges_graph(4)),
+            cross_polytope_quotient(4), cross_polytope_quotient(6),
+            from_graph(product_spheres_graph(1, 2)),
+            from_graph(product_spheres_graph(2, 3))]
+
 
 class TestHBeta:
-    def test_torus_data(self):
-        assert h_beta((1, 0, 6, -1), (1, 2, 1)) == (1, 0, 0, 1)
+    """The oracle's transform."""
 
     def test_trivial_beta_is_identity(self):
         h = (1, 4, -2, 7, 1)
         assert h_beta(h, (1, 0, 0, 0)) == h
 
-    def test_matches_h_double_prime_on_manifolds(self, torus_graph):
-        fixtures = [
-            from_graph(torus_graph),
-            boundary_of_simplex(3),
-            cross_polytope_quotient(4),
-            from_graph(parallel_edges_graph(4)),
-        ]
-        for p in fixtures:
+    def test_matches_h_double_prime_on_manifolds(self):
+        for p in odd_dimensional_manifolds():
             h = h_vector(f_vector(p))
             betti = betti_gf2(p)
-            assert h_beta(h, (1,) + betti[1:]) == \
-                   h_double_prime(h, betti)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            h_beta((1, 0, 0, 1), (1, 0, 0, 0))
-
-    def test_beta_must_start_with_one(self):
-        with pytest.raises(ValueError):
-            h_beta((1, 0, 0, 1), (0, 1, 1))
+            assert h_beta(h, (1,) + betti[1:]) == h_double_prime(h, betti)
 
 
 class TestManifoldH:
@@ -133,6 +229,24 @@ class TestManifoldH:
     def test_exhaustive_rejection(self):
         res = check_manifold_h((1, 0, 1, 1, 1), 4)
         assert not res and res.witness is None
+        assert res.failed_condition == NO_BETTI_VECTOR
+
+    def test_large_asymmetric_d8_vector_is_rejected(self):
+        # the search of the oracle does not finish on this vector
+        res = check_manifold_h((1, 80, 2800, 56000, 70000, 56000, 2800, 81, 1), 8)
+        assert not res and res.witness is None
+
+    @settings(max_examples=500)
+    @given(manifold_candidates())
+    def test_matches_the_search_oracle(self, case):
+        h, d = case
+        assert check_manifold_h(h, d) == search_manifold_h(h, d)
+
+    def test_accepts_odd_dimensional_manifolds(self):
+        for p in odd_dimensional_manifolds():
+            h = h_vector(f_vector(p))
+            res = check_manifold_h(h, p.d)
+            assert res and check_sphere_h(h_beta(h, res.witness))
 
     def test_odd_d_rejected(self):
         with pytest.raises(ValueError):

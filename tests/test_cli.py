@@ -103,6 +103,17 @@ class TestReduce:
                            "--schedule", "symbolic", "--n", "2", "--m", "1")
         assert code == 2 and "unknown vertex" in err
 
+    @pytest.mark.parametrize("schedule", [("--schedule", "greedy"),
+                                          ("--schedule", "symbolic", "--n",
+                                           "1", "--m", "1")])
+    def test_graph_that_is_not_admissible_exits_two(self, capsys, tmp_path,
+                                                    schedule):
+        src = tmp_path / "empty.json"
+        src.write_text(json.dumps({"d": 1, "vertices": [], "edges": []}))
+        code, out, err = run(capsys, "reduce", str(src), *schedule)
+        assert code == 2 and out == ""
+        assert err == "error: graph is not admissible: graph has no vertices\n"
+
 
 class TestCheck:
     def test_sphere_ok(self, capsys):
@@ -124,6 +135,18 @@ class TestCheck:
                            "--h", "1,0,6,0,1")
         assert code == 0
         assert json.loads(out)["witness"] == [1, 0, 0, 0]
+
+    def test_rp_failure_names_the_shifted_sphere_condition(self, capsys):
+        code, out, _ = run(capsys, "check", "rp-h", "--n", "3",
+                           "--h", "1,0,3,1")
+        assert code == 1
+        assert json.loads(out)["failed_condition"] == \
+               "shifted symmetry with h_0 = h_d = 1"
+
+    def test_manifold_rejects_a_large_d8_vector(self, capsys):
+        code, out, _ = run(capsys, "check", "manifold-h", "--d", "8", "--h",
+                           "1,80,2800,56000,70000,56000,2800,81,1")
+        assert code == 1 and json.loads(out)["witness"] is None
 
     def test_bad_vector_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "sphere-h", "--h", "1,x,1")
@@ -184,7 +207,8 @@ class TestMalformedInput:
 
 
 json_values = st.recursive(
-    # small integers: d scales the admissibility report as d x V lines
+    # small integers: a poset's d sizes its f- and h-vectors and the work
+    # of invariants
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6)
     | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)
@@ -223,6 +247,21 @@ class TestFuzz:
         src = tmp_path / "doc.json"
         src.write_text(json.dumps(doc))
         code, _, err = run(capsys, *command, str(src))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["sphere-h", "rp-h", "manifold-h"]),
+           st.lists(st.integers(), min_size=1, max_size=9),
+           st.none() | st.integers())
+    def test_check_exit_code_and_no_traceback(self, capsys, kind, h, size):
+        # size None: the dimension that matches the vector's length; "--h="
+        # keeps argparse from reading a leading "-1,..." as an option
+        argv = ["check", kind, "--h=" + ",".join(map(str, h))]
+        if kind != "sphere-h":
+            argv += ["--n" if kind == "rp-h" else "--d",
+                     str(len(h) - 1 if size is None else size)]
+        code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
 

@@ -1,13 +1,11 @@
-from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
 
 from cellposet.constructions import (block_label, boundary_of_simplex,
                                      connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
-                                     product_spheres_graph, staircase_facet)
+                                     product_spheres_graph)
 from cellposet.checkers import r_value
 from cellposet.graphs import validate_admissible
 from cellposet.homology import (betti_gf2, betti_order_complex,
@@ -25,38 +23,6 @@ def product_betti(n, m):
     out[m] += 1
     out[n + m] += 1
     return tuple(out)
-
-
-class TestStaircase:
-    def test_smallest_case_is_forced(self):
-        fac = staircase_facet(1, 1, {1})
-        assert fac.path == ((0, 0), (1, 0), (1, 1))
-        assert fac.vertices == ("w(0,0)", "w(1,0)", "w(1,1)")
-        assert fac.colors == (1, 2, 3)
-
-    def test_two_two_right_right_up_up(self):
-        fac = staircase_facet(2, 2, {1, 2})
-        assert fac.path == ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
-
-    def test_facet_count_by_enumeration(self):
-        facets = {staircase_facet(2, 2, s).path
-                  for s in combinations(range(1, 5), 2)}
-        assert len(facets) == comb(4, 2) == 6
-
-    def test_wrong_cardinality(self):
-        with pytest.raises(ValueError):
-            staircase_facet(2, 2, {1})
-
-    @given(st.data())
-    def test_paths_are_monotone_and_rainbow(self, data):
-        n = data.draw(st.integers(1, 4))
-        m = data.draw(st.integers(1, 4))
-        s = data.draw(st.sets(st.integers(1, n + m), min_size=n, max_size=n))
-        fac = staircase_facet(n, m, s)
-        assert fac.path[0] == (0, 0) and fac.path[-1] == (n, m)
-        for (i0, j0), (i1, j1) in zip(fac.path, fac.path[1:]):
-            assert (i1 - i0, j1 - j0) in ((1, 0), (0, 1))
-        assert sorted(fac.colors) == list(range(1, n + m + 2))
 
 
 class TestProductSpheresGraph:

@@ -55,6 +55,25 @@ class TestValidation:
         g = ColoredGraph(2, ("a", "b", "c"), (("a", "b", 1), ("a", "c", 2)))
         assert validate_admissible(g)
 
+    def test_report_is_bounded_by_the_edge_colors_not_by_d(self):
+        # two perfect matchings on six vertices, colors 1 and 3 of 10**6
+        v = tuple("abcdef")
+        g = ColoredGraph(10 ** 6, v, (
+            ("a", "b", 1), ("c", "d", 1), ("e", "f", 1),
+            ("b", "c", 3), ("d", "e", 3), ("a", "f", 3), ("a", "c", 3)))
+        violations = validate_admissible(g)
+        assert len(violations) <= len(v) * 2 + 2
+        assert violations == [
+            "color 3: vertex 'a' meets 2 edges, expected exactly 1",
+            "color 3: vertex 'c' meets 2 edges, expected exactly 1",
+            "no edge has color 2, 4..1000000",
+        ]
+
+    def test_graph_without_edges_names_every_color_once(self):
+        g = ColoredGraph(1, ("a", "b"), ())
+        assert validate_admissible(g) == [
+            "no edge has color 1", "graph is disconnected (2 components)"]
+
     def test_loops_rejected(self):
         with pytest.raises(ValueError, match="loop"):
             ColoredGraph(1, ("a",), (("a", "a", 1),))

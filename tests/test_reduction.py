@@ -79,6 +79,13 @@ def naive_greedy(g: ColoredGraph):
             return g, pairs
 
 
+def staged(sched) -> list:
+    """The entries as (stage j, subset, pair); stage j holds the subsets of
+    size n + 1 - j."""
+    return [(sched.n + 1 - len(e.subset), e.subset, e.pair)
+            for e in sched.entries]
+
+
 def k4_graph() -> ColoredGraph:
     """Properly 3-edge-colored K4; adjacent pairs stay connected after
     removing their edge color, so nothing here is a dipole."""
@@ -201,13 +208,10 @@ class TestRlex:
 
 class TestSchedule:
     def test_2_2_matches_the_worked_example(self):
-        sched = cancellation_schedule(2, 2)
-        got = [(e.stage, e.subset, e.pair) for e in sched.entries]
-        assert got == EXPECTED_2_2
+        assert staged(cancellation_schedule(2, 2)) == EXPECTED_2_2
 
     def test_1_1_single_pair(self):
-        sched = cancellation_schedule(1, 1)
-        assert [(e.stage, e.subset, e.pair) for e in sched.entries] == [
+        assert staged(cancellation_schedule(1, 1)) == [
             (1, (2,), ("A:{2}", "A:{1}"))]
 
     def test_1_2_and_2_1_by_hand(self):
@@ -287,6 +291,13 @@ class TestReduceProductSpheres:
         with pytest.raises(CancellationError, match="not a dipole"):
             run_schedule(product_spheres_graph(2, 2), shuffled)
 
+    def test_schedule_rejects_a_graph_that_is_not_admissible(self):
+        # the same error from_graph raises; nothing is cancelled
+        g = ColoredGraph(5, ("x",), ())
+        with pytest.raises(ValueError, match=r"^graph is not admissible: "
+                                             r"no edge has color 1\.\.5$"):
+            run_schedule(g, cancellation_schedule(2, 2))
+
 
 class TestFindDipoles:
     def test_product_graph_contains_the_first_scheduled_pair(self):
@@ -331,6 +342,14 @@ class TestGreedy:
         oracle_final, oracle_pairs = naive_greedy(product_spheres_graph(n, m))
         assert [s.pair for s in steps] == oracle_pairs
         assert final == oracle_final
+
+    @pytest.mark.parametrize("g", [
+        ColoredGraph(1, (), ()),
+        ColoredGraph(2, ("x", "y"), (("x", "y", 1),)),
+    ])
+    def test_greedy_rejects_a_graph_that_is_not_admissible(self, g):
+        with pytest.raises(ValueError, match="^graph is not admissible: "):
+            greedy_reduce(g)
 
     def test_greedy_is_a_no_op_without_dipoles(self, torus_graph):
         final, steps = greedy_reduce(torus_graph)
