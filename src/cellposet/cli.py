@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -189,9 +190,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_vector_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--h V`` as ``--h=V`` when V starts with a minus sign and a
+    digit: argparse reads a V such as "-1,0", which is no plain negative
+    number, as an option and not as the value of --h."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--h" and re.match(r"-\d", arg):
+            out[-1] = "--h=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_vector_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except reduction.CancellationError as exc:

@@ -5,7 +5,7 @@ projective space, connected sums, and simplex boundary fixtures.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .graphs import ColoredGraph
 from .posets import SimplicialPoset, proper_coloring
@@ -76,31 +76,21 @@ def cross_polytope_quotient(n: int) -> SimplicialPoset:
     F and -F identified.
 
     Faces are the sign vectors (nonempty subsets of {+-1..+-n} without an
-    antipodal pair); each orbit is keyed by the representative containing
-    the lexicographically smallest signed entry.  n vertices, 2^(n-1)
-    facets.
+    antipodal pair); each orbit {F, -F} is keyed by its representative:
+    the member written in support order whose first entry is negative.
+    Only representatives are enumerated; a face covered by one is keyed
+    by deleting an entry and negating the rest when it then starts
+    positive.  n vertices, 2^(n-1) facets.
     """
     if n < 2:
         raise ValueError("need n >= 2")
 
-    def rep(face: frozenset[int]) -> tuple[int, ...]:
-        a = tuple(sorted(face, key=lambda x: (abs(x), -x)))
-        b = tuple(sorted((-x for x in face), key=lambda x: (abs(x), -x)))
-        return min(a, b)
-
     by_rank: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    seen = set()
     for size in range(1, n + 1):
         for support in combinations(range(1, n + 1), size):
-            for signs in range(1 << size):
-                face = frozenset(
-                    (v if not (signs >> i) & 1 else -v)
-                    for i, v in enumerate(support))
-                r = rep(face)
-                if r not in seen:
-                    seen.add(r)
-                    by_rank[size].append(r)
-    for size in range(1, n + 1):
+            head = (-support[0],)
+            by_rank[size].extend(
+                head + rest for rest in product(*((v, -v) for v in support[1:])))
         by_rank[size].sort()
 
     ids: dict[tuple[int, ...], int] = {}
@@ -115,9 +105,13 @@ def cross_polytope_quotient(n: int) -> SimplicialPoset:
             if size == 1:
                 covers.append((0,))
             else:
-                face = frozenset(r)
-                covers.append(tuple(sorted(
-                    ids[rep(face - {x})] for x in face)))
+                cov = []
+                for i in range(size):
+                    face = r[:i] + r[i + 1:]
+                    if face[0] > 0:
+                        face = tuple(-x for x in face)
+                    cov.append(ids[face])
+                covers.append(tuple(sorted(cov)))
     return SimplicialPoset(n, tuple(ranks), tuple(covers), tuple(labels))
 
 

@@ -22,11 +22,23 @@ from functools import cached_property
 
 
 class UnionFind:
-    """Array union-find with path compression; roots are minimal indices."""
+    """Array union-find with path compression; roots are minimal indices,
+    so every parent pointer points to an index no larger than its own.
 
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.count = size
+    ``start``, if given, is a partition to start from instead of
+    singletons: a per-element root list as :meth:`roots` returns it.
+    """
+
+    def __init__(self, size: int, start: list[int] | None = None):
+        if start is None:
+            self.parent = list(range(size))
+            self.count = size
+        else:
+            if len(start) != size:
+                raise ValueError(
+                    f"start partition has {len(start)} entries, expected {size}")
+            self.parent = list(start)
+            self.count = len(set(start))
 
     def find(self, x: int) -> int:
         root = x
@@ -45,6 +57,14 @@ class UnionFind:
         # keep the smaller index as root so component ids are canonical
         self.parent[rb] = ra
         self.count -= 1
+
+    def roots(self) -> list[int]:
+        """Per-element root, in one pass: parent[i] <= i, so the root of
+        parent[i] is known by the time i is reached."""
+        out = self.parent[:]
+        for i, p in enumerate(out):
+            out[i] = out[p]
+        return out
 
 
 @dataclass(frozen=True)
@@ -101,14 +121,20 @@ class ColoredGraph:
             raise ValueError(f"colors {sorted(bad)} outside 1..{self.d}")
         return s
 
-    def component_roots(self, colors) -> list[int]:
-        """Per-vertex root (least index in its component) under color restriction."""
+    def component_roots(self, colors, start: list[int] | None = None) -> list[int]:
+        """Per-vertex root (least index in its component) under color restriction.
+
+        ``start``, if given, is the result of this call for a set of colors
+        T; the result is then that for T together with `colors`, and only
+        the edges of `colors` are merged.
+        """
         s = self._check_color_set(colors)
-        uf = UnionFind(len(self.vertices))
+        uf = UnionFind(len(self.vertices), start)
+        index = self.index
         for u, v, c in self.edges:
             if c in s:
-                uf.union(self.index[u], self.index[v])
-        return [uf.find(i) for i in range(len(self.vertices))]
+                uf.union(index[u], index[v])
+        return uf.roots()
 
     def components(self, colors) -> tuple[tuple[str, ...], ...]:
         """Connected components of the color-restricted graph, as vertex

@@ -9,6 +9,15 @@ poset; the test suite enforces this.
 
 Matrices over GF(2) are bit-packed: a row is a Python int, elimination is
 XOR.  Everything here is exact integer arithmetic.
+
+`betti_gf2` eliminates the degrees from the top down with clearing (the
+"twist" of Chen and Kerber, *Persistent homology computation with a
+twist*): a k-cell that is a pivot of the degree-(k+1) elimination is the
+lowest cell of a cycle that bounds, so its row adds nothing to the rank of
+the degree-k boundary map and is skipped.  This rests on the boundary
+squaring to zero, which `ChainComplexGF2.from_poset` checks on every
+complex.  `betti_order_complex` reduces every row of every degree on its
+own, so the oracle shares no elimination shortcut with the engine.
 """
 
 from __future__ import annotations
@@ -21,20 +30,34 @@ from .posets import SimplicialPoset, link, is_pure
 MAX_CHAINS = 10 ** 6
 
 
-def gf2_rank(rows) -> int:
-    """Rank of a bit-packed GF(2) matrix (one int per row)."""
+def _pivots(rows) -> dict[int, int]:
+    """Gaussian elimination of bit-packed GF(2) rows, keyed by pivot: the
+    lowest set bit of each reduced nonzero row."""
     basis: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
             low = row & -row
             other = basis.get(low)
             if other is None:
                 basis[low] = row
-                rank += 1
                 break
             row ^= other
-    return rank
+    return basis
+
+
+def gf2_rank(rows) -> int:
+    """Rank of a bit-packed GF(2) matrix (one int per row)."""
+    return len(_pivots(rows))
+
+
+def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
+    """Reduced Betti numbers (degrees 0..d-1) of an augmented complex from
+    its cell counts ``dims[0..d]`` and the ranks ``ranks[k-1]`` of its
+    degree-k boundary maps: beta_i is dims[i+1] minus the ranks of the
+    maps of degrees i+1 and i+2 (kernel minus image)."""
+    d = len(dims) - 1
+    return tuple(dims[i + 1] - ranks[i] - (ranks[i + 1] if i + 1 < d else 0)
+                 for i in range(d))
 
 
 @dataclass(frozen=True)
@@ -81,16 +104,36 @@ class ChainComplexGF2:
                         f"boundary squared is nonzero at cell {c}; "
                         "lower intervals are not boolean")
 
+    def ranks(self) -> tuple[int, ...]:
+        """Ranks of the boundary maps, ``ranks()[k-1]`` that of degree k,
+        by elimination from the top degree down with clearing.
+
+        Clearing (the "twist" of Chen and Kerber): each pivot p of the
+        degree-(k+1) elimination is the lowest bit of a reduced row z, a
+        sum of boundaries of rank-(k+1) cells.  The boundary of z is zero,
+        so row p of the degree-k map is the sum of the rows at the other
+        bits of z, all above p.  Those z and the unit vectors off the
+        pivots span all k-chains, so the degree-k rank is the rank of the
+        rows off the pivots, and the pivot rows are never reduced.
+        """
+        ranks = [0] * len(self.boundaries)
+        cleared: set[int] = set()
+        for k in reversed(range(len(self.boundaries))):
+            rows = (row for i, row in enumerate(self.boundaries[k])
+                    if i not in cleared)
+            # keep the pivot indices only, so that one degree's reduced
+            # rows are freed before the next degree is eliminated
+            cleared = {low.bit_length() - 1 for low in _pivots(rows)}
+            ranks[k] = len(cleared)
+        return tuple(ranks)
+
     def betti(self) -> tuple[int, ...]:
-        """Reduced Betti numbers (degrees 0..d-1) from kernel/image ranks."""
-        d = len(self.dims) - 1
-        ranks = [gf2_rank(rows) for rows in self.boundaries]
-        out = []
-        for i in range(d):
-            kernel = self.dims[i + 1] - ranks[i]
-            image = ranks[i + 1] if i + 1 < len(ranks) else 0
-            out.append(kernel - image)
-        return tuple(out)
+        """Reduced Betti numbers (degrees 0..d-1) from the ranks of the
+        boundary maps, eliminated from the top degree down with clearing:
+        the row of a k-cell that is a pivot of the degree-(k+1)
+        elimination is skipped, which is sound because the boundary
+        squares to zero (see :meth:`ranks`)."""
+        return _betti_from_ranks(self.dims, self.ranks())
 
 
 def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:
@@ -152,8 +195,10 @@ def betti_order_complex(p: SimplicialPoset) -> tuple[int, ...]:
                     face = ch[:drop] + ch[drop + 1:]
                     row ^= 1 << lower[face]
                 rows.append(row)
-        boundaries.append(tuple(rows))
-    return ChainComplexGF2(dims, tuple(boundaries)).betti()
+        boundaries.append(rows)
+    # plain per-degree elimination, without the clearing of
+    # ChainComplexGF2.ranks, so that this engine stays independent
+    return _betti_from_ranks(dims, [gf2_rank(rows) for rows in boundaries])
 
 
 # --- h'' vectors ---------------------------------------------------------------

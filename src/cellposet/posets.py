@@ -125,8 +125,18 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     d = g.d
     colors = tuple(range(1, d + 1))
 
-    roots = {frozenset(sub): g.component_roots(sub)
-             for size in range(d + 1) for sub in combinations(colors, size)}
+    # The roots for S are those for S - {max S} merged along color max S,
+    # read from a graph holding that color's V/2 edges only.  These graphs
+    # live for this call alone: an index cached on `g` would stay with it.
+    layers = {c: ColoredGraph(d, g.vertices,
+                              tuple(e for e in g.edges if e[2] == c))
+              for c in colors}
+    # combinations yields every smaller set before the sets built on it
+    roots = {frozenset(): g.component_roots(())}
+    for size in range(1, d + 1):
+        for sub in combinations(colors, size):
+            roots[frozenset(sub)] = layers[sub[-1]].component_roots(
+                sub[-1:], roots[frozenset(sub[:-1])])
 
     cell_id: dict[tuple[frozenset[int], int], int] = {}
     ranks: list[int] = []
@@ -374,10 +384,20 @@ def proper_coloring(p: SimplicialPoset):
 
 # --- validation and JSON ------------------------------------------------------
 
+def _rank_gap(p: SimplicialPoset) -> str | None:
+    """A violation when ``d`` is above every cell's rank, else None."""
+    top = max(p.ranks)
+    if top == p.d:
+        return None
+    return f"d is {p.d}, but the greatest cell rank is {top}"
+
+
 def validate_poset(p: SimplicialPoset) -> list[str]:
-    """Check the boolean-interval law by downward closure: a rank-k cell
-    must have exactly C(k, j) cells of rank j below it."""
-    violations = []
+    """Check that some cell has rank d, and the boolean-interval law by
+    downward closure: a rank-k cell must have exactly C(k, j) cells of rank
+    j below it."""
+    gap = _rank_gap(p)
+    violations = [gap] if gap else []
     downsets: list[dict[int, set[int]]] = []
     for i in range(p.n_cells):
         by_rank: dict[int, set[int]] = {p.ranks[i]: {i}}
@@ -410,17 +430,23 @@ def poset_to_dict(p: SimplicialPoset) -> dict:
 
 
 def poset_from_dict(data: dict) -> SimplicialPoset:
+    """Load a poset; a ``d`` above every cell's rank is refused here, since
+    d sizes the f- and h-vectors and the work that reads them."""
     try:
         cells = sorted(data["cells"], key=lambda c: c["id"])
         if [c["id"] for c in cells] != list(range(len(cells))):
             raise ValueError("cell ids must be 0..N-1")
-        return SimplicialPoset(
+        p = SimplicialPoset(
             data["d"],
             tuple(c["rank"] for c in cells),
             tuple(tuple(c["covers"]) for c in cells),
             tuple(c["label"] for c in cells))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed poset JSON: {exc}") from exc
+    gap = _rank_gap(p)
+    if gap:
+        raise ValueError(gap)
+    return p
 
 
 def poset_to_json(p: SimplicialPoset) -> str:

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,20 @@ class TestCheck:
                            "1,80,2800,56000,70000,56000,2800,81,1")
         assert code == 1 and json.loads(out)["witness"] is None
 
+    @pytest.mark.parametrize("kind,rest,failed", [
+        ("sphere-h", [], "nonnegativity"),
+        ("rp-h", ["--n", "1"], "shifted nonnegativity"),
+        ("manifold-h", ["--d", "2"], None)])
+    def test_vector_with_a_leading_negative_entry(self, capsys, kind, rest,
+                                                  failed):
+        h = "-1,0" if kind != "manifold-h" else "-1,0,1"
+        spaced = run(capsys, "check", kind, "--h", h, *rest)
+        assert spaced == run(capsys, "check", kind, "--h=" + h, *rest)
+        code, out, _ = spaced
+        assert code == 1
+        if failed:
+            assert json.loads(out)["failed_condition"] == failed
+
     def test_bad_vector_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "sphere-h", "--h", "1,x,1")
         assert code == 2 and "bad integer vector" in err
@@ -205,12 +220,26 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "rank 2 outside 0..1" in err
 
+    @pytest.mark.parametrize("command", [("build", "from-json"),
+                                         ("invariants",)])
+    @pytest.mark.parametrize("d", [10, 10 ** 6])
+    def test_poset_d_above_every_rank(self, capsys, tmp_path, command, d):
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(
+            {**poset_to_dict(boundary_of_simplex(2)), "d": d}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, str(src))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: d is {d}, but the greatest cell rank is 2\n"
+
 
 json_values = st.recursive(
-    # small integers: a poset's d sizes its f- and h-vectors and the work
-    # of invariants
-    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6)
-    | st.text(max_size=3),
+    # mostly small integers, which keep a mutated document near a valid
+    # one; large ones too, since neither a graph's nor a poset's d may
+    # size the work beyond what its edges and cells do
+    st.none() | st.booleans() | st.integers(-2, 6) | st.integers()
+    | st.floats(-2, 6) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
@@ -255,15 +284,18 @@ class TestFuzz:
            st.lists(st.integers(), min_size=1, max_size=9),
            st.none() | st.integers())
     def test_check_exit_code_and_no_traceback(self, capsys, kind, h, size):
-        # size None: the dimension that matches the vector's length; "--h="
-        # keeps argparse from reading a leading "-1,..." as an option
-        argv = ["check", kind, "--h=" + ",".join(map(str, h))]
+        # size None: the dimension that matches the vector's length
+        vector = ",".join(map(str, h))
+        rest = []
         if kind != "sphere-h":
-            argv += ["--n" if kind == "rp-h" else "--d",
-                     str(len(h) - 1 if size is None else size)]
-        code, _, err = run(capsys, *argv)
+            rest = ["--n" if kind == "rp-h" else "--d",
+                    str(len(h) - 1 if size is None else size)]
+        code, out, err = run(capsys, "check", kind, "--h=" + vector, *rest)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+        # the space-separated form, also for a vector such as "-1,0"
+        assert run(capsys, "check", kind, "--h", vector, *rest) == \
+               (code, out, err)
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -5,14 +6,15 @@ import pytest
 from cellposet.constructions import (block_label, boundary_of_simplex,
                                      connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
-                                     product_spheres_graph)
+                                     product_spheres_graph, set_label)
 from cellposet.checkers import r_value
 from cellposet.graphs import validate_admissible
 from cellposet.homology import (betti_gf2, betti_order_complex,
                                 h_double_prime, is_homology_manifold,
                                 is_homology_sphere)
-from cellposet.posets import (f_vector, from_graph, h_vector,
-                              induced_coloring, to_graph, validate_poset)
+from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
+                              h_vector, induced_coloring, poset_to_json,
+                              to_graph, validate_poset)
 from cellposet.reduction import colors_between
 
 
@@ -66,7 +68,44 @@ class TestProductSpheresGraph:
             product_spheres_graph(0, 1)
 
 
+def sorting_cross_polytope_quotient(n: int) -> SimplicialPoset:
+    """Oracle for cross_polytope_quotient: every sign vector is enumerated,
+    and an orbit's key is the lexicographically smaller of F and -F, each
+    sorted into support order."""
+    def rep(face):
+        a = tuple(sorted(face, key=lambda x: (abs(x), -x)))
+        b = tuple(sorted((-x for x in face), key=lambda x: (abs(x), -x)))
+        return min(a, b)
+
+    by_rank = [[] for _ in range(n + 1)]
+    seen = set()
+    for size in range(1, n + 1):
+        for support in combinations(range(1, n + 1), size):
+            for signs in range(1 << size):
+                r = rep(frozenset(-v if (signs >> i) & 1 else v
+                                  for i, v in enumerate(support)))
+                if r not in seen:
+                    seen.add(r)
+                    by_rank[size].append(r)
+        by_rank[size].sort()
+    ids, ranks, covers, labels = {}, [0], [()], ["0"]
+    for size in range(1, n + 1):
+        for r in by_rank[size]:
+            ids[r] = len(ranks)
+            ranks.append(size)
+            labels.append(set_label(r))
+            face = frozenset(r)
+            covers.append((0,) if size == 1 else tuple(sorted(
+                ids[rep(face - {x})] for x in face)))
+    return SimplicialPoset(n, ranks, covers, labels)
+
+
 class TestCrossPolytopeQuotient:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_the_sorting_construction(self, n):
+        assert poset_to_json(cross_polytope_quotient(n)) == \
+               poset_to_json(sorting_cross_polytope_quotient(n))
+
     def test_small_counts(self):
         assert f_vector(cross_polytope_quotient(2)) == (1, 2, 2)
         assert f_vector(cross_polytope_quotient(3)) == (1, 3, 6, 4)

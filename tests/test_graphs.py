@@ -3,9 +3,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet.graphs import (ColoredGraph, graph_from_json, graph_to_dict,
-                              graph_to_dot, graph_to_json, is_admissible,
-                              validate_admissible)
+from cellposet.graphs import (ColoredGraph, UnionFind, graph_from_json,
+                              graph_to_dict, graph_to_dot, graph_to_json,
+                              is_admissible, validate_admissible)
 
 from conftest import admissible_graphs
 
@@ -109,6 +109,27 @@ class TestRestrict:
             comps = g.components({c})
             assert len(comps) == len(g.vertices) // 2
             assert all(len(comp) == 2 for comp in comps)
+
+
+class TestStartPartition:
+    """component_roots(B, start=component_roots(A)) is component_roots(A | B)."""
+
+    @given(admissible_graphs(colors=(2, 3, 4)), st.data())
+    def test_merging_more_colors(self, g, data):
+        a = data.draw(st.sets(st.integers(1, g.d)))
+        b = data.draw(st.sets(st.integers(1, g.d)))
+        assert g.component_roots(b, g.component_roots(a)) == \
+               g.component_roots(a | b)
+
+    def test_union_find_from_a_partition(self):
+        uf = UnionFind(5, [0, 0, 2, 2, 4])
+        assert uf.count == 3
+        uf.union(3, 1)
+        assert uf.count == 2 and uf.roots() == [0, 0, 0, 0, 4]
+
+    def test_start_of_the_wrong_length(self, torus_graph):
+        with pytest.raises(ValueError, match="5 entries, expected 6"):
+            torus_graph.component_roots({1}, [0, 1, 2, 3, 4])
 
 
 class TestComponents:

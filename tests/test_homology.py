@@ -1,11 +1,12 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from cellposet.constructions import (boundary_of_simplex,
+from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      cross_polytope_quotient,
-                                     parallel_edges_graph)
+                                     parallel_edges_graph,
+                                     product_spheres_graph)
 from cellposet.homology import (ChainComplexGF2, betti_gf2,
                                 betti_order_complex,
                                 gf2_rank, h_double_prime,
@@ -100,6 +101,41 @@ class TestChainComplex:
         cx = ChainComplexGF2.from_poset(from_graph(torus_graph))
         assert cx.dims[0] == 1
         assert all(row == 1 for row in cx.boundaries[0])
+
+
+def per_degree_ranks(p: SimplicialPoset) -> tuple[int, ...]:
+    """Oracle for ChainComplexGF2.ranks: each degree eliminated on its own,
+    every row reduced."""
+    cx = ChainComplexGF2.from_poset(p)
+    return tuple(gf2_rank(rows) for rows in cx.boundaries)
+
+
+class TestClearing:
+    """The cleared top-down elimination gives the per-degree ranks."""
+
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_graph_posets(self, g):
+        p = from_graph(g)
+        assert ChainComplexGF2.from_poset(p).ranks() == per_degree_ranks(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_projective_spaces(self, n):
+        p = cross_polytope_quotient(n)
+        assert ChainComplexGF2.from_poset(p).ranks() == per_degree_ranks(p)
+
+    @given(st.data())
+    def test_connected_sums(self, data):
+        d = data.draw(st.sampled_from([2, 3]))
+        p = from_graph(data.draw(admissible_graphs(colors=(d,))))
+        q = from_graph(data.draw(admissible_graphs(colors=(d,))))
+        s = connected_sum(p, q, p.facets()[0], q.facets()[-1])
+        assert ChainComplexGF2.from_poset(s).ranks() == per_degree_ranks(s)
+
+    def test_product_of_spheres(self):
+        p = from_graph(product_spheres_graph(2, 2))
+        cx = ChainComplexGF2.from_poset(p)
+        assert cx.ranks() == per_degree_ranks(p)
+        assert cx.betti() == (0, 0, 2, 0, 1)
 
 
 class TestHDoublePrime:

@@ -1,14 +1,17 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet.constructions import boundary_of_simplex, parallel_edges_graph
+from cellposet.constructions import (boundary_of_simplex, parallel_edges_graph,
+                                     product_spheres_graph)
 from cellposet.graphs import ColoredGraph
 from cellposet.posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                               h_vector, induced_coloring, is_normal,
                               is_pseudomanifold, is_pure, link,
-                              poset_from_json, poset_to_json, proper_coloring,
+                              poset_from_dict, poset_from_json, poset_to_dict,
+                              poset_to_json, proper_coloring,
                               to_graph, validate_poset)
 
 from conftest import admissible_graphs
@@ -27,7 +30,50 @@ def h_by_polynomial_expansion(f):
     return tuple(total)
 
 
+def reference_from_graph(g: ColoredGraph) -> SimplicialPoset:
+    """Oracle for from_graph: the components of every color subset from
+    its own component_roots call, with nothing carried between subsets."""
+    d = g.d
+    colors = tuple(range(1, d + 1))
+    roots = {frozenset(sub): g.component_roots(sub)
+             for size in range(d + 1) for sub in combinations(colors, size)}
+    cell_id = {}
+    ranks, covers, labels, origins = [], [], [], []
+    for rank in range(d + 1):
+        for missing in combinations(colors, rank):
+            s = frozenset(colors) - set(missing)
+            for root in sorted(set(roots[s])):
+                cell_id[s, root] = len(ranks)
+                ranks.append(rank)
+                if rank == d:
+                    labels.append(g.vertices[root])
+                elif rank == 0:
+                    labels.append("0")
+                else:
+                    labels.append("{%s}@%s" % (",".join(map(str, sorted(s))),
+                                               g.vertices[root]))
+                origins.append((s, g.vertices[root]))
+                covers.append(tuple(cell_id[s | {i}, roots[s | {i}][root]]
+                                    for i in missing))
+    return SimplicialPoset(d, ranks, covers, labels, tuple(origins))
+
+
+def same_poset(p: SimplicialPoset, q: SimplicialPoset) -> bool:
+    return (p.d, p.ranks, p.covers, p.labels, p.origins) == \
+           (q.d, q.ranks, q.covers, q.labels, q.origins)
+
+
 class TestFromGraph:
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_matches_the_per_subset_reference(self, g):
+        assert same_poset(from_graph(g), reference_from_graph(g))
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (1, 4)])
+    def test_product_graphs_match_the_reference(self, n, m):
+        g = product_spheres_graph(n, m)
+        assert same_poset(from_graph(g), reference_from_graph(g))
+
+
     def test_torus_f_vector(self, torus_graph):
         assert f_vector(from_graph(torus_graph)) == (1, 3, 9, 6)
 
@@ -51,6 +97,13 @@ class TestFromGraph:
 
     def test_boolean_intervals(self, torus_graph):
         assert validate_poset(from_graph(torus_graph)) == []
+
+    def test_d_above_every_rank_is_reported(self):
+        p = boundary_of_simplex(2)
+        lifted = SimplicialPoset(10, p.ranks, p.covers, p.labels)
+        assert validate_poset(p) == []
+        assert validate_poset(lifted) == [
+            "d is 10, but the greatest cell rank is 2"]
 
     def test_rejects_inadmissible(self):
         g = ColoredGraph(2, ("a", "b"), (("a", "b", 1),))
@@ -224,6 +277,13 @@ class TestJson:
         q = poset_from_json(poset_to_json(p))
         assert (q.d, q.ranks, q.covers, q.labels) == \
                (p.d, p.ranks, p.covers, p.labels)
+
+    def test_d_above_every_rank_is_refused(self):
+        data = poset_to_dict(boundary_of_simplex(2))
+        data["d"] = 3
+        with pytest.raises(ValueError,
+                           match="d is 3, but the greatest cell rank is 2"):
+            poset_from_dict(data)
 
     def test_minimum_is_cell_zero(self, torus_graph):
         import json
