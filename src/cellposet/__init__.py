@@ -8,7 +8,8 @@ from .graphs import (ColoredGraph, graph_from_json, graph_to_dot,
 from .posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                      h_vector, induced_coloring, link, is_normal,
                      is_pseudomanifold, is_pure, poset_from_json,
-                     poset_to_json, proper_coloring, to_graph, validate_poset)
+                     poset_to_json, proper_coloring, require_simplicial,
+                     to_graph, validate_poset)
 from .homology import (ChainComplexGF2, betti_gf2, betti_order_complex,
                        h_double_prime, is_homology_manifold,
                        is_homology_sphere, is_orientable_gf2)

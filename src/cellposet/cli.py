@@ -19,7 +19,8 @@ from .graphs import (ColoredGraph, graph_from_dict, graph_to_dict,
                      graph_to_dot, graph_to_json, validate_admissible)
 from .homology import betti_gf2, h_double_prime
 from .posets import (SimplicialPoset, f_vector, from_graph, h_vector,
-                     poset_from_dict, poset_to_json, validate_poset)
+                     poset_from_dict, poset_to_json, require_simplicial,
+                     validate_poset)
 
 
 def _emit(data) -> None:
@@ -91,7 +92,11 @@ def cmd_build(args) -> int:
 
 def cmd_invariants(args) -> int:
     obj = _load_any(args.file)
-    p = from_graph(obj) if isinstance(obj, ColoredGraph) else obj
+    if isinstance(obj, ColoredGraph):
+        p = from_graph(obj)
+    else:
+        require_simplicial(obj)
+        p = obj
     _emit(_invariants(p))
     return 0
 

@@ -18,14 +18,36 @@ the degree-k boundary map and is skipped.  This rests on the boundary
 squaring to zero, which `ChainComplexGF2.from_poset` checks on every
 complex.  `betti_order_complex` reduces every row of every degree on its
 own, so the oracle shares no elimination shortcut with the engine.
+
+The link predicates (`is_homology_manifold`, `is_homology_sphere`) need
+the homology of the link of every cell, and the link of a cell c is the
+interval above it (Björner, *Posets, regular CW complexes and Bruhat
+order*), so its chain complex is a slice of the parent's: the cells of
+the up-set of c, ranks shifted down by rank(c), with the parent's
+boundary rows restricted to the up-set.  `link_bettis` builds the
+parent's complex once and walks the cells from rank d down to rank 1.
+The up-set of a cell is a tuple of bitmasks, one per higher rank, in the
+parent's per-rank positions: the OR of its coverers' up-sets and the
+coverers' own bits, so only the masks of two adjacent ranks are alive at
+a time.  A link row is the parent row ANDed with the up-set mask of the
+rank below; its popcount must be its rank in the link (the cover count
+of a simplicial poset).  Each link is then eliminated from the top down
+with clearing, by the routine `ChainComplexGF2.ranks` uses.
+
+One boundary-squared check on the parent covers every link: take u in
+the up-set of c, and w with c <= w and rank(w) = rank(u) - 2.  Every
+cell between w and u lies above c, so the coefficient of w in the
+boundary of the boundary of u is the same in the link as in the parent,
+and boundary squared zero on the parent gives it on every link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from collections.abc import Iterable, Iterator
 
-from .posets import SimplicialPoset, link, is_pure
+from .posets import SimplicialPoset, is_pure
 
 MAX_CHAINS = 10 ** 6
 
@@ -48,6 +70,37 @@ def _pivots(rows) -> dict[int, int]:
 def gf2_rank(rows) -> int:
     """Rank of a bit-packed GF(2) matrix (one int per row)."""
     return len(_pivots(rows))
+
+
+def _cleared_ranks(degrees: Iterable[Iterable[tuple[int, int]]]) -> list[int]:
+    """Ranks of the boundary maps of a complex whose boundary squares to
+    zero, ascending by degree, by elimination from the top degree down
+    with clearing (see :meth:`ChainComplexGF2.ranks`).
+
+    ``degrees`` gives the rows of each degree, the top degree first, as
+    (position, row) pairs: a row's position is its cell's bit in the rows
+    of the degree above.
+    """
+    ranks: list[int] = []
+    cleared: set[int] = set()
+    for rows in degrees:
+        kept = [row for i, row in rows if i not in cleared]
+        # keep the pivot indices only, so that one degree's reduced rows
+        # are freed before the next degree is eliminated
+        cleared = {low.bit_length() - 1 for low in _pivots(kept)}
+        ranks.append(len(cleared))
+    ranks.reverse()
+    return ranks
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, descending."""
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    return out
 
 
 def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
@@ -116,16 +169,8 @@ class ChainComplexGF2:
         pivots span all k-chains, so the degree-k rank is the rank of the
         rows off the pivots, and the pivot rows are never reduced.
         """
-        ranks = [0] * len(self.boundaries)
-        cleared: set[int] = set()
-        for k in reversed(range(len(self.boundaries))):
-            rows = (row for i, row in enumerate(self.boundaries[k])
-                    if i not in cleared)
-            # keep the pivot indices only, so that one degree's reduced
-            # rows are freed before the next degree is eliminated
-            cleared = {low.bit_length() - 1 for low in _pivots(rows)}
-            ranks[k] = len(cleared)
-        return tuple(ranks)
+        return tuple(_cleared_ranks(
+            enumerate(rows) for rows in reversed(self.boundaries)))
 
     def betti(self) -> tuple[int, ...]:
         """Reduced Betti numbers (degrees 0..d-1) from the ranks of the
@@ -235,9 +280,8 @@ def is_homology_sphere(p: SimplicialPoset) -> bool:
     """True iff every cell's link (the poset itself included, as the link
     of the minimum) has the reduced GF(2) homology of a sphere of the
     matching dimension."""
-    if betti_gf2(p) != _sphere_pattern(p.d):
-        return False
-    return _positive_links_spherical(p)
+    cx = ChainComplexGF2.from_poset(p)
+    return cx.betti() == _sphere_pattern(p.d) and _links_spherical(p, cx)
 
 
 def is_homology_manifold(p: SimplicialPoset) -> bool:
@@ -246,17 +290,65 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
 
     Since a link of a link is a link of the ambient poset, the vertex-link
     condition unfolds to: every cell of rank >= 1 has a sphere-patterned
-    link; that is what is checked.
+    link; that is what is checked, on slices of the poset's one complex
+    (see :func:`link_bettis`).
     """
-    return is_pure(p) and _positive_links_spherical(p)
+    return is_pure(p) and _links_spherical(p, ChainComplexGF2.from_poset(p))
 
 
-def _positive_links_spherical(p: SimplicialPoset) -> bool:
-    for c in range(1, p.n_cells):
-        lk = link(p, c)
-        if betti_gf2(lk) != _sphere_pattern(lk.d):
-            return False
-    return True
+def _links_spherical(p: SimplicialPoset, cx: ChainComplexGF2) -> bool:
+    return all(betti == _sphere_pattern(len(betti))
+               for _, betti in link_bettis(p, cx))
+
+
+def link_bettis(p: SimplicialPoset, cx: ChainComplexGF2
+                ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (cell, reduced GF(2) Betti vector of its link) for every cell
+    of rank >= 1, from rank d down, the link being the interval above the
+    cell.
+
+    Each link's complex is sliced out of ``cx``, the complex of `p`, by
+    the up-set masks described in the module docstring; no link poset is
+    built.  Raises ValueError when a cell covers a number of cells above
+    another cell other than the difference of their ranks: then that link
+    is no simplicial poset.
+    """
+    d, bd = p.d, cx.boundaries
+    # up[i]: the up-set of the i-th cell of rank k + 1, one mask per rank
+    # k + 2..d; a facet's up-set is empty
+    up: list[tuple[int, ...]] = [()] * cx.dims[d]
+    for k in range(d, 0, -1):
+        if k < d:
+            empty = (0,) * (d - k)
+            lower = [empty] * cx.dims[k]
+            for i, row in enumerate(bd[k]):
+                above = (1 << i,) + up[i]
+                for j in _bits(row):
+                    lower[j] = tuple(map(int.__or__, lower[j], above))
+            up = lower
+        for j, masks in enumerate(up):
+            cell = p.cells_by_rank[k][j]
+            keep = (1 << j,) + masks
+            dims = (1,) + tuple(m.bit_count() for m in masks)
+            ranks = _cleared_ranks(
+                _link_rows(p, bd, cell, k, t, keep)
+                for t in range(d - k, 0, -1))
+            yield cell, _betti_from_ranks(dims, ranks)
+
+
+def _link_rows(p, bd, cell, k, t, keep) -> list[tuple[int, int]]:
+    """The degree-t rows of the link of `cell` (rank k) whose up-set masks
+    by link rank are `keep`: the parent's rows of rank k + t, at the
+    up-set's positions, restricted to the up-set one rank down."""
+    rows, col = bd[k + t - 1], keep[t - 1]
+    out = [(i, rows[i] & col) for i in _bits(keep[t])]
+    for i, row in out:
+        if row.bit_count() != t:
+            raise ValueError(
+                f"cell {p.cells_by_rank[k + t][i]} covers {row.bit_count()} "
+                f"cells above cell {cell}, expected {t}; "
+                "lower intervals are not boolean")
+    return out
 
 
 def is_orientable_gf2(p: SimplicialPoset) -> bool:

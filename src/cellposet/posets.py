@@ -128,17 +128,21 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     # The roots for S are those for S - {max S} merged along color max S,
     # read from a graph holding that color's V/2 edges only.  These graphs
     # live for this call alone: an index cached on `g` would stay with it.
+    # Color sets are keyed by bitmask (bit c for color c).
     layers = {c: ColoredGraph(d, g.vertices,
                               tuple(e for e in g.edges if e[2] == c))
               for c in colors}
     # combinations yields every smaller set before the sets built on it
-    roots = {frozenset(): g.component_roots(())}
+    roots = {0: g.component_roots(())}
     for size in range(1, d + 1):
         for sub in combinations(colors, size):
-            roots[frozenset(sub)] = layers[sub[-1]].component_roots(
-                sub[-1:], roots[frozenset(sub[:-1])])
+            top = sub[-1]
+            mask = sum(1 << c for c in sub)
+            roots[mask] = layers[top].component_roots(
+                (top,), roots[mask ^ 1 << top])
 
-    cell_id: dict[tuple[frozenset[int], int], int] = {}
+    full = sum(1 << c for c in colors)
+    cell_of: dict[int, dict[int, int]] = {}    # color set -> root -> cell
     ranks: list[int] = []
     covers: list[tuple[int, ...]] = []
     labels: list[str] = []
@@ -147,27 +151,26 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     for rank in range(d + 1):
         # missing = [d] \ S enumerated in lexicographic order fixes cell order
         for missing in combinations(colors, rank):
-            s = frozenset(colors) - set(missing)
-            root_of = roots[s]
+            mask = full ^ sum(1 << i for i in missing)
+            s = frozenset(c for c in colors if c not in missing)
+            root_of = roots[mask]
+            ids = cell_of[mask] = {}
+            # the covered cells' color sets, each with one missing color back
+            up = [(roots[mask | 1 << i], cell_of[mask | 1 << i])
+                  for i in missing]
+            prefix = "{%s}@" % ",".join(map(str, sorted(s)))
             for root in sorted(set(root_of)):
-                cell_id[s, root] = len(ranks)
+                ids[root] = len(ranks)
                 ranks.append(rank)
                 if rank == d:
                     labels.append(g.vertices[root])
                 elif rank == 0:
                     labels.append("0")
                 else:
-                    labels.append(
-                        "{%s}@%s" % (",".join(map(str, sorted(s))), g.vertices[root]))
+                    labels.append(prefix + g.vertices[root])
                 origins.append((s, g.vertices[root]))
-                if rank == 0:
-                    covers.append(())
-                else:
-                    cov = []
-                    for i in missing:
-                        s2 = s | {i}
-                        cov.append(cell_id[s2, roots[s2][root]])
-                    covers.append(tuple(cov))
+                covers.append(tuple([cells[up_roots[root]]
+                                     for up_roots, cells in up]))
 
     return SimplicialPoset(d, tuple(ranks), tuple(covers), tuple(labels),
                            tuple(origins))
@@ -416,6 +419,32 @@ def validate_poset(p: SimplicialPoset) -> list[str]:
             violations.append(f"cell {i} has {len(p.vertex_sets[i])} vertices, "
                               f"expected {k}")
     return violations
+
+
+def require_simplicial(p: SimplicialPoset) -> None:
+    """Raise ValueError unless, for each cell of rank k, the vertex sets of
+    its k covers are k distinct (k-1)-subsets of its own k-vertex set.
+
+    Linear in the cover relation, unlike :func:`validate_poset`.  Together
+    with a boundary that squares to zero (which
+    :meth:`cellposet.homology.ChainComplexGF2.from_poset` checks) it makes
+    every lower interval boolean, by induction on rank.
+    """
+    vertices = [0] * p.n_cells      # vertex sets as masks over rank 1
+    for i, v in enumerate(p.cells_by_rank[1] if p.d else ()):
+        vertices[v] = 1 << i
+    for k in range(2, p.d + 1):
+        for c in p.cells_by_rank[k]:
+            below = {vertices[j] for j in p.covers[c]}
+            mask = 0
+            for m in below:
+                mask |= m
+            if mask.bit_count() != k or len(below) != k:
+                raise ValueError(
+                    f"not a simplicial poset: cell {c} (rank {k}) has "
+                    f"{mask.bit_count()} vertices and {len(below)} distinct "
+                    f"vertex sets among its covers, expected {k} of each")
+            vertices[c] = mask
 
 
 def poset_to_dict(p: SimplicialPoset) -> dict:

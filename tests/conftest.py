@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from cellposet.graphs import ColoredGraph, graph_from_dict, is_admissible
+from cellposet.posets import SimplicialPoset
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -15,6 +16,39 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture(scope="session")
 def torus_graph() -> ColoredGraph:
     return graph_from_dict(json.loads((DATA / "torus_crystallization.json").read_text()))
+
+
+@pytest.fixture(scope="session")
+def torus_suspension_graph(torus_graph) -> ColoredGraph:
+    """The suspension of the torus, a pure pseudomanifold that is no
+    homology manifold: two copies of the torus graph on colors 1..3, with
+    a color-4 edge joining each vertex to its copy."""
+    copy = {v: v + "'" for v in torus_graph.vertices}
+    edges = (torus_graph.edges
+             + tuple((copy[u], copy[v], c) for u, v, c in torus_graph.edges)
+             + tuple((v, copy[v], 4) for v in torus_graph.vertices))
+    return ColoredGraph(4, torus_graph.vertices + tuple(copy.values()), edges)
+
+
+def two_pillows(share_edge: bool = False) -> SimplicialPoset:
+    """A d = 4 poset that is not simplicial, with a boundary squaring to
+    zero: its rank-4 cell covers two pillows, each two triangles on the
+    same three edges.  The pillows are disjoint (6 vertices), or share an
+    edge (4 vertices, but two covers of the top cell on one vertex set)."""
+    if share_edge:
+        n_vertices = 4
+        edges = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4))
+        pillows = ((5, 6, 7), (5, 8, 9))
+    else:
+        n_vertices = 6
+        edges = ((1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6))
+        pillows = ((7, 8, 9), (10, 11, 12))
+    triangles = (pillows[0],) * 2 + (pillows[1],) * 2
+    first = 1 + n_vertices + len(edges)
+    covers = (((),) + ((0,),) * n_vertices + edges + triangles
+              + (tuple(range(first, first + 4)),))
+    ranks = ((0,) + (1,) * n_vertices + (2,) * len(edges) + (3,) * 4 + (4,))
+    return SimplicialPoset(4, ranks, covers, tuple(map(str, range(len(ranks)))))
 
 
 @st.composite

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,8 @@ from cellposet.cli import main
 from cellposet.constructions import boundary_of_simplex, parallel_edges_graph
 from cellposet.graphs import graph_to_dict
 from cellposet.posets import poset_to_dict
+
+from conftest import two_pillows
 
 DATA = Path(__file__).parent / "data"
 TORUS = str(DATA / "torus_crystallization.json")
@@ -39,6 +44,35 @@ class TestInvariants:
         code, out, _ = run(capsys, "invariants", str(tmp_path / "rp.json"))
         assert code == 0
         assert json.loads(out)["betti_gf2"] == [0, 1, 1]
+
+
+    @pytest.mark.parametrize("share_edge", [False, True])
+    def test_poset_that_is_not_simplicial_exits_two(self, capsys, tmp_path,
+                                                     share_edge):
+        # the boundary squares to zero, so only the vertex-set check
+        # refuses these; build from-json keeps its report and exit code
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(poset_to_dict(two_pillows(share_edge))))
+        code, out, err = run(capsys, "invariants", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error: not a simplicial poset: cell ")
+        code, out, _ = run(capsys, "build", "from-json", str(src))
+        assert code == 1
+        data = json.loads(out)
+        assert data["valid"] is False and data["violations"]
+
+
+class TestModule:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run(
+            [sys.executable, "-m", "cellposet", "check", "sphere-h", "--h=1,1"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["ok"] is True
 
 
 class TestBuild:

@@ -11,10 +11,12 @@ from cellposet.homology import (ChainComplexGF2, betti_gf2,
                                 betti_order_complex,
                                 gf2_rank, h_double_prime,
                                 is_homology_manifold, is_homology_sphere,
-                                is_orientable_gf2)
-from cellposet.posets import SimplicialPoset, f_vector, from_graph, h_vector
+                                is_orientable_gf2, link_bettis)
+from cellposet.graphs import is_admissible
+from cellposet.posets import (SimplicialPoset, f_vector, from_graph, h_vector,
+                              is_pseudomanifold, is_pure, link)
 
-from conftest import admissible_graphs
+from conftest import admissible_graphs, two_pillows
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -97,6 +99,17 @@ class TestChainComplex:
         with pytest.raises(ValueError, match="boundary squared"):
             ChainComplexGF2.from_poset(p)
 
+    def test_manifold_test_checks_the_boundary_first(self):
+        # the links of this poset are never sliced: the one check on the
+        # parent's complex refuses it
+        p = SimplicialPoset(
+            3,
+            (0, 1, 1, 1, 1, 2, 2, 2, 3),
+            ((), (0,), (0,), (0,), (0,), (1, 2), (2, 3), (1, 4), (5, 6, 7)),
+            tuple("abcdefghi"))
+        with pytest.raises(ValueError, match="boundary squared"):
+            is_homology_manifold(p)
+
     def test_augmentation_row(self, torus_graph):
         cx = ChainComplexGF2.from_poset(from_graph(torus_graph))
         assert cx.dims[0] == 1
@@ -175,3 +188,117 @@ class TestSphereManifoldPredicates:
 
     def test_contractible_is_not_a_sphere(self):
         assert not is_homology_sphere(full_simplex_poset(2))
+
+
+def sphere_pattern(length: int) -> tuple[int, ...]:
+    return (0,) * (length - 1) + (1,) if length else ()
+
+
+def oracle_links_spherical(p: SimplicialPoset) -> bool:
+    """Every link of a cell of rank >= 1, built as its own poset by `link`,
+    has the order-complex homology of a sphere."""
+    for c in range(1, p.n_cells):
+        lk = link(p, c)
+        if betti_order_complex(lk) != sphere_pattern(lk.d):
+            return False
+    return True
+
+
+def oracle_is_homology_manifold(p: SimplicialPoset) -> bool:
+    return is_pure(p) and oracle_links_spherical(p)
+
+
+def oracle_is_homology_sphere(p: SimplicialPoset) -> bool:
+    return (betti_order_complex(p) == sphere_pattern(p.d)
+            and oracle_links_spherical(p))
+
+
+def sliced_links(p: SimplicialPoset):
+    return link_bettis(p, ChainComplexGF2.from_poset(p))
+
+
+def assert_predicates_match_the_oracle(p: SimplicialPoset) -> bool:
+    verdict = is_homology_manifold(p)
+    assert verdict == oracle_is_homology_manifold(p)
+    assert is_homology_sphere(p) == oracle_is_homology_sphere(p)
+    return verdict
+
+
+def small_posets(torus_graph, torus_suspension_graph):
+    return {
+        "torus": from_graph(torus_graph),
+        "torus suspension": from_graph(torus_suspension_graph),
+        "RP^2": cross_polytope_quotient(3),
+        "RP^3": cross_polytope_quotient(4),
+        "S^1 x S^2": from_graph(product_spheres_graph(1, 2)),
+        "boundary of the 4-simplex": boundary_of_simplex(4),
+        "3-simplex": full_simplex_poset(3),
+    }
+
+
+class TestSlicedLinks:
+    """The sliced link test against the per-link posets of `link` and the
+    order-complex engine."""
+
+    @settings(max_examples=100)
+    @given(admissible_graphs(max_pairs=5, colors=(2, 3, 4)))
+    def test_graph_posets(self, g):
+        assert_predicates_match_the_oracle(from_graph(g))
+
+    @given(st.data())
+    def test_connected_sums(self, data):
+        d = data.draw(st.sampled_from([2, 3]))
+        p = from_graph(data.draw(admissible_graphs(colors=(d,))))
+        q = from_graph(data.draw(admissible_graphs(colors=(d,))))
+        s = connected_sum(p, q, p.facets()[0], q.facets()[-1])
+        assert_predicates_match_the_oracle(s)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_projective_spaces(self, n):
+        assert assert_predicates_match_the_oracle(cross_polytope_quotient(n))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2)])
+    def test_products_of_spheres(self, n, m):
+        p = from_graph(product_spheres_graph(n, m))
+        assert assert_predicates_match_the_oracle(p)
+
+    def test_every_link_has_the_order_complex_homology(
+            self, torus_graph, torus_suspension_graph):
+        for name, p in small_posets(torus_graph,
+                                    torus_suspension_graph).items():
+            seen = dict(sliced_links(p))
+            assert sorted(seen) == list(range(1, p.n_cells)), name
+            for c, betti in seen.items():
+                assert betti == betti_order_complex(link(p, c)), (name, c)
+
+    def test_cells_come_from_the_top_rank_down(self, torus_graph):
+        p = from_graph(torus_graph)
+        ranks = [p.ranks[c] for c, _ in sliced_links(p)]
+        assert ranks == sorted(ranks, reverse=True)
+
+    def test_torus_suspension_is_no_manifold(self, torus_suspension_graph):
+        g = torus_suspension_graph
+        assert is_admissible(g)
+        p = from_graph(g)
+        assert is_pseudomanifold(p)
+        assert betti_gf2(p) == betti_order_complex(p) == (0, 0, 2, 1)
+        assert not is_homology_manifold(p)
+        assert not is_homology_sphere(p)
+        assert not oracle_is_homology_manifold(p)
+        assert not oracle_is_homology_sphere(p)
+        # the two cone points are the cells whose links are tori
+        tori = [c for c, betti in sliced_links(p)
+                if betti != sphere_pattern(len(betti))]
+        assert len(tori) == 2
+        assert all(p.ranks[c] == 1 for c in tori)
+        assert all(betti_gf2(link(p, c)) == (0, 2, 1) for c in tori)
+
+    def test_cover_count_is_checked_in_every_link(self):
+        # the boundary squares to zero, but above a vertex of one pillow
+        # the top cell covers two cells, not three
+        p = two_pillows()
+        ChainComplexGF2.from_poset(p)
+        with pytest.raises(ValueError, match="covers 2 cells above"):
+            list(sliced_links(p))
+        # a triangle's link is one point, not two, and fails first
+        assert not is_homology_manifold(p)

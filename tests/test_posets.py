@@ -12,9 +12,9 @@ from cellposet.posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                               is_pseudomanifold, is_pure, link,
                               poset_from_dict, poset_from_json, poset_to_dict,
                               poset_to_json, proper_coloring,
-                              to_graph, validate_poset)
+                              require_simplicial, to_graph, validate_poset)
 
-from conftest import admissible_graphs
+from conftest import admissible_graphs, two_pillows
 
 
 def h_by_polynomial_expansion(f):
@@ -184,6 +184,36 @@ def two_disjoint_bigons() -> SimplicialPoset:
         ((), (0,), (0,), (0,), (0,),
          (1, 2), (1, 2), (3, 4), (3, 4)),
         ("0", "a", "b", "c", "d", "e1", "e2", "e3", "e4"))
+
+
+class TestRequireSimplicial:
+    @pytest.mark.parametrize("share_edge,vertices,distinct",
+                             [(False, 6, 2), (True, 4, 2)])
+    def test_pillows_are_refused(self, share_edge, vertices, distinct):
+        p = two_pillows(share_edge)
+        assert validate_poset(p)
+        with pytest.raises(ValueError, match=(
+                f"cell {p.n_cells - 1} \\(rank 4\\) has {vertices} vertices "
+                f"and {distinct} distinct vertex sets")):
+            require_simplicial(p)
+
+    def test_non_boolean_interval_is_refused(self):
+        # two edges on the same two vertices under one triangle
+        p = SimplicialPoset(3, (0, 1, 1, 1, 2, 2, 2, 3),
+                            ((), (0,), (0,), (0,), (1, 2), (1, 2), (2, 3),
+                             (4, 5, 6)), tuple("abcdefgh"))
+        with pytest.raises(ValueError, match="not a simplicial poset"):
+            require_simplicial(p)
+
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_graph_posets_pass(self, g):
+        require_simplicial(from_graph(g))
+
+    def test_small_posets_pass(self, torus_graph):
+        for p in (from_graph(torus_graph), boundary_of_simplex(3),
+                  two_disjoint_bigons(), from_graph(parallel_edges_graph(1))):
+            assert not validate_poset(p)
+            require_simplicial(p)
 
 
 class TestPredicates:
