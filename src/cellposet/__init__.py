@@ -8,11 +8,11 @@ from .graphs import (ColoredGraph, graph_from_json, graph_to_dot,
 from .posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                      h_vector, induced_coloring, link, is_normal,
                      is_pseudomanifold, is_pure, poset_from_json,
-                     poset_to_json, proper_coloring, require_simplicial,
-                     to_graph, validate_poset)
+                     poset_to_json, proper_coloring, to_graph,
+                     validate_poset)
 from .homology import (ChainComplexGF2, betti_gf2, betti_order_complex,
                        h_double_prime, is_homology_manifold,
-                       is_homology_sphere, is_orientable_gf2)
+                       is_homology_sphere)
 from .constructions import (boundary_of_simplex, connected_sum,
                             cross_polytope_quotient, parallel_edges_graph,
                             product_spheres_graph)
@@ -21,6 +21,6 @@ from .reduction import (CancellationError, Dipole, Schedule, cancel,
                         find_dipoles, greedy_reduce, reduce_product_spheres,
                         run_schedule)
 from .checkers import (CheckResult, check_manifold_h, check_rp_h,
-                       check_sphere_h, r_value, sphere_h_geq)
+                       check_sphere_h, r_value)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

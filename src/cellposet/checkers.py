@@ -54,17 +54,6 @@ def check_sphere_h(h) -> CheckResult:
     return CheckResult(True)
 
 
-def sphere_h_geq(h, h2) -> bool:
-    """Partial order on admissible sphere h-vectors: h >= h2 when their
-    difference, re-capped with ones, is again admissible."""
-    h, h2 = tuple(h), tuple(h2)
-    if len(h) != len(h2):
-        raise ValueError("length mismatch")
-    cap = (1,) + (0,) * (len(h) - 2) + (1,)
-    diff = tuple(a - b + c for a, b, c in zip(h, h2, cap))
-    return bool(check_sphere_h(diff))
-
-
 def r_value(n: int, i: int) -> int:
     """Correction term for projective-space h-vectors: C(n,i) at even
     i < n, 0 at odd i < n, and -1 or 0 at i = n for odd or even n."""

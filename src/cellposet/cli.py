@@ -11,16 +11,17 @@ import argparse
 import json
 import re
 import sys
+from math import comb
 from pathlib import Path
 
 from . import constructions, reduction
 from .checkers import check_manifold_h, check_rp_h, check_sphere_h
 from .graphs import (ColoredGraph, graph_from_dict, graph_to_dict,
-                     graph_to_dot, graph_to_json, validate_admissible)
+                     graph_to_dot, graph_to_json, require_admissible,
+                     validate_admissible)
 from .homology import betti_gf2, h_double_prime
 from .posets import (SimplicialPoset, f_vector, from_graph, h_vector,
-                     poset_from_dict, poset_to_json, require_simplicial,
-                     validate_poset)
+                     poset_from_dict, poset_to_json, validate_poset)
 
 
 def _emit(data) -> None:
@@ -92,11 +93,7 @@ def cmd_build(args) -> int:
 
 def cmd_invariants(args) -> int:
     obj = _load_any(args.file)
-    if isinstance(obj, ColoredGraph):
-        p = from_graph(obj)
-    else:
-        require_simplicial(obj)
-        p = obj
+    p = from_graph(obj) if isinstance(obj, ColoredGraph) else obj
     _emit(_invariants(p))
     return 0
 
@@ -106,10 +103,20 @@ def cmd_reduce(args) -> int:
     if not isinstance(obj, ColoredGraph):
         raise ValueError("reduce expects a graph JSON file")
     if args.schedule == "symbolic":
-        if args.n is None or args.m is None:
+        n, m = args.n, args.m
+        if n is None or m is None:
             raise ValueError("--schedule symbolic requires --n and --m")
+        require_admissible(obj)
+        # the schedule's C(n+m, n) - 1 entries each cancel two vertices and
+        # leave two at least: refuse a graph it cannot fit before building it
+        if (min(n, m) < 1 or n + m + 1 != obj.d
+                or 2 * comb(n + m, n) > len(obj.vertices)):
+            raise ValueError(
+                f"--schedule symbolic --n {n} --m {m} needs n, m >= 1, "
+                f"d = n + m + 1 and at least 2*C(n+m, n) vertices; the "
+                f"graph has d = {obj.d} and {len(obj.vertices)} vertices")
         final, steps = reduction.run_schedule(
-            obj, reduction.cancellation_schedule(args.n, args.m))
+            obj, reduction.cancellation_schedule(n, m))
     else:
         final, steps = reduction.greedy_reduce(obj)
     _emit({"vertices": len(final.vertices), "steps": len(steps)})

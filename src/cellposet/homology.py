@@ -30,15 +30,11 @@ The up-set of a cell is a tuple of bitmasks, one per higher rank, in the
 parent's per-rank positions: the OR of its coverers' up-sets and the
 coverers' own bits, so only the masks of two adjacent ranks are alive at
 a time.  A link row is the parent row ANDed with the up-set mask of the
-rank below; its popcount must be its rank in the link (the cover count
-of a simplicial poset).  Each link is then eliminated from the top down
-with clearing, by the routine `ChainComplexGF2.ranks` uses.
-
-One boundary-squared check on the parent covers every link: take u in
-the up-set of c, and w with c <= w and rank(w) = rank(u) - 2.  Every
-cell between w and u lies above c, so the coefficient of w in the
-boundary of the boundary of u is the same in the link as in the parent,
-and boundary squared zero on the parent gives it on every link.
+rank below.  Each link is then eliminated from the top down with
+clearing, by the routine `ChainComplexGF2.ranks` uses.  Nothing is
+checked per link: `ChainComplexGF2.from_poset` proves the parent
+simplicial, and every interval of a simplicial poset is boolean, so every
+link is a simplicial poset whose boundary squares to zero.
 """
 
 from __future__ import annotations
@@ -127,35 +123,75 @@ class ChainComplexGF2:
 
     @classmethod
     def from_poset(cls, p: SimplicialPoset) -> "ChainComplexGF2":
-        pos: dict[int, int] = {}
-        for r in range(p.d + 1):
-            for i, c in enumerate(p.cells_by_rank[r]):
-                pos[c] = i
-        rows_by_degree: list[tuple[int, ...]] = []
-        for k in range(1, p.d + 1):
-            rows = []
-            for c in p.cells_by_rank[k]:
-                row = 0
-                for j in p.covers[c]:
-                    row ^= 1 << pos[j]
-                rows.append(row)
-            rows_by_degree.append(tuple(rows))
-        cx = cls(tuple(len(p.cells_by_rank[r]) for r in range(p.d + 1)),
-                 tuple(rows_by_degree))
-        cx._check_square_zero(p, pos)
-        return cx
+        """The complex of `p`, built in one walk over the covers that also
+        proves `p` simplicial; raises ValueError ("not a simplicial
+        poset: ...") at the first cell where the proof fails.
 
-    def _check_square_zero(self, p: SimplicialPoset, pos: dict[int, int]) -> None:
+        For each cell c of rank k >= 2 the walk checks two things:
+
+        * the boundary of the boundary of c is zero (over GF(2));
+        * the vertex-set law: c's k covers carry k distinct (k-1)-subsets
+          of a k-element vertex set, the union of theirs.
+
+        The two make every lower interval [0, c] boolean, by induction on
+        k (Björner, *Posets, regular CW complexes and Bruhat order*);
+        ranks 0 and 1 are boolean by the constructor's checks.  Let the
+        covers b_1, ..., b_k of c have boolean lower intervals, with
+        V(b_i) = V(c) - {v_i}.  For i != j, b_i and b_j each have exactly
+        one face with vertex set V(c) - {v_i, v_j}, and no other cover of
+        c has one.  Were the two faces different, each would be covered
+        by one cover of c only, and the boundary of the boundary of c
+        would be nonzero; so they are one cell a_ij.  Now let x <= b_i and
+        y <= b_j have the same vertex set.  For i != j it misses v_i and
+        v_j, so x and y lie below a_ij, as [0, b_i] and [0, b_j] are
+        boolean; in the boolean [0, a_ij], or [0, b_i] when i = j, they
+        are then equal.  So the cells below c correspond one to one to the
+        subsets of V(c), with x <= y exactly when V(x) is a subset of
+        V(y): [0, c] is the boolean lattice on V(c).
+
+        Vertex sets are bitmasks over the rank-1 cells, and only those of
+        two adjacent ranks are kept.
+        """
+        by_rank, covers = p.cells_by_rank, p.covers
+        pos = [0] * p.n_cells           # a cell's index within its rank
+        for cells in by_rank:
+            for i, c in enumerate(cells):
+                pos[c] = i
+        # a rank-1 cell covers the minimum, and is its own vertex set
+        rows: tuple[int, ...] = (1,) * len(by_rank[1]) if p.d else ()
+        verts = [1 << i for i in range(len(rows))]
+        boundaries = [rows] if p.d else []
         for k in range(2, p.d + 1):
-            lower = self.boundaries[k - 2]
-            for c in p.cells_by_rank[k]:
-                acc = 0
-                for j in p.covers[c]:
-                    acc ^= lower[pos[j]]
-                if acc:
+            lower, lower_verts = rows, verts
+            rows, verts = [], []
+            for c in by_rank[k]:
+                row = image = union = 0
+                common = -1
+                for j in covers[c]:
+                    i = pos[j]
+                    v = lower_verts[i]
+                    row |= 1 << i
+                    image ^= lower[i]
+                    union |= v
+                    common &= v
+                if image:
                     raise ValueError(
-                        f"boundary squared is nonzero at cell {c}; "
-                        "lower intervals are not boolean")
+                        "not a simplicial poset: boundary squared is "
+                        f"nonzero at cell {c}; lower intervals are not "
+                        "boolean")
+                # k (k-1)-sets in a k-set are distinct iff no point lies
+                # in all of them
+                if common or union.bit_count() != k:
+                    distinct = len({lower_verts[pos[j]] for j in covers[c]})
+                    raise ValueError(
+                        f"not a simplicial poset: cell {c} (rank {k}) has "
+                        f"{union.bit_count()} vertices and {distinct} distinct "
+                        f"vertex sets among its covers, expected {k} of each")
+                rows.append(row)
+                verts.append(union)
+            rows = tuple(rows)
+            boundaries.append(rows)
+        return cls(tuple(map(len, by_rank)), tuple(boundaries))
 
     def ranks(self) -> tuple[int, ...]:
         """Ranks of the boundary maps, ``ranks()[k-1]`` that of degree k,
@@ -182,7 +218,9 @@ class ChainComplexGF2:
 
 
 def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:
-    """Reduced GF(2) Betti vector (beta_0, ..., beta_{d-1}) of the poset."""
+    """Reduced GF(2) Betti vector (beta_0, ..., beta_{d-1}) of the poset.
+    Raises ValueError when `p` is not simplicial, as the sphere and
+    manifold tests do (see :meth:`ChainComplexGF2.from_poset`)."""
     return ChainComplexGF2.from_poset(p).betti()
 
 
@@ -293,7 +331,8 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
     link; that is what is checked, on slices of the poset's one complex
     (see :func:`link_bettis`).
     """
-    return is_pure(p) and _links_spherical(p, ChainComplexGF2.from_poset(p))
+    cx = ChainComplexGF2.from_poset(p)
+    return is_pure(p) and _links_spherical(p, cx)
 
 
 def _links_spherical(p: SimplicialPoset, cx: ChainComplexGF2) -> bool:
@@ -309,9 +348,7 @@ def link_bettis(p: SimplicialPoset, cx: ChainComplexGF2
 
     Each link's complex is sliced out of ``cx``, the complex of `p`, by
     the up-set masks described in the module docstring; no link poset is
-    built.  Raises ValueError when a cell covers a number of cells above
-    another cell other than the difference of their ranks: then that link
-    is no simplicial poset.
+    built.
     """
     d, bd = p.d, cx.boundaries
     # up[i]: the up-set of the i-th cell of rank k + 1, one mask per rank
@@ -327,32 +364,11 @@ def link_bettis(p: SimplicialPoset, cx: ChainComplexGF2
                     lower[j] = tuple(map(int.__or__, lower[j], above))
             up = lower
         for j, masks in enumerate(up):
-            cell = p.cells_by_rank[k][j]
             keep = (1 << j,) + masks
             dims = (1,) + tuple(m.bit_count() for m in masks)
+            # the degree-t rows of the link: the parent's rows of rank k + t
+            # at the up-set's positions, cut to the up-set one rank down
             ranks = _cleared_ranks(
-                _link_rows(p, bd, cell, k, t, keep)
+                [(i, bd[k + t - 1][i] & keep[t - 1]) for i in _bits(keep[t])]
                 for t in range(d - k, 0, -1))
-            yield cell, _betti_from_ranks(dims, ranks)
-
-
-def _link_rows(p, bd, cell, k, t, keep) -> list[tuple[int, int]]:
-    """The degree-t rows of the link of `cell` (rank k) whose up-set masks
-    by link rank are `keep`: the parent's rows of rank k + t, at the
-    up-set's positions, restricted to the up-set one rank down."""
-    rows, col = bd[k + t - 1], keep[t - 1]
-    out = [(i, rows[i] & col) for i in _bits(keep[t])]
-    for i, row in out:
-        if row.bit_count() != t:
-            raise ValueError(
-                f"cell {p.cells_by_rank[k + t][i]} covers {row.bit_count()} "
-                f"cells above cell {cell}, expected {t}; "
-                "lower intervals are not boolean")
-    return out
-
-
-def is_orientable_gf2(p: SimplicialPoset) -> bool:
-    """Orientability in the GF(2) sense: top reduced Betti number is 1."""
-    if p.d < 1:
-        raise ValueError("need a poset of rank at least 1")
-    return betti_gf2(p)[p.d - 1] == 1
+            yield p.cells_by_rank[k][j], _betti_from_ranks(dims, ranks)

@@ -4,6 +4,10 @@ A simplicial poset has a unique minimum cell (rank 0) below everything and
 boolean lower intervals; rank-k cells are the (k-1)-dimensional cells of
 the underlying regular cell complex.  Cells are stored by integer id with
 explicit cover lists (covers point one rank down); cell 0 is the minimum.
+The constructor checks ranks and cover counts only; the lower intervals
+are proved boolean by `homology.ChainComplexGF2.from_poset`, which
+`betti_gf2`, the homology sphere and manifold tests and `validate_poset`
+run.
 
 `from_graph` realizes the cell poset of an admissible d-colored multigraph:
 cells are pairs (H, S) of a color set S and a connected component H of the
@@ -396,55 +400,18 @@ def _rank_gap(p: SimplicialPoset) -> str | None:
 
 
 def validate_poset(p: SimplicialPoset) -> list[str]:
-    """Check that some cell has rank d, and the boolean-interval law by
-    downward closure: a rank-k cell must have exactly C(k, j) cells of rank
-    j below it."""
+    """The violations of a simplicial poset: ``d`` above every cell's rank,
+    and the first cell where :meth:`ChainComplexGF2.from_poset
+    <cellposet.homology.ChainComplexGF2.from_poset>` finds a lower
+    interval that is not boolean.  Empty when `p` is simplicial."""
+    from .homology import ChainComplexGF2     # homology imports this module
     gap = _rank_gap(p)
     violations = [gap] if gap else []
-    downsets: list[dict[int, set[int]]] = []
-    for i in range(p.n_cells):
-        by_rank: dict[int, set[int]] = {p.ranks[i]: {i}}
-        for j in p.covers[i]:
-            for r, cells in downsets[j].items():
-                by_rank.setdefault(r, set()).update(cells)
-        downsets.append(by_rank)
-        k = p.ranks[i]
-        for j in range(k + 1):
-            have = len(by_rank.get(j, ()))
-            if have != comb(k, j):
-                violations.append(
-                    f"cell {i} (rank {k}) has {have} faces of rank {j}, "
-                    f"expected {comb(k, j)}")
-        if len(p.vertex_sets[i]) != k:
-            violations.append(f"cell {i} has {len(p.vertex_sets[i])} vertices, "
-                              f"expected {k}")
+    try:
+        ChainComplexGF2.from_poset(p)
+    except ValueError as exc:
+        violations.append(str(exc))
     return violations
-
-
-def require_simplicial(p: SimplicialPoset) -> None:
-    """Raise ValueError unless, for each cell of rank k, the vertex sets of
-    its k covers are k distinct (k-1)-subsets of its own k-vertex set.
-
-    Linear in the cover relation, unlike :func:`validate_poset`.  Together
-    with a boundary that squares to zero (which
-    :meth:`cellposet.homology.ChainComplexGF2.from_poset` checks) it makes
-    every lower interval boolean, by induction on rank.
-    """
-    vertices = [0] * p.n_cells      # vertex sets as masks over rank 1
-    for i, v in enumerate(p.cells_by_rank[1] if p.d else ()):
-        vertices[v] = 1 << i
-    for k in range(2, p.d + 1):
-        for c in p.cells_by_rank[k]:
-            below = {vertices[j] for j in p.covers[c]}
-            mask = 0
-            for m in below:
-                mask |= m
-            if mask.bit_count() != k or len(below) != k:
-                raise ValueError(
-                    f"not a simplicial poset: cell {c} (rank {k}) has "
-                    f"{mask.bit_count()} vertices and {len(below)} distinct "
-                    f"vertex sets among its covers, expected {k} of each")
-            vertices[c] = mask
 
 
 def poset_to_dict(p: SimplicialPoset) -> dict:

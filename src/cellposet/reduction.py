@@ -27,13 +27,11 @@ class CancellationError(Exception):
 
 @dataclass(frozen=True)
 class Dipole:
-    """A verified dipole: its colors and the sizes of the two components
-    separated by removing them."""
+    """A verified dipole: its two vertices and the colors joining them."""
 
     x: str
     y: str
     colors: frozenset[int]
-    component_sizes: tuple[int, int]
 
 
 def colors_between(g: ColoredGraph, x: str, y: str) -> frozenset[int]:
@@ -52,12 +50,9 @@ def check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
     if not cols:
         return None
     roots = g.component_roots(frozenset(range(1, g.d + 1)) - cols)
-    rx, ry = roots[g.index[x]], roots[g.index[y]]
-    if rx == ry:
+    if roots[g.index[x]] == roots[g.index[y]]:
         return None
-    # sizes in component order, i.e. by root, the least vertex index
-    lo, hi = sorted((rx, ry))
-    return Dipole(x, y, cols, (roots.count(lo), roots.count(hi)))
+    return Dipole(x, y, cols)
 
 
 def find_dipoles(g: ColoredGraph) -> Iterator[Dipole]:
@@ -111,15 +106,6 @@ class Schedule:
     n: int
     m: int
     entries: tuple[ScheduleEntry, ...]
-
-
-def rlex_greater(s, t) -> bool:
-    """Reverse-lexicographic comparison: s > t iff the largest element of
-    the symmetric difference lies in t."""
-    diff = set(s) ^ set(t)
-    if not diff:
-        return False
-    return max(diff) in set(t)
 
 
 def _rng(a: int, b: int) -> list[int]:

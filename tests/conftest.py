@@ -51,6 +51,18 @@ def two_pillows(share_edge: bool = False) -> SimplicialPoset:
     return SimplicialPoset(4, ranks, covers, tuple(map(str, range(len(ranks)))))
 
 
+def rewired_simplex_boundary() -> SimplicialPoset:
+    """The boundary of the 3-simplex with edge 7 moved onto vertices 1, 2
+    and triangle 13 over edges (6, 7, 5): not simplicial, since two edges
+    span vertices 1 and 2 below triangle 12, though every cell has the
+    face counts of a simplex."""
+    return SimplicialPoset(
+        3, (0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3),
+        ((), (0,), (0,), (0,), (0,), (1, 2), (1, 3), (1, 2), (2, 3), (2, 4),
+         (3, 4), (5, 6, 8), (5, 7, 9), (6, 7, 5), (8, 9, 10)),
+        tuple(map(str, range(15))))
+
+
 @st.composite
 def admissible_graphs(draw, max_pairs: int = 4, colors=(2, 3)):
     """Random small admissible graphs: d shuffled perfect matchings on an

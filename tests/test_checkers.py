@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellposet.checkers import (CheckResult, check_manifold_h, check_rp_h,
-                                check_sphere_h, r_value, sphere_h_geq)
+                                check_sphere_h, r_value)
 from cellposet.constructions import (boundary_of_simplex,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
@@ -133,10 +133,6 @@ class TestSphereH:
     def test_positive_symmetric_vectors_pass(self, half):
         body = half + half[::-1]
         assert check_sphere_h((1, *body, 1))
-
-    def test_order_by_membership(self):
-        assert sphere_h_geq((1, 2, 2, 1), (1, 1, 1, 1))
-        assert not sphere_h_geq((1, 1, 1, 1), (1, 2, 2, 1))
 
 
 class TestRValue:

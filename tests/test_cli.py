@@ -9,11 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cellposet.cli import main
-from cellposet.constructions import boundary_of_simplex, parallel_edges_graph
+from cellposet.constructions import (boundary_of_simplex,
+                                     parallel_edges_graph,
+                                     product_spheres_graph)
 from cellposet.graphs import graph_to_dict
 from cellposet.posets import poset_to_dict
 
-from conftest import two_pillows
+from conftest import rewired_simplex_boundary, two_pillows
 
 DATA = Path(__file__).parent / "data"
 TORUS = str(DATA / "torus_crystallization.json")
@@ -60,6 +62,19 @@ class TestInvariants:
         assert code == 1
         data = json.loads(out)
         assert data["valid"] is False and data["violations"]
+
+    def test_rewired_simplex_boundary_is_not_valid(self, capsys, tmp_path):
+        # every cell has the face counts of a simplex, but two edges span
+        # the same two vertices below one triangle
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(poset_to_dict(rewired_simplex_boundary())))
+        code, out, _ = run(capsys, "build", "from-json", str(src))
+        assert code == 1
+        data = json.loads(out)
+        assert data["valid"] is False and data["violations"]
+        code, out, err = run(capsys, "invariants", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error: not a simplicial poset: ")
 
 
 class TestModule:
@@ -137,6 +152,23 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", str(graph_file),
                            "--schedule", "symbolic", "--n", "2", "--m", "1")
         assert code == 2 and "unknown vertex" in err
+
+    @pytest.mark.parametrize("graph,n,m", [
+        # d = 3 wants n + m = 2: refused before C(28, 14) entries are built
+        (product_spheres_graph(1, 1), 14, 14),
+        # d = 5 fits n = m = 2, whose 5 entries need at least 12 vertices
+        (parallel_edges_graph(5), 2, 2),
+        (product_spheres_graph(1, 1), 0, 2)])
+    def test_symbolic_schedule_that_cannot_fit_exits_two(
+            self, capsys, tmp_path, graph, n, m):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(graph_to_dict(graph)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reduce", str(src), "--schedule",
+                             "symbolic", "--n", str(n), "--m", str(m))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: --schedule symbolic --n ")
 
     @pytest.mark.parametrize("schedule", [("--schedule", "greedy"),
                                           ("--schedule", "symbolic", "--n",

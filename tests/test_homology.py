@@ -11,7 +11,7 @@ from cellposet.homology import (ChainComplexGF2, betti_gf2,
                                 betti_order_complex,
                                 gf2_rank, h_double_prime,
                                 is_homology_manifold, is_homology_sphere,
-                                is_orientable_gf2, link_bettis)
+                                link_bettis)
 from cellposet.graphs import is_admissible
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph, h_vector,
                               is_pseudomanifold, is_pure, link)
@@ -172,18 +172,15 @@ class TestSphereManifoldPredicates:
         p = boundary_of_simplex(3)
         assert is_homology_sphere(p)
         assert is_homology_manifold(p)
-        assert is_orientable_gf2(p)
 
     def test_torus(self, torus_graph):
         p = from_graph(torus_graph)
         assert not is_homology_sphere(p)
         assert is_homology_manifold(p)
-        assert is_orientable_gf2(p)
 
     def test_projective_plane_is_a_gf2_manifold(self):
         p = cross_polytope_quotient(3)
         assert is_homology_manifold(p)
-        assert is_orientable_gf2(p)
         assert not is_homology_sphere(p)
 
     def test_contractible_is_not_a_sphere(self):
@@ -295,10 +292,15 @@ class TestSlicedLinks:
 
     def test_cover_count_is_checked_in_every_link(self):
         # the boundary squares to zero, but above a vertex of one pillow
-        # the top cell covers two cells, not three
+        # the top cell covers two cells, not three: the parent's complex
+        # is refused, so no link is sliced
         p = two_pillows()
-        ChainComplexGF2.from_poset(p)
-        with pytest.raises(ValueError, match="covers 2 cells above"):
-            list(sliced_links(p))
-        # a triangle's link is one point, not two, and fails first
-        assert not is_homology_manifold(p)
+        with pytest.raises(ValueError, match="not a simplicial poset"):
+            ChainComplexGF2.from_poset(p)
+
+    @pytest.mark.parametrize("share_edge", [False, True])
+    @pytest.mark.parametrize("engine", [betti_gf2, is_homology_manifold,
+                                        is_homology_sphere])
+    def test_pillows_are_refused(self, engine, share_edge):
+        with pytest.raises(ValueError, match="not a simplicial poset"):
+            engine(two_pillows(share_edge))

@@ -2,19 +2,23 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cellposet.constructions import (boundary_of_simplex, parallel_edges_graph,
+from cellposet.constructions import (boundary_of_simplex,
+                                     cross_polytope_quotient,
+                                     parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph
+from cellposet.homology import ChainComplexGF2
 from cellposet.posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                               h_vector, induced_coloring, is_normal,
                               is_pseudomanifold, is_pure, link,
                               poset_from_dict, poset_from_json, poset_to_dict,
-                              poset_to_json, proper_coloring,
-                              require_simplicial, to_graph, validate_poset)
+                              poset_to_json, proper_coloring, to_graph,
+                              validate_poset)
 
-from conftest import admissible_graphs, two_pillows
+from conftest import (admissible_graphs, rewired_simplex_boundary,
+                      two_pillows)
 
 
 def h_by_polynomial_expansion(f):
@@ -187,6 +191,9 @@ def two_disjoint_bigons() -> SimplicialPoset:
 
 
 class TestRequireSimplicial:
+    """The simplicial check of ChainComplexGF2.from_poset: the vertex-set
+    law and the boundary squaring to zero, in one walk over the covers."""
+
     @pytest.mark.parametrize("share_edge,vertices,distinct",
                              [(False, 6, 2), (True, 4, 2)])
     def test_pillows_are_refused(self, share_edge, vertices, distinct):
@@ -195,7 +202,7 @@ class TestRequireSimplicial:
         with pytest.raises(ValueError, match=(
                 f"cell {p.n_cells - 1} \\(rank 4\\) has {vertices} vertices "
                 f"and {distinct} distinct vertex sets")):
-            require_simplicial(p)
+            ChainComplexGF2.from_poset(p)
 
     def test_non_boolean_interval_is_refused(self):
         # two edges on the same two vertices under one triangle
@@ -203,17 +210,89 @@ class TestRequireSimplicial:
                             ((), (0,), (0,), (0,), (1, 2), (1, 2), (2, 3),
                              (4, 5, 6)), tuple("abcdefgh"))
         with pytest.raises(ValueError, match="not a simplicial poset"):
-            require_simplicial(p)
+            ChainComplexGF2.from_poset(p)
 
     @given(admissible_graphs(colors=(2, 3, 4)))
     def test_graph_posets_pass(self, g):
-        require_simplicial(from_graph(g))
+        ChainComplexGF2.from_poset(from_graph(g))
 
     def test_small_posets_pass(self, torus_graph):
         for p in (from_graph(torus_graph), boundary_of_simplex(3),
                   two_disjoint_bigons(), from_graph(parallel_edges_graph(1))):
             assert not validate_poset(p)
-            require_simplicial(p)
+            ChainComplexGF2.from_poset(p)
+
+
+def boolean_by_definition(p: SimplicialPoset) -> bool:
+    """Oracle for the simplicial check, from the definition: each cell's
+    lower interval [0, c] maps one to one onto the subsets of c's vertex
+    set (cell to vertex set), and the covers of every cell are the cells
+    with one of its vertices removed."""
+    below: list[set[int]] = [set() for _ in range(p.n_cells)]
+    for c in sorted(range(p.n_cells), key=p.ranks.__getitem__):
+        below[c] = {c}.union(*(below[j] for j in p.covers[c]))
+    verts = [frozenset(x for x in below[c] if p.ranks[x] == 1)
+             for c in range(p.n_cells)]
+    for c in range(p.n_cells):
+        if (len({verts[x] for x in below[c]}) != len(below[c])
+                or len(below[c]) != 2 ** len(verts[c])):
+            return False
+        faces = [verts[j] for j in p.covers[c]]
+        if sorted(faces, key=sorted) != sorted(
+                (verts[c] - {v} for v in verts[c]), key=sorted):
+            return False
+    return True
+
+
+SIMPLICIAL_BASES = (
+    boundary_of_simplex(3), boundary_of_simplex(4),
+    cross_polytope_quotient(4), cross_polytope_quotient(5),
+    from_graph(product_spheres_graph(1, 2)))
+REWIRING_BASES = SIMPLICIAL_BASES + (two_pillows(False), two_pillows(True))
+
+
+@st.composite
+def rewired_posets(draw):
+    """A small poset with one or two covers moved to another cell of the
+    same rank; the constructor's checks still hold.  Half the moves go to
+    a cell with the vertex set of one of the cell's covers, the move that
+    keeps every face count of a simplex."""
+    p = draw(st.sampled_from(REWIRING_BASES))
+    covers = list(p.covers)
+    upper = [c for c in range(p.n_cells) if p.ranks[c] >= 2]
+    for _ in range(draw(st.integers(1, 2))):
+        c = draw(st.sampled_from(upper))
+        slot = draw(st.integers(0, p.ranks[c] - 1))
+        pool = p.cells_by_rank[p.ranks[c] - 1]
+        if draw(st.booleans()):
+            twins = {p.vertex_sets[j] for j in covers[c]}
+            pool = [x for x in pool if p.vertex_sets[x] in twins]
+        new = draw(st.sampled_from(pool))
+        if new not in covers[c]:
+            covers[c] = covers[c][:slot] + (new,) + covers[c][slot + 1:]
+    return SimplicialPoset(p.d, p.ranks, tuple(covers), p.labels)
+
+
+class TestSimplicialOracle:
+    def test_oracle_on_the_bases(self, torus_graph):
+        for p in SIMPLICIAL_BASES + (from_graph(torus_graph),
+                                     two_disjoint_bigons()):
+            assert boolean_by_definition(p)
+            assert validate_poset(p) == []
+        for share_edge in (False, True):
+            assert not boolean_by_definition(two_pillows(share_edge))
+
+    def test_rewired_simplex_boundary_is_reported(self):
+        p = rewired_simplex_boundary()
+        assert not boolean_by_definition(p)
+        assert validate_poset(p) == [
+            "not a simplicial poset: boundary squared is nonzero at cell "
+            "12; lower intervals are not boolean"]
+
+    @settings(max_examples=300)
+    @given(rewired_posets())
+    def test_validation_matches_the_definition(self, p):
+        assert (validate_poset(p) == []) == boolean_by_definition(p)
 
 
 class TestPredicates:

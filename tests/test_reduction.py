@@ -14,8 +14,7 @@ from cellposet.posets import f_vector, from_graph, proper_coloring, to_graph
 from cellposet.reduction import (CancellationError, Dipole, cancel,
                                  cancellation_schedule, check_dipole,
                                  colors_between, find_dipoles, greedy_reduce,
-                                 reduce_product_spheres, rlex_greater,
-                                 run_schedule)
+                                 reduce_product_spheres, run_schedule)
 
 from conftest import admissible_graphs
 
@@ -45,21 +44,13 @@ def reach(g: ColoredGraph, start: str, colors) -> set[str]:
 
 def brute_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
     """Oracle for find_dipoles: every vertex pair in index order, colors by
-    scanning the edge list, components by DFS, sizes ordered by each
-    component's least vertex index."""
+    scanning the edge list, components by DFS."""
     out = []
     for i, x in enumerate(g.vertices):
         for y in g.vertices[i + 1:]:
             cols = frozenset(c for u, v, c in g.edges if {u, v} == {x, y})
-            if not cols:
-                continue
-            rest = set(range(1, g.d + 1)) - cols
-            cx = reach(g, x, rest)
-            if y in cx:
-                continue
-            pair = sorted((cx, reach(g, y, rest)),
-                          key=lambda comp: min(map(g.vertices.index, comp)))
-            out.append(Dipole(x, y, cols, (len(pair[0]), len(pair[1]))))
+            if cols and y not in reach(g, x, set(range(1, g.d + 1)) - cols):
+                out.append(Dipole(x, y, cols))
     return tuple(out)
 
 
@@ -114,13 +105,11 @@ class TestCheckDipole:
         dip = check_dipole(g, "A:{2,3}", "A:{1,3}")
         assert dip is not None
         assert dip.colors == {2}
-        assert sum(dip.component_sizes) <= len(g.vertices)
 
     def test_two_vertex_graph_is_one_big_dipole(self):
         g = parallel_edges_graph(3)
         dip = check_dipole(g, "P", "Q")
         assert dip is not None and dip.colors == {1, 2, 3}
-        assert dip.component_sizes == (1, 1)
 
     def test_adjacent_but_still_connected_is_not_a_dipole(self):
         g = k4_graph()
@@ -132,9 +121,7 @@ class TestCheckDipole:
         roots = g.component_roots(frozenset(range(1, 6)) - {2})
         x, y = g.index["A:{2,3}"], g.index["A:{1,3}"]
         assert roots[x] != roots[y]
-        dip = check_dipole(g, "A:{2,3}", "A:{1,3}")
-        assert dip.component_sizes == (roots.count(min(roots[x], roots[y])),
-                                       roots.count(max(roots[x], roots[y])))
+        assert check_dipole(g, "A:{2,3}", "A:{1,3}") is not None
 
     def test_unknown_vertex(self, torus_graph):
         with pytest.raises(ValueError, match="unknown vertex 'zz'"):
@@ -187,23 +174,6 @@ class TestCancel:
             return
         for c in range(1, g2.d + 1):
             assert all(len(comp) == 2 for comp in g2.components({c}))
-
-
-class TestRlex:
-    def test_definition_cases(self):
-        assert rlex_greater({2, 3}, {2, 4})
-        assert rlex_greater({2, 4}, {3, 4})
-        assert not rlex_greater({3, 4}, {2, 3})
-
-    @given(st.sets(st.integers(1, 8), min_size=1, max_size=4),
-           st.sets(st.integers(1, 8), min_size=1, max_size=4))
-    def test_matches_colex_comparison(self, s, t):
-        if s == t:
-            assert not rlex_greater(s, t)
-            return
-        colex = tuple(sorted(s, reverse=True)) < tuple(sorted(t, reverse=True))
-        if len(s) == len(t):
-            assert rlex_greater(s, t) == colex
 
 
 class TestSchedule:
