@@ -6,9 +6,16 @@ projective space, connected sums, and simplex boundary fixtures.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 
 from .graphs import ColoredGraph
 from .posets import SimplicialPoset, proper_coloring
+
+# The most edges (product of spheres) or cells (projective space) a builder
+# makes; a larger request is refused before anything is allocated.  The
+# size is computed exactly for small arguments and bounded from below for
+# large ones, where the exact count would itself take long to compute.
+MAX_OUTPUT_SIZE = 10 ** 6
 
 
 def set_label(s) -> str:
@@ -45,6 +52,13 @@ def product_spheres_graph(n: int, m: int) -> ColoredGraph:
     """
     if n < 1 or m < 1:
         raise ValueError("both sphere dimensions must be at least 1")
+    # 2*C(n+m, n)*(n+m+1) edges; C(n+m, k) grows with k up to (n+m)/2,
+    # so capping k = min(n, m) at 20 keeps it exact there and a bound past
+    n_edges = 2 * comb(n + m, min(n, m, 20)) * (n + m + 1)
+    if n_edges > MAX_OUTPUT_SIZE:
+        raise ValueError(
+            f"the graph of S^{n} x S^{m} has at least {n_edges} edges, "
+            f"more than the limit of {MAX_OUTPUT_SIZE}")
     top = n + m
     subsets = list(combinations(range(1, top + 1), n))
     blocks = ("A", "B", "C", "D")
@@ -84,6 +98,11 @@ def cross_polytope_quotient(n: int) -> SimplicialPoset:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    n_cells = (3 ** min(n, 40) - 1) // 2  # exact up to n = 40
+    if n_cells > MAX_OUTPUT_SIZE:
+        raise ValueError(
+            f"the cell decomposition of RP^{n - 1} has at least {n_cells} "
+            f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
 
     by_rank: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for size in range(1, n + 1):

@@ -5,10 +5,12 @@ of interest are *admissible*: connected, with each color class a perfect
 matching.  Every admissible graph encodes a simplicial cell decomposition
 of a closed pseudomanifold (see :mod:`cellposet.posets`).
 
-A vertex's partners, and so the colors between two vertices, come from
-the cached incidence index.  Components of a color-restricted subgraph
-come from :meth:`ColoredGraph.component_roots`, the one component routine;
-:meth:`ColoredGraph.components` is its view by vertex label.
+A vertex's partner is read from the edge list; graphs keep no incidence
+index, and the dipole reduction builds its own partner table for the
+length of one call (see :mod:`cellposet.reduction`).  Components of a
+color-restricted subgraph come from :meth:`ColoredGraph.component_roots`,
+the one component routine; :meth:`ColoredGraph.components` is its view by
+vertex label.
 
 All values are immutable; operations return new objects and are safe to
 share between threads.
@@ -104,16 +106,6 @@ class ColoredGraph:
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
-    def _incidence(self) -> dict[tuple[int, int], list[int]]:
-        """(vertex index, color) -> indices of the other endpoints."""
-        table: dict[tuple[int, int], list[int]] = {}
-        for u, v, c in self.edges:
-            iu, iv = self.index[u], self.index[v]
-            table.setdefault((iu, c), []).append(iv)
-            table.setdefault((iv, c), []).append(iu)
-        return table
-
     def _check_color_set(self, colors) -> frozenset[int]:
         s = frozenset(colors)
         bad = [c for c in s if not 1 <= c <= self.d]
@@ -155,12 +147,13 @@ class ColoredGraph:
         if v not in self.index:
             raise ValueError(f"unknown vertex {v!r}")
         self._check_color_set([color])
-        others = self._incidence.get((self.index[v], color), [])
+        others = [b if a == v else a for a, b, c in self.edges
+                  if c == color and v in (a, b)]
         if len(others) != 1:
             raise ValueError(
                 f"vertex {v!r} has {len(others)} edges of color {color}; "
                 "graph is not admissible there")
-        return self.vertices[others[0]]
+        return others[0]
 
 
 def validate_admissible(g: ColoredGraph) -> list[str]:
@@ -172,8 +165,8 @@ def validate_admissible(g: ColoredGraph) -> list[str]:
     the edge list and not with d.
     """
     violations: list[str] = []
-    # a transient count, not the cached incidence index: validated graphs
-    # are often kept, and the index would stay with them
+    # a transient count: validated graphs are often kept, and an index
+    # cached on them would stay with them
     degree: dict[tuple[str, int], int] = {}
     for u, v, c in g.edges:
         degree[u, c] = degree.get((u, c), 0) + 1

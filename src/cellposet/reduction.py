@@ -8,6 +8,31 @@ removed.  Cancelling deletes x and y and rewires, for every color i not
 in C, the i-colored partners of x and y to each other; this preserves the
 perfect-matching property unconditionally and, on manifolds, the
 homeomorphism type of the associated cell complex.
+
+Every public call works on one partner table, built once from an
+admissible graph and dropped when the call returns.  Each color class is
+a fixed-point-free involution, so the table stores ``partner[c][v]`` as a
+d x V table of int lists, the standard encoding of crystallizations
+(Ferri, Gagliardi and Grasselli, 1986; Lins, 1995).  It also holds an
+alive flag per vertex, the live vertex count and an order stamp per edge.
+Nothing is cached on the :class:`ColoredGraph`.
+
+* The dipole test runs a breadth-first search from x and one from y over
+  the colors not in C, always growing the smaller frontier.  The pair is
+  no dipole when the two sides meet, and is one as soon as either side
+  runs out, so a dipole costs its smaller side.
+* A cancellation rewires at most d partners and can be undone in O(d).
+* The table turns back into a graph with the input's surviving vertices
+  and edges in their input order and orientation, followed by the edges
+  the cancellations created, in creation order.  The edges of one
+  cancellation are oriented (x's partner, y's partner) and sorted by
+  color.
+
+Every cancellation is followed by a search of the whole table for
+connectivity.  A dipole whose colors are all d colors makes up the whole
+graph, as in :func:`parallel_edges_graph`, and cancelling it leaves none;
+:func:`cancel` also takes pairs that are not dipoles, whose cancellation
+can disconnect the graph.
 """
 
 from __future__ import annotations
@@ -34,63 +59,171 @@ class Dipole:
     colors: frozenset[int]
 
 
+class _Table:
+    """The partner table of an admissible graph, rewritten in place.
+
+    Row ``c - 1`` of ``partner`` is the color-c involution; row ``c - 1``
+    of ``stamp`` holds, per vertex, the position in ``edges`` of its
+    color-c edge.  ``edges`` lists the input edges and then every edge a
+    cancellation created, so sorting the live stamps restores edge order.
+    """
+
+    def __init__(self, g: ColoredGraph):
+        require_admissible(g)
+        self.d = g.d
+        self.labels = g.vertices
+        self.index = g.index
+        size = len(g.vertices)
+        self.partner = [[0] * size for _ in range(g.d)]
+        self.stamp = [[0] * size for _ in range(g.d)]
+        self.edges = list(g.edges)
+        for s, (u, v, c) in enumerate(g.edges):
+            iu, iv = self.index[u], self.index[v]
+            row, stamps = self.partner[c - 1], self.stamp[c - 1]
+            row[iu], row[iv] = iv, iu
+            stamps[iu] = stamps[iv] = s
+        self.alive = [True] * size
+        self.live = size
+
+    def vertex(self, label: str) -> int:
+        i = self.index.get(label)
+        if i is None or not self.alive[i]:
+            raise ValueError(f"unknown vertex {label!r}")
+        return i
+
+    def dipole_colors(self, x: int, y: int) -> tuple[int, ...] | None:
+        """The colors joining x and y if the pair is a dipole, else None."""
+        colors = tuple(c for c, row in enumerate(self.partner, start=1)
+                       if row[x] == y)
+        if not colors:
+            return None
+        rows = [row for row in self.partner if row[x] != y]
+        seen = ({x}, {y})
+        frontier = [[x], [y]]
+        while True:
+            k = len(frontier[0]) > len(frontier[1])
+            mine, other = seen[k], seen[not k]
+            grown = []
+            for v in frontier[k]:
+                for row in rows:
+                    w = row[v]
+                    if w in other:
+                        return None
+                    if w not in mine:
+                        mine.add(w)
+                        grown.append(w)
+            if not grown:
+                return colors
+            frontier[k] = grown
+
+    def connected(self, skip: int = 0) -> bool:
+        """Whether the live vertices form one component, searched over
+        every color but `skip`."""
+        if not self.live:
+            return False
+        rows = [row for c, row in enumerate(self.partner, start=1)
+                if c != skip]
+        start = self.alive.index(True)
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for row in rows:
+                w = row[v]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.live
+
+    def cancel(self, x: int, y: int) -> None:
+        """Cancel x and y; on a disconnected result, undo and raise."""
+        undo = []
+        for c, (row, stamps) in enumerate(zip(self.partner, self.stamp),
+                                          start=1):
+            a = row[x]
+            if a == y:
+                continue
+            b = row[y]
+            undo.append((row, stamps, a, b, stamps[a], stamps[b]))
+            row[a], row[b] = b, a
+            stamps[a] = stamps[b] = len(self.edges)
+            self.edges.append((self.labels[a], self.labels[b], c))
+        self.alive[x] = self.alive[y] = False
+        self.live -= 2
+        if self.connected():
+            return
+        for row, stamps, a, b, sa, sb in reversed(undo):
+            row[a], row[b] = x, y
+            stamps[a], stamps[b] = sa, sb
+            self.edges.pop()
+        self.alive[x] = self.alive[y] = True
+        self.live += 2
+        raise CancellationError(
+            f"cancelling ({self.labels[x]!r}, {self.labels[y]!r}) breaks "
+            "admissibility: result is disconnected")
+
+    def dipoles(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """Yield (x, y, colors) for each dipole, scanning the pairs x < y
+        joined by an edge in index order.  The scan survives a refused
+        cancellation, which undoes itself; after one that succeeds, start
+        a new scan."""
+        for x, alive in enumerate(self.alive):
+            if not alive:
+                continue
+            for y in sorted({row[x] for row in self.partner if row[x] > x}):
+                colors = self.dipole_colors(x, y)
+                if colors is not None:
+                    yield x, y, colors
+
+    def graph(self) -> ColoredGraph:
+        alive = self.alive
+        kept = sorted({s for stamps in self.stamp
+                       for v, s in enumerate(stamps) if alive[v]})
+        return ColoredGraph(
+            self.d,
+            tuple(v for v, a in zip(self.labels, alive) if a),
+            tuple(self.edges[s] for s in kept))
+
+
 def colors_between(g: ColoredGraph, x: str, y: str) -> frozenset[int]:
     """Set of colors of the edges joining x and y."""
     for v in (x, y):
         if v not in g.index:
             raise ValueError(f"unknown vertex {v!r}")
-    ix, iy = g.index[x], g.index[y]
-    return frozenset(c for c in range(1, g.d + 1)
-                     if iy in g._incidence.get((ix, c), ()))
+    return frozenset(c for u, v, c in g.edges
+                     if (u, v) == (x, y) or (u, v) == (y, x))
 
 
 def check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
-    """The Dipole witness for (x, y), or None if the pair is not one."""
-    cols = colors_between(g, x, y)
-    if not cols:
-        return None
-    roots = g.component_roots(frozenset(range(1, g.d + 1)) - cols)
-    if roots[g.index[x]] == roots[g.index[y]]:
-        return None
-    return Dipole(x, y, cols)
+    """The Dipole witness for (x, y) in an admissible graph, or None if the
+    pair is not one."""
+    t = _Table(g)
+    colors = t.dipole_colors(t.vertex(x), t.vertex(y))
+    return None if colors is None else Dipole(x, y, frozenset(colors))
 
 
 def find_dipoles(g: ColoredGraph) -> Iterator[Dipole]:
-    """Yield the dipoles lazily, scanning vertex pairs (i, j) with i < j in
-    index order.
+    """Yield the dipoles of an admissible graph lazily, scanning vertex
+    pairs (i, j) with i < j in index order.
 
     Only pairs joined by an edge are checked: a pair without one has no
     colors between it and so is never a dipole.
     """
-    pairs = sorted({tuple(sorted((g.index[u], g.index[v])))
-                    for u, v, _ in g.edges})
-    for i, j in pairs:
-        dip = check_dipole(g, g.vertices[i], g.vertices[j])
-        if dip is not None:
-            yield dip
+    t = _Table(g)
+    for x, y, colors in t.dipoles():
+        yield Dipole(t.labels[x], t.labels[y], frozenset(colors))
 
 
 def cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
-    """Remove x and y; for each color i without an x-y edge, join x's
-    i-partner to y's i-partner.  Fails if the result is disconnected.
+    """Remove x and y from an admissible graph; for each color i without an
+    x-y edge, join x's i-partner to y's i-partner.  Fails if the result is
+    disconnected.
     """
     if x == y:
         raise ValueError("cannot cancel a vertex with itself")
-    cols = colors_between(g, x, y)
-    new_edges = [e for e in g.edges if x not in e[:2] and y not in e[:2]]
-    for i in sorted(frozenset(range(1, g.d + 1)) - cols):
-        a = g.color_partner(x, i)
-        b = g.color_partner(y, i)
-        new_edges.append((a, b, i))
-    result = ColoredGraph(
-        g.d,
-        tuple(v for v in g.vertices if v not in (x, y)),
-        tuple(new_edges))
-    if len(result.components(range(1, g.d + 1))) != 1:
-        raise CancellationError(
-            f"cancelling ({x!r}, {y!r}) breaks admissibility: result is "
-            "disconnected")
-    return result
+    t = _Table(g)
+    t.cancel(t.vertex(x), t.vertex(y))
+    return t.graph()
 
 
 # --- the symbolic cancellation schedule -------------------------------------------
@@ -165,22 +298,28 @@ class CancellationStep:
                 "vertices_after": self.vertices_after}
 
 
+def _run_schedule(t: _Table, schedule: Schedule
+                  ) -> tuple[CancellationStep, ...]:
+    steps = []
+    for k, entry in enumerate(schedule.entries, start=1):
+        x, y = entry.pair
+        ix, iy = t.vertex(x), t.vertex(y)
+        colors = t.dipole_colors(ix, iy)
+        if colors is None:
+            raise CancellationError(
+                f"step {k}: pair ({x!r}, {y!r}) is not a dipole")
+        t.cancel(ix, iy)
+        steps.append(CancellationStep(k, entry.pair, colors, t.live))
+    return tuple(steps)
+
+
 def run_schedule(g: ColoredGraph, schedule: Schedule
                  ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
     """Apply a schedule to an admissible graph, verifying the dipole
     condition at every step."""
-    require_admissible(g)
-    steps = []
-    for k, entry in enumerate(schedule.entries, start=1):
-        x, y = entry.pair
-        dip = check_dipole(g, x, y)
-        if dip is None:
-            raise CancellationError(
-                f"step {k}: pair ({x!r}, {y!r}) is not a dipole")
-        g = cancel(g, x, y)
-        steps.append(CancellationStep(k, entry.pair, tuple(sorted(dip.colors)),
-                                      len(g.vertices)))
-    return g, tuple(steps)
+    t = _Table(g)
+    steps = _run_schedule(t, schedule)
+    return t.graph(), steps
 
 
 def reduce_product_spheres(n: int, m: int
@@ -192,41 +331,36 @@ def reduce_product_spheres(n: int, m: int
     deleting any single color class (the crystallization condition); both
     facts are verified before returning.
     """
-    g = product_spheres_graph(n, m)
-    final, steps = run_schedule(g, cancellation_schedule(n, m))
+    t = _Table(product_spheres_graph(n, m))
+    steps = _run_schedule(t, cancellation_schedule(n, m))
     expected = 2 + 2 * comb(n + m, n)
-    if len(final.vertices) != expected:
+    if t.live != expected:
         raise CancellationError(
-            f"reduced graph has {len(final.vertices)} vertices, "
-            f"expected {expected}")
-    full = range(1, final.d + 1)
-    for i in full:
-        others = [c for c in full if c != i]
-        if len(final.components(others)) != 1:
+            f"reduced graph has {t.live} vertices, expected {expected}")
+    # searched on the table: a union-find per color on the final graph
+    # made (4,5) about 8 % slower
+    for i in range(1, t.d + 1):
+        if not t.connected(skip=i):
             raise CancellationError(
                 f"reduced graph is disconnected without color {i}; "
                 "not a crystallization")
-    return final, steps
+    return t.graph(), steps
 
 
 def greedy_reduce(g: ColoredGraph
                   ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
     """Cancel dipoles of an admissible graph greedily (first cancellable
     pair in scan order) until none is left."""
-    require_admissible(g)
+    t = _Table(g)
     steps = []
-    k = 0
     while True:
-        for dip in find_dipoles(g):
+        for x, y, colors in t.dipoles():
             try:
-                g2 = cancel(g, dip.x, dip.y)
+                t.cancel(x, y)
             except CancellationError:
                 continue
-            k += 1
-            g = g2
-            steps.append(CancellationStep(k, (dip.x, dip.y),
-                                          tuple(sorted(dip.colors)),
-                                          len(g.vertices)))
+            steps.append(CancellationStep(
+                len(steps) + 1, (t.labels[x], t.labels[y]), colors, t.live))
             break
         else:
-            return g, tuple(steps)
+            return t.graph(), tuple(steps)

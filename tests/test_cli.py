@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -103,6 +105,18 @@ class TestBuild:
         final = json.loads(out_file.read_text())
         assert len(final["vertices"]) == 14
 
+    @pytest.mark.parametrize("argv,size", [
+        (("product-spheres", "--n", "14", "--m", "14"), "2326762800 edges"),
+        (("product-spheres", "--n", "14", "--m", "14", "--reduce"),
+         "2326762800 edges"),
+        (("rp", "--n", "24"), "141214768240 cells")])
+    def test_output_too_large_exits_two(self, capsys, argv, size):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and size in err
+
     def test_from_json_graph_summary(self, capsys):
         code, out, _ = run(capsys, "build", "from-json", TORUS)
         assert code == 0
@@ -117,6 +131,53 @@ class TestBuild:
         code, out, _ = run(capsys, "build", "from-json", str(bad))
         assert code == 1
         assert json.loads(out)["admissible"] is False
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestByteIdentity:
+    """Digests of what `reduce` and `build product-spheres --reduce` write
+    for S^2 x S^3.  They were recorded from the edge-list reduction engine
+    that the partner table replaced, by running these same commands on the
+    same input, and pin its output byte for byte."""
+
+    @staticmethod
+    def shuffled_input(path: Path) -> None:
+        # S^2 x S^3 with vertex order, edge order and orientation permuted
+        g = product_spheres_graph(2, 3)
+        rnd = random.Random(7)
+        vertices = list(g.vertices)
+        rnd.shuffle(vertices)
+        edges = [{"u": u, "v": v, "color": c} if rnd.random() < 0.5
+                 else {"u": v, "v": u, "color": c} for u, v, c in g.edges]
+        rnd.shuffle(edges)
+        path.write_text(json.dumps(
+            {"d": g.d, "vertices": vertices, "edges": edges}))
+
+    def test_greedy_reduce(self, capsys, tmp_path):
+        src = tmp_path / "g.json"
+        self.shuffled_input(src)
+        code, out, err = run(capsys, "reduce", str(src),
+                             "--certificate", str(tmp_path / "c.json"),
+                             "--out", str(tmp_path / "o.json"))
+        assert (code, out, err) == (0, '{\n  "steps": 9,\n  "vertices": 22\n}\n',
+                                    "")
+        assert sha256(tmp_path / "c.json") == \
+            "9a1fe037c0d3defd38449870c34ddf4125ea97c84e87d67a8a2c38d3735ea6bb"
+        assert sha256(tmp_path / "o.json") == \
+            "c7e02c21b4e6489db8d7ab523c6872503fba10a0c2e4ff8d06c505c6f07b3891"
+
+    def test_build_product_spheres_reduce(self, capsys, tmp_path):
+        code, out, err = run(capsys, "build", "product-spheres", "--n", "2",
+                             "--m", "3", "--reduce",
+                             "--out", str(tmp_path / "o.json"))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "d71559d1c906014800db27ffecb0adf2815ef8311b4dde4307714d71a7c945cc"
+        assert sha256(tmp_path / "o.json") == \
+            "3cf56c7fe3b50e896514a7c39b6596939bfedde88b31a7b010f0e9d08a669b30"
 
 
 class TestReduce:

@@ -1,8 +1,10 @@
+import time
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from cellposet import constructions
 from cellposet.constructions import (block_label, boundary_of_simplex,
                                      connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
@@ -66,6 +68,25 @@ class TestProductSpheresGraph:
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
             product_spheres_graph(0, 1)
+
+    def test_size_limit_counts_the_edges_it_would_build(self, monkeypatch):
+        # 2*C(5, 2)*6 = 120 edges: allowed at a limit of 120, refused below
+        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 120)
+        assert len(product_spheres_graph(2, 3).edges) == 120
+        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 119)
+        with pytest.raises(ValueError, match=r"^the graph of S\^2 x S\^3 "
+                                             r"has at least 120 edges, more "
+                                             r"than the limit of 119$"):
+            product_spheres_graph(2, 3)
+
+    @pytest.mark.parametrize("n,m", [(21, 21), (500000, 500000),
+                                     (1, 10 ** 9)])
+    def test_huge_dimensions_are_refused_at_once(self, n, m):
+        # the exact count C(10^6, 5*10^5) alone takes seconds
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than the limit"):
+            product_spheres_graph(n, m)
+        assert time.perf_counter() - start < 0.5
 
 
 def sorting_cross_polytope_quotient(n: int) -> SimplicialPoset:
@@ -145,6 +166,21 @@ class TestCrossPolytopeQuotient:
     def test_too_small(self):
         with pytest.raises(ValueError):
             cross_polytope_quotient(1)
+
+    def test_size_limit_counts_the_cells_it_would_build(self, monkeypatch):
+        # (3^4 - 1)/2 = 40 nonempty cells: allowed at a limit of 40 only
+        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 40)
+        assert cross_polytope_quotient(4).n_cells == 1 + 40
+        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 39)
+        with pytest.raises(ValueError, match=r"^the cell decomposition of "
+                                             r"RP\^3 has at least 40 cells"):
+            cross_polytope_quotient(4)
+
+    def test_huge_n_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than the limit"):
+            cross_polytope_quotient(10 ** 9)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestBoundaryOfSimplex:

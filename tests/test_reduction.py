@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 from math import comb
 
@@ -11,10 +12,11 @@ from cellposet.constructions import (cross_polytope_quotient,
 from cellposet.graphs import ColoredGraph, validate_admissible
 from cellposet.homology import betti_gf2
 from cellposet.posets import f_vector, from_graph, proper_coloring, to_graph
-from cellposet.reduction import (CancellationError, Dipole, cancel,
-                                 cancellation_schedule, check_dipole,
-                                 colors_between, find_dipoles, greedy_reduce,
-                                 reduce_product_spheres, run_schedule)
+from cellposet.reduction import (CancellationError, CancellationStep, Dipole,
+                                 _Table, cancel, cancellation_schedule,
+                                 check_dipole, colors_between, find_dipoles,
+                                 greedy_reduce, reduce_product_spheres,
+                                 run_schedule)
 
 from conftest import admissible_graphs
 
@@ -54,20 +56,81 @@ def brute_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
     return tuple(out)
 
 
+def reference_check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
+    """Oracle for check_dipole on the edge list: the colors between x and y
+    by an edge scan, components by union-find over the other colors."""
+    cols = colors_between(g, x, y)
+    if not cols:
+        return None
+    roots = g.component_roots(frozenset(range(1, g.d + 1)) - cols)
+    if roots[g.index[x]] == roots[g.index[y]]:
+        return None
+    return Dipole(x, y, cols)
+
+
+def reference_cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
+    """Oracle for cancel on the edge list: keep the edges that miss x and y
+    in order, append (x's i-partner, y's i-partner, i) for each color i not
+    between them in ascending order, and test connectivity by union-find."""
+    if x == y:
+        raise ValueError("cannot cancel a vertex with itself")
+    cols = colors_between(g, x, y)
+    new_edges = [e for e in g.edges if x not in e[:2] and y not in e[:2]]
+    for i in sorted(frozenset(range(1, g.d + 1)) - cols):
+        new_edges.append((g.color_partner(x, i), g.color_partner(y, i), i))
+    result = ColoredGraph(
+        g.d,
+        tuple(v for v in g.vertices if v not in (x, y)),
+        tuple(new_edges))
+    if len(result.components(range(1, g.d + 1))) != 1:
+        raise CancellationError(
+            f"cancelling ({x!r}, {y!r}) breaks admissibility: result is "
+            "disconnected")
+    return result
+
+
+def reference_schedule(g: ColoredGraph, schedule):
+    """Oracle for run_schedule: check and cancel each pair on the edge
+    list."""
+    steps = []
+    for k, entry in enumerate(schedule.entries, start=1):
+        dip = reference_check_dipole(g, *entry.pair)
+        assert dip is not None, entry
+        g = reference_cancel(g, *entry.pair)
+        steps.append(CancellationStep(k, entry.pair, tuple(sorted(dip.colors)),
+                                      len(g.vertices)))
+    return g, tuple(steps)
+
+
 def naive_greedy(g: ColoredGraph):
     """Oracle for greedy_reduce: cancel the first cancellable dipole of the
-    brute-force list until none is left."""
+    brute-force list on the edge list until none is left."""
     pairs = []
     while True:
         for dip in brute_dipoles(g):
             try:
-                g = cancel(g, dip.x, dip.y)
+                g = reference_cancel(g, dip.x, dip.y)
             except CancellationError:
                 continue
             pairs.append((dip.x, dip.y))
             break
         else:
             return g, pairs
+
+
+def shuffled(g: ColoredGraph, seed: int) -> ColoredGraph:
+    """`g` with vertex order, edge order and edge orientation permuted."""
+    rnd = random.Random(seed)
+    vertices = list(g.vertices)
+    rnd.shuffle(vertices)
+    edges = [(u, v, c) if rnd.random() < 0.5 else (v, u, c)
+             for u, v, c in g.edges]
+    rnd.shuffle(edges)
+    return ColoredGraph(g.d, tuple(vertices), tuple(edges))
+
+
+# the only attributes a graph may carry: its fields and the label index
+GRAPH_ATTRIBUTES = {"d", "vertices", "edges", "index"}
 
 
 def staged(sched) -> list:
@@ -126,6 +189,82 @@ class TestCheckDipole:
     def test_unknown_vertex(self, torus_graph):
         with pytest.raises(ValueError, match="unknown vertex 'zz'"):
             check_dipole(torus_graph, "1", "zz")
+
+    def test_full_type_pair_is_a_dipole(self):
+        # no colors are left to search: both sides run out at once
+        assert check_dipole(parallel_edges_graph(1), "Q", "P") == \
+               Dipole("Q", "P", frozenset({1}))
+
+
+class TestAgainstTheEdgeListOracles:
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_every_ordered_pair(self, g):
+        for x in g.vertices:
+            for y in g.vertices:
+                if x == y:
+                    continue
+                assert check_dipole(g, x, y) == reference_check_dipole(g, x, y)
+                try:
+                    expected = reference_cancel(g, x, y)
+                except CancellationError as exc:
+                    with pytest.raises(CancellationError) as got:
+                        cancel(g, x, y)
+                    assert str(got.value) == str(exc)
+                    # the refused rewiring is rolled back in place
+                    t = _Table(g)
+                    with pytest.raises(CancellationError):
+                        t.cancel(t.vertex(x), t.vertex(y))
+                    assert t.graph() == g
+                    assert t.partner == _Table(g).partner
+                else:
+                    assert cancel(g, x, y) == expected
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+    def test_run_schedule_matches_the_reference_loop(self, n, m):
+        g = product_spheres_graph(n, m)
+        sched = cancellation_schedule(n, m)
+        assert run_schedule(g, sched) == reference_schedule(g, sched)
+
+    @pytest.mark.parametrize("n,m,seed", [(2, 2, 1), (2, 2, 2), (1, 3, 1)])
+    def test_greedy_on_a_shuffled_graph_matches_the_naive_loop(self, n, m,
+                                                               seed):
+        g = shuffled(product_spheres_graph(n, m), seed)
+        final, steps = greedy_reduce(g)
+        assert (final, [s.pair for s in steps]) == naive_greedy(g)
+
+    @pytest.mark.parametrize("call", [
+        lambda g: check_dipole(g, "x", "y"),
+        lambda g: cancel(g, "x", "y"),
+        lambda g: list(find_dipoles(g))])
+    def test_per_pair_calls_refuse_a_graph_that_is_not_admissible(self, call):
+        g = ColoredGraph(2, ("x", "y"), (("x", "y", 1),))
+        with pytest.raises(ValueError, match=r"^graph is not admissible: "
+                                             r"no edge has color 2$"):
+            call(g)
+
+
+class TestNoStateOnGraphs:
+    """The partner table lives for one call: no graph keeps it."""
+
+    def test_reduce_product_spheres(self):
+        final, _ = reduce_product_spheres(2, 3)
+        assert set(vars(final)) <= GRAPH_ATTRIBUTES
+
+    def test_greedy_reduce(self):
+        g = shuffled(product_spheres_graph(2, 3), 1)
+        final, steps = greedy_reduce(g)
+        assert steps
+        assert set(vars(g)) <= GRAPH_ATTRIBUTES
+        assert set(vars(final)) <= GRAPH_ATTRIBUTES
+
+    def test_per_pair_calls(self):
+        g = product_spheres_graph(2, 2)
+        x, y = "A:{2,3}", "A:{1,3}"
+        check_dipole(g, x, y)
+        list(find_dipoles(g))
+        g2 = cancel(g, x, y)
+        assert set(vars(g)) <= GRAPH_ATTRIBUTES
+        assert set(vars(g2)) <= GRAPH_ATTRIBUTES
 
 
 class TestCancel:
@@ -324,3 +463,11 @@ class TestGreedy:
     def test_greedy_is_a_no_op_without_dipoles(self, torus_graph):
         final, steps = greedy_reduce(torus_graph)
         assert final == torus_graph and steps == ()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_failed_cancellation_is_undone(self, d):
+        # the one dipole is all of the graph: cancelling it is refused and
+        # rolled back, so greedy returns its input
+        g = parallel_edges_graph(d)
+        assert greedy_reduce(g) == (g, ())
+        assert naive_greedy(g) == (g, [])
