@@ -29,7 +29,10 @@ def _emit(data) -> None:
 
 
 def _load_any(path: str) -> ColoredGraph | SimplicialPoset:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if isinstance(data, dict) and "edges" in data:
         return graph_from_dict(data)
     if isinstance(data, dict) and "cells" in data:

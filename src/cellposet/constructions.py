@@ -9,13 +9,7 @@ from itertools import combinations, product
 from math import comb
 
 from .graphs import ColoredGraph
-from .posets import SimplicialPoset, proper_coloring
-
-# The most edges (product of spheres) or cells (projective space) a builder
-# makes; a larger request is refused before anything is allocated.  The
-# size is computed exactly for small arguments and bounded from below for
-# large ones, where the exact count would itself take long to compute.
-MAX_OUTPUT_SIZE = 10 ** 6
+from .posets import MAX_OUTPUT_SIZE, SimplicialPoset, proper_coloring
 
 
 def set_label(s) -> str:

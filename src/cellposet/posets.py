@@ -25,6 +25,13 @@ from math import comb
 
 from .graphs import ColoredGraph, UnionFind, require_admissible
 
+# The most cells `from_graph` makes, and the most edges or cells a builder
+# in `constructions` makes; a larger request is refused before anything is
+# allocated.  The size is computed exactly for small arguments and bounded
+# from below for large ones, where the exact count would itself take long
+# to compute.
+MAX_OUTPUT_SIZE = 10 ** 6
+
 
 @dataclass(frozen=True)
 class SimplicialPoset:
@@ -127,6 +134,13 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     """
     require_admissible(g)
     d = g.d
+    # every color set has a component: 2^d cells at least, capped at
+    # d = 64 so that a huge d costs nothing to bound
+    n_cells = 2 ** min(d, 64)
+    if n_cells > MAX_OUTPUT_SIZE:
+        raise ValueError(
+            f"the cell poset of a {d}-colored graph has at least {n_cells} "
+            f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
     colors = tuple(range(1, d + 1))
 
     # The roots for S are those for S - {max S} merged along color max S,

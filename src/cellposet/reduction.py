@@ -28,11 +28,31 @@ Nothing is cached on the :class:`ColoredGraph`.
   cancellation are oriented (x's partner, y's partner) and sorted by
   color.
 
-Every cancellation is followed by a search of the whole table for
-connectivity.  A dipole whose colors are all d colors makes up the whole
-graph, as in :func:`parallel_edges_graph`, and cancelling it leaves none;
-:func:`cancel` also takes pairs that are not dipoles, whose cancellation
-can disconnect the graph.
+The engine loops cancel only pairs whose dipole test they have just
+passed, and run no connectivity search afterwards.  A dipole (x, y)
+whose colors C are not all d colors always cancels to a connected graph;
+cancelling it is a dipole move, which keeps the PL type of a
+crystallization (Ferri, Gagliardi and Grasselli, 1986).  Write Ĉ for the
+colors not in C, and K for x's component of the Ĉ-colored subgraph; K
+misses y, as the pair is a dipole.
+
+* Parity.  Take a component L of K - x.  Each color c in Ĉ pairs the
+  vertices of L among themselves, except x's c-partner if it lies in L,
+  so |L| is odd exactly when that partner does.  This holds for every c
+  in Ĉ, so L holds all of x's Ĉ-partners or none of them.  Being part of
+  the connected K, it holds one, hence all: K - x is connected, on edges
+  that miss x and y.  The same holds for y.
+* Joining.  The new edges join x's Ĉ-partners to y's.
+* Reach.  Every other vertex reaches x or y in the old graph.  A shortest
+  such path enters them from one of their Ĉ-partners, since x's C-partner
+  is y, and before that it misses x and y, so it survives.
+
+A dipole whose colors are all d colors makes up the whole graph, as in
+:func:`parallel_edges_graph`, and cancelling it would leave none; it is
+refused before anything is rewired.  The search stays where it can fail:
+:func:`cancel` takes any pair, including ones that are not dipoles, whose
+cancellation can disconnect the graph, and :func:`reduce_product_spheres`
+checks the crystallization condition once, with d searches.
 """
 
 from __future__ import annotations
@@ -135,8 +155,8 @@ class _Table:
                     stack.append(w)
         return len(seen) == self.live
 
-    def cancel(self, x: int, y: int) -> None:
-        """Cancel x and y; on a disconnected result, undo and raise."""
+    def _rewire(self, x: int, y: int) -> list:
+        """Cancel x and y; return what undoing it takes."""
         undo = []
         for c, (row, stamps) in enumerate(zip(self.partner, self.stamp),
                                           start=1):
@@ -150,6 +170,16 @@ class _Table:
             self.edges.append((self.labels[a], self.labels[b], c))
         self.alive[x] = self.alive[y] = False
         self.live -= 2
+        return undo
+
+    def _refusal(self, x: int, y: int) -> CancellationError:
+        return CancellationError(
+            f"cancelling ({self.labels[x]!r}, {self.labels[y]!r}) breaks "
+            "admissibility: result is disconnected")
+
+    def cancel(self, x: int, y: int) -> None:
+        """Cancel any pair x, y; on a disconnected result, undo and raise."""
+        undo = self._rewire(x, y)
         if self.connected():
             return
         for row, stamps, a, b, sa, sb in reversed(undo):
@@ -158,15 +188,21 @@ class _Table:
             self.edges.pop()
         self.alive[x] = self.alive[y] = True
         self.live += 2
-        raise CancellationError(
-            f"cancelling ({self.labels[x]!r}, {self.labels[y]!r}) breaks "
-            "admissibility: result is disconnected")
+        raise self._refusal(x, y)
+
+    def cancel_dipole(self, x: int, y: int, colors: tuple[int, ...]) -> None:
+        """Cancel a pair whose dipole test just returned `colors`, without
+        a search (see the module docstring).  A full-type dipole is the
+        whole graph: refuse it, leaving the table as it was."""
+        if len(colors) == self.d:
+            raise self._refusal(x, y)
+        self._rewire(x, y)
 
     def dipoles(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """Yield (x, y, colors) for each dipole, scanning the pairs x < y
         joined by an edge in index order.  The scan survives a refused
-        cancellation, which undoes itself; after one that succeeds, start
-        a new scan."""
+        cancellation, which leaves the table as it was; after one that
+        succeeds, start a new scan."""
         for x, alive in enumerate(self.alive):
             if not alive:
                 continue
@@ -308,7 +344,7 @@ def _run_schedule(t: _Table, schedule: Schedule
         if colors is None:
             raise CancellationError(
                 f"step {k}: pair ({x!r}, {y!r}) is not a dipole")
-        t.cancel(ix, iy)
+        t.cancel_dipole(ix, iy, colors)
         steps.append(CancellationStep(k, entry.pair, colors, t.live))
     return tuple(steps)
 
@@ -356,7 +392,7 @@ def greedy_reduce(g: ColoredGraph
     while True:
         for x, y, colors in t.dipoles():
             try:
-                t.cancel(x, y)
+                t.cancel_dipole(x, y, colors)
             except CancellationError:
                 continue
             steps.append(CancellationStep(

@@ -78,6 +78,24 @@ class TestInvariants:
         assert code == 2 and out == ""
         assert err.startswith("error: not a simplicial poset: ")
 
+    @pytest.mark.parametrize("d", [3, 24])
+    def test_graph_with_many_colors(self, capsys, tmp_path, d):
+        # the two-vertex graph on d colors has 2^d + 1 cells: 9 for d = 3,
+        # too many to build for d = 24
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(graph_to_dict(parallel_edges_graph(d))))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", str(src))
+        assert time.perf_counter() - start < 1.0
+        if d == 3:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["f"] == [1, 3, 3, 2]
+        else:
+            assert code == 2 and out == ""
+            assert err == ("error: the cell poset of a 24-colored graph has "
+                           "at least 16777216 cells, more than the limit of "
+                           "1000000\n")
+
 
 class TestModule:
     def test_python_dash_m_runs_the_cli(self):
@@ -139,9 +157,12 @@ def sha256(path: Path) -> str:
 
 class TestByteIdentity:
     """Digests of what `reduce` and `build product-spheres --reduce` write
-    for S^2 x S^3.  They were recorded from the edge-list reduction engine
-    that the partner table replaced, by running these same commands on the
-    same input, and pin its output byte for byte."""
+    for S^2 x S^3, and `build product-spheres --reduce` for S^3 x S^3.
+    Those for S^2 x S^3 were recorded from the edge-list reduction engine
+    that the partner table replaced, and that for S^3 x S^3 from the
+    partner table that still searched for connectivity after every
+    cancellation, each by running the same command on the same input.
+    They pin the output byte for byte."""
 
     @staticmethod
     def shuffled_input(path: Path) -> None:
@@ -178,6 +199,16 @@ class TestByteIdentity:
             "d71559d1c906014800db27ffecb0adf2815ef8311b4dde4307714d71a7c945cc"
         assert sha256(tmp_path / "o.json") == \
             "3cf56c7fe3b50e896514a7c39b6596939bfedde88b31a7b010f0e9d08a669b30"
+
+    def test_build_product_spheres_3_3_reduce(self, capsys, tmp_path):
+        code, out, err = run(capsys, "build", "product-spheres", "--n", "3",
+                             "--m", "3", "--reduce",
+                             "--out", str(tmp_path / "o.json"))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "db6aa3a2c402e07377e67448939626fc99d27e92a92c8c7408519769caba54f2"
+        assert sha256(tmp_path / "o.json") == \
+            "9c9dc8d26e7c7766da97309753610124295750d66aad63a59979ff2d062fe13f"
 
 
 class TestReduce:
@@ -329,6 +360,16 @@ class TestMalformedInput:
         code, out, err = run(capsys, *command, str(src))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "d must be an integer" in err
+
+    @pytest.mark.parametrize("command", [("build", "from-json"),
+                                         ("invariants",), ("reduce",),
+                                         ("export",)])
+    def test_json_nested_too_deeply(self, capsys, tmp_path, command):
+        src = tmp_path / "deep.json"
+        src.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, *command, str(src))
+        assert code == 2 and out == ""
+        assert err == f"error: {src}: JSON nested too deeply\n"
 
     def test_graph_color_must_be_an_int(self, capsys, tmp_path):
         data = json.loads(Path(TORUS).read_text())

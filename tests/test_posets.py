@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from math import comb
 
@@ -9,6 +10,7 @@ from cellposet.constructions import (boundary_of_simplex,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph
+from cellposet import posets
 from cellposet.homology import ChainComplexGF2
 from cellposet.posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                               h_vector, induced_coloring, is_normal,
@@ -113,6 +115,24 @@ class TestFromGraph:
         g = ColoredGraph(2, ("a", "b"), (("a", "b", 1),))
         with pytest.raises(ValueError, match="not admissible"):
             from_graph(g)
+
+    def test_size_limit_counts_a_cell_per_color_set(self, monkeypatch):
+        # d = 3: 2^3 color sets, so 8 cells at least (9 here), allowed at
+        # a limit of 8 and refused below
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 8)
+        assert from_graph(parallel_edges_graph(3)).n_cells == 9
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 7)
+        with pytest.raises(ValueError, match=r"^the cell poset of a 3-colored "
+                                             r"graph has at least 8 cells, "
+                                             r"more than the limit of 7$"):
+            from_graph(parallel_edges_graph(3))
+
+    @pytest.mark.parametrize("d", [20, 24, 100])
+    def test_many_colors_are_refused_at_once(self, d):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than the limit"):
+            from_graph(parallel_edges_graph(d))
+        assert time.perf_counter() - start < 0.5
 
     @given(admissible_graphs())
     def test_random_graphs_give_normal_pseudomanifolds(self, g):

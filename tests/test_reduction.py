@@ -243,6 +243,71 @@ class TestAgainstTheEdgeListOracles:
             call(g)
 
 
+class TestDipoleLemma:
+    """A dipole short of full type always cancels to a connected graph, so
+    the engine loops cancel verified dipoles without a search."""
+
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_every_dipole_short_of_full_type_cancels(self, g):
+        for x in g.vertices:
+            for y in g.vertices:
+                dip = None if x == y else reference_check_dipole(g, x, y)
+                if dip is None:
+                    continue
+                t = _Table(g)
+                ix, iy = t.vertex(x), t.vertex(y)
+                colors = tuple(sorted(dip.colors))
+                if len(colors) < g.d:
+                    expected = reference_cancel(g, x, y)
+                    assert validate_admissible(expected) == []
+                    t.cancel_dipole(ix, iy, colors)
+                    assert t.graph() == expected
+                else:
+                    # the whole graph: refused before anything is rewired
+                    with pytest.raises(CancellationError,
+                                       match="result is disconnected"):
+                        t.cancel_dipole(ix, iy, colors)
+                    assert t.graph() == g
+                    assert t.partner == _Table(g).partner
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The `skip` argument of every `_Table.connected` call, in order."""
+    calls = []
+    connected = _Table.connected
+
+    def counted(self, skip=0):
+        calls.append(skip)
+        return connected(self, skip)
+
+    monkeypatch.setattr(_Table, "connected", counted)
+    return calls
+
+
+class TestNoSearchAfterAVerifiedDipole:
+    """The connectivity search runs once per color for the final
+    crystallization check and never after a cancellation, so the schedule
+    is no longer quadratic in the vertex count."""
+
+    def test_reduce_product_spheres(self, searches):
+        final, steps = reduce_product_spheres(3, 3)
+        assert len(steps) == comb(6, 3) - 1
+        assert searches == list(range(1, final.d + 1))
+
+    def test_run_schedule(self, searches):
+        run_schedule(product_spheres_graph(2, 3), cancellation_schedule(2, 3))
+        assert searches == []
+
+    def test_greedy_reduce(self, searches):
+        final, steps = greedy_reduce(shuffled(product_spheres_graph(2, 3), 1))
+        assert steps and searches == []
+
+    def test_public_cancel_still_searches(self, searches):
+        cancel(product_spheres_graph(2, 2), "A:{2,3}", "A:{1,3}")
+        assert searches == [0]
+
+
 class TestNoStateOnGraphs:
     """The partner table lives for one call: no graph keeps it."""
 
