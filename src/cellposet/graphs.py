@@ -5,12 +5,11 @@ of interest are *admissible*: connected, with each color class a perfect
 matching.  Every admissible graph encodes a simplicial cell decomposition
 of a closed pseudomanifold (see :mod:`cellposet.posets`).
 
-A vertex's partner is read from the edge list; graphs keep no incidence
-index, and the dipole reduction builds its own partner table for the
-length of one call (see :mod:`cellposet.reduction`).  Components of a
-color-restricted subgraph come from :meth:`ColoredGraph.component_roots`,
-the one component routine; :meth:`ColoredGraph.components` is its view by
-vertex label.
+Graphs keep no incidence index: the dipole reduction builds its own
+partner table for the length of one call (see :mod:`cellposet.reduction`).
+Components of a color-restricted subgraph come from
+:meth:`ColoredGraph.component_roots`, the one component routine;
+:meth:`ColoredGraph.components` is its view by vertex label.
 
 All values are immutable; operations return new objects and are safe to
 share between threads.
@@ -91,9 +90,12 @@ class ColoredGraph:
             raise ValueError(f"d must be an integer, got {self.d!r}")
         if self.d < 1:
             raise ValueError(f"need at least one color, got d={self.d}")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
+        for v in self.vertices:
+            if not isinstance(v, str):
+                raise ValueError(f"vertex label {v!r} is not a string")
         known = set(self.vertices)
+        if len(known) != len(self.vertices):
+            raise ValueError("duplicate vertex labels")
         for u, v, c in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u!r}")
@@ -141,19 +143,6 @@ class ColoredGraph:
         for i, r in enumerate(roots):
             groups.setdefault(r, []).append(self.vertices[i])
         return tuple(tuple(groups[r]) for r in sorted(groups))
-
-    def color_partner(self, v: str, color: int) -> str:
-        """The unique vertex joined to `v` by the color-`color` edge."""
-        if v not in self.index:
-            raise ValueError(f"unknown vertex {v!r}")
-        self._check_color_set([color])
-        others = [b if a == v else a for a, b, c in self.edges
-                  if c == color and v in (a, b)]
-        if len(others) != 1:
-            raise ValueError(
-                f"vertex {v!r} has {len(others)} edges of color {color}; "
-                "graph is not admissible there")
-        return others[0]
 
 
 def validate_admissible(g: ColoredGraph) -> list[str]:
@@ -215,8 +204,12 @@ def graph_to_dict(g: ColoredGraph) -> dict:
 
 def graph_from_dict(data: dict) -> ColoredGraph:
     try:
+        vertices = data["vertices"]
+        if not isinstance(vertices, list):
+            raise ValueError("malformed graph JSON: vertices must be a "
+                             f"list, not {type(vertices).__name__}")
         edges = tuple((e["u"], e["v"], e["color"]) for e in data["edges"])
-        return ColoredGraph(data["d"], tuple(data["vertices"]), edges)
+        return ColoredGraph(data["d"], tuple(vertices), edges)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
 
@@ -230,11 +223,15 @@ def graph_from_json(text: str) -> ColoredGraph:
 
 
 def graph_to_dot(g: ColoredGraph) -> str:
-    """DOT text, one line per multi-edge, color carried as an integer attribute."""
+    """DOT text, one line per multi-edge, color carried as an integer
+    attribute; labels are quoted, with ``\\`` and ``"`` escaped."""
+    def q(v: str) -> str:
+        return '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
+
     lines = ["graph {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {q(v)};")
     for u, v, c in g.edges:
-        lines.append(f'  "{u}" -- "{v}" [color={c}];')
+        lines.append(f"  {q(u)} -- {q(v)} [color={c}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import comb
 from collections.abc import Iterable, Iterator
 
-from .posets import SimplicialPoset, is_pure
+from .posets import MAX_ROW_BITS, SimplicialPoset, is_pure
 
 MAX_CHAINS = 10 ** 6
 
@@ -109,6 +109,17 @@ def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
                  for i in range(d))
 
 
+def _require_row_bits(p: SimplicialPoset) -> None:
+    """Refuse a poset whose boundary rows would take more than
+    ``MAX_ROW_BITS`` bits: sum_k f_k f_{k-1}."""
+    f = [len(cells) for cells in p.cells_by_rank]
+    bits = sum(a * b for a, b in zip(f, f[1:]))
+    if bits > MAX_ROW_BITS:
+        raise ValueError(
+            f"the chain complex has {bits} bits of boundary rows, more "
+            f"than the limit of {MAX_ROW_BITS}")
+
+
 @dataclass(frozen=True)
 class ChainComplexGF2:
     """Augmented cellular chain complex of a simplicial poset over GF(2).
@@ -150,8 +161,10 @@ class ChainComplexGF2:
         V(y): [0, c] is the boolean lattice on V(c).
 
         Vertex sets are bitmasks over the rank-1 cells, and only those of
-        two adjacent ranks are kept.
+        two adjacent ranks are kept.  A poset whose rows would pass
+        ``MAX_ROW_BITS`` is refused before any row is built.
         """
+        _require_row_bits(p)
         by_rank, covers = p.cells_by_rank, p.covers
         pos = [0] * p.n_cells           # a cell's index within its rank
         for cells in by_rank:

@@ -18,7 +18,7 @@ rank d - |S|.  Facets correspond to graph vertices, ridges to graph edges.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -32,6 +32,11 @@ from .graphs import ColoredGraph, UnionFind, require_admissible
 # to compute.
 MAX_OUTPUT_SIZE = 10 ** 6
 
+# The most bits of boundary rows a chain complex holds: a rank-k cell's
+# row is f_{k-1} bits wide, so the rows take sum_k f_k f_{k-1} bits.
+# `ChainComplexGF2.from_poset` and `from_graph` refuse a larger complex.
+MAX_ROW_BITS = 4 * 10 ** 9
+
 
 @dataclass(frozen=True)
 class SimplicialPoset:
@@ -39,16 +44,12 @@ class SimplicialPoset:
 
     ``ranks[i]`` is the rank of cell i, ``covers[i]`` the ids of the cells
     it covers (each one rank lower), ``labels[i]`` a free-form name.
-    ``origins`` optionally records, for posets built from a colored graph,
-    the (color set, least vertex) provenance of each cell.
     """
 
     d: int
     ranks: tuple[int, ...]
     covers: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    origins: tuple[tuple[frozenset[int], str], ...] | None = field(
-        default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(self.ranks))
@@ -134,13 +135,21 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     """
     require_admissible(g)
     d = g.d
-    # every color set has a component: 2^d cells at least, capped at
-    # d = 64 so that a huge d costs nothing to bound
-    n_cells = 2 ** min(d, 64)
+    # every color set has a component, so f_k >= C(d, k): 2^d cells and
+    # sum_k C(d, k) C(d, k - 1) = C(2d, d + 1) bits of boundary rows at
+    # least (Vandermonde); d is capped at 64 so that a huge d costs
+    # nothing to bound
+    k = min(d, 64)
+    n_cells = 2 ** k
     if n_cells > MAX_OUTPUT_SIZE:
         raise ValueError(
             f"the cell poset of a {d}-colored graph has at least {n_cells} "
             f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
+    bits = comb(2 * k, k + 1)
+    if bits > MAX_ROW_BITS:
+        raise ValueError(
+            f"the chain complex of a {d}-colored graph has at least {bits} "
+            f"bits of boundary rows, more than the limit of {MAX_ROW_BITS}")
     colors = tuple(range(1, d + 1))
 
     # The roots for S are those for S - {max S} merged along color max S,
@@ -164,19 +173,18 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     ranks: list[int] = []
     covers: list[tuple[int, ...]] = []
     labels: list[str] = []
-    origins: list[tuple[frozenset[int], str]] = []
 
     for rank in range(d + 1):
         # missing = [d] \ S enumerated in lexicographic order fixes cell order
         for missing in combinations(colors, rank):
             mask = full ^ sum(1 << i for i in missing)
-            s = frozenset(c for c in colors if c not in missing)
             root_of = roots[mask]
             ids = cell_of[mask] = {}
             # the covered cells' color sets, each with one missing color back
             up = [(roots[mask | 1 << i], cell_of[mask | 1 << i])
                   for i in missing]
-            prefix = "{%s}@" % ",".join(map(str, sorted(s)))
+            prefix = "{%s}@" % ",".join(str(c) for c in colors
+                                        if c not in missing)
             for root in sorted(set(root_of)):
                 ids[root] = len(ranks)
                 ranks.append(rank)
@@ -186,56 +194,10 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
                     labels.append("0")
                 else:
                     labels.append(prefix + g.vertices[root])
-                origins.append((s, g.vertices[root]))
                 covers.append(tuple([cells[up_roots[root]]
                                      for up_roots, cells in up]))
 
-    return SimplicialPoset(d, tuple(ranks), tuple(covers), tuple(labels),
-                           tuple(origins))
-
-
-def induced_coloring(p: SimplicialPoset) -> dict[int, int]:
-    """Vertex coloring a graph-built poset inherits: color of (H, S) with
-    |S| = d-1 is the one color missing from S."""
-    if p.origins is None:
-        raise ValueError("poset carries no graph provenance")
-    full = set(range(1, p.d + 1))
-    out = {}
-    for v in p.cells_by_rank[1]:
-        missing = full - p.origins[v][0]
-        (c,) = missing
-        out[v] = c
-    return out
-
-
-def to_graph(p: SimplicialPoset, coloring: dict[int, int]) -> ColoredGraph:
-    """Inverse construction: facets become graph vertices, ridges become
-    edges, colored by the one color absent from the ridge's vertex set.
-
-    Requires a pure pseudomanifold and a proper coloring (rainbow on every
-    facet).  Facet labels must be distinct since they name the vertices.
-    """
-    if not is_pseudomanifold(p):
-        raise ValueError("poset is not a pseudomanifold")
-    facet_ids = p.cells_by_rank[p.d]
-    if len(set(p.labels[f] for f in facet_ids)) != len(facet_ids):
-        raise ValueError("facet labels are not distinct")
-    for v in p.cells_by_rank[1]:
-        if v not in coloring:
-            raise ValueError(f"coloring leaves vertex {v} ({p.labels[v]!r}) "
-                             "uncolored")
-    for f in facet_ids:
-        cols = {coloring[v] for v in p.vertex_sets[f]}
-        if len(cols) != p.d:
-            raise ValueError(f"coloring is not rainbow on facet {p.labels[f]!r}")
-    full = set(range(1, p.d + 1))
-    edges = []
-    for ridge in p.cells_by_rank[p.d - 1]:
-        f1, f2 = p.coverers[ridge]
-        missing = full - {coloring[v] for v in p.vertex_sets[ridge]}
-        (c,) = missing
-        edges.append((p.labels[f1], p.labels[f2], c))
-    return ColoredGraph(p.d, tuple(p.labels[f] for f in facet_ids), tuple(edges))
+    return SimplicialPoset(d, tuple(ranks), tuple(covers), tuple(labels))
 
 
 # --- face and h vectors ------------------------------------------------------
@@ -266,36 +228,6 @@ def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
         for k in range(d + 1))
 
 
-# --- links -------------------------------------------------------------------
-
-def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:
-    """The subposet of cells above `cell`, reindexed with `cell` as minimum.
-
-    Ranks drop by rank(cell); the result is again simplicial.
-    """
-    if not 0 <= cell < p.n_cells:
-        raise ValueError(f"unknown cell {cell}")
-    base = p.ranks[cell]
-    upset = {cell}
-    frontier = [cell]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for u in p.coverers[c]:
-                if u not in upset:
-                    upset.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    order = sorted(upset, key=lambda c: (p.ranks[c], c))
-    new_id = {c: i for i, c in enumerate(order)}
-    ranks = tuple(p.ranks[c] - base for c in order)
-    covers = tuple(
-        tuple(new_id[j] for j in p.covers[c] if j in upset) if c != cell else ()
-        for c in order)
-    labels = tuple(p.labels[c] for c in order)
-    return SimplicialPoset(p.d - base, ranks, covers, labels)
-
-
 # --- pseudomanifold predicates ------------------------------------------------
 
 def is_pure(p: SimplicialPoset) -> bool:
@@ -316,39 +248,6 @@ def is_pseudomanifold(p: SimplicialPoset) -> bool:
     for ridge in p.cells_by_rank[p.d - 1]:
         f1, f2 = p.coverers[ridge]
         uf.union(pos[f1], pos[f2])
-    return uf.count == 1
-
-
-def is_normal(p: SimplicialPoset) -> bool:
-    """Pseudomanifold whose links in ranks <= d-2 are all connected."""
-    if not is_pseudomanifold(p):
-        return False
-    for c in range(p.n_cells):
-        if p.ranks[c] <= p.d - 2 and not _link_connected(p, c):
-            return False
-    return True
-
-
-def _link_connected(p: SimplicialPoset, cell: int) -> bool:
-    """Connectivity of the 1-skeleton of the link of `cell`.
-
-    Link vertices are the coverers of `cell`; link edges are the cells two
-    ranks up (every coverer-of-a-coverer lies above `cell` by transitivity).
-    """
-    verts = p.coverers[cell]
-    if not verts:
-        return False
-    pos = {v: i for i, v in enumerate(verts)}
-    uf = UnionFind(len(verts))
-    seen_edges = set()
-    for v in verts:
-        for e in p.coverers[v]:
-            if e in seen_edges:
-                continue
-            seen_edges.add(e)
-            ends = [j for j in p.covers[e] if j in pos]
-            for j in ends[1:]:
-                uf.union(pos[ends[0]], pos[j])
     return uf.count == 1
 
 
@@ -417,8 +316,12 @@ def validate_poset(p: SimplicialPoset) -> list[str]:
     """The violations of a simplicial poset: ``d`` above every cell's rank,
     and the first cell where :meth:`ChainComplexGF2.from_poset
     <cellposet.homology.ChainComplexGF2.from_poset>` finds a lower
-    interval that is not boolean.  Empty when `p` is simplicial."""
-    from .homology import ChainComplexGF2     # homology imports this module
+    interval that is not boolean.  Empty when `p` is simplicial.  A poset
+    whose boundary rows would pass ``MAX_ROW_BITS`` raises ValueError: it
+    is too large to check, which is no violation."""
+    # homology imports this module
+    from .homology import ChainComplexGF2, _require_row_bits
+    _require_row_bits(p)
     gap = _rank_gap(p)
     violations = [gap] if gap else []
     try:

@@ -221,15 +221,6 @@ class _Table:
             tuple(self.edges[s] for s in kept))
 
 
-def colors_between(g: ColoredGraph, x: str, y: str) -> frozenset[int]:
-    """Set of colors of the edges joining x and y."""
-    for v in (x, y):
-        if v not in g.index:
-            raise ValueError(f"unknown vertex {v!r}")
-    return frozenset(c for u, v, c in g.edges
-                     if (u, v) == (x, y) or (u, v) == (y, x))
-
-
 def check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
     """The Dipole witness for (x, y) in an admissible graph, or None if the
     pair is not one."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from cellposet.graphs import ColoredGraph, graph_from_dict, is_admissible
-from cellposet.posets import SimplicialPoset
+from cellposet.posets import SimplicialPoset, is_pseudomanifold
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -28,6 +28,87 @@ def torus_suspension_graph(torus_graph) -> ColoredGraph:
              + tuple((copy[u], copy[v], c) for u, v, c in torus_graph.edges)
              + tuple((v, copy[v], 4) for v in torus_graph.vertices))
     return ColoredGraph(4, torus_graph.vertices + tuple(copy.values()), edges)
+
+
+def colors_between(g: ColoredGraph, x: str, y: str) -> frozenset[int]:
+    """Oracle: the colors of the edges joining x and y, by an edge scan."""
+    for v in (x, y):
+        if v not in g.index:
+            raise ValueError(f"unknown vertex {v!r}")
+    return frozenset(c for u, v, c in g.edges
+                     if (u, v) == (x, y) or (u, v) == (y, x))
+
+
+def color_partner(g: ColoredGraph, v: str, color: int) -> str:
+    """Oracle: the unique vertex joined to `v` by the color-`color` edge,
+    by an edge scan."""
+    if v not in g.index:
+        raise ValueError(f"unknown vertex {v!r}")
+    others = [b if a == v else a for a, b, c in g.edges
+              if c == color and v in (a, b)]
+    if len(others) != 1:
+        raise ValueError(
+            f"vertex {v!r} has {len(others)} edges of color {color}; "
+            "graph is not admissible there")
+    return others[0]
+
+
+def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:
+    """Oracle for the sliced links of `homology.link_bettis`: the subposet
+    of cells above `cell`, reindexed with `cell` as minimum and ranks
+    dropped by rank(cell)."""
+    if not 0 <= cell < p.n_cells:
+        raise ValueError(f"unknown cell {cell}")
+    base = p.ranks[cell]
+    upset = {cell}
+    frontier = [cell]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for u in p.coverers[c]:
+                if u not in upset:
+                    upset.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    order = sorted(upset, key=lambda c: (p.ranks[c], c))
+    new_id = {c: i for i, c in enumerate(order)}
+    ranks = tuple(p.ranks[c] - base for c in order)
+    covers = tuple(
+        tuple(new_id[j] for j in p.covers[c] if j in upset) if c != cell else ()
+        for c in order)
+    labels = tuple(p.labels[c] for c in order)
+    return SimplicialPoset(p.d - base, ranks, covers, labels)
+
+
+def to_graph(p: SimplicialPoset, coloring: dict[int, int]) -> ColoredGraph:
+    """Oracle for `from_graph`, its inverse: facets become graph vertices,
+    ridges become edges, colored by the one color absent from the ridge's
+    vertex set.
+
+    Requires a pure pseudomanifold and a proper coloring (rainbow on every
+    facet), such as `proper_coloring` returns.  Facet labels must be
+    distinct since they name the vertices.
+    """
+    if not is_pseudomanifold(p):
+        raise ValueError("poset is not a pseudomanifold")
+    facet_ids = p.cells_by_rank[p.d]
+    if len(set(p.labels[f] for f in facet_ids)) != len(facet_ids):
+        raise ValueError("facet labels are not distinct")
+    for v in p.cells_by_rank[1]:
+        if v not in coloring:
+            raise ValueError(f"coloring leaves vertex {v} ({p.labels[v]!r}) "
+                             "uncolored")
+    for f in facet_ids:
+        cols = {coloring[v] for v in p.vertex_sets[f]}
+        if len(cols) != p.d:
+            raise ValueError(f"coloring is not rainbow on facet {p.labels[f]!r}")
+    full = set(range(1, p.d + 1))
+    edges = []
+    for ridge in p.cells_by_rank[p.d - 1]:
+        f1, f2 = p.coverers[ridge]
+        (c,) = full - {coloring[v] for v in p.vertex_sets[ridge]}
+        edges.append((p.labels[f1], p.labels[f2], c))
+    return ColoredGraph(p.d, tuple(p.labels[f] for f in facet_ids), tuple(edges))
 
 
 def two_pillows(share_edge: bool = False) -> SimplicialPoset:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cellposet import homology
 from cellposet.cli import main
 from cellposet.constructions import (boundary_of_simplex,
                                      parallel_edges_graph,
@@ -78,10 +79,11 @@ class TestInvariants:
         assert code == 2 and out == ""
         assert err.startswith("error: not a simplicial poset: ")
 
-    @pytest.mark.parametrize("d", [3, 24])
+    @pytest.mark.parametrize("d", [3, 19, 24])
     def test_graph_with_many_colors(self, capsys, tmp_path, d):
         # the two-vertex graph on d colors has 2^d + 1 cells: 9 for d = 3,
-        # too many to build for d = 24
+        # too many to build for d = 24; for d = 19 the boundary rows would
+        # take at least C(38, 20) bits
         src = tmp_path / "g.json"
         src.write_text(json.dumps(graph_to_dict(parallel_edges_graph(d))))
         start = time.perf_counter()
@@ -90,6 +92,11 @@ class TestInvariants:
         if d == 3:
             assert (code, err) == (0, "")
             assert json.loads(out)["f"] == [1, 3, 3, 2]
+        elif d == 19:
+            assert code == 2 and out == ""
+            assert err == ("error: the chain complex of a 19-colored graph "
+                           "has at least 33578000610 bits of boundary rows, "
+                           "more than the limit of 4000000000\n")
         else:
             assert code == 2 and out == ""
             assert err == ("error: the cell poset of a 24-colored graph has "
@@ -370,6 +377,45 @@ class TestMalformedInput:
         code, out, err = run(capsys, *command, str(src))
         assert code == 2 and out == ""
         assert err == f"error: {src}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("command", [("build", "from-json"),
+                                         ("invariants",), ("reduce",),
+                                         ("export",)])
+    @pytest.mark.parametrize("label", [1, None, True, 1.5])
+    def test_vertex_label_must_be_a_string(self, capsys, tmp_path, command,
+                                           label):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps({"d": 2, "vertices": [label, "b"], "edges": [
+            {"u": label, "v": "b", "color": 1},
+            {"u": label, "v": "b", "color": 2}]}))
+        code, out, err = run(capsys, *command, str(src))
+        assert code == 2 and out == ""
+        assert err == f"error: vertex label {label!r} is not a string\n"
+
+    @pytest.mark.parametrize("command", [("build", "from-json"),
+                                         ("invariants",), ("reduce",),
+                                         ("export",)])
+    def test_vertices_must_be_a_list(self, capsys, tmp_path, command):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps({"d": 1, "vertices": "ab", "edges": [
+            {"u": "a", "v": "b", "color": 1}]}))
+        code, out, err = run(capsys, *command, str(src))
+        assert code == 2 and out == ""
+        assert err == ("error: malformed graph JSON: vertices must be a "
+                       "list, not str\n")
+
+    @pytest.mark.parametrize("command", [("build", "from-json"),
+                                         ("invariants",)])
+    def test_poset_too_large_to_check(self, capsys, tmp_path, monkeypatch,
+                                      command):
+        # an input error, not a "valid": false report
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(poset_to_dict(boundary_of_simplex(3))))
+        monkeypatch.setattr(homology, "MAX_ROW_BITS", 51)
+        code, out, err = run(capsys, *command, str(src))
+        assert code == 2 and out == ""
+        assert err == ("error: the chain complex has 52 bits of boundary "
+                       "rows, more than the limit of 51\n")
 
     def test_graph_color_must_be_an_int(self, capsys, tmp_path):
         data = json.loads(Path(TORUS).read_text())

@@ -15,9 +15,10 @@ from cellposet.homology import (betti_gf2, betti_order_complex,
                                 h_double_prime, is_homology_manifold,
                                 is_homology_sphere)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
-                              h_vector, induced_coloring, poset_to_json,
-                              to_graph, validate_poset)
-from cellposet.reduction import colors_between
+                              h_vector, poset_to_json, proper_coloring,
+                              validate_poset)
+
+from conftest import colors_between, to_graph
 
 
 def product_betti(n, m):
@@ -156,7 +157,6 @@ class TestCrossPolytopeQuotient:
 
     def test_quotient_is_graphical_and_round_trips(self):
         p = cross_polytope_quotient(3)
-        from cellposet.posets import proper_coloring
         colors, conflict = proper_coloring(p)
         assert conflict is None
         g = to_graph(p, colors)

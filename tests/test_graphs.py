@@ -3,11 +3,12 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet.graphs import (ColoredGraph, UnionFind, graph_from_json,
-                              graph_to_dict, graph_to_dot, graph_to_json,
-                              is_admissible, validate_admissible)
+from cellposet.graphs import (ColoredGraph, UnionFind, graph_from_dict,
+                              graph_from_json, graph_to_dict, graph_to_dot,
+                              graph_to_json, is_admissible,
+                              validate_admissible)
 
-from conftest import admissible_graphs
+from conftest import admissible_graphs, color_partner
 
 
 def brute_components(g: ColoredGraph, colors) -> int:
@@ -81,6 +82,18 @@ class TestValidation:
     def test_bad_color_rejected(self):
         with pytest.raises(ValueError, match="color"):
             ColoredGraph(1, ("a", "b"), (("a", "b", 2),))
+
+    @pytest.mark.parametrize("label", [1, None, True, 1.5])
+    def test_labels_must_be_strings(self, label):
+        with pytest.raises(ValueError, match=(
+                f"^vertex label {label!r} is not a string$")):
+            ColoredGraph(1, ("a", label), (("a", label, 1),))
+
+    def test_vertices_must_be_a_list(self):
+        # a string would load as one vertex per character
+        with pytest.raises(ValueError, match="vertices must be a list, not str"):
+            graph_from_dict({"d": 1, "vertices": "ab",
+                             "edges": [{"u": "a", "v": "b", "color": 1}]})
 
 
 class TestRestrict:
@@ -164,22 +177,22 @@ class TestComponents:
 
 class TestColorPartner:
     def test_dashed_partner_from_fixture(self, torus_graph):
-        assert torus_graph.color_partner("1", 3) == "6"
+        assert color_partner(torus_graph, "1", 3) == "6"
 
     @given(admissible_graphs())
     def test_partner_is_a_fixed_point_free_involution(self, g):
         for v in g.vertices:
             for c in range(1, g.d + 1):
-                w = g.color_partner(v, c)
+                w = color_partner(g, v, c)
                 assert w != v
-                assert g.color_partner(w, c) == v
+                assert color_partner(g, w, c) == v
 
     def test_partner_fails_on_broken_matching(self, torus_graph):
         broken = ColoredGraph(
             3, torus_graph.vertices,
             tuple(e for e in torus_graph.edges if e != ("3", "5", 2)))
         with pytest.raises(ValueError, match="color 2"):
-            broken.color_partner("3", 2)
+            color_partner(broken, "3", 2)
 
 
 class TestConnectedBetween:
@@ -196,8 +209,9 @@ class TestConnectedBetween:
         assert root["1"] != root["2"]
 
     def test_unknown_vertex(self, torus_graph):
-        with pytest.raises(ValueError, match="unknown"):
-            torus_graph.color_partner("zz", 1)
+        with pytest.raises(ValueError, match="unknown endpoint"):
+            ColoredGraph(3, torus_graph.vertices,
+                         torus_graph.edges + (("1", "zz", 1),))
 
 
 class TestInterchange:
@@ -214,6 +228,15 @@ class TestInterchange:
         assert dot.count(" -- ") == len(torus_graph.edges)
         assert '"1" -- "5" [color=1];' in dot
         assert dot.startswith("graph {")
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        g = ColoredGraph(1, ('a"b', "c\\"), (('a"b', "c\\", 1),))
+        assert graph_to_dot(g) == (
+            'graph {\n'
+            '  "a\\"b";\n'
+            '  "c\\\\";\n'
+            '  "a\\"b" -- "c\\\\" [color=1];\n'
+            '}\n')
 
     @given(admissible_graphs())
     def test_round_trip_random(self, g):

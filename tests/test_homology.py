@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellposet import homology
 from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
@@ -14,9 +15,9 @@ from cellposet.homology import (ChainComplexGF2, betti_gf2,
                                 link_bettis)
 from cellposet.graphs import is_admissible
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph, h_vector,
-                              is_pseudomanifold, is_pure, link)
+                              is_pseudomanifold, is_pure)
 
-from conftest import admissible_graphs, two_pillows
+from conftest import admissible_graphs, link, two_pillows
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -109,6 +110,20 @@ class TestChainComplex:
             tuple("abcdefghi"))
         with pytest.raises(ValueError, match="boundary squared"):
             is_homology_manifold(p)
+
+    def test_row_bit_limit(self, monkeypatch):
+        # the rows of the boundary of the 3-simplex take
+        # 4*1 + 6*4 + 4*6 = 52 bits: allowed at a limit of 52 only
+        p = boundary_of_simplex(3)
+        monkeypatch.setattr(homology, "MAX_ROW_BITS", 52)
+        assert ChainComplexGF2.from_poset(p).dims == (1, 4, 6, 4)
+        monkeypatch.setattr(homology, "MAX_ROW_BITS", 51)
+        for engine in (ChainComplexGF2.from_poset, betti_gf2,
+                       is_homology_manifold):
+            with pytest.raises(ValueError, match=(
+                    r"^the chain complex has 52 bits of boundary rows, more "
+                    r"than the limit of 51$")):
+                engine(p)
 
     def test_augmentation_row(self, torus_graph):
         cx = ChainComplexGF2.from_poset(from_graph(torus_graph))

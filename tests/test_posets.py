@@ -10,17 +10,15 @@ from cellposet.constructions import (boundary_of_simplex,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph
-from cellposet import posets
-from cellposet.homology import ChainComplexGF2
+from cellposet import homology, posets
+from cellposet.homology import ChainComplexGF2, link_bettis
 from cellposet.posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
-                              h_vector, induced_coloring, is_normal,
-                              is_pseudomanifold, is_pure, link,
+                              h_vector, is_pseudomanifold, is_pure,
                               poset_from_dict, poset_from_json, poset_to_dict,
-                              poset_to_json, proper_coloring, to_graph,
-                              validate_poset)
+                              poset_to_json, proper_coloring, validate_poset)
 
-from conftest import (admissible_graphs, rewired_simplex_boundary,
-                      two_pillows)
+from conftest import (admissible_graphs, link, rewired_simplex_boundary,
+                      to_graph, two_pillows)
 
 
 def h_by_polynomial_expansion(f):
@@ -44,7 +42,7 @@ def reference_from_graph(g: ColoredGraph) -> SimplicialPoset:
     roots = {frozenset(sub): g.component_roots(sub)
              for size in range(d + 1) for sub in combinations(colors, size)}
     cell_id = {}
-    ranks, covers, labels, origins = [], [], [], []
+    ranks, covers, labels = [], [], []
     for rank in range(d + 1):
         for missing in combinations(colors, rank):
             s = frozenset(colors) - set(missing)
@@ -58,15 +56,37 @@ def reference_from_graph(g: ColoredGraph) -> SimplicialPoset:
                 else:
                     labels.append("{%s}@%s" % (",".join(map(str, sorted(s))),
                                                g.vertices[root]))
-                origins.append((s, g.vertices[root]))
                 covers.append(tuple(cell_id[s | {i}, roots[s | {i}][root]]
                                     for i in missing))
-    return SimplicialPoset(d, ranks, covers, labels, tuple(origins))
+    return SimplicialPoset(d, ranks, covers, labels)
 
 
 def same_poset(p: SimplicialPoset, q: SimplicialPoset) -> bool:
-    return (p.d, p.ranks, p.covers, p.labels, p.origins) == \
-           (q.d, q.ranks, q.covers, q.labels, q.origins)
+    return (p.d, p.ranks, p.covers, p.labels) == \
+           (q.d, q.ranks, q.covers, q.labels)
+
+
+def edge_multiset(g: ColoredGraph) -> list[tuple[str, str, int]]:
+    """The edges of `g` as a sorted list of (u, v, color) with u <= v, so
+    that graphs differing only in edge order and orientation compare
+    equal."""
+    return sorted(tuple(sorted(e[:2])) + (e[2],) for e in g.edges)
+
+
+def parse_cell_label(label: str) -> tuple[frozenset[int], str]:
+    """The color set S and the least vertex of a cell labelled {S}@v."""
+    colors, root = label[1:].split("}@")
+    return frozenset(map(int, colors.split(","))), root
+
+
+def is_normal(p: SimplicialPoset) -> bool:
+    """A pseudomanifold whose cells of rank <= d - 2 have connected links:
+    reduced beta_0 = 0, read from the sliced links of `link_bettis` (the
+    minimum's link is `p` itself, connected as a pseudomanifold)."""
+    return is_pseudomanifold(p) and all(
+        betti[0] == 0
+        for c, betti in link_bettis(p, ChainComplexGF2.from_poset(p))
+        if p.ranks[c] <= p.d - 2)
 
 
 class TestFromGraph:
@@ -96,13 +116,26 @@ class TestFromGraph:
             assert f[:d] == tuple(comb(d, k) for k in range(d))
 
     def test_rank_is_colors_minus_subset_size(self, torus_graph):
+        # rank d: S is empty; rank 0: S holds all d colors
         p = from_graph(torus_graph)
         for c in range(p.n_cells):
-            s, _ = p.origins[c]
-            assert p.ranks[c] == p.d - len(s)
+            if 0 < p.ranks[c] < p.d:
+                s, root = parse_cell_label(p.labels[c])
+                assert p.ranks[c] == p.d - len(s)
+                assert root in torus_graph.vertices
 
     def test_boolean_intervals(self, torus_graph):
         assert validate_poset(from_graph(torus_graph)) == []
+
+    def test_too_large_to_check_is_no_violation(self, monkeypatch):
+        # the rows of the boundary of the 3-simplex take
+        # 4*1 + 6*4 + 4*6 = 52 bits
+        p = boundary_of_simplex(3)
+        monkeypatch.setattr(homology, "MAX_ROW_BITS", 52)
+        assert validate_poset(p) == []
+        monkeypatch.setattr(homology, "MAX_ROW_BITS", 51)
+        with pytest.raises(ValueError, match="52 bits of boundary rows"):
+            validate_poset(p)
 
     def test_d_above_every_rank_is_reported(self):
         p = boundary_of_simplex(2)
@@ -127,7 +160,20 @@ class TestFromGraph:
                                              r"more than the limit of 7$"):
             from_graph(parallel_edges_graph(3))
 
-    @pytest.mark.parametrize("d", [20, 24, 100])
+    def test_row_bit_limit_bounds_the_two_vertex_graph(self, monkeypatch):
+        # d = 3: the rows take at least C(6, 4) = 15 bits (18 here),
+        # allowed at a limit of 15 and refused below
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 15)
+        assert f_vector(from_graph(parallel_edges_graph(3))) == (1, 3, 3, 2)
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 14)
+        with pytest.raises(ValueError, match=r"^the chain complex of a "
+                                             r"3-colored graph has at least "
+                                             r"15 bits of boundary rows, more "
+                                             r"than the limit of 14$"):
+            from_graph(parallel_edges_graph(3))
+
+    # d = 18 and 19 pass the cell limit (2^19 < 10^6), not the row limit
+    @pytest.mark.parametrize("d", [18, 19, 20, 24, 100])
     def test_many_colors_are_refused_at_once(self, d):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="more than the limit"):
@@ -187,7 +233,7 @@ class TestLink:
         p = from_graph(torus_graph)
         # pick a rank-1 cell: component H of a 2-color restriction
         v = p.cells_by_rank[1][0]
-        s, root = p.origins[v]
+        s, root = parse_cell_label(p.labels[v])
         comp = next(c for c in torus_graph.components(s) if root in c)
         relabel = {c: i + 1 for i, c in enumerate(sorted(s))}
         edges = tuple((u, w, relabel[c]) for u, w, c in torus_graph.edges
@@ -338,7 +384,7 @@ class TestProperColoring:
         p = from_graph(torus_graph)
         colors, conflict = proper_coloring(p)
         assert conflict is None
-        assert colors == induced_coloring(p)
+        assert edge_multiset(to_graph(p, colors)) == edge_multiset(torus_graph)
 
     def test_two_facet_sphere_colors_trivially(self):
         p = from_graph(parallel_edges_graph(4))
@@ -356,30 +402,28 @@ class TestProperColoring:
         p = from_graph(g)
         colors, conflict = proper_coloring(p)
         assert conflict is None
-        assert colors == induced_coloring(p)
+        assert edge_multiset(to_graph(p, colors)) == edge_multiset(g)
 
 
 class TestToGraph:
     def test_round_trip_torus(self, torus_graph):
         p = from_graph(torus_graph)
-        g2 = to_graph(p, induced_coloring(p))
+        g2 = to_graph(p, proper_coloring(p)[0])
         assert set(g2.vertices) == set(torus_graph.vertices)
-        assert sorted(tuple(sorted(e[:2])) + (e[2],) for e in g2.edges) == \
-               sorted(tuple(sorted(e[:2])) + (e[2],) for e in torus_graph.edges)
+        assert edge_multiset(g2) == edge_multiset(torus_graph)
 
     def test_two_vertex_round_trip(self):
         g = parallel_edges_graph(3)
         p = from_graph(g)
-        g2 = to_graph(p, induced_coloring(p))
+        g2 = to_graph(p, proper_coloring(p)[0])
         assert set(g2.vertices) == {"P", "Q"}
         assert sorted(e[2] for e in g2.edges) == [1, 2, 3]
 
     @given(admissible_graphs(max_pairs=3))
     def test_round_trip_random(self, g):
         p = from_graph(g)
-        g2 = to_graph(p, induced_coloring(p))
-        assert sorted(tuple(sorted(e[:2])) + (e[2],) for e in g2.edges) == \
-               sorted(tuple(sorted(e[:2])) + (e[2],) for e in g.edges)
+        assert edge_multiset(to_graph(p, proper_coloring(p)[0])) == \
+               edge_multiset(g)
 
     def test_rejects_non_pseudomanifold(self):
         with pytest.raises(ValueError, match="pseudomanifold"):
@@ -393,7 +437,7 @@ class TestToGraph:
 
     def test_rejects_partial_coloring(self, torus_graph):
         p = from_graph(torus_graph)
-        partial = induced_coloring(p)
+        partial, _ = proper_coloring(p)
         v = p.cells_by_rank[1][-1]
         del partial[v]
         with pytest.raises(ValueError, match=f"vertex {v} .* uncolored"):

@@ -11,14 +11,13 @@ from cellposet.constructions import (cross_polytope_quotient,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph, validate_admissible
 from cellposet.homology import betti_gf2
-from cellposet.posets import f_vector, from_graph, proper_coloring, to_graph
+from cellposet.posets import f_vector, from_graph
 from cellposet.reduction import (CancellationError, CancellationStep, Dipole,
                                  _Table, cancel, cancellation_schedule,
-                                 check_dipole, colors_between, find_dipoles,
-                                 greedy_reduce, reduce_product_spheres,
-                                 run_schedule)
+                                 check_dipole, find_dipoles, greedy_reduce,
+                                 reduce_product_spheres, run_schedule)
 
-from conftest import admissible_graphs
+from conftest import admissible_graphs, color_partner, colors_between
 
 EXPECTED_2_2 = [
     (1, (2, 3), ("A:{2,3}", "A:{1,3}")),
@@ -77,7 +76,7 @@ def reference_cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
     cols = colors_between(g, x, y)
     new_edges = [e for e in g.edges if x not in e[:2] and y not in e[:2]]
     for i in sorted(frozenset(range(1, g.d + 1)) - cols):
-        new_edges.append((g.color_partner(x, i), g.color_partner(y, i), i))
+        new_edges.append((color_partner(g, x, i), color_partner(g, y, i), i))
     result = ColoredGraph(
         g.d,
         tuple(v for v in g.vertices if v not in (x, y)),
@@ -337,7 +336,7 @@ class TestCancel:
         g = product_spheres_graph(2, 2)
         x, y = "A:{2,3}", "A:{1,3}"
         expected_new = {
-            (i, frozenset((g.color_partner(x, i), g.color_partner(y, i))))
+            (i, frozenset((color_partner(g, x, i), color_partner(g, y, i))))
             for i in range(1, 6) if i != 2}
         g2 = cancel(g, x, y)
         assert len(g2.vertices) == 22
