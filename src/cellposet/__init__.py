@@ -7,10 +7,10 @@ from .graphs import (ColoredGraph, graph_from_json, graph_to_dot,
                      validate_admissible)
 from .posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                      h_vector, is_pseudomanifold, is_pure, poset_from_json,
-                     poset_to_json, proper_coloring, validate_poset)
+                     poset_to_json, proper_coloring)
 from .homology import (ChainComplexGF2, betti_gf2, betti_order_complex,
                        h_double_prime, is_homology_manifold,
-                       is_homology_sphere)
+                       is_homology_sphere, validate_poset)
 from .constructions import (boundary_of_simplex, connected_sum,
                             cross_polytope_quotient, parallel_edges_graph,
                             product_spheres_graph)

@@ -16,12 +16,11 @@ from pathlib import Path
 
 from . import constructions, reduction
 from .checkers import check_manifold_h, check_rp_h, check_sphere_h
-from .graphs import (ColoredGraph, graph_from_dict, graph_to_dict,
-                     graph_to_dot, graph_to_json, require_admissible,
-                     validate_admissible)
-from .homology import betti_gf2, h_double_prime
+from .graphs import (ColoredGraph, graph_from_dict, graph_to_dot,
+                     graph_to_json, require_admissible, validate_admissible)
+from .homology import betti_gf2, h_double_prime, validate_poset
 from .posets import (SimplicialPoset, f_vector, from_graph, h_vector,
-                     poset_from_dict, poset_to_json, validate_poset)
+                     poset_from_dict, poset_to_json)
 
 
 def _emit(data) -> None:

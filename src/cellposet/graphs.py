@@ -33,13 +33,11 @@ class UnionFind:
     def __init__(self, size: int, start: list[int] | None = None):
         if start is None:
             self.parent = list(range(size))
-            self.count = size
         else:
             if len(start) != size:
                 raise ValueError(
                     f"start partition has {len(start)} entries, expected {size}")
             self.parent = list(start)
-            self.count = len(set(start))
 
     def find(self, x: int) -> int:
         root = x
@@ -57,7 +55,6 @@ class UnionFind:
             ra, rb = rb, ra
         # keep the smaller index as root so component ids are canonical
         self.parent[rb] = ra
-        self.count -= 1
 
     def roots(self) -> list[int]:
         """Per-element root, in one pass: parent[i] <= i, so the root of

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import comb
 from collections.abc import Iterable, Iterator
 
-from .posets import MAX_ROW_BITS, SimplicialPoset, is_pure
+from .posets import MAX_ROW_BITS, SimplicialPoset, _rank_gap, is_pure
 
 MAX_CHAINS = 10 ** 6
 
@@ -228,6 +228,22 @@ class ChainComplexGF2:
         elimination is skipped, which is sound because the boundary
         squares to zero (see :meth:`ranks`)."""
         return _betti_from_ranks(self.dims, self.ranks())
+
+
+def validate_poset(p: SimplicialPoset) -> list[str]:
+    """The violations of a simplicial poset: ``d`` above every cell's rank,
+    and the first cell where :meth:`ChainComplexGF2.from_poset` finds a
+    lower interval that is not boolean.  Empty when `p` is simplicial.  A
+    poset whose boundary rows would pass ``MAX_ROW_BITS`` raises
+    ValueError: it is too large to check, which is no violation."""
+    _require_row_bits(p)
+    gap = _rank_gap(p)
+    violations = [gap] if gap else []
+    try:
+        ChainComplexGF2.from_poset(p)
+    except ValueError as exc:
+        violations.append(str(exc))
+    return violations
 
 
 def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:

@@ -6,8 +6,8 @@ the underlying regular cell complex.  Cells are stored by integer id with
 explicit cover lists (covers point one rank down); cell 0 is the minimum.
 The constructor checks ranks and cover counts only; the lower intervals
 are proved boolean by `homology.ChainComplexGF2.from_poset`, which
-`betti_gf2`, the homology sphere and manifold tests and `validate_poset`
-run.
+`betti_gf2`, the homology sphere and manifold tests and
+`homology.validate_poset` run.
 
 `from_graph` realizes the cell poset of an admissible d-colored multigraph:
 cells are pairs (H, S) of a color set S and a connected component H of the
@@ -248,7 +248,8 @@ def is_pseudomanifold(p: SimplicialPoset) -> bool:
     for ridge in p.cells_by_rank[p.d - 1]:
         f1, f2 = p.coverers[ridge]
         uf.union(pos[f1], pos[f2])
-    return uf.count == 1
+    # roots are least indices: one component exactly when every root is 0
+    return not any(uf.roots())
 
 
 def proper_coloring(p: SimplicialPoset):
@@ -310,25 +311,6 @@ def _rank_gap(p: SimplicialPoset) -> str | None:
     if top == p.d:
         return None
     return f"d is {p.d}, but the greatest cell rank is {top}"
-
-
-def validate_poset(p: SimplicialPoset) -> list[str]:
-    """The violations of a simplicial poset: ``d`` above every cell's rank,
-    and the first cell where :meth:`ChainComplexGF2.from_poset
-    <cellposet.homology.ChainComplexGF2.from_poset>` finds a lower
-    interval that is not boolean.  Empty when `p` is simplicial.  A poset
-    whose boundary rows would pass ``MAX_ROW_BITS`` raises ValueError: it
-    is too large to check, which is no violation."""
-    # homology imports this module
-    from .homology import ChainComplexGF2, _require_row_bits
-    _require_row_bits(p)
-    gap = _rank_gap(p)
-    violations = [gap] if gap else []
-    try:
-        ChainComplexGF2.from_poset(p)
-    except ValueError as exc:
-        violations.append(str(exc))
-    return violations
 
 
 def poset_to_dict(p: SimplicialPoset) -> dict:

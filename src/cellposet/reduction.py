@@ -21,7 +21,7 @@ Nothing is cached on the :class:`ColoredGraph`.
   the colors not in C, always growing the smaller frontier.  The pair is
   no dipole when the two sides meet, and is one as soon as either side
   runs out, so a dipole costs its smaller side.
-* A cancellation rewires at most d partners and can be undone in O(d).
+* A cancellation rewires at most d partners.
 * The table turns back into a graph with the input's surviving vertices
   and edges in their input order and orientation, followed by the edges
   the cancellations created, in creation order.  The edges of one
@@ -51,8 +51,8 @@ A dipole whose colors are all d colors makes up the whole graph, as in
 :func:`parallel_edges_graph`, and cancelling it would leave none; it is
 refused before anything is rewired.  The search stays where it can fail:
 :func:`cancel` takes any pair, including ones that are not dipoles, whose
-cancellation can disconnect the graph, and :func:`reduce_product_spheres`
-checks the crystallization condition once, with d searches.
+cancellation can disconnect the graph, and :func:`run_schedule` checks
+the crystallization condition once, with d searches.
 """
 
 from __future__ import annotations
@@ -155,40 +155,24 @@ class _Table:
                     stack.append(w)
         return len(seen) == self.live
 
-    def _rewire(self, x: int, y: int) -> list:
-        """Cancel x and y; return what undoing it takes."""
-        undo = []
+    def _rewire(self, x: int, y: int) -> None:
+        """Cancel x and y."""
         for c, (row, stamps) in enumerate(zip(self.partner, self.stamp),
                                           start=1):
             a = row[x]
             if a == y:
                 continue
             b = row[y]
-            undo.append((row, stamps, a, b, stamps[a], stamps[b]))
             row[a], row[b] = b, a
             stamps[a] = stamps[b] = len(self.edges)
             self.edges.append((self.labels[a], self.labels[b], c))
         self.alive[x] = self.alive[y] = False
         self.live -= 2
-        return undo
 
     def _refusal(self, x: int, y: int) -> CancellationError:
         return CancellationError(
             f"cancelling ({self.labels[x]!r}, {self.labels[y]!r}) breaks "
             "admissibility: result is disconnected")
-
-    def cancel(self, x: int, y: int) -> None:
-        """Cancel any pair x, y; on a disconnected result, undo and raise."""
-        undo = self._rewire(x, y)
-        if self.connected():
-            return
-        for row, stamps, a, b, sa, sb in reversed(undo):
-            row[a], row[b] = x, y
-            stamps[a], stamps[b] = sa, sb
-            self.edges.pop()
-        self.alive[x] = self.alive[y] = True
-        self.live += 2
-        raise self._refusal(x, y)
 
     def cancel_dipole(self, x: int, y: int, colors: tuple[int, ...]) -> None:
         """Cancel a pair whose dipole test just returned `colors`, without
@@ -200,9 +184,8 @@ class _Table:
 
     def dipoles(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """Yield (x, y, colors) for each dipole, scanning the pairs x < y
-        joined by an edge in index order.  The scan survives a refused
-        cancellation, which leaves the table as it was; after one that
-        succeeds, start a new scan."""
+        joined by an edge in index order.  After a cancellation, start a
+        new scan."""
         for x, alive in enumerate(self.alive):
             if not alive:
                 continue
@@ -249,7 +232,10 @@ def cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
     if x == y:
         raise ValueError("cannot cancel a vertex with itself")
     t = _Table(g)
-    t.cancel(t.vertex(x), t.vertex(y))
+    ix, iy = t.vertex(x), t.vertex(y)
+    t._rewire(ix, iy)
+    if not t.connected():
+        raise t._refusal(ix, iy)
     return t.graph()
 
 
@@ -325,8 +311,14 @@ class CancellationStep:
                 "vertices_after": self.vertices_after}
 
 
-def _run_schedule(t: _Table, schedule: Schedule
-                  ) -> tuple[CancellationStep, ...]:
+def run_schedule(g: ColoredGraph, schedule: Schedule
+                 ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
+    """Apply a schedule to an admissible graph, verifying the dipole
+    condition at every step, and check that the result is a minimal
+    crystallization of S^n x S^m for the schedule's n and m: it has
+    2 + 2*C(n+m, n) vertices and stays connected after deleting any
+    single color class."""
+    t = _Table(g)
     steps = []
     for k, entry in enumerate(schedule.entries, start=1):
         x, y = entry.pair
@@ -337,30 +329,7 @@ def _run_schedule(t: _Table, schedule: Schedule
                 f"step {k}: pair ({x!r}, {y!r}) is not a dipole")
         t.cancel_dipole(ix, iy, colors)
         steps.append(CancellationStep(k, entry.pair, colors, t.live))
-    return tuple(steps)
-
-
-def run_schedule(g: ColoredGraph, schedule: Schedule
-                 ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
-    """Apply a schedule to an admissible graph, verifying the dipole
-    condition at every step."""
-    t = _Table(g)
-    steps = _run_schedule(t, schedule)
-    return t.graph(), steps
-
-
-def reduce_product_spheres(n: int, m: int
-                           ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
-    """Build the product-of-spheres graph and cancel it down to a minimal
-    crystallization.
-
-    The final graph has 2 + 2*C(n+m, n) vertices and stays connected after
-    deleting any single color class (the crystallization condition); both
-    facts are verified before returning.
-    """
-    t = _Table(product_spheres_graph(n, m))
-    steps = _run_schedule(t, cancellation_schedule(n, m))
-    expected = 2 + 2 * comb(n + m, n)
+    expected = 2 + 2 * comb(schedule.n + schedule.m, schedule.n)
     if t.live != expected:
         raise CancellationError(
             f"reduced graph has {t.live} vertices, expected {expected}")
@@ -371,23 +340,29 @@ def reduce_product_spheres(n: int, m: int
             raise CancellationError(
                 f"reduced graph is disconnected without color {i}; "
                 "not a crystallization")
-    return t.graph(), steps
+    return t.graph(), tuple(steps)
+
+
+def reduce_product_spheres(n: int, m: int
+                           ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
+    """Build the product-of-spheres graph and cancel it down to a minimal
+    crystallization with :func:`run_schedule`."""
+    return run_schedule(product_spheres_graph(n, m),
+                        cancellation_schedule(n, m))
 
 
 def greedy_reduce(g: ColoredGraph
                   ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
-    """Cancel dipoles of an admissible graph greedily (first cancellable
-    pair in scan order) until none is left."""
+    """Cancel dipoles of an admissible graph greedily (the first in scan
+    order) until none is left, or only a full-type dipole, which is the
+    whole graph and is kept."""
     t = _Table(g)
     steps = []
-    while True:
-        for x, y, colors in t.dipoles():
-            try:
-                t.cancel_dipole(x, y, colors)
-            except CancellationError:
-                continue
-            steps.append(CancellationStep(
-                len(steps) + 1, (t.labels[x], t.labels[y]), colors, t.live))
-            break
-        else:
-            return t.graph(), tuple(steps)
+    # a full-type dipole is a whole two-vertex graph, so above two
+    # vertices every dipole cancels
+    while t.live > 2 and (dipole := next(t.dipoles(), None)):
+        x, y, colors = dipole
+        t.cancel_dipole(x, y, colors)
+        steps.append(CancellationStep(
+            len(steps) + 1, (t.labels[x], t.labels[y]), colors, t.live))
+    return t.graph(), tuple(steps)

@@ -144,6 +144,19 @@ def rewired_simplex_boundary() -> SimplicialPoset:
         tuple(map(str, range(15))))
 
 
+def insert_dipole(g: ColoredGraph, v: str, x: str, y: str) -> ColoredGraph:
+    """`g` with a dipole of colors {1} inserted at `v`: new vertices x and
+    y joined by color 1 and, for every other color, `v` joined to x and
+    `v`'s old partner to y.  Cancelling (x, y) gives `g` back."""
+    edges = [(x, y, 1)]
+    for a, b, c in g.edges:
+        if c != 1 and v in (a, b):
+            edges += [(v, x, c), (b if a == v else a, y, c)]
+        else:
+            edges.append((a, b, c))
+    return ColoredGraph(g.d, g.vertices + (x, y), tuple(edges))
+
+
 @st.composite
 def admissible_graphs(draw, max_pairs: int = 4, colors=(2, 3)):
     """Random small admissible graphs: d shuffled perfect matchings on an

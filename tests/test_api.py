@@ -1,4 +1,6 @@
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import cellposet
 from cellposet.graphs import ColoredGraph
@@ -30,3 +32,25 @@ def test_public_surface_is_pinned():
     assert not hasattr(ColoredGraph, "color_partner")
     assert [f.name for f in fields(SimplicialPoset)] == [
         "d", "ranks", "covers", "labels"]
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it; the package's
+    `__init__.py` imports only to re-export."""
+    unused = []
+    for path in sorted(Path(cellposet.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.partition(".")[0]
+                             for a in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}: {name}"
+                   for name in sorted(imported - used)]
+    assert unused == []

@@ -18,7 +18,7 @@ from cellposet.constructions import (boundary_of_simplex,
 from cellposet.graphs import graph_to_dict
 from cellposet.posets import poset_to_dict
 
-from conftest import rewired_simplex_boundary, two_pillows
+from conftest import insert_dipole, rewired_simplex_boundary, two_pillows
 
 DATA = Path(__file__).parent / "data"
 TORUS = str(DATA / "torus_crystallization.json")
@@ -251,6 +251,35 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", str(graph_file),
                            "--schedule", "symbolic", "--n", "2", "--m", "1")
         assert code == 2 and "unknown vertex" in err
+
+    def test_symbolic_result_above_the_minimum_exits_one(self, capsys,
+                                                         tmp_path):
+        # ten vertices of a torus crystallization: the one (1,1) pair
+        # leaves 8, not the minimal 6
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(graph_to_dict(insert_dipole(
+            product_spheres_graph(1, 1), "D:{1}", "X", "Y"))))
+        code, out, err = run(capsys, "reduce", str(src), "--schedule",
+                             "symbolic", "--n", "1", "--m", "1")
+        assert (code, out, err) == (
+            1, "", "error: reduced graph has 8 vertices, expected 6\n")
+
+    def test_symbolic_reduce_matches_build_reduce(self, capsys, tmp_path):
+        run(capsys, "build", "product-spheres", "--n", "2", "--m", "2",
+            "--out", str(tmp_path / "g.json"))
+        code, out, _ = run(capsys, "build", "product-spheres", "--n", "2",
+                           "--m", "2", "--reduce",
+                           "--out", str(tmp_path / "built.json"))
+        assert code == 0
+        code, _, _ = run(capsys, "reduce", str(tmp_path / "g.json"),
+                         "--schedule", "symbolic", "--n", "2", "--m", "2",
+                         "--certificate", str(tmp_path / "c.json"),
+                         "--out", str(tmp_path / "reduced.json"))
+        assert code == 0
+        assert (tmp_path / "reduced.json").read_bytes() == \
+            (tmp_path / "built.json").read_bytes()
+        assert json.loads((tmp_path / "c.json").read_text()) == \
+            json.loads(out)["steps"]
 
     @pytest.mark.parametrize("graph,n,m", [
         # d = 3 wants n + m = 2: refused before C(28, 14) entries are built

@@ -13,10 +13,9 @@ from cellposet.checkers import r_value
 from cellposet.graphs import validate_admissible
 from cellposet.homology import (betti_gf2, betti_order_complex,
                                 h_double_prime, is_homology_manifold,
-                                is_homology_sphere)
+                                is_homology_sphere, validate_poset)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
-                              h_vector, poset_to_json, proper_coloring,
-                              validate_poset)
+                              h_vector, poset_to_json, proper_coloring)
 
 from conftest import colors_between, to_graph
 

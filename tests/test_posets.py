@@ -11,11 +11,11 @@ from cellposet.constructions import (boundary_of_simplex,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph
 from cellposet import homology, posets
-from cellposet.homology import ChainComplexGF2, link_bettis
+from cellposet.homology import ChainComplexGF2, link_bettis, validate_poset
 from cellposet.posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                               h_vector, is_pseudomanifold, is_pure,
                               poset_from_dict, poset_from_json, poset_to_dict,
-                              poset_to_json, proper_coloring, validate_poset)
+                              poset_to_json, proper_coloring)
 
 from conftest import (admissible_graphs, link, rewired_simplex_boundary,
                       to_graph, two_pillows)

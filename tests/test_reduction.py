@@ -17,7 +17,8 @@ from cellposet.reduction import (CancellationError, CancellationStep, Dipole,
                                  check_dipole, find_dipoles, greedy_reduce,
                                  reduce_product_spheres, run_schedule)
 
-from conftest import admissible_graphs, color_partner, colors_between
+from conftest import (admissible_graphs, color_partner, colors_between,
+                      insert_dipole)
 
 EXPECTED_2_2 = [
     (1, (2, 3), ("A:{2,3}", "A:{1,3}")),
@@ -209,12 +210,6 @@ class TestAgainstTheEdgeListOracles:
                     with pytest.raises(CancellationError) as got:
                         cancel(g, x, y)
                     assert str(got.value) == str(exc)
-                    # the refused rewiring is rolled back in place
-                    t = _Table(g)
-                    with pytest.raises(CancellationError):
-                        t.cancel(t.vertex(x), t.vertex(y))
-                    assert t.graph() == g
-                    assert t.partner == _Table(g).partner
                 else:
                     assert cancel(g, x, y) == expected
 
@@ -295,8 +290,9 @@ class TestNoSearchAfterAVerifiedDipole:
         assert searches == list(range(1, final.d + 1))
 
     def test_run_schedule(self, searches):
-        run_schedule(product_spheres_graph(2, 3), cancellation_schedule(2, 3))
-        assert searches == []
+        final, _ = run_schedule(product_spheres_graph(2, 3),
+                                cancellation_schedule(2, 3))
+        assert searches == list(range(1, final.d + 1))
 
     def test_greedy_reduce(self, searches):
         final, steps = greedy_reduce(shuffled(product_spheres_graph(2, 3), 1))
@@ -464,6 +460,29 @@ class TestReduceProductSpheres:
         with pytest.raises(CancellationError, match="not a dipole"):
             run_schedule(product_spheres_graph(2, 2), shuffled)
 
+    def test_schedule_checks_the_final_vertex_count(self):
+        # a torus crystallization four vertices above the minimum: the
+        # one (1,1) pair cancels, leaving 8 of the minimal 6
+        g = insert_dipole(product_spheres_graph(1, 1), "D:{1}", "X", "Y")
+        assert validate_admissible(g) == [] and len(g.vertices) == 10
+        assert betti_gf2(from_graph(g)) == (0, 2, 1)
+        with pytest.raises(CancellationError, match=r"^reduced graph has 8 "
+                                                    r"vertices, expected 6$"):
+            run_schedule(g, cancellation_schedule(1, 1))
+
+    def test_schedule_checks_the_crystallization_condition(self):
+        # six vertices, but colors 1 and 2 pair them the same way, so
+        # deleting color 3 splits them; the (1,1) pair is inserted on top
+        g = ColoredGraph(3, tuple("abcdef"), tuple(
+            (u, v, c) for c in (1, 2) for u, v in ("ab", "cd", "ef"))
+            + (("b", "c", 3), ("d", "e", 3), ("f", "a", 3)))
+        g = insert_dipole(g, "a", "A:{2}", "A:{1}")
+        assert validate_admissible(g) == []
+        with pytest.raises(CancellationError, match=r"^reduced graph is "
+                                                    r"disconnected without "
+                                                    r"color 3; "):
+            run_schedule(g, cancellation_schedule(1, 1))
+
     def test_schedule_rejects_a_graph_that_is_not_admissible(self):
         # the same error from_graph raises; nothing is cancelled
         g = ColoredGraph(5, ("x",), ())
@@ -530,8 +549,8 @@ class TestGreedy:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_failed_cancellation_is_undone(self, d):
-        # the one dipole is all of the graph: cancelling it is refused and
-        # rolled back, so greedy returns its input
+        # the one dipole is all of the graph: it is never cancelled, so
+        # greedy returns its input
         g = parallel_edges_graph(d)
         assert greedy_reduce(g) == (g, ())
         assert naive_greedy(g) == (g, [])
