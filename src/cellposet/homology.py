@@ -20,28 +20,40 @@ complex.  `betti_order_complex` reduces every row of every degree on its
 own, so the oracle shares no elimination shortcut with the engine.
 
 The link predicates (`is_homology_manifold`, `is_homology_sphere`) need
-the homology of the link of every cell, and the link of a cell c is the
-interval above it (Björner, *Posets, regular CW complexes and Bruhat
-order*), so its chain complex is a slice of the parent's: the cells of
-the up-set of c, ranks shifted down by rank(c), with the parent's
-boundary rows restricted to the up-set.  `link_bettis` builds the
-parent's complex once and walks the cells from rank d down to rank 1.
-The up-set of a cell is a tuple of bitmasks, one per higher rank, in the
-parent's per-rank positions: the OR of its coverers' up-sets and the
-coverers' own bits, so only the masks of two adjacent ranks are alive at
-a time.  A link row is the parent row ANDed with the up-set mask of the
-rank below.  Each link is then eliminated from the top down with
-clearing, by the routine `ChainComplexGF2.ranks` uses.  Nothing is
-checked per link: `ChainComplexGF2.from_poset` proves the parent
-simplicial, and every interval of a simplicial poset is boolean, so every
-link is a simplicial poset whose boundary squares to zero.
+the homology of the link of every cell c, the interval above it (Björner,
+*Posets, regular CW complexes and Bruhat order*): the up-set U of c, ranks
+shifted down by rank(c).  Its augmented complex is the quotient of the
+parent's by the span of the cells outside U, a down-set and so a
+subcomplex, with c as augmentation generator.  `link_bettis` eliminates
+each link's coboundary rows, on two facts.
+
+* No mask is needed.  The transposed degree-t link matrix has one row per
+  cell y of U of link rank t-1: the cells of U that cover y.  A cell that
+  covers y lies above c, so it is in U, and the row is the parent's
+  coboundary row of y, whole.  A matrix and its transpose have one rank.
+* Clearing works bottom-up.  The link's cochains are the parent's
+  cochains on U, which the parent's coboundary, squaring to zero, keeps
+  on U, as U is an up-set.  A pivot q of the degree-t coboundary
+  elimination is the lowest bit of a reduced row z, a sum of coboundaries,
+  so z has coboundary zero: row q of degree t+1 is the sum of the rows at
+  z's other bits.  Those z and the unit vectors off the pivots span all
+  cochains of that rank, so the degree-(t+1) rank is that of the rows off
+  the pivots (the cohomology clearing of de Silva, Morozov and
+  Vejdemo-Johansson, *Dualities in persistent (co)homology*).
+
+`link_bettis` lists each rank's coverer positions and coboundary rows
+once, grows each up-set a rank at a time through them, and runs
+`_cleared_ranks` from degree 1 up.  Nothing is checked per link:
+`ChainComplexGF2.from_poset` proves the parent simplicial, so its boundary
+squares to zero, and every interval of a simplicial poset is boolean, so
+every link is a simplicial poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .posets import MAX_ROW_BITS, SimplicialPoset, _rank_gap, is_pure
 
@@ -68,35 +80,27 @@ def gf2_rank(rows) -> int:
     return len(_pivots(rows))
 
 
-def _cleared_ranks(degrees: Iterable[Iterable[tuple[int, int]]]) -> list[int]:
-    """Ranks of the boundary maps of a complex whose boundary squares to
-    zero, ascending by degree, by elimination from the top degree down
-    with clearing (see :meth:`ChainComplexGF2.ranks`).
+def _cleared_ranks(
+        degrees: Iterable[tuple[Iterable[int], Sequence[int]]]) -> list[int]:
+    """Ranks of the maps of a complex that squares to zero, in the order
+    given, by elimination with clearing: a row whose position is a pivot
+    of the degree before is skipped.  The boundary rows run from the top
+    degree down (see :meth:`ChainComplexGF2.ranks`), the coboundary rows
+    of a link from degree 1 up (see the module docstring).
 
-    ``degrees`` gives the rows of each degree, the top degree first, as
-    (position, row) pairs: a row's position is its cell's bit in the rows
-    of the degree above.
+    ``degrees`` gives each degree as the positions of its rows and a table
+    of rows by position: a row's position is its cell's bit in the rows of
+    the degree before.
     """
     ranks: list[int] = []
     cleared: set[int] = set()
-    for rows in degrees:
-        kept = [row for i, row in rows if i not in cleared]
+    for positions, rows in degrees:
+        kept = [rows[i] for i in positions if i not in cleared]
         # keep the pivot indices only, so that one degree's reduced rows
         # are freed before the next degree is eliminated
         cleared = {low.bit_length() - 1 for low in _pivots(kept)}
         ranks.append(len(cleared))
-    ranks.reverse()
     return ranks
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of `mask`, descending."""
-    out = []
-    while mask:
-        i = mask.bit_length() - 1
-        out.append(i)
-        mask ^= 1 << i
-    return out
 
 
 def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
@@ -219,7 +223,8 @@ class ChainComplexGF2:
         rows off the pivots, and the pivot rows are never reduced.
         """
         return tuple(_cleared_ranks(
-            enumerate(rows) for rows in reversed(self.boundaries)))
+            (range(len(rows)), rows)
+            for rows in reversed(self.boundaries)))[::-1]
 
     def betti(self) -> tuple[int, ...]:
         """Reduced Betti numbers (degrees 0..d-1) from the ranks of the
@@ -357,8 +362,8 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
 
     Since a link of a link is a link of the ambient poset, the vertex-link
     condition unfolds to: every cell of rank >= 1 has a sphere-patterned
-    link; that is what is checked, on slices of the poset's one complex
-    (see :func:`link_bettis`).
+    link; that is what is checked, on the poset's coboundary rows, whole,
+    eliminated from degree 1 up with clearing (see :func:`link_bettis`).
     """
     cx = ChainComplexGF2.from_poset(p)
     return is_pure(p) and _links_spherical(p, cx)
@@ -375,29 +380,23 @@ def link_bettis(p: SimplicialPoset, cx: ChainComplexGF2
     of rank >= 1, from rank d down, the link being the interval above the
     cell.
 
-    Each link's complex is sliced out of ``cx``, the complex of `p`, by
-    the up-set masks described in the module docstring; no link poset is
-    built.
+    ``cx`` is the complex of `p`, whose building proved `p` simplicial.
+    Each link is eliminated on the parent's coboundary rows, unmasked, from
+    degree 1 up with clearing (see the module docstring).
     """
-    d, bd = p.d, cx.boundaries
-    # up[i]: the up-set of the i-th cell of rank k + 1, one mask per rank
-    # k + 2..d; a facet's up-set is empty
-    up: list[tuple[int, ...]] = [()] * cx.dims[d]
-    for k in range(d, 0, -1):
-        if k < d:
-            empty = (0,) * (d - k)
-            lower = [empty] * cx.dims[k]
-            for i, row in enumerate(bd[k]):
-                above = (1 << i,) + up[i]
-                for j in _bits(row):
-                    lower[j] = tuple(map(int.__or__, lower[j], above))
-            up = lower
-        for j, masks in enumerate(up):
-            keep = (1 << j,) + masks
-            dims = (1,) + tuple(m.bit_count() for m in masks)
-            # the degree-t rows of the link: the parent's rows of rank k + t
-            # at the up-set's positions, cut to the up-set one rank down
-            ranks = _cleared_ranks(
-                [(i, bd[k + t - 1][i] & keep[t - 1]) for i in _bits(keep[t])]
-                for t in range(d - k, 0, -1))
-            yield p.cells_by_rank[k][j], _betti_from_ranks(dims, ranks)
+    by_rank, coverers = p.cells_by_rank, p.coverers
+    pos = {c: i for cells in by_rank for i, c in enumerate(cells)}
+    # up[r][i]: the positions in rank r + 1 of the cells covering the i-th
+    # cell of rank r; cob[r][i]: the same as its coboundary row
+    up = [[[pos[u] for u in coverers[c]] for c in cells] for cells in by_rank]
+    cob = [[sum(1 << i for i in cov) for cov in level] for level in up]
+    for k in range(p.d, 0, -1):
+        ups, cobs = up[k:p.d], cob[k:p.d]
+        for j, c in enumerate(by_rank[k]):
+            # levels[t]: the positions of the link's rank-t cells
+            levels = [{j}]
+            for level in ups:
+                levels.append(set().union(*[level[i] for i in levels[-1]]))
+            # degree t + 1: the coboundary rows of levels[t]; facets have none
+            ranks = _cleared_ranks(zip(levels, cobs))
+            yield c, _betti_from_ranks(tuple(map(len, levels)), ranks)

@@ -54,7 +54,7 @@ def color_partner(g: ColoredGraph, v: str, color: int) -> str:
 
 
 def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:
-    """Oracle for the sliced links of `homology.link_bettis`: the subposet
+    """Oracle for the links of `homology.link_bettis`: the subposet
     of cells above `cell`, reindexed with `cell` as minimum and ranks
     dropped by rank(cell)."""
     if not 0 <= cell < p.n_cells:

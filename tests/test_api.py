@@ -35,11 +35,13 @@ def test_public_surface_is_pinned():
 
 
 def test_no_unused_imports():
-    """Every name a module imports is used in it; the package's
-    `__init__.py` imports only to re-export."""
+    """Every name a module of the package or of its tests imports is used
+    in it; the package's `__init__.py` imports only to re-export."""
+    package = Path(cellposet.__file__).parent
     unused = []
-    for path in sorted(Path(cellposet.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(package.glob("*.py")) + sorted(
+            Path(__file__).parent.glob("*.py")):
+        if path == package / "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         imported = set()
@@ -51,6 +53,6 @@ def test_no_unused_imports():
                   and node.module != "__future__"):
                 imported |= {a.asname or a.name for a in node.names}
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        unused += [f"{path.name}: {name}"
+        unused += [f"{path.parent.name}/{path.name}: {name}"
                    for name in sorted(imported - used)]
     assert unused == []

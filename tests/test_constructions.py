@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from cellposet import constructions
-from cellposet.constructions import (block_label, boundary_of_simplex,
+from cellposet.constructions import (boundary_of_simplex,
                                      connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph, set_label)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cellposet.graphs import (ColoredGraph, UnionFind, graph_from_dict,
-                              graph_from_json, graph_to_dict, graph_to_dot,
+                              graph_from_json, graph_to_dot,
                               graph_to_json, is_admissible,
                               validate_admissible)
 

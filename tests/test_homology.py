@@ -14,7 +14,7 @@ from cellposet.homology import (ChainComplexGF2, betti_gf2,
                                 is_homology_manifold, is_homology_sphere,
                                 link_bettis)
 from cellposet.graphs import is_admissible
-from cellposet.posets import (SimplicialPoset, f_vector, from_graph, h_vector,
+from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               is_pseudomanifold, is_pure)
 
 from conftest import admissible_graphs, link, two_pillows
@@ -101,8 +101,8 @@ class TestChainComplex:
             ChainComplexGF2.from_poset(p)
 
     def test_manifold_test_checks_the_boundary_first(self):
-        # the links of this poset are never sliced: the one check on the
-        # parent's complex refuses it
+        # the links of this poset are never eliminated: the one check on
+        # the parent's complex refuses it
         p = SimplicialPoset(
             3,
             (0, 1, 1, 1, 1, 2, 2, 2, 3),
@@ -206,33 +206,32 @@ def sphere_pattern(length: int) -> tuple[int, ...]:
     return (0,) * (length - 1) + (1,) if length else ()
 
 
-def oracle_links_spherical(p: SimplicialPoset) -> bool:
-    """Every link of a cell of rank >= 1, built as its own poset by `link`,
-    has the order-complex homology of a sphere."""
-    for c in range(1, p.n_cells):
-        lk = link(p, c)
-        if betti_order_complex(lk) != sphere_pattern(lk.d):
-            return False
-    return True
+def oracle_link_bettis(p: SimplicialPoset) -> list:
+    """(cell, order-complex Betti vector of its link) for every cell of
+    rank >= 1, in cell order, the link built as its own poset by `link`."""
+    return [(c, betti_order_complex(link(p, c))) for c in range(1, p.n_cells)]
 
 
-def oracle_is_homology_manifold(p: SimplicialPoset) -> bool:
-    return is_pure(p) and oracle_links_spherical(p)
+def oracle_verdicts(p: SimplicialPoset, links) -> tuple[bool, bool]:
+    """The manifold and sphere verdicts read from `links`, the oracle's
+    link Betti vectors of `p`."""
+    spherical = all(betti == sphere_pattern(len(betti)) for _, betti in links)
+    return (is_pure(p) and spherical,
+            betti_order_complex(p) == sphere_pattern(p.d) and spherical)
 
 
-def oracle_is_homology_sphere(p: SimplicialPoset) -> bool:
-    return (betti_order_complex(p) == sphere_pattern(p.d)
-            and oracle_links_spherical(p))
-
-
-def sliced_links(p: SimplicialPoset):
+def engine_links(p: SimplicialPoset):
     return link_bettis(p, ChainComplexGF2.from_poset(p))
 
 
-def assert_predicates_match_the_oracle(p: SimplicialPoset) -> bool:
+def assert_links_match_the_oracle(p: SimplicialPoset) -> bool:
+    """Every cell's Betti vector from `link_bettis` is the oracle's, and the
+    two predicates give the verdicts read from those; returns the manifold
+    verdict."""
+    links = oracle_link_bettis(p)
+    assert sorted(engine_links(p)) == links
     verdict = is_homology_manifold(p)
-    assert verdict == oracle_is_homology_manifold(p)
-    assert is_homology_sphere(p) == oracle_is_homology_sphere(p)
+    assert (verdict, is_homology_sphere(p)) == oracle_verdicts(p, links)
     return verdict
 
 
@@ -249,13 +248,13 @@ def small_posets(torus_graph, torus_suspension_graph):
 
 
 class TestSlicedLinks:
-    """The sliced link test against the per-link posets of `link` and the
-    order-complex engine."""
+    """The link test against the per-link posets of `link` and the
+    order-complex engine: every cell's Betti vector, and the verdicts."""
 
     @settings(max_examples=100)
     @given(admissible_graphs(max_pairs=5, colors=(2, 3, 4)))
     def test_graph_posets(self, g):
-        assert_predicates_match_the_oracle(from_graph(g))
+        assert_links_match_the_oracle(from_graph(g))
 
     @given(st.data())
     def test_connected_sums(self, data):
@@ -263,29 +262,26 @@ class TestSlicedLinks:
         p = from_graph(data.draw(admissible_graphs(colors=(d,))))
         q = from_graph(data.draw(admissible_graphs(colors=(d,))))
         s = connected_sum(p, q, p.facets()[0], q.facets()[-1])
-        assert_predicates_match_the_oracle(s)
+        assert_links_match_the_oracle(s)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_projective_spaces(self, n):
-        assert assert_predicates_match_the_oracle(cross_polytope_quotient(n))
+        assert assert_links_match_the_oracle(cross_polytope_quotient(n))
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2)])
     def test_products_of_spheres(self, n, m):
         p = from_graph(product_spheres_graph(n, m))
-        assert assert_predicates_match_the_oracle(p)
+        assert assert_links_match_the_oracle(p)
 
     def test_every_link_has_the_order_complex_homology(
             self, torus_graph, torus_suspension_graph):
         for name, p in small_posets(torus_graph,
                                     torus_suspension_graph).items():
-            seen = dict(sliced_links(p))
-            assert sorted(seen) == list(range(1, p.n_cells)), name
-            for c, betti in seen.items():
-                assert betti == betti_order_complex(link(p, c)), (name, c)
+            assert sorted(engine_links(p)) == oracle_link_bettis(p), name
 
     def test_cells_come_from_the_top_rank_down(self, torus_graph):
         p = from_graph(torus_graph)
-        ranks = [p.ranks[c] for c, _ in sliced_links(p)]
+        ranks = [p.ranks[c] for c, _ in engine_links(p)]
         assert ranks == sorted(ranks, reverse=True)
 
     def test_torus_suspension_is_no_manifold(self, torus_suspension_graph):
@@ -296,10 +292,9 @@ class TestSlicedLinks:
         assert betti_gf2(p) == betti_order_complex(p) == (0, 0, 2, 1)
         assert not is_homology_manifold(p)
         assert not is_homology_sphere(p)
-        assert not oracle_is_homology_manifold(p)
-        assert not oracle_is_homology_sphere(p)
+        assert oracle_verdicts(p, oracle_link_bettis(p)) == (False, False)
         # the two cone points are the cells whose links are tori
-        tori = [c for c, betti in sliced_links(p)
+        tori = [c for c, betti in engine_links(p)
                 if betti != sphere_pattern(len(betti))]
         assert len(tori) == 2
         assert all(p.ranks[c] == 1 for c in tori)
@@ -308,7 +303,7 @@ class TestSlicedLinks:
     def test_cover_count_is_checked_in_every_link(self):
         # the boundary squares to zero, but above a vertex of one pillow
         # the top cell covers two cells, not three: the parent's complex
-        # is refused, so no link is sliced
+        # is refused, so no link is eliminated
         p = two_pillows()
         with pytest.raises(ValueError, match="not a simplicial poset"):
             ChainComplexGF2.from_poset(p)

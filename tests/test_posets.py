@@ -81,8 +81,8 @@ def parse_cell_label(label: str) -> tuple[frozenset[int], str]:
 
 def is_normal(p: SimplicialPoset) -> bool:
     """A pseudomanifold whose cells of rank <= d - 2 have connected links:
-    reduced beta_0 = 0, read from the sliced links of `link_bettis` (the
-    minimum's link is `p` itself, connected as a pseudomanifold)."""
+    reduced beta_0 = 0, read from `link_bettis` (the minimum's link is `p`
+    itself, connected as a pseudomanifold)."""
     return is_pseudomanifold(p) and all(
         betti[0] == 0
         for c, betti in link_bettis(p, ChainComplexGF2.from_poset(p))

@@ -6,8 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet.constructions import (cross_polytope_quotient,
-                                     parallel_edges_graph,
+from cellposet.constructions import (parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph, validate_admissible
 from cellposet.homology import betti_gf2
