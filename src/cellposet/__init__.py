@@ -2,12 +2,11 @@
 multigraphs: face/h/h''-vectors, GF(2) homology, dipole reductions, and
 h-vector characterizations."""
 
-from .graphs import (ColoredGraph, graph_from_json, graph_to_dot,
-                     graph_to_json, is_admissible, require_admissible,
-                     validate_admissible)
+from .graphs import (ColoredGraph, graph_to_dot, graph_to_json,
+                     require_admissible, validate_admissible)
 from .posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
-                     h_vector, is_pseudomanifold, is_pure, poset_from_json,
-                     poset_to_json, proper_coloring)
+                     h_vector, is_pseudomanifold, is_pure, poset_to_json,
+                     proper_coloring)
 from .homology import (ChainComplexGF2, betti_gf2, betti_order_complex,
                        h_double_prime, is_homology_manifold,
                        is_homology_sphere, validate_poset)

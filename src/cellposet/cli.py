@@ -18,9 +18,10 @@ from . import constructions, reduction
 from .checkers import check_manifold_h, check_rp_h, check_sphere_h
 from .graphs import (ColoredGraph, graph_from_dict, graph_to_dot,
                      graph_to_json, require_admissible, validate_admissible)
-from .homology import betti_gf2, h_double_prime, validate_poset
+from .homology import (betti_gf2, h_double_prime, is_homology_manifold,
+                       validate_poset)
 from .posets import (SimplicialPoset, f_vector, from_graph, h_vector,
-                     poset_from_dict, poset_to_json)
+                     is_pseudomanifold, poset_from_dict, poset_to_json)
 
 
 def _emit(data) -> None:
@@ -100,6 +101,16 @@ def cmd_invariants(args) -> int:
     return 0
 
 
+def cmd_recognize(args) -> int:
+    obj = _load_any(args.file)
+    p = from_graph(obj) if isinstance(obj, ColoredGraph) else obj
+    # before anything is printed: this proves `p` simplicial or raises
+    manifold = is_homology_manifold(p)
+    _emit({"homology_manifold": manifold,
+           "pseudomanifold": is_pseudomanifold(p)})
+    return 0
+
+
 def cmd_reduce(args) -> int:
     obj = _load_any(args.file)
     if not isinstance(obj, ColoredGraph):
@@ -174,6 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="f, h, GF(2) Betti and h'' of a graph or poset")
     inv.add_argument("file")
     inv.set_defaults(func=cmd_invariants)
+
+    rec = sub.add_parser("recognize",
+                         help="whether a graph or poset is a GF(2) homology "
+                              "manifold and a pseudomanifold")
+    rec.add_argument("file")
+    rec.set_defaults(func=cmd_recognize)
 
     red = sub.add_parser("reduce", help="cancel dipoles in a graph")
     red.add_argument("file")

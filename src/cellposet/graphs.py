@@ -185,10 +185,6 @@ def require_admissible(g: ColoredGraph) -> None:
         raise ValueError("graph is not admissible: " + "; ".join(violations))
 
 
-def is_admissible(g: ColoredGraph) -> bool:
-    return not validate_admissible(g)
-
-
 # --- JSON / DOT interchange -------------------------------------------------
 
 def graph_to_dict(g: ColoredGraph) -> dict:
@@ -213,10 +209,6 @@ def graph_from_dict(data: dict) -> ColoredGraph:
 
 def graph_to_json(g: ColoredGraph) -> str:
     return json.dumps(graph_to_dict(g), sort_keys=True, indent=2)
-
-
-def graph_from_json(text: str) -> ColoredGraph:
-    return graph_from_dict(json.loads(text))
 
 
 def graph_to_dot(g: ColoredGraph) -> str:

@@ -47,6 +47,35 @@ once, grows each up-set a rank at a time through them, and runs
 `ChainComplexGF2.from_poset` proves the parent simplicial, so its boundary
 squares to zero, and every interval of a simplicial poset is boolean, so
 every link is a simplicial poset.
+
+Each link is eliminated only up to its middle, by Poincaré duality
+(Munkres, *Elements of Algebraic Topology*, 1984, §63-65).  Let a cell c
+of rank k >= 1 have link dimension e = d - k - 1; `link_bettis` yields
+beta_0 .. beta_{floor(e/2)} of its link, the sphere pattern cut to that
+length is (1,) for e = 0 and zeros otherwise, and the lemma below makes
+the cut check as strong as the whole one.
+
+  Lemma.  Let p be pure and simplicial, and let every cell of rank
+  >= 1 pass the cut check.  Then the link of every such cell c has the
+  reduced GF(2) homology of the e-sphere, beta_0 .. beta_e.
+
+Proof, by induction on e.  For e <= 0 the cut vector is the whole one.
+Let e >= 1.  As p is pure, c lies below a facet, so its link L is a
+nonempty pure simplicial poset of rank e + 1.  The link in L of a cell x
+above c is its link in p, of dimension below e, so by induction it has
+the homology of a sphere of its dimension.  In the order complex of L
+minus c, the link of x is the join of the order complex of the open
+interval (c, x), a subdivided simplex boundary as [c, x] is boolean,
+with that of the link of x minus x: a homology sphere of dimension
+e - 1.  So L is a closed GF(2)-homology e-manifold.  Its beta_0 = 0
+makes it connected, and duality over the field GF(2), which needs no
+orientation, gives b_i = b_{e-i} for the unreduced Betti numbers.  So beta_e = b_0 = 1, and for ceil(e/2) <= i < e,
+beta_i = b_{e-i} = 0, since 1 <= e - i <= floor(e/2).  QED.
+
+The proof reads only the cells above c, so it holds whatever the order
+the cells are checked in, and a failed cut check is a failed whole one.
+Purity is needed: a maximal cell of rank below d - 1 has an empty link,
+whose cut vector is all zeros.  Both predicates therefore check it.
 """
 
 from __future__ import annotations
@@ -104,13 +133,15 @@ def _cleared_ranks(
 
 
 def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
-    """Reduced Betti numbers (degrees 0..d-1) of an augmented complex from
-    its cell counts ``dims[0..d]`` and the ranks ``ranks[k-1]`` of its
+    """Reduced Betti numbers (degrees 0..n-1) of an augmented complex from
+    its cell counts ``dims[0..n]`` and the ranks ``ranks[k-1]`` of its
     degree-k boundary maps: beta_i is dims[i+1] minus the ranks of the
-    maps of degrees i+1 and i+2 (kernel minus image)."""
-    d = len(dims) - 1
-    return tuple(dims[i + 1] - ranks[i] - (ranks[i + 1] if i + 1 < d else 0)
-                 for i in range(d))
+    maps of degrees i+1 and i+2 (kernel minus image).  ``ranks`` runs to
+    degree n, or to n + 1 for a complex cut above rank n; a map past its
+    end is zero."""
+    return tuple(dims[i + 1] - ranks[i]
+                 - (ranks[i + 1] if i + 1 < len(ranks) else 0)
+                 for i in range(len(dims) - 1))
 
 
 def _require_row_bits(p: SimplicialPoset) -> None:
@@ -349,11 +380,20 @@ def _sphere_pattern(length: int) -> tuple[int, ...]:
 
 
 def is_homology_sphere(p: SimplicialPoset) -> bool:
-    """True iff every cell's link (the poset itself included, as the link
-    of the minimum) has the reduced GF(2) homology of a sphere of the
-    matching dimension."""
+    """True iff the poset is pure, has the reduced GF(2) homology of the
+    d-1 sphere, and the link of every cell of rank >= 1 has that of a
+    sphere of the matching dimension.
+
+    The poset itself is eliminated in every degree; each link only up to
+    its middle degree, which is enough by the duality lemma of the module
+    docstring (see :func:`link_bettis`).  The lemma needs purity.  A check
+    of the whole link vectors would reject a non-pure poset anyway: a
+    maximal cell of rank k < d has an empty link, whose beta_{d-k-1} is 0.
+    So the verdicts are those of the whole check on every poset.
+    """
     cx = ChainComplexGF2.from_poset(p)
-    return cx.betti() == _sphere_pattern(p.d) and _links_spherical(p, cx)
+    return (is_pure(p) and cx.betti() == _sphere_pattern(p.d)
+            and _links_spherical(p, cx))
 
 
 def is_homology_manifold(p: SimplicialPoset) -> bool:
@@ -362,23 +402,36 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
 
     Since a link of a link is a link of the ambient poset, the vertex-link
     condition unfolds to: every cell of rank >= 1 has a sphere-patterned
-    link; that is what is checked, on the poset's coboundary rows, whole,
-    eliminated from degree 1 up with clearing (see :func:`link_bettis`).
+    link.  What is checked is the lower half of each link's vector,
+    beta_0 .. beta_{floor(e/2)} for a link of dimension e (see
+    :func:`link_bettis`): on a pure poset, the duality lemma of the module
+    docstring shows that every link passes this cut check exactly when
+    every link is a homology sphere.
     """
     cx = ChainComplexGF2.from_poset(p)
     return is_pure(p) and _links_spherical(p, cx)
 
 
 def _links_spherical(p: SimplicialPoset, cx: ChainComplexGF2) -> bool:
-    return all(betti == _sphere_pattern(len(betti))
-               for _, betti in link_bettis(p, cx))
+    """Every link's cut vector is the sphere pattern of its dimension cut
+    to the same length: (1,) for a link of dimension 0, zeros above."""
+    return all(betti == _sphere_pattern(p.d - p.ranks[c])[:len(betti)]
+               for c, betti in link_bettis(p, cx))
 
 
 def link_bettis(p: SimplicialPoset, cx: ChainComplexGF2
                 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (cell, reduced GF(2) Betti vector of its link) for every cell
-    of rank >= 1, from rank d down, the link being the interval above the
-    cell.
+    """Yield (cell, the lower half of the reduced GF(2) Betti vector of its
+    link) for every cell of rank >= 1, from rank d down, the link being the
+    interval above the cell.
+
+    For a cell of rank k the link has dimension e = d - k - 1, and the
+    vector is beta_0 .. beta_{floor(e/2)}: empty for a facet, the whole
+    vector for a ridge (e = 0).  On a pure poset whose every link passes the cut
+    sphere check, Poincaré duality fixes the upper half (see the lemma in
+    the module docstring), so nothing above is eliminated: the up-set is
+    grown to link rank floor(e/2) + 1, and the coboundary degrees 1 ..
+    min(floor(e/2) + 2, e + 1) are eliminated.
 
     ``cx`` is the complex of `p`, whose building proved `p` simplicial.
     Each link is eliminated on the parent's coboundary rows, unmasked, from
@@ -391,7 +444,8 @@ def link_bettis(p: SimplicialPoset, cx: ChainComplexGF2
     up = [[[pos[u] for u in coverers[c]] for c in cells] for cells in by_rank]
     cob = [[sum(1 << i for i in cov) for cov in level] for level in up]
     for k in range(p.d, 0, -1):
-        ups, cobs = up[k:p.d], cob[k:p.d]
+        # grow the link to rank floor(e/2) + 1, e = d - k - 1
+        ups, cobs = up[k:k + (p.d - k + 1) // 2], cob[k:p.d]
         for j, c in enumerate(by_rank[k]):
             # levels[t]: the positions of the link's rank-t cells
             levels = [{j}]

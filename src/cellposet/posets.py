@@ -346,7 +346,3 @@ def poset_from_dict(data: dict) -> SimplicialPoset:
 
 def poset_to_json(p: SimplicialPoset) -> str:
     return json.dumps(poset_to_dict(p), sort_keys=True, indent=2)
-
-
-def poset_from_json(text: str) -> SimplicialPoset:
-    return poset_from_dict(json.loads(text))

@@ -310,6 +310,47 @@ class TestReduce:
         assert err == "error: graph is not admissible: graph has no vertices\n"
 
 
+class TestRecognize:
+    @pytest.mark.parametrize("name,manifold", [("S^1 x S^2", True),
+                                               ("torus suspension", False)])
+    def test_graph_files(self, capsys, tmp_path, torus_suspension_graph,
+                         name, manifold):
+        # the suspension of the torus is a pseudomanifold whose two cone
+        # points have tori for links
+        graph = {"S^1 x S^2": product_spheres_graph(1, 2),
+                 "torus suspension": torus_suspension_graph}[name]
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(graph_to_dict(graph)))
+        code, out, err = run(capsys, "recognize", str(src))
+        assert code == 0 and err == ""
+        assert out == ('{\n  "homology_manifold": %s,\n'
+                       '  "pseudomanifold": true\n}\n'
+                       % json.dumps(manifold))
+
+    def test_poset_file(self, capsys, tmp_path):
+        src = tmp_path / "rp.json"
+        run(capsys, "build", "rp", "--n", "4", "--out", str(src))
+        code, out, _ = run(capsys, "recognize", str(src))
+        assert code == 0
+        assert json.loads(out) == {"homology_manifold": True,
+                                   "pseudomanifold": True}
+
+    @pytest.mark.parametrize("doc,error", [
+        (poset_to_dict(two_pillows()), "error: not a simplicial poset: "),
+        (poset_to_dict(rewired_simplex_boundary()),
+         "error: not a simplicial poset: "),
+        ({"d": 1, "vertices": ["a"], "edges": []},
+         "error: graph is not admissible: "),
+        ({"d": 2, "cells": [{"id": 0}]}, "error: malformed poset JSON: "),
+        ("{", "error: ")])
+    def test_malformed_files_exit_two(self, capsys, tmp_path, doc, error):
+        src = tmp_path / "doc.json"
+        src.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run(capsys, "recognize", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith(error)
+
+
 class TestCheck:
     def test_sphere_ok(self, capsys):
         code, out, _ = run(capsys, "check", "sphere-h", "--h", "1,1,1,1")
@@ -386,7 +427,8 @@ RANK_ABOVE_D = {"d": 1, "cells": [
 
 class TestMalformedInput:
     @pytest.mark.parametrize("command", [("build", "from-json"),
-                                         ("invariants",), ("reduce",)])
+                                         ("invariants",), ("reduce",),
+                                         ("recognize",)])
     @pytest.mark.parametrize("colors,d", [(2, 2.0), (1, True), (2, "2")])
     def test_graph_d_must_be_an_int(self, capsys, tmp_path, command, colors,
                                     d):
@@ -399,7 +441,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", [("build", "from-json"),
                                          ("invariants",), ("reduce",),
-                                         ("export",)])
+                                         ("export",), ("recognize",)])
     def test_json_nested_too_deeply(self, capsys, tmp_path, command):
         src = tmp_path / "deep.json"
         src.write_text("[" * 100000 + "]" * 100000)
@@ -409,7 +451,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", [("build", "from-json"),
                                          ("invariants",), ("reduce",),
-                                         ("export",)])
+                                         ("export",), ("recognize",)])
     @pytest.mark.parametrize("label", [1, None, True, 1.5])
     def test_vertex_label_must_be_a_string(self, capsys, tmp_path, command,
                                            label):
@@ -423,7 +465,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", [("build", "from-json"),
                                          ("invariants",), ("reduce",),
-                                         ("export",)])
+                                         ("export",), ("recognize",)])
     def test_vertices_must_be_a_list(self, capsys, tmp_path, command):
         src = tmp_path / "g.json"
         src.write_text(json.dumps({"d": 1, "vertices": "ab", "edges": [
@@ -434,7 +476,7 @@ class TestMalformedInput:
                        "list, not str\n")
 
     @pytest.mark.parametrize("command", [("build", "from-json"),
-                                         ("invariants",)])
+                                         ("invariants",), ("recognize",)])
     def test_poset_too_large_to_check(self, capsys, tmp_path, monkeypatch,
                                       command):
         # an input error, not a "valid": false report
@@ -455,7 +497,7 @@ class TestMalformedInput:
         assert code == 2 and "edge color True" in err
 
     @pytest.mark.parametrize("command", [("build", "from-json"),
-                                         ("invariants",)])
+                                         ("invariants",), ("recognize",)])
     def test_poset_rank_above_d(self, capsys, tmp_path, command):
         src = tmp_path / "p.json"
         src.write_text(json.dumps(RANK_ABOVE_D))
@@ -464,7 +506,7 @@ class TestMalformedInput:
         assert err.startswith("error:") and "rank 2 outside 0..1" in err
 
     @pytest.mark.parametrize("command", [("build", "from-json"),
-                                         ("invariants",)])
+                                         ("invariants",), ("recognize",)])
     @pytest.mark.parametrize("d", [10, 10 ** 6])
     def test_poset_d_above_every_rank(self, capsys, tmp_path, command, d):
         src = tmp_path / "p.json"
@@ -513,7 +555,7 @@ class TestFuzz:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(malformed_documents() | json_values,
            st.sampled_from([("build", "from-json"), ("invariants",),
-                            ("reduce",), ("export",)]))
+                            ("reduce",), ("export",), ("recognize",)]))
     def test_exit_code_and_no_traceback(self, capsys, tmp_path, doc,
                                         command):
         src = tmp_path / "doc.json"

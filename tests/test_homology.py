@@ -13,7 +13,7 @@ from cellposet.homology import (ChainComplexGF2, betti_gf2,
                                 gf2_rank, h_double_prime,
                                 is_homology_manifold, is_homology_sphere,
                                 link_bettis)
-from cellposet.graphs import is_admissible
+from cellposet.graphs import validate_admissible
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               is_pseudomanifold, is_pure)
 
@@ -206,6 +206,12 @@ def sphere_pattern(length: int) -> tuple[int, ...]:
     return (0,) * (length - 1) + (1,) if length else ()
 
 
+def lower_half(betti: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries beta_0 .. beta_{floor(e/2)} of the Betti vector of a
+    link of dimension e, which has e + 1 entries."""
+    return betti[:(len(betti) + 1) // 2]
+
+
 def oracle_link_bettis(p: SimplicialPoset) -> list:
     """(cell, order-complex Betti vector of its link) for every cell of
     rank >= 1, in cell order, the link built as its own poset by `link`."""
@@ -214,7 +220,7 @@ def oracle_link_bettis(p: SimplicialPoset) -> list:
 
 def oracle_verdicts(p: SimplicialPoset, links) -> tuple[bool, bool]:
     """The manifold and sphere verdicts read from `links`, the oracle's
-    link Betti vectors of `p`."""
+    whole link Betti vectors of `p`."""
     spherical = all(betti == sphere_pattern(len(betti)) for _, betti in links)
     return (is_pure(p) and spherical,
             betti_order_complex(p) == sphere_pattern(p.d) and spherical)
@@ -225,14 +231,29 @@ def engine_links(p: SimplicialPoset):
 
 
 def assert_links_match_the_oracle(p: SimplicialPoset) -> bool:
-    """Every cell's Betti vector from `link_bettis` is the oracle's, and the
-    two predicates give the verdicts read from those; returns the manifold
-    verdict."""
+    """Every cell's vector from `link_bettis` is the lower half of the
+    oracle's, and the two predicates give the verdicts read from the
+    oracle's whole vectors; returns the manifold verdict."""
     links = oracle_link_bettis(p)
-    assert sorted(engine_links(p)) == links
+    assert sorted(engine_links(p)) == [(c, lower_half(betti))
+                                       for c, betti in links]
     verdict = is_homology_manifold(p)
     assert (verdict, is_homology_sphere(p)) == oracle_verdicts(p, links)
     return verdict
+
+
+def sphere_with_an_extra_edge(hanging: bool) -> SimplicialPoset:
+    """The boundary of the 4-simplex with one more edge, which nothing
+    covers: a simplicial poset that is not pure.  The edge hangs from
+    vertex 1, or lies apart on two new vertices."""
+    p = boundary_of_simplex(4)
+    n = p.n_cells
+    new = (n,) if hanging else (n, n + 1)
+    ends = (1,) + new if hanging else new
+    return SimplicialPoset(
+        4, p.ranks + (1,) * len(new) + (2,),
+        p.covers + ((0,),) * len(new) + (ends,),
+        p.labels + tuple(f"x{i}" for i in range(len(new) + 1)))
 
 
 def small_posets(torus_graph, torus_suspension_graph):
@@ -256,6 +277,16 @@ class TestSlicedLinks:
     def test_graph_posets(self, g):
         assert_links_match_the_oracle(from_graph(g))
 
+    @settings(max_examples=100)
+    @given(admissible_graphs(max_pairs=4, colors=(2, 3, 4, 5)))
+    def test_verdicts_match_the_whole_vectors(self, g):
+        # up to 8 facets of rank 5 keep every order complex far below
+        # MAX_CHAINS; the links of d = 5 vertices, of dimension 3, are
+        # eliminated in degrees 0 and 1 only
+        p = from_graph(g)
+        assert ((is_homology_manifold(p), is_homology_sphere(p))
+                == oracle_verdicts(p, oracle_link_bettis(p)))
+
     @given(st.data())
     def test_connected_sums(self, data):
         d = data.draw(st.sampled_from([2, 3]))
@@ -277,7 +308,9 @@ class TestSlicedLinks:
             self, torus_graph, torus_suspension_graph):
         for name, p in small_posets(torus_graph,
                                     torus_suspension_graph).items():
-            assert sorted(engine_links(p)) == oracle_link_bettis(p), name
+            assert sorted(engine_links(p)) == [
+                (c, lower_half(betti))
+                for c, betti in oracle_link_bettis(p)], name
 
     def test_cells_come_from_the_top_rank_down(self, torus_graph):
         p = from_graph(torus_graph)
@@ -286,19 +319,34 @@ class TestSlicedLinks:
 
     def test_torus_suspension_is_no_manifold(self, torus_suspension_graph):
         g = torus_suspension_graph
-        assert is_admissible(g)
+        assert not validate_admissible(g)
         p = from_graph(g)
         assert is_pseudomanifold(p)
         assert betti_gf2(p) == betti_order_complex(p) == (0, 0, 2, 1)
         assert not is_homology_manifold(p)
         assert not is_homology_sphere(p)
         assert oracle_verdicts(p, oracle_link_bettis(p)) == (False, False)
-        # the two cone points are the cells whose links are tori
-        tori = [c for c, betti in engine_links(p)
-                if betti != sphere_pattern(len(betti))]
+        # the two cone points are the cells whose links are tori: the lower
+        # half (0, 2) of the torus's vector is no sphere's
+        cut = dict(engine_links(p))
+        tori = [c for c, betti in cut.items()
+                if betti != lower_half(sphere_pattern(p.d - p.ranks[c]))]
         assert len(tori) == 2
-        assert all(p.ranks[c] == 1 for c in tori)
+        assert all(p.ranks[c] == 1 and cut[c] == (0, 2) for c in tori)
         assert all(betti_gf2(link(p, c)) == (0, 2, 1) for c in tori)
+
+    @pytest.mark.parametrize("hanging", [True, False])
+    def test_non_pure_posets_are_refused(self, hanging):
+        # an edge that nothing covers has an empty link, whose lower half
+        # (0,) passes the cut check; with the edge apart from the sphere
+        # every link passes it, and only the purity check refuses
+        p = sphere_with_an_extra_edge(hanging)
+        assert not is_pure(p)
+        assert not assert_links_match_the_oracle(p)
+        assert not is_homology_sphere(p)
+        assert hanging != all(
+            betti == lower_half(sphere_pattern(p.d - p.ranks[c]))
+            for c, betti in engine_links(p))
 
     def test_cover_count_is_checked_in_every_link(self):
         # the boundary squares to zero, but above a vertex of one pillow

@@ -1,3 +1,4 @@
+import json
 import time
 from itertools import combinations
 from math import comb
@@ -14,7 +15,7 @@ from cellposet import homology, posets
 from cellposet.homology import ChainComplexGF2, link_bettis, validate_poset
 from cellposet.posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                               h_vector, is_pseudomanifold, is_pure,
-                              poset_from_dict, poset_from_json, poset_to_dict,
+                              poset_from_dict, poset_to_dict,
                               poset_to_json, proper_coloring)
 
 from conftest import (admissible_graphs, link, rewired_simplex_boundary,
@@ -447,7 +448,7 @@ class TestToGraph:
 class TestJson:
     def test_round_trip(self, torus_graph):
         p = from_graph(torus_graph)
-        q = poset_from_json(poset_to_json(p))
+        q = poset_from_dict(json.loads(poset_to_json(p)))
         assert (q.d, q.ranks, q.covers, q.labels) == \
                (p.d, p.ranks, p.covers, p.labels)
 
@@ -459,7 +460,6 @@ class TestJson:
             poset_from_dict(data)
 
     def test_minimum_is_cell_zero(self, torus_graph):
-        import json
         data = json.loads(poset_to_json(from_graph(torus_graph)))
         cell0 = next(c for c in data["cells"] if c["id"] == 0)
         assert cell0["rank"] == 0 and cell0["covers"] == []
