@@ -7,9 +7,9 @@ from .graphs import (ColoredGraph, graph_to_dot, graph_to_json,
 from .posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
                      h_vector, is_pseudomanifold, is_pure, poset_to_json,
                      proper_coloring)
-from .homology import (ChainComplexGF2, betti_gf2, betti_order_complex,
-                       h_double_prime, is_homology_manifold,
-                       is_homology_sphere, validate_poset)
+from .homology import (betti_gf2, betti_order_complex, h_double_prime,
+                       is_homology_manifold, is_homology_sphere,
+                       validate_poset)
 from .constructions import (boundary_of_simplex, connected_sum,
                             cross_polytope_quotient, parallel_edges_graph,
                             product_spheres_graph)

@@ -12,11 +12,14 @@ XOR.  Everything here is exact integer arithmetic.
 
 `betti_gf2` eliminates the degrees from the top down with clearing (the
 "twist" of Chen and Kerber, *Persistent homology computation with a
-twist*): a k-cell that is a pivot of the degree-(k+1) elimination is the
-lowest cell of a cycle that bounds, so its row adds nothing to the rank of
-the degree-k boundary map and is skipped.  This rests on the boundary
-squaring to zero, which `ChainComplexGF2.from_poset` checks on every
-complex.  `betti_order_complex` reduces every row of every degree on its
+twist*).  Each pivot q of the degree-(k+1) elimination is the lowest bit
+of a reduced row z, a sum of boundaries of rank-(k+1) cells.  The
+boundary of z is zero, so row q of the degree-k map is the sum of the
+rows at the other bits of z, all above q.  Those z and the unit vectors
+off the pivots span all k-chains, so the degree-k rank is the rank of the
+rows off the pivots, and the pivot rows are never reduced.  This rests on
+the boundary squaring to zero, which `_boundary_rows` checks on every
+poset.  `betti_order_complex` reduces every row of every degree on its
 own, so the oracle shares no elimination shortcut with the engine.
 
 The link predicates (`is_homology_manifold`, `is_homology_sphere`) need
@@ -31,22 +34,19 @@ each link's coboundary rows, on two facts.
   cell y of U of link rank t-1: the cells of U that cover y.  A cell that
   covers y lies above c, so it is in U, and the row is the parent's
   coboundary row of y, whole.  A matrix and its transpose have one rank.
-* Clearing works bottom-up.  The link's cochains are the parent's
-  cochains on U, which the parent's coboundary, squaring to zero, keeps
-  on U, as U is an up-set.  A pivot q of the degree-t coboundary
-  elimination is the lowest bit of a reduced row z, a sum of coboundaries,
-  so z has coboundary zero: row q of degree t+1 is the sum of the rows at
-  z's other bits.  Those z and the unit vectors off the pivots span all
-  cochains of that rank, so the degree-(t+1) rank is that of the rows off
-  the pivots (the cohomology clearing of de Silva, Morozov and
-  Vejdemo-Johansson, *Dualities in persistent (co)homology*).
+* Clearing works bottom-up, by the argument above on cochains.  The
+  link's cochains are the parent's cochains on U, which the parent's
+  coboundary, squaring to zero, keeps on U, as U is an up-set; a pivot of
+  the degree-t coboundary elimination is the lowest bit of a cocycle, so
+  its row of degree t+1 is skipped (the cohomology clearing of de Silva,
+  Morozov and Vejdemo-Johansson, *Dualities in persistent (co)homology*).
 
 `link_bettis` lists each rank's coverer positions and coboundary rows
 once, grows each up-set a rank at a time through them, and runs
 `_cleared_ranks` from degree 1 up.  Nothing is checked per link:
-`ChainComplexGF2.from_poset` proves the parent simplicial, so its boundary
-squares to zero, and every interval of a simplicial poset is boolean, so
-every link is a simplicial poset.
+`_boundary_rows` proves the parent simplicial, so its boundary squares to
+zero, and every interval of a simplicial poset is boolean, so every link
+is a simplicial poset.
 
 Each link is eliminated only up to its middle, by Poincaré duality
 (Munkres, *Elements of Algebraic Topology*, 1984, §63-65).  Let a cell c
@@ -69,22 +69,24 @@ interval (c, x), a subdivided simplex boundary as [c, x] is boolean,
 with that of the link of x minus x: a homology sphere of dimension
 e - 1.  So L is a closed GF(2)-homology e-manifold.  Its beta_0 = 0
 makes it connected, and duality over the field GF(2), which needs no
-orientation, gives b_i = b_{e-i} for the unreduced Betti numbers.  So beta_e = b_0 = 1, and for ceil(e/2) <= i < e,
-beta_i = b_{e-i} = 0, since 1 <= e - i <= floor(e/2).  QED.
+orientation, gives b_i = b_{e-i} for the unreduced Betti numbers.  So
+beta_e = b_0 = 1, and for ceil(e/2) <= i < e, beta_i = b_{e-i} = 0,
+since 1 <= e - i <= floor(e/2).  QED.
 
 The proof reads only the cells above c, so it holds whatever the order
 the cells are checked in, and a failed cut check is a failed whole one.
 Purity is needed: a maximal cell of rank below d - 1 has an empty link,
-whose cut vector is all zeros.  Both predicates therefore check it.
+whose cut vector is all zeros.  `is_homology_manifold` therefore checks
+it, and `is_homology_sphere` is that test and a Betti check of p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from collections.abc import Iterable, Iterator, Sequence
 
-from .posets import MAX_ROW_BITS, SimplicialPoset, _rank_gap, is_pure
+from .posets import (MAX_ROW_BITS, SimplicialPoset, _rank_gap, f_vector,
+                     is_pure)
 
 MAX_CHAINS = 10 ** 6
 
@@ -114,8 +116,8 @@ def _cleared_ranks(
     """Ranks of the maps of a complex that squares to zero, in the order
     given, by elimination with clearing: a row whose position is a pivot
     of the degree before is skipped.  The boundary rows run from the top
-    degree down (see :meth:`ChainComplexGF2.ranks`), the coboundary rows
-    of a link from degree 1 up (see the module docstring).
+    degree down (see :func:`betti_gf2`), the coboundary rows of a link
+    from degree 1 up (see the module docstring).
 
     ``degrees`` gives each degree as the positions of its rows and a table
     of rows by position: a row's position is its cell's bit in the rows of
@@ -155,138 +157,108 @@ def _require_row_bits(p: SimplicialPoset) -> None:
             f"than the limit of {MAX_ROW_BITS}")
 
 
-@dataclass(frozen=True)
-class ChainComplexGF2:
-    """Augmented cellular chain complex of a simplicial poset over GF(2).
+def _boundary_rows(p: SimplicialPoset) -> list[tuple[int, ...]]:
+    """The boundary maps of degrees 1..d of the augmented cellular chain
+    complex of `p` over GF(2), the minimum serving as the augmentation
+    generator: item k-1 holds one bit-packed row per rank-k cell.
 
-    ``dims[k]`` counts rank-k cells (dims[0] == 1 for the minimum, which
-    serves as the augmentation generator); ``boundaries[k-1]`` holds the
-    rows of the degree-k boundary map, one bit-packed row per rank-k cell.
+    The rows are built in one walk over the covers that also proves `p`
+    simplicial; it raises ValueError ("not a simplicial poset: ...") at
+    the first cell where the proof fails.  For each cell c of rank k >= 2
+    the walk checks two things:
+
+    * the boundary of the boundary of c is zero (over GF(2));
+    * the vertex-set law: c's k covers carry k distinct (k-1)-subsets
+      of a k-element vertex set, the union of theirs.
+
+    The two make every lower interval [0, c] boolean, by induction on
+    k (Björner, *Posets, regular CW complexes and Bruhat order*);
+    ranks 0 and 1 are boolean by the constructor's checks.  Let the
+    covers b_1, ..., b_k of c have boolean lower intervals, with
+    V(b_i) = V(c) - {v_i}.  For i != j, b_i and b_j each have exactly
+    one face with vertex set V(c) - {v_i, v_j}, and no other cover of
+    c has one.  Were the two faces different, each would be covered
+    by one cover of c only, and the boundary of the boundary of c
+    would be nonzero; so they are one cell a_ij.  Now let x <= b_i and
+    y <= b_j have the same vertex set.  For i != j it misses v_i and
+    v_j, so x and y lie below a_ij, as [0, b_i] and [0, b_j] are
+    boolean; in the boolean [0, a_ij], or [0, b_i] when i = j, they
+    are then equal.  So the cells below c correspond one to one to the
+    subsets of V(c), with x <= y exactly when V(x) is a subset of
+    V(y): [0, c] is the boolean lattice on V(c).
+
+    Vertex sets are bitmasks over the rank-1 cells, and only those of
+    two adjacent ranks are kept.  A poset whose rows would pass
+    ``MAX_ROW_BITS`` is refused before any row is built.
     """
-
-    dims: tuple[int, ...]
-    boundaries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_poset(cls, p: SimplicialPoset) -> "ChainComplexGF2":
-        """The complex of `p`, built in one walk over the covers that also
-        proves `p` simplicial; raises ValueError ("not a simplicial
-        poset: ...") at the first cell where the proof fails.
-
-        For each cell c of rank k >= 2 the walk checks two things:
-
-        * the boundary of the boundary of c is zero (over GF(2));
-        * the vertex-set law: c's k covers carry k distinct (k-1)-subsets
-          of a k-element vertex set, the union of theirs.
-
-        The two make every lower interval [0, c] boolean, by induction on
-        k (Björner, *Posets, regular CW complexes and Bruhat order*);
-        ranks 0 and 1 are boolean by the constructor's checks.  Let the
-        covers b_1, ..., b_k of c have boolean lower intervals, with
-        V(b_i) = V(c) - {v_i}.  For i != j, b_i and b_j each have exactly
-        one face with vertex set V(c) - {v_i, v_j}, and no other cover of
-        c has one.  Were the two faces different, each would be covered
-        by one cover of c only, and the boundary of the boundary of c
-        would be nonzero; so they are one cell a_ij.  Now let x <= b_i and
-        y <= b_j have the same vertex set.  For i != j it misses v_i and
-        v_j, so x and y lie below a_ij, as [0, b_i] and [0, b_j] are
-        boolean; in the boolean [0, a_ij], or [0, b_i] when i = j, they
-        are then equal.  So the cells below c correspond one to one to the
-        subsets of V(c), with x <= y exactly when V(x) is a subset of
-        V(y): [0, c] is the boolean lattice on V(c).
-
-        Vertex sets are bitmasks over the rank-1 cells, and only those of
-        two adjacent ranks are kept.  A poset whose rows would pass
-        ``MAX_ROW_BITS`` is refused before any row is built.
-        """
-        _require_row_bits(p)
-        by_rank, covers = p.cells_by_rank, p.covers
-        pos = [0] * p.n_cells           # a cell's index within its rank
-        for cells in by_rank:
-            for i, c in enumerate(cells):
-                pos[c] = i
-        # a rank-1 cell covers the minimum, and is its own vertex set
-        rows: tuple[int, ...] = (1,) * len(by_rank[1]) if p.d else ()
-        verts = [1 << i for i in range(len(rows))]
-        boundaries = [rows] if p.d else []
-        for k in range(2, p.d + 1):
-            lower, lower_verts = rows, verts
-            rows, verts = [], []
-            for c in by_rank[k]:
-                row = image = union = 0
-                common = -1
-                for j in covers[c]:
-                    i = pos[j]
-                    v = lower_verts[i]
-                    row |= 1 << i
-                    image ^= lower[i]
-                    union |= v
-                    common &= v
-                if image:
-                    raise ValueError(
-                        "not a simplicial poset: boundary squared is "
-                        f"nonzero at cell {c}; lower intervals are not "
-                        "boolean")
-                # k (k-1)-sets in a k-set are distinct iff no point lies
-                # in all of them
-                if common or union.bit_count() != k:
-                    distinct = len({lower_verts[pos[j]] for j in covers[c]})
-                    raise ValueError(
-                        f"not a simplicial poset: cell {c} (rank {k}) has "
-                        f"{union.bit_count()} vertices and {distinct} distinct "
-                        f"vertex sets among its covers, expected {k} of each")
-                rows.append(row)
-                verts.append(union)
-            rows = tuple(rows)
-            boundaries.append(rows)
-        return cls(tuple(map(len, by_rank)), tuple(boundaries))
-
-    def ranks(self) -> tuple[int, ...]:
-        """Ranks of the boundary maps, ``ranks()[k-1]`` that of degree k,
-        by elimination from the top degree down with clearing.
-
-        Clearing (the "twist" of Chen and Kerber): each pivot p of the
-        degree-(k+1) elimination is the lowest bit of a reduced row z, a
-        sum of boundaries of rank-(k+1) cells.  The boundary of z is zero,
-        so row p of the degree-k map is the sum of the rows at the other
-        bits of z, all above p.  Those z and the unit vectors off the
-        pivots span all k-chains, so the degree-k rank is the rank of the
-        rows off the pivots, and the pivot rows are never reduced.
-        """
-        return tuple(_cleared_ranks(
-            (range(len(rows)), rows)
-            for rows in reversed(self.boundaries)))[::-1]
-
-    def betti(self) -> tuple[int, ...]:
-        """Reduced Betti numbers (degrees 0..d-1) from the ranks of the
-        boundary maps, eliminated from the top degree down with clearing:
-        the row of a k-cell that is a pivot of the degree-(k+1)
-        elimination is skipped, which is sound because the boundary
-        squares to zero (see :meth:`ranks`)."""
-        return _betti_from_ranks(self.dims, self.ranks())
+    _require_row_bits(p)
+    by_rank, covers = p.cells_by_rank, p.covers
+    pos = [0] * p.n_cells           # a cell's index within its rank
+    for cells in by_rank:
+        for i, c in enumerate(cells):
+            pos[c] = i
+    # a rank-1 cell covers the minimum, and is its own vertex set
+    rows: tuple[int, ...] = (1,) * len(by_rank[1]) if p.d else ()
+    verts = [1 << i for i in range(len(rows))]
+    boundaries = [rows] if p.d else []
+    for k in range(2, p.d + 1):
+        lower, lower_verts = rows, verts
+        rows, verts = [], []
+        for c in by_rank[k]:
+            row = image = union = 0
+            common = -1
+            for j in covers[c]:
+                i = pos[j]
+                v = lower_verts[i]
+                row |= 1 << i
+                image ^= lower[i]
+                union |= v
+                common &= v
+            if image:
+                raise ValueError(
+                    "not a simplicial poset: boundary squared is "
+                    f"nonzero at cell {c}; lower intervals are not "
+                    "boolean")
+            # k (k-1)-sets in a k-set are distinct iff no point lies
+            # in all of them
+            if common or union.bit_count() != k:
+                distinct = len({lower_verts[pos[j]] for j in covers[c]})
+                raise ValueError(
+                    f"not a simplicial poset: cell {c} (rank {k}) has "
+                    f"{union.bit_count()} vertices and {distinct} distinct "
+                    f"vertex sets among its covers, expected {k} of each")
+            rows.append(row)
+            verts.append(union)
+        rows = tuple(rows)
+        boundaries.append(rows)
+    return boundaries
 
 
 def validate_poset(p: SimplicialPoset) -> list[str]:
     """The violations of a simplicial poset: ``d`` above every cell's rank,
-    and the first cell where :meth:`ChainComplexGF2.from_poset` finds a
-    lower interval that is not boolean.  Empty when `p` is simplicial.  A
-    poset whose boundary rows would pass ``MAX_ROW_BITS`` raises
-    ValueError: it is too large to check, which is no violation."""
+    and the first cell where :func:`_boundary_rows` finds a lower interval
+    that is not boolean.  Empty when `p` is simplicial.  A poset whose
+    boundary rows would pass ``MAX_ROW_BITS`` raises ValueError: it is
+    too large to check, which is no violation."""
     _require_row_bits(p)
     gap = _rank_gap(p)
     violations = [gap] if gap else []
     try:
-        ChainComplexGF2.from_poset(p)
+        _boundary_rows(p)
     except ValueError as exc:
         violations.append(str(exc))
     return violations
 
 
 def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:
-    """Reduced GF(2) Betti vector (beta_0, ..., beta_{d-1}) of the poset.
-    Raises ValueError when `p` is not simplicial, as the sphere and
-    manifold tests do (see :meth:`ChainComplexGF2.from_poset`)."""
-    return ChainComplexGF2.from_poset(p).betti()
+    """Reduced GF(2) Betti vector (beta_0, ..., beta_{d-1}) of the poset,
+    from the ranks of its boundary maps, eliminated from the top degree
+    down with clearing (see the module docstring).  Raises ValueError
+    when `p` is not simplicial, as the sphere and manifold tests do (see
+    :func:`_boundary_rows`)."""
+    rows = _boundary_rows(p)
+    ranks = _cleared_ranks((range(len(r)), r) for r in reversed(rows))
+    return _betti_from_ranks(f_vector(p), ranks[::-1])
 
 
 def betti_order_complex(p: SimplicialPoset) -> tuple[int, ...]:
@@ -344,8 +316,8 @@ def betti_order_complex(p: SimplicialPoset) -> tuple[int, ...]:
                     row ^= 1 << lower[face]
                 rows.append(row)
         boundaries.append(rows)
-    # plain per-degree elimination, without the clearing of
-    # ChainComplexGF2.ranks, so that this engine stays independent
+    # plain per-degree elimination, without the clearing of betti_gf2,
+    # so that this engine stays independent
     return _betti_from_ranks(dims, [gf2_rank(rows) for rows in boundaries])
 
 
@@ -380,20 +352,10 @@ def _sphere_pattern(length: int) -> tuple[int, ...]:
 
 
 def is_homology_sphere(p: SimplicialPoset) -> bool:
-    """True iff the poset is pure, has the reduced GF(2) homology of the
-    d-1 sphere, and the link of every cell of rank >= 1 has that of a
-    sphere of the matching dimension.
-
-    The poset itself is eliminated in every degree; each link only up to
-    its middle degree, which is enough by the duality lemma of the module
-    docstring (see :func:`link_bettis`).  The lemma needs purity.  A check
-    of the whole link vectors would reject a non-pure poset anyway: a
-    maximal cell of rank k < d has an empty link, whose beta_{d-k-1} is 0.
-    So the verdicts are those of the whole check on every poset.
-    """
-    cx = ChainComplexGF2.from_poset(p)
-    return (is_pure(p) and cx.betti() == _sphere_pattern(p.d)
-            and _links_spherical(p, cx))
+    """True iff the poset is a homology manifold (see
+    :func:`is_homology_manifold`) with the reduced GF(2) homology of the
+    d-1 sphere, which `betti_gf2` eliminates in every degree."""
+    return is_homology_manifold(p) and betti_gf2(p) == _sphere_pattern(p.d)
 
 
 def is_homology_manifold(p: SimplicialPoset) -> bool:
@@ -408,34 +370,34 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
     docstring shows that every link passes this cut check exactly when
     every link is a homology sphere.
     """
-    cx = ChainComplexGF2.from_poset(p)
-    return is_pure(p) and _links_spherical(p, cx)
+    _boundary_rows(p)       # the proof that p is simplicial; rows unkept
+    return is_pure(p) and _links_spherical(p)
 
 
-def _links_spherical(p: SimplicialPoset, cx: ChainComplexGF2) -> bool:
+def _links_spherical(p: SimplicialPoset) -> bool:
     """Every link's cut vector is the sphere pattern of its dimension cut
     to the same length: (1,) for a link of dimension 0, zeros above."""
     return all(betti == _sphere_pattern(p.d - p.ranks[c])[:len(betti)]
-               for c, betti in link_bettis(p, cx))
+               for c, betti in link_bettis(p))
 
 
-def link_bettis(p: SimplicialPoset, cx: ChainComplexGF2
-                ) -> Iterator[tuple[int, tuple[int, ...]]]:
+def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (cell, the lower half of the reduced GF(2) Betti vector of its
     link) for every cell of rank >= 1, from rank d down, the link being the
     interval above the cell.
 
     For a cell of rank k the link has dimension e = d - k - 1, and the
     vector is beta_0 .. beta_{floor(e/2)}: empty for a facet, the whole
-    vector for a ridge (e = 0).  On a pure poset whose every link passes the cut
-    sphere check, Poincaré duality fixes the upper half (see the lemma in
-    the module docstring), so nothing above is eliminated: the up-set is
-    grown to link rank floor(e/2) + 1, and the coboundary degrees 1 ..
-    min(floor(e/2) + 2, e + 1) are eliminated.
+    vector for a ridge (e = 0).  On a pure poset whose every link passes
+    the cut sphere check, Poincaré duality fixes the upper half (see the
+    lemma in the module docstring), so nothing above is eliminated: the
+    up-set is grown to link rank floor(e/2) + 1, and the coboundary
+    degrees 1 .. min(floor(e/2) + 2, e + 1) are eliminated.
 
-    ``cx`` is the complex of `p`, whose building proved `p` simplicial.
-    Each link is eliminated on the parent's coboundary rows, unmasked, from
-    degree 1 up with clearing (see the module docstring).
+    `p` must be simplicial, as :func:`_boundary_rows` proves it: each link
+    is eliminated on the parent's coboundary rows, unmasked, from degree 1
+    up with clearing (see the module docstring), which is sound only
+    then.
     """
     by_rank, coverers = p.cells_by_rank, p.coverers
     pos = {c: i for cells in by_rank for i, c in enumerate(cells)}

@@ -5,9 +5,8 @@ boolean lower intervals; rank-k cells are the (k-1)-dimensional cells of
 the underlying regular cell complex.  Cells are stored by integer id with
 explicit cover lists (covers point one rank down); cell 0 is the minimum.
 The constructor checks ranks and cover counts only; the lower intervals
-are proved boolean by `homology.ChainComplexGF2.from_poset`, which
-`betti_gf2`, the homology sphere and manifold tests and
-`homology.validate_poset` run.
+are proved boolean by `homology._boundary_rows`, which `betti_gf2`, the
+homology sphere and manifold tests and `homology.validate_poset` run.
 
 `from_graph` realizes the cell poset of an admissible d-colored multigraph:
 cells are pairs (H, S) of a color set S and a connected component H of the
@@ -34,7 +33,7 @@ MAX_OUTPUT_SIZE = 10 ** 6
 
 # The most bits of boundary rows a chain complex holds: a rank-k cell's
 # row is f_{k-1} bits wide, so the rows take sum_k f_k f_{k-1} bits.
-# `ChainComplexGF2.from_poset` and `from_graph` refuse a larger complex.
+# `homology._boundary_rows` and `from_graph` refuse a larger complex.
 MAX_ROW_BITS = 4 * 10 ** 9
 
 
@@ -61,9 +60,11 @@ class SimplicialPoset:
         # type(...) is int, not isinstance: JSON true/false load as bools
         if type(self.d) is not int:
             raise ValueError(f"d must be an integer, got {self.d!r}")
-        for i, r in enumerate(self.ranks):
+        for i, (r, label) in enumerate(zip(self.ranks, self.labels)):
             if type(r) is not int or not 0 <= r <= self.d:
                 raise ValueError(f"cell {i} has rank {r!r} outside 0..{self.d}")
+            if not isinstance(label, str):
+                raise ValueError(f"cell {i} label {label!r} is not a string")
         if n == 0 or self.ranks[0] != 0:
             raise ValueError("cell 0 must be the rank-0 minimum")
         if any(self.ranks[i] == 0 for i in range(1, n)):

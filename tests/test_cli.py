@@ -518,6 +518,19 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err == f"error: d is {d}, but the greatest cell rank is 2\n"
 
+    @pytest.mark.parametrize("command", [("build", "from-json"),
+                                         ("invariants",), ("recognize",)])
+    @pytest.mark.parametrize("label", [1, None, True, [1]])
+    def test_cell_label_must_be_a_string(self, capsys, tmp_path, command,
+                                         label):
+        doc = poset_to_dict(boundary_of_simplex(2))
+        doc["cells"][1]["label"] = label
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *command, str(src))
+        assert code == 2 and out == ""
+        assert err == f"error: cell 1 label {label!r} is not a string\n"
+
 
 json_values = st.recursive(
     # mostly small integers, which keep a mutated document near a valid
