@@ -4,17 +4,15 @@ h-vector characterizations."""
 
 from .graphs import (ColoredGraph, graph_to_dot, graph_to_json,
                      require_admissible, validate_admissible)
-from .posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
-                     h_vector, is_pseudomanifold, is_pure, poset_to_json,
+from .posets import (SimplicialPoset, f_vector, from_graph, h_vector,
+                     is_pseudomanifold, is_pure, poset_to_json,
                      proper_coloring)
-from .homology import (betti_gf2, betti_order_complex, h_double_prime,
-                       is_homology_manifold, is_homology_sphere,
+from .homology import (betti_gf2, h_double_prime, is_homology_manifold,
                        validate_poset)
 from .constructions import (boundary_of_simplex, connected_sum,
                             cross_polytope_quotient, parallel_edges_graph,
                             product_spheres_graph)
-from .reduction import (CancellationError, Dipole, Schedule, cancel,
-                        cancellation_schedule, check_dipole, find_dipoles,
+from .reduction import (CancellationError, Schedule, cancellation_schedule,
                         greedy_reduce, reduce_product_spheres, run_schedule)
 from .checkers import (CheckResult, check_manifold_h, check_rp_h,
                        check_sphere_h, r_value)

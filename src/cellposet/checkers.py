@@ -13,7 +13,7 @@ for one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,29 @@ def check_sphere_h(h) -> CheckResult:
     return CheckResult(True)
 
 
+def _binomials(n: int, stop: int) -> list[int]:
+    """C(n, 0), ..., C(n, stop) as one running row: O(stop) products with
+    small ints, where a `comb` per entry makes the row quadratic."""
+    row = [1]
+    for k in range(stop):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
+@lru_cache(maxsize=1)
+def _r_row(n: int) -> tuple[int, ...]:
+    """(r(n, 1), ..., r(n, n)), kept for the last n: :func:`check_rp_h`
+    reads every entry through :func:`r_value`."""
+    c = _binomials(n, n - 1)
+    return (*(0 if i % 2 else c[i] for i in range(1, n)), -1 if n % 2 else 0)
+
+
 def r_value(n: int, i: int) -> int:
     """Correction term for projective-space h-vectors: C(n,i) at even
     i < n, 0 at odd i < n, and -1 or 0 at i = n for odd or even n."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    if i == n:
-        return -1 if n % 2 == 1 else 0
-    return comb(n, i) if i % 2 == 0 else 0
+    return _r_row(n)[i - 1]
 
 
 def check_rp_h(h, n: int) -> CheckResult:
@@ -124,9 +139,10 @@ def check_manifold_h(h, d: int) -> CheckResult:
         raise ValueError("need d >= 2")
     half = d // 2
     s = h[half] % 2
+    binomials = _binomials(d, half + 1)
 
     def u(k: int) -> int:
-        return (h[k] - s) // comb(d, k)
+        return (h[k] - s) // binomials[k]
 
     rejected = CheckResult(False, "no symmetric Betti vector makes the "
                                   "transform a sphere h-vector")

@@ -1,14 +1,9 @@
 """Reduced GF(2) homology of simplicial posets, h''-vectors, and the
-homology sphere / manifold predicates.
+homology manifold predicate.
 
-Two independent engines are provided: `betti_gf2` works on the cellular
-chain complex read off the cover relation, `betti_order_complex` builds
-the barycentric subdivision (the complex of chains of the poset minus its
-minimum) and computes simplicial homology.  They must agree on every
-poset; the test suite enforces this.
-
-Matrices over GF(2) are bit-packed: a row is a Python int, elimination is
-XOR.  Everything here is exact integer arithmetic.
+`betti_gf2` works on the cellular chain complex read off the cover
+relation.  Matrices over GF(2) are bit-packed: a row is a Python int,
+elimination is XOR.  Everything here is exact integer arithmetic.
 
 `betti_gf2` eliminates the degrees from the top down with clearing (the
 "twist" of Chen and Kerber, *Persistent homology computation with a
@@ -19,16 +14,15 @@ rows at the other bits of z, all above q.  Those z and the unit vectors
 off the pivots span all k-chains, so the degree-k rank is the rank of the
 rows off the pivots, and the pivot rows are never reduced.  This rests on
 the boundary squaring to zero, which `_boundary_rows` checks on every
-poset.  `betti_order_complex` reduces every row of every degree on its
-own, so the oracle shares no elimination shortcut with the engine.
+poset.
 
-The link predicates (`is_homology_manifold`, `is_homology_sphere`) need
-the homology of the link of every cell c, the interval above it (Björner,
-*Posets, regular CW complexes and Bruhat order*): the up-set U of c, ranks
-shifted down by rank(c).  Its augmented complex is the quotient of the
-parent's by the span of the cells outside U, a down-set and so a
-subcomplex, with c as augmentation generator.  `link_bettis` eliminates
-each link's coboundary rows, on two facts.
+The link predicate `is_homology_manifold` needs the homology of the link
+of every cell c, the interval above it (Björner, *Posets, regular CW
+complexes and Bruhat order*): the up-set U of c, ranks shifted down by
+rank(c).  Its augmented complex is the quotient of the parent's by the
+span of the cells outside U, a down-set and so a subcomplex, with c as
+augmentation generator.  `link_bettis` eliminates each link's coboundary
+rows, on two facts.
 
 * No mask is needed.  The transposed degree-t link matrix has one row per
   cell y of U of link rank t-1: the cells of U that cover y.  A cell that
@@ -77,7 +71,7 @@ The proof reads only the cells above c, so it holds whatever the order
 the cells are checked in, and a failed cut check is a failed whole one.
 Purity is needed: a maximal cell of rank below d - 1 has an empty link,
 whose cut vector is all zeros.  `is_homology_manifold` therefore checks
-it, and `is_homology_sphere` is that test and a Betti check of p.
+it.
 """
 
 from __future__ import annotations
@@ -87,9 +81,6 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .posets import (MAX_ROW_BITS, SimplicialPoset, _rank_gap, f_vector,
                      is_pure)
-
-MAX_CHAINS = 10 ** 6
-
 
 def _pivots(rows) -> dict[int, int]:
     """Gaussian elimination of bit-packed GF(2) rows, keyed by pivot: the
@@ -104,11 +95,6 @@ def _pivots(rows) -> dict[int, int]:
                 break
             row ^= other
     return basis
-
-
-def gf2_rank(rows) -> int:
-    """Rank of a bit-packed GF(2) matrix (one int per row)."""
-    return len(_pivots(rows))
 
 
 def _cleared_ranks(
@@ -261,66 +247,6 @@ def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:
     return _betti_from_ranks(f_vector(p), ranks[::-1])
 
 
-def betti_order_complex(p: SimplicialPoset) -> tuple[int, ...]:
-    """Independent engine: reduced GF(2) Betti numbers of the complex of
-    chains of the poset minus its minimum (its barycentric subdivision).
-
-    Exponential in chain length; refuses posets with more than
-    ``MAX_CHAINS`` chains.
-    """
-    n = p.n_cells
-    below = [0] * n
-    order = sorted(range(1, n), key=lambda c: p.ranks[c])
-    for c in order:
-        mask = 0
-        for j in p.covers[c]:
-            if j != 0:
-                mask |= below[j] | (1 << j)
-        below[c] = mask
-
-    chains_at: dict[int, list[tuple[int, ...]]] = {}
-    total = 0
-    for c in order:
-        lst: list[tuple[int, ...]] = [(c,)]
-        mask = below[c]
-        while mask:
-            low = mask & -mask
-            b = low.bit_length() - 1
-            mask ^= low
-            for ch in chains_at[b]:
-                lst.append(ch + (c,))
-        total += len(lst)
-        if total > MAX_CHAINS:
-            raise ValueError(f"order complex exceeds {MAX_CHAINS} chains")
-        chains_at[c] = lst
-
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(p.d)]
-    for lst in chains_at.values():
-        for ch in lst:
-            by_dim[len(ch) - 1].append(ch)
-    index: list[dict[tuple[int, ...], int]] = [
-        {ch: i for i, ch in enumerate(simps)} for simps in by_dim]
-
-    dims = (1,) + tuple(len(simps) for simps in by_dim)
-    boundaries = []
-    for k, simps in enumerate(by_dim):
-        rows = []
-        if k == 0:
-            rows = [1] * len(simps)
-        else:
-            lower = index[k - 1]
-            for ch in simps:
-                row = 0
-                for drop in range(len(ch)):
-                    face = ch[:drop] + ch[drop + 1:]
-                    row ^= 1 << lower[face]
-                rows.append(row)
-        boundaries.append(rows)
-    # plain per-degree elimination, without the clearing of betti_gf2,
-    # so that this engine stays independent
-    return _betti_from_ranks(dims, [gf2_rank(rows) for rows in boundaries])
-
-
 # --- h'' vectors ---------------------------------------------------------------
 
 def h_double_prime(h: tuple[int, ...], betti: tuple[int, ...]) -> tuple[int, ...]:
@@ -343,19 +269,10 @@ def h_double_prime(h: tuple[int, ...], betti: tuple[int, ...]) -> tuple[int, ...
     return tuple(out)
 
 
-# --- homology sphere / manifold predicates --------------------------------------
+# --- the homology manifold predicate --------------------------------------
 
 def _sphere_pattern(length: int) -> tuple[int, ...]:
-    if length == 0:
-        return ()
-    return (0,) * (length - 1) + (1,)
-
-
-def is_homology_sphere(p: SimplicialPoset) -> bool:
-    """True iff the poset is a homology manifold (see
-    :func:`is_homology_manifold`) with the reduced GF(2) homology of the
-    d-1 sphere, which `betti_gf2` eliminates in every degree."""
-    return is_homology_manifold(p) and betti_gf2(p) == _sphere_pattern(p.d)
+    return (0,) * (length - 1) + (1,) if length else ()
 
 
 def is_homology_manifold(p: SimplicialPoset) -> bool:

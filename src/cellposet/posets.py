@@ -5,8 +5,8 @@ boolean lower intervals; rank-k cells are the (k-1)-dimensional cells of
 the underlying regular cell complex.  Cells are stored by integer id with
 explicit cover lists (covers point one rank down); cell 0 is the minimum.
 The constructor checks ranks and cover counts only; the lower intervals
-are proved boolean by `homology._boundary_rows`, which `betti_gf2`, the
-homology sphere and manifold tests and `homology.validate_poset` run.
+are proved boolean by `homology._boundary_rows`, which `betti_gf2`,
+`homology.is_homology_manifold` and `homology.validate_poset` run.
 
 `from_graph` realizes the cell poset of an admissible d-colored multigraph:
 cells are pairs (H, S) of a color set S and a connected component H of the
@@ -219,16 +219,6 @@ def h_vector(f: tuple[int, ...]) -> tuple[int, ...]:
         for k in range(d + 1))
 
 
-def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse transform of :func:`h_vector`."""
-    if not h:
-        raise ValueError("empty h-vector")
-    d = len(h) - 1
-    return tuple(
-        sum(comb(d - i, k - i) * h[i] for i in range(k + 1))
-        for k in range(d + 1))
-
-
 # --- pseudomanifold predicates ------------------------------------------------
 
 def is_pure(p: SimplicialPoset) -> bool:
@@ -329,6 +319,10 @@ def poset_from_dict(data: dict) -> SimplicialPoset:
     """Load a poset; a ``d`` above every cell's rank is refused here, since
     d sizes the f- and h-vectors and the work that reads them."""
     try:
+        for c in data["cells"]:     # true and 1.0 compare equal to 1
+            if type(c["id"]) is not int:
+                raise ValueError(f"malformed poset JSON: cell id {c['id']!r} "
+                                 "is not an integer")
         cells = sorted(data["cells"], key=lambda c: c["id"])
         if [c["id"] for c in cells] != list(range(len(cells))):
             raise ValueError("cell ids must be 0..N-1")

@@ -49,10 +49,8 @@ misses y, as the pair is a dipole.
 
 A dipole whose colors are all d colors makes up the whole graph, as in
 :func:`parallel_edges_graph`, and cancelling it would leave none; it is
-refused before anything is rewired.  The search stays where it can fail:
-:func:`cancel` takes any pair, including ones that are not dipoles, whose
-cancellation can disconnect the graph, and :func:`run_schedule` checks
-the crystallization condition once, with d searches.
+refused before anything is rewired.  :func:`run_schedule` checks the
+crystallization condition once, with d searches.
 """
 
 from __future__ import annotations
@@ -68,15 +66,6 @@ from .constructions import block_label, product_spheres_graph
 
 class CancellationError(Exception):
     """A cancellation step failed (pair not a dipole, or result broken)."""
-
-
-@dataclass(frozen=True)
-class Dipole:
-    """A verified dipole: its two vertices and the colors joining them."""
-
-    x: str
-    y: str
-    colors: frozenset[int]
 
 
 class _Table:
@@ -136,11 +125,9 @@ class _Table:
                 return colors
             frontier[k] = grown
 
-    def connected(self, skip: int = 0) -> bool:
+    def connected(self, skip: int) -> bool:
         """Whether the live vertices form one component, searched over
         every color but `skip`."""
-        if not self.live:
-            return False
         rows = [row for c, row in enumerate(self.partner, start=1)
                 if c != skip]
         start = self.alive.index(True)
@@ -155,8 +142,14 @@ class _Table:
                     stack.append(w)
         return len(seen) == self.live
 
-    def _rewire(self, x: int, y: int) -> None:
-        """Cancel x and y."""
+    def cancel_dipole(self, x: int, y: int, colors: tuple[int, ...]) -> None:
+        """Cancel a pair whose dipole test just returned `colors`, without
+        a search (see the module docstring).  A full-type dipole is the
+        whole graph: refuse it, leaving the table as it was."""
+        if len(colors) == self.d:
+            raise CancellationError(
+                f"cancelling ({self.labels[x]!r}, {self.labels[y]!r}) breaks "
+                "admissibility: result is disconnected")
         for c, (row, stamps) in enumerate(zip(self.partner, self.stamp),
                                           start=1):
             a = row[x]
@@ -168,19 +161,6 @@ class _Table:
             self.edges.append((self.labels[a], self.labels[b], c))
         self.alive[x] = self.alive[y] = False
         self.live -= 2
-
-    def _refusal(self, x: int, y: int) -> CancellationError:
-        return CancellationError(
-            f"cancelling ({self.labels[x]!r}, {self.labels[y]!r}) breaks "
-            "admissibility: result is disconnected")
-
-    def cancel_dipole(self, x: int, y: int, colors: tuple[int, ...]) -> None:
-        """Cancel a pair whose dipole test just returned `colors`, without
-        a search (see the module docstring).  A full-type dipole is the
-        whole graph: refuse it, leaving the table as it was."""
-        if len(colors) == self.d:
-            raise self._refusal(x, y)
-        self._rewire(x, y)
 
     def dipoles(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """Yield (x, y, colors) for each dipole, scanning the pairs x < y
@@ -202,41 +182,6 @@ class _Table:
             self.d,
             tuple(v for v, a in zip(self.labels, alive) if a),
             tuple(self.edges[s] for s in kept))
-
-
-def check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
-    """The Dipole witness for (x, y) in an admissible graph, or None if the
-    pair is not one."""
-    t = _Table(g)
-    colors = t.dipole_colors(t.vertex(x), t.vertex(y))
-    return None if colors is None else Dipole(x, y, frozenset(colors))
-
-
-def find_dipoles(g: ColoredGraph) -> Iterator[Dipole]:
-    """Yield the dipoles of an admissible graph lazily, scanning vertex
-    pairs (i, j) with i < j in index order.
-
-    Only pairs joined by an edge are checked: a pair without one has no
-    colors between it and so is never a dipole.
-    """
-    t = _Table(g)
-    for x, y, colors in t.dipoles():
-        yield Dipole(t.labels[x], t.labels[y], frozenset(colors))
-
-
-def cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
-    """Remove x and y from an admissible graph; for each color i without an
-    x-y edge, join x's i-partner to y's i-partner.  Fails if the result is
-    disconnected.
-    """
-    if x == y:
-        raise ValueError("cannot cancel a vertex with itself")
-    t = _Table(g)
-    ix, iy = t.vertex(x), t.vertex(y)
-    t._rewire(ix, iy)
-    if not t.connected():
-        raise t._refusal(ix, iy)
-    return t.graph()
 
 
 # --- the symbolic cancellation schedule -------------------------------------------

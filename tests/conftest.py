@@ -6,6 +6,7 @@ from hypothesis import settings, strategies as st
 
 from cellposet.graphs import (ColoredGraph, graph_from_dict,
                               validate_admissible)
+from cellposet.homology import betti_gf2, is_homology_manifold
 from cellposet.posets import SimplicialPoset, is_pseudomanifold
 
 settings.register_profile("suite", max_examples=30, deadline=None)
@@ -79,6 +80,102 @@ def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:
         for c in order)
     labels = tuple(p.labels[c] for c in order)
     return SimplicialPoset(p.d - base, ranks, covers, labels)
+
+
+MAX_CHAINS = 10 ** 6
+
+
+def gf2_rank(rows) -> int:
+    """Rank of a bit-packed GF(2) matrix (one int per row), by an
+    elimination of its own: each row is reduced on its highest bit, where
+    the engines' elimination (`homology._pivots`) pivots on the lowest."""
+    basis: dict[int, int] = {}          # leading bit -> reduced row
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+def betti_order_complex(p: SimplicialPoset) -> tuple[int, ...]:
+    """Oracle for `betti_gf2`: reduced GF(2) Betti numbers of the complex
+    of chains of the poset minus its minimum (its barycentric subdivision).
+
+    The two engines are independent: `betti_gf2` works on the cellular
+    chain complex read off the cover relation and eliminates it with
+    clearing, while this one builds the order complex, computes its
+    simplicial homology and reduces every row of every degree with
+    `gf2_rank`.  They must agree on every poset.
+
+    Exponential in chain length; refuses posets with more than
+    ``MAX_CHAINS`` chains.
+    """
+    n = p.n_cells
+    below = [0] * n
+    order = sorted(range(1, n), key=lambda c: p.ranks[c])
+    for c in order:
+        mask = 0
+        for j in p.covers[c]:
+            if j != 0:
+                mask |= below[j] | (1 << j)
+        below[c] = mask
+
+    chains_at: dict[int, list[tuple[int, ...]]] = {}
+    total = 0
+    for c in order:
+        lst: list[tuple[int, ...]] = [(c,)]
+        mask = below[c]
+        while mask:
+            low = mask & -mask
+            b = low.bit_length() - 1
+            mask ^= low
+            for ch in chains_at[b]:
+                lst.append(ch + (c,))
+        total += len(lst)
+        if total > MAX_CHAINS:
+            raise ValueError(f"order complex exceeds {MAX_CHAINS} chains")
+        chains_at[c] = lst
+
+    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(p.d)]
+    for lst in chains_at.values():
+        for ch in lst:
+            by_dim[len(ch) - 1].append(ch)
+    index: list[dict[tuple[int, ...], int]] = [
+        {ch: i for i, ch in enumerate(simps)} for simps in by_dim]
+
+    dims = (1,) + tuple(len(simps) for simps in by_dim)
+    ranks = []
+    for k, simps in enumerate(by_dim):
+        if k == 0:
+            rows = [1] * len(simps)
+        else:
+            lower = index[k - 1]
+            rows = []
+            for ch in simps:
+                row = 0
+                for drop in range(len(ch)):
+                    row ^= 1 << lower[ch[:drop] + ch[drop + 1:]]
+                rows.append(row)
+        ranks.append(gf2_rank(rows))
+    # beta_i: the cells of dimension i minus the ranks of the maps out of
+    # and into them
+    ranks.append(0)
+    return tuple(dims[i + 1] - ranks[i] - ranks[i + 1]
+                 for i in range(p.d))
+
+
+def sphere_pattern(length: int) -> tuple[int, ...]:
+    """The reduced Betti vector of a sphere of dimension length - 1."""
+    return (0,) * (length - 1) + (1,) if length else ()
+
+
+def is_homology_sphere(p: SimplicialPoset) -> bool:
+    """A homology manifold with the reduced GF(2) homology of the d-1
+    sphere."""
+    return is_homology_manifold(p) and betti_gf2(p) == sphere_pattern(p.d)
 
 
 def to_graph(p: SimplicialPoset, coloring: dict[int, int]) -> ColoredGraph:

@@ -4,6 +4,7 @@ import re
 from dataclasses import fields
 from functools import reduce
 from pathlib import Path
+from types import ModuleType
 
 import cellposet
 from cellposet.graphs import ColoredGraph
@@ -12,24 +13,26 @@ from cellposet.posets import SimplicialPoset
 # The names `import cellposet` exports; adding one means editing this list
 # on purpose.
 PUBLIC_NAMES = [
-    "CancellationError", "CheckResult", "ColoredGraph", "Dipole",
-    "Schedule", "SimplicialPoset", "betti_gf2",
-    "betti_order_complex", "boundary_of_simplex", "cancel",
-    "cancellation_schedule", "check_dipole", "check_manifold_h",
-    "check_rp_h", "check_sphere_h", "checkers", "connected_sum",
-    "constructions", "cross_polytope_quotient", "f_from_h", "f_vector",
-    "find_dipoles", "from_graph", "graph_to_dot", "graph_to_json",
-    "graphs", "greedy_reduce", "h_double_prime", "h_vector", "homology",
-    "is_homology_manifold", "is_homology_sphere", "is_pseudomanifold",
+    "CancellationError", "CheckResult", "ColoredGraph", "Schedule",
+    "SimplicialPoset", "betti_gf2", "boundary_of_simplex",
+    "cancellation_schedule", "check_manifold_h", "check_rp_h",
+    "check_sphere_h", "checkers", "connected_sum", "constructions",
+    "cross_polytope_quotient", "f_vector", "from_graph", "graph_to_dot",
+    "graph_to_json", "graphs", "greedy_reduce", "h_double_prime",
+    "h_vector", "homology", "is_homology_manifold", "is_pseudomanifold",
     "is_pure", "parallel_edges_graph", "poset_to_json", "posets",
     "product_spheres_graph", "proper_coloring", "r_value",
     "reduce_product_spheres", "reduction", "require_admissible",
     "run_schedule", "validate_admissible", "validate_poset",
 ]
 
+# The public names that nothing outside the tests consumes yet: the
+# realizers of ROADMAP item 1 are to consume these three.
+UNCONSUMED = ("boundary_of_simplex", "connected_sum", "parallel_edges_graph")
+
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 39
     assert sorted(cellposet.__all__) == PUBLIC_NAMES
     assert not hasattr(ColoredGraph, "color_partner")
     assert [f.name for f in fields(SimplicialPoset)] == [
@@ -58,6 +61,38 @@ def test_no_unused_imports():
         unused += [f"{path.parent.name}/{path.name}: {name}"
                    for name in sorted(imported - used)]
     assert unused == []
+
+
+def uses(tree: ast.AST):
+    """Yield (name, the names of the defs and classes around it) for every
+    Name and Attribute node of `tree`."""
+    stack = [(tree, frozenset())]
+    while stack:
+        node, owners = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owners |= {node.name}
+        if isinstance(node, ast.Name):
+            yield node.id, owners
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, owners
+        stack += [(child, owners) for child in ast.iter_child_nodes(node)]
+
+
+def test_every_public_name_has_a_consumer():
+    """Every public name other than a module is used in the package or in
+    the benchmark harness outside its own def or class; docstrings and the
+    package's `__init__.py` re-export do not count."""
+    package = Path(cellposet.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    consumed = set()
+    for path in sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py")):
+        if path != package / "__init__.py":
+            consumed |= {name for name, owners in uses(ast.parse(
+                path.read_text())) if name not in owners}
+    public = {name for name in cellposet.__all__
+              if not isinstance(getattr(cellposet, name), ModuleType)}
+    assert sorted(public - consumed) == sorted(UNCONSUMED)
 
 
 def resolves(root, dotted: str) -> bool:

@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import pytest
@@ -153,6 +154,16 @@ class TestRValue:
             r_value(3, 0)
         with pytest.raises(ValueError):
             r_value(3, 4)
+
+
+@pytest.mark.parametrize("decide,failed", [
+    (check_manifold_h, None), (check_rp_h, "shifted nonnegativity")])
+def test_deciders_take_linear_time(decide, failed):
+    # a binomial per entry took over 30 s at this size
+    start = time.perf_counter()
+    result = decide((1,) * 20001, 20000)
+    assert time.perf_counter() - start < 2
+    assert (result.ok, result.failed_condition) == (failed is None, failed)
 
 
 class TestRpH:

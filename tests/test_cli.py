@@ -531,6 +531,21 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err == f"error: cell 1 label {label!r} is not a string\n"
 
+    @pytest.mark.parametrize("command", [("build", "from-json"),
+                                         ("invariants",), ("recognize",)])
+    @pytest.mark.parametrize("cell,value", [(0, 0.0), (1, True), (2, 2.0)])
+    def test_cell_id_must_be_an_int(self, capsys, tmp_path, command, cell,
+                                    value):
+        # each value equals the id it replaces
+        doc = poset_to_dict(boundary_of_simplex(2))
+        doc["cells"][cell]["id"] = value
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *command, str(src))
+        assert code == 2 and out == ""
+        assert err == (f"error: malformed poset JSON: cell id {value!r} is "
+                       "not an integer\n")
+
 
 json_values = st.recursive(
     # mostly small integers, which keep a mutated document near a valid

@@ -11,13 +11,13 @@ from cellposet.constructions import (boundary_of_simplex,
                                      product_spheres_graph, set_label)
 from cellposet.checkers import r_value
 from cellposet.graphs import validate_admissible
-from cellposet.homology import (betti_gf2, betti_order_complex,
-                                h_double_prime, is_homology_manifold,
-                                is_homology_sphere, validate_poset)
+from cellposet.homology import (betti_gf2, h_double_prime,
+                                is_homology_manifold, validate_poset)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               h_vector, poset_to_json, proper_coloring)
 
-from conftest import colors_between, to_graph
+from conftest import (betti_order_complex, colors_between,
+                      is_homology_sphere, to_graph)
 
 
 def product_betti(n, m):

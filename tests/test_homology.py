@@ -8,16 +8,14 @@ from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph)
-from cellposet.homology import (_boundary_rows, betti_gf2,
-                                betti_order_complex,
-                                gf2_rank, h_double_prime,
-                                is_homology_manifold, is_homology_sphere,
-                                link_bettis)
+from cellposet.homology import (_boundary_rows, betti_gf2, h_double_prime,
+                                is_homology_manifold, link_bettis)
 from cellposet.graphs import validate_admissible
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               is_pseudomanifold, is_pure)
 
-from conftest import admissible_graphs, link, two_pillows
+from conftest import (admissible_graphs, betti_order_complex, gf2_rank,
+                      is_homology_sphere, link, sphere_pattern, two_pillows)
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -201,10 +199,6 @@ class TestSphereManifoldPredicates:
 
     def test_contractible_is_not_a_sphere(self):
         assert not is_homology_sphere(full_simplex_poset(2))
-
-
-def sphere_pattern(length: int) -> tuple[int, ...]:
-    return (0,) * (length - 1) + (1,) if length else ()
 
 
 def lower_half(betti: tuple[int, ...]) -> tuple[int, ...]:

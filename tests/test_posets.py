@@ -13,7 +13,7 @@ from cellposet.constructions import (boundary_of_simplex,
 from cellposet.graphs import ColoredGraph
 from cellposet import homology, posets
 from cellposet.homology import _boundary_rows, link_bettis, validate_poset
-from cellposet.posets import (SimplicialPoset, f_from_h, f_vector, from_graph,
+from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               h_vector, is_pseudomanifold, is_pure,
                               poset_from_dict, poset_to_dict,
                               poset_to_json, proper_coloring)
@@ -33,6 +33,17 @@ def h_by_polynomial_expansion(f):
         for k, c in enumerate(poly):
             total[k] += c
     return tuple(total)
+
+
+def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse transform of `h_vector`:
+    f_k = sum_i C(d-i, k-i) h_i."""
+    if not h:
+        raise ValueError("empty h-vector")
+    d = len(h) - 1
+    return tuple(
+        sum(comb(d - i, k - i) * h[i] for i in range(k + 1))
+        for k in range(d + 1))
 
 
 def reference_from_graph(g: ColoredGraph) -> SimplicialPoset:
