@@ -5,8 +5,9 @@ projective space, connected sums, and simplex boundary fixtures.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, count
 from math import comb
+from operator import or_, xor
 
 from .graphs import ColoredGraph
 from .posets import MAX_OUTPUT_SIZE, SimplicialPoset, proper_coloring
@@ -84,11 +85,14 @@ def cross_polytope_quotient(n: int) -> SimplicialPoset:
     F and -F identified.
 
     Faces are the sign vectors (nonempty subsets of {+-1..+-n} without an
-    antipodal pair); each orbit {F, -F} is keyed by its representative:
-    the member written in support order whose first entry is negative.
-    Only representatives are enumerated; a face covered by one is keyed
-    by deleting an entry and negating the rest when it then starts
-    positive.  n vertices, 2^(n-1) facets.
+    antipodal pair); each orbit {F, -F} is one cell, listed under the
+    member written in support order whose first entry is negative.  These
+    representatives come in lexicographic order, each rank's by extending
+    the rank below's by an entry of larger absolute value.  A face's key
+    has bit v - 1 for an entry -v and bit n + v - 1 for +v, so -F swaps
+    the halves of F's key.  Both are keyed to their cell, so a covered
+    face, a key with one bit cleared, needs no normalizing.  n vertices,
+    2^(n-1) facets.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -98,33 +102,41 @@ def cross_polytope_quotient(n: int) -> SimplicialPoset:
             f"the cell decomposition of RP^{n - 1} has at least {n_cells} "
             f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
 
-    by_rank: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for size in range(1, n + 1):
-        for support in combinations(range(1, n + 1), size):
-            head = (-support[0],)
-            by_rank[size].extend(
-                head + rest for rest in product(*((v, -v) for v in support[1:])))
-        by_rank[size].sort()
+    low = (1 << n) - 1
+    # the label text of each half of a key in ascending order, an entry
+    # led by a comma
+    low_text, high_text = [""], [""]
+    for v in range(1, n + 1):
+        low_text += [f",{-v}" + t for t in low_text]
+        high_text += [t + f",{v}" for t in high_text]
+    # the entries that may follow an entry: larger absolute value, in
+    # ascending order; a representative starts with a negative entry
+    neg = [1 << v - 1 for v in range(n, 0, -1)]
+    pos = [1 << n + v - 1 for v in range(1, n + 1)]
+    after = {0: neg}
+    for a in range(1, n + 1):
+        after[1 << a - 1] = after[1 << n + a - 1] = neg[:n - a] + pos[a:]
 
-    ids: dict[tuple[int, ...], int] = {}
-    ranks: list[int] = [0]
-    covers: list[tuple[int, ...]] = [()]
-    labels: list[str] = ["0"]
-    for size in range(1, n + 1):
-        for r in by_rank[size]:
-            ids[r] = len(ranks)
-            ranks.append(size)
-            labels.append(set_label(r))
-            if size == 1:
-                covers.append((0,))
-            else:
-                cov = []
-                for i in range(size):
-                    face = r[:i] + r[i + 1:]
-                    if face[0] > 0:
-                        face = tuple(-x for x in face)
-                    cov.append(ids[face])
-                covers.append(tuple(sorted(cov)))
+    ids, ranks, covers, labels = {0: 0}, [0], [()], ["0"]
+    # the keys of the representatives of a rank, and the bits of their
+    # entries column by column
+    keys, entries = [0], []
+    for rank in range(1, n + 1):
+        parents, last = [], []
+        for t, b in enumerate(entries[-1] if entries else [0]):
+            parents += [t] * len(after[b])
+            last += after[b]
+        keys = list(map(or_, map(keys.__getitem__, parents), last))
+        entries = [list(map(col.__getitem__, parents))
+                   for col in entries] + [last]
+        ids.update(zip(keys, count(len(ranks))))
+        ids.update(zip([k >> n | (k & low) << n for k in keys],
+                       count(len(ranks))))
+        ranks += [rank] * len(keys)
+        labels += ["{%s}" % (low_text[k & low] + high_text[k >> n])[1:]
+                   for k in keys]
+        covers += map(tuple, map(sorted, zip(*[
+            map(ids.__getitem__, map(xor, keys, col)) for col in entries])))
     return SimplicialPoset(n, tuple(ranks), tuple(covers), tuple(labels))
 
 

@@ -8,7 +8,8 @@ of a closed pseudomanifold (see :mod:`cellposet.posets`).
 Graphs keep no incidence index: the dipole reduction builds its own
 partner table for the length of one call (see :mod:`cellposet.reduction`).
 Components of a color-restricted subgraph come from
-:meth:`ColoredGraph.component_roots`, the one component routine;
+:meth:`ColoredGraph.component_roots`, the one component routine, which
+merges the distinct pairs of roots that the edges join;
 :meth:`ColoredGraph.components` is its view by vertex label.
 
 All values are immutable; operations return new objects and are safe to
@@ -22,47 +23,30 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-class UnionFind:
-    """Array union-find with path compression; roots are minimal indices,
-    so every parent pointer points to an index no larger than its own.
-
-    ``start``, if given, is a partition to start from instead of
-    singletons: a per-element root list as :meth:`roots` returns it.
-    """
-
-    def __init__(self, size: int, start: list[int] | None = None):
-        if start is None:
-            self.parent = list(range(size))
-        else:
-            if len(start) != size:
-                raise ValueError(
-                    f"start partition has {len(start)} entries, expected {size}")
-            self.parent = list(start)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        # keep the smaller index as root so component ids are canonical
-        self.parent[rb] = ra
-
-    def roots(self) -> list[int]:
-        """Per-element root, in one pass: parent[i] <= i, so the root of
-        parent[i] is known by the time i is reached."""
-        out = self.parent[:]
-        for i, p in enumerate(out):
-            out[i] = out[p]
-        return out
+def _merge_roots(roots: list[int], us, vs) -> list[int]:
+    """`roots`, a per-element root list whose roots are the least elements
+    of their classes, after joining us[i] to vs[i] for every i.  Only the
+    distinct pairs of roots joined are merged, each parent smaller than
+    its child, and roots stay least elements."""
+    parent: dict[int, int] = {}
+    for a, b in set(zip(map(roots.__getitem__, us),
+                        map(roots.__getitem__, vs))):
+        # find with path halving; parent[x] is stored before x moves on
+        while a in parent:
+            p = parent[a]
+            parent[a] = a = parent.get(p, p)
+        while b in parent:
+            p = parent[b]
+            parent[b] = b = parent.get(p, p)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # in ascending order, each parent is final before its (larger) child
+    for r in sorted(parent):
+        p = parent[r]
+        parent[r] = parent.get(p, p)
+    return list(map(parent.get, roots, roots))
 
 
 @dataclass(frozen=True)
@@ -105,13 +89,6 @@ class ColoredGraph:
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    def _check_color_set(self, colors) -> frozenset[int]:
-        s = frozenset(colors)
-        bad = [c for c in s if not 1 <= c <= self.d]
-        if bad:
-            raise ValueError(f"colors {sorted(bad)} outside 1..{self.d}")
-        return s
-
     def component_roots(self, colors, start: list[int] | None = None) -> list[int]:
         """Per-vertex root (least index in its component) under color restriction.
 
@@ -119,13 +96,20 @@ class ColoredGraph:
         T; the result is then that for T together with `colors`, and only
         the edges of `colors` are merged.
         """
-        s = self._check_color_set(colors)
-        uf = UnionFind(len(self.vertices), start)
+        s = frozenset(colors)
+        bad = [c for c in s if not 1 <= c <= self.d]
+        if bad:
+            raise ValueError(f"colors {sorted(bad)} outside 1..{self.d}")
+        n = len(self.vertices)
+        if start is None:
+            start = list(range(n))
+        elif len(start) != n:
+            raise ValueError(
+                f"start partition has {len(start)} entries, expected {n}")
         index = self.index
-        for u, v, c in self.edges:
-            if c in s:
-                uf.union(index[u], index[v])
-        return uf.roots()
+        return _merge_roots(start,
+                            [index[u] for u, _, c in self.edges if c in s],
+                            [index[v] for _, v, c in self.edges if c in s])
 
     def components(self, colors) -> tuple[tuple[str, ...], ...]:
         """Connected components of the color-restricted graph, as vertex
@@ -135,11 +119,10 @@ class ColoredGraph:
         inside a component likewise; this canonical order makes poset
         construction deterministic.
         """
-        roots = self.component_roots(colors)
-        groups: dict[int, list[str]] = {}
-        for i, r in enumerate(roots):
-            groups.setdefault(r, []).append(self.vertices[i])
-        return tuple(tuple(groups[r]) for r in sorted(groups))
+        groups: dict[int, list[str]] = {}   # in ascending order of roots
+        for v, r in zip(self.vertices, self.component_roots(colors)):
+            groups.setdefault(r, []).append(v)
+        return tuple(map(tuple, groups.values()))
 
 
 def validate_admissible(g: ColoredGraph) -> list[str]:

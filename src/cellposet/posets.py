@@ -12,6 +12,12 @@ are proved boolean by `homology._boundary_rows`, which `betti_gf2`,
 cells are pairs (H, S) of a color set S and a connected component H of the
 S-colored subgraph, ordered by reverse inclusion on both coordinates, with
 rank d - |S|.  Facets correspond to graph vertices, ridges to graph edges.
+A component is named by its root, its least vertex index.  The roots for
+S are those for S minus its greatest color c, with the distinct pairs of
+roots that the c-colored edges join merged (`graphs._merge_roots`, the
+kernel of `ColoredGraph.component_roots`).  A color set has a cell per
+distinct root, at least 2^d cells in all; `from_graph` refuses a graph
+with more than `MAX_OUTPUT_SIZE` cells before building any.
 """
 
 from __future__ import annotations
@@ -19,14 +25,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 
-from .graphs import ColoredGraph, UnionFind, require_admissible
+from .graphs import ColoredGraph, _merge_roots, require_admissible
 
 # The most cells `from_graph` makes, and the most edges or cells a builder
-# in `constructions` makes; a larger request is refused before anything is
-# allocated.  The size is computed exactly for small arguments and bounded
+# in `constructions` makes; a larger request is refused before its output
+# is built.  The size is computed exactly for small arguments and bounded
 # from below for large ones, where the exact count would itself take long
 # to compute.
 MAX_OUTPUT_SIZE = 10 ** 6
@@ -153,50 +159,50 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
             f"bits of boundary rows, more than the limit of {MAX_ROW_BITS}")
     colors = tuple(range(1, d + 1))
 
-    # The roots for S are those for S - {max S} merged along color max S,
-    # read from a graph holding that color's V/2 edges only.  These graphs
-    # live for this call alone: an index cached on `g` would stay with it.
-    # Color sets are keyed by bitmask (bit c for color c).
-    layers = {c: ColoredGraph(d, g.vertices,
-                              tuple(e for e in g.edges if e[2] == c))
-              for c in colors}
-    # combinations yields every smaller set before the sets built on it
-    roots = {0: g.component_roots(())}
+    # The roots for S are those for S - {max S} merged along the edges of
+    # color max S.  Color sets are keyed by bitmask (bit c for color c);
+    # combinations yields every smaller set before the sets built on it.
+    index = g.index
+    ends = {c: ([], []) for c in colors}    # color -> edges' two ends
+    for u, v, c in g.edges:
+        ends[c][0].append(index[u])
+        ends[c][1].append(index[v])
+    roots = {0: list(range(len(g.vertices)))}
     for size in range(1, d + 1):
         for sub in combinations(colors, size):
             top = sub[-1]
             mask = sum(1 << c for c in sub)
-            roots[mask] = layers[top].component_roots(
-                (top,), roots[mask ^ 1 << top])
+            roots[mask] = _merge_roots(roots[mask ^ 1 << top], *ends[top])
+    # a root is the least vertex of its component: one cell per root
+    components = {mask: sorted(set(r)) for mask, r in roots.items()}
+    n_cells = sum(map(len, components.values()))
+    if n_cells > MAX_OUTPUT_SIZE:
+        raise ValueError(
+            f"the cell poset of this {d}-colored graph has {n_cells} "
+            f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
 
+    # the graph is connected: one rank-0 cell, the minimum
     full = sum(1 << c for c in colors)
-    cell_of: dict[int, dict[int, int]] = {}    # color set -> root -> cell
-    ranks: list[int] = []
-    covers: list[tuple[int, ...]] = []
-    labels: list[str] = []
-
-    for rank in range(d + 1):
+    cell_of: dict[int, dict[int, int]] = {full: {0: 0}}   # set -> root -> id
+    ranks, covers, labels = [0], [()], ["0"]
+    for rank in range(1, d + 1):
         # missing = [d] \ S enumerated in lexicographic order fixes cell order
         for missing in combinations(colors, rank):
             mask = full ^ sum(1 << i for i in missing)
-            root_of = roots[mask]
-            ids = cell_of[mask] = {}
-            # the covered cells' color sets, each with one missing color back
-            up = [(roots[mask | 1 << i], cell_of[mask | 1 << i])
-                  for i in missing]
-            prefix = "{%s}@" % ",".join(str(c) for c in colors
-                                        if c not in missing)
-            for root in sorted(set(root_of)):
-                ids[root] = len(ranks)
-                ranks.append(rank)
-                if rank == d:
-                    labels.append(g.vertices[root])
-                elif rank == 0:
-                    labels.append("0")
-                else:
-                    labels.append(prefix + g.vertices[root])
-                covers.append(tuple([cells[up_roots[root]]
-                                     for up_roots, cells in up]))
+            comps = components[mask]
+            cell_of[mask] = dict(zip(comps, count(len(ranks))))
+            ranks += [rank] * len(comps)
+            names = map(g.vertices.__getitem__, comps)
+            if rank < d:
+                prefix = "{%s}@" % ",".join(str(c) for c in colors
+                                            if c not in missing)
+                names = map(prefix.__add__, names)
+            labels += names
+            # one column per missing color: the covered cell, which has
+            # that color back, of each cell's root
+            covers += zip(*[map(cell_of[mask | 1 << i].__getitem__,
+                                map(roots[mask | 1 << i].__getitem__, comps))
+                            for i in missing])
 
     return SimplicialPoset(d, tuple(ranks), tuple(covers), tuple(labels))
 
@@ -234,13 +240,10 @@ def is_pseudomanifold(p: SimplicialPoset) -> bool:
     for ridge in p.cells_by_rank[p.d - 1]:
         if len(p.coverers[ridge]) != 2:
             return False
-    pos = {f: i for i, f in enumerate(facet_ids)}
-    uf = UnionFind(len(facet_ids))
-    for ridge in p.cells_by_rank[p.d - 1]:
-        f1, f2 = p.coverers[ridge]
-        uf.union(pos[f1], pos[f2])
-    # roots are least indices: one component exactly when every root is 0
-    return not any(uf.roots())
+    # pure and d >= 1: a facet exists, so a ridge does, with two facets
+    us, vs = zip(*(p.coverers[ridge] for ridge in p.cells_by_rank[p.d - 1]))
+    roots = _merge_roots(list(range(p.n_cells)), us, vs)
+    return len({roots[f] for f in facet_ids}) == 1
 
 
 def proper_coloring(p: SimplicialPoset):

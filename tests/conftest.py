@@ -1,4 +1,6 @@
 import json
+import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,40 @@ def color_partner(g: ColoredGraph, v: str, color: int) -> str:
             f"vertex {v!r} has {len(others)} edges of color {color}; "
             "graph is not admissible there")
     return others[0]
+
+
+def bfs_roots(g: ColoredGraph, colors) -> list[int]:
+    """Oracle for `ColoredGraph.component_roots`: a breadth-first search
+    over the edges of `colors`, started from each unreached vertex in
+    index order, so that a component's root is its least vertex index."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adjacent: list[list[int]] = [[] for _ in g.vertices]
+    for u, v, c in g.edges:
+        if c in colors:
+            adjacent[index[u]].append(index[v])
+            adjacent[index[v]].append(index[u])
+    roots: list[int | None] = [None] * len(g.vertices)
+    for start in range(len(g.vertices)):
+        if roots[start] is None:
+            roots[start] = start
+            queue = deque([start])
+            while queue:
+                for y in adjacent[queue.popleft()]:
+                    if roots[y] is None:
+                        roots[y] = start
+                        queue.append(y)
+    return roots
+
+
+def shuffled(g: ColoredGraph, seed: int) -> ColoredGraph:
+    """`g` with vertex order, edge order and edge orientation permuted."""
+    rnd = random.Random(seed)
+    vertices = list(g.vertices)
+    rnd.shuffle(vertices)
+    edges = [(u, v, c) if rnd.random() < 0.5 else (v, u, c)
+             for u, v, c in g.edges]
+    rnd.shuffle(edges)
+    return ColoredGraph(g.d, tuple(vertices), tuple(edges))
 
 
 def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:

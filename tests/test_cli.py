@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -18,7 +17,8 @@ from cellposet.constructions import (boundary_of_simplex,
 from cellposet.graphs import graph_to_dict
 from cellposet.posets import poset_to_dict
 
-from conftest import insert_dipole, rewired_simplex_boundary, two_pillows
+from conftest import (insert_dipole, rewired_simplex_boundary, shuffled,
+                      two_pillows)
 
 DATA = Path(__file__).parent / "data"
 TORUS = str(DATA / "torus_crystallization.json")
@@ -173,16 +173,8 @@ class TestByteIdentity:
 
     @staticmethod
     def shuffled_input(path: Path) -> None:
-        # S^2 x S^3 with vertex order, edge order and orientation permuted
-        g = product_spheres_graph(2, 3)
-        rnd = random.Random(7)
-        vertices = list(g.vertices)
-        rnd.shuffle(vertices)
-        edges = [{"u": u, "v": v, "color": c} if rnd.random() < 0.5
-                 else {"u": v, "v": u, "color": c} for u, v, c in g.edges]
-        rnd.shuffle(edges)
-        path.write_text(json.dumps(
-            {"d": g.d, "vertices": vertices, "edges": edges}))
+        path.write_text(json.dumps(graph_to_dict(
+            shuffled(product_spheres_graph(2, 3), 7))))
 
     def test_greedy_reduce(self, capsys, tmp_path):
         src = tmp_path / "g.json"

@@ -1,6 +1,7 @@
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+from operator import mul
 
 import pytest
 
@@ -122,10 +123,34 @@ def sorting_cross_polytope_quotient(n: int) -> SimplicialPoset:
 
 
 class TestCrossPolytopeQuotient:
-    @pytest.mark.parametrize("n", range(2, 8))
+    # RP^7 (n = 8) is the input of the recognize benchmark
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_the_sorting_construction(self, n):
         assert poset_to_json(cross_polytope_quotient(n)) == \
                poset_to_json(sorting_cross_polytope_quotient(n))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_a_face_and_its_antipode_share_a_cell(self, n):
+        # every sign vector F, not only a representative, is named by
+        # exactly one of F and -F, and that cell covers the cells of the
+        # faces of F
+        p = cross_polytope_quotient(n)
+        cell = {label: i for i, label in enumerate(p.labels)}
+
+        def cell_of(face):
+            ids = {cell.get(set_label(face)),
+                   cell.get(set_label(-x for x in face))} - {None}
+            assert len(ids) == 1
+            return ids.pop()
+
+        for size in range(1, n + 1):
+            for support in combinations(range(1, n + 1), size):
+                for signs in product((1, -1), repeat=size):
+                    face = frozenset(map(mul, signs, support))
+                    c = cell_of(face)
+                    below = (0,) if size == 1 else tuple(sorted(
+                        cell_of(face - {x}) for x in face))
+                    assert (p.ranks[c], p.covers[c]) == (size, below)
 
     def test_small_counts(self):
         assert f_vector(cross_polytope_quotient(2)) == (1, 2, 2)

@@ -3,11 +3,11 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet.graphs import (ColoredGraph, UnionFind, graph_from_dict,
+from cellposet.graphs import (ColoredGraph, graph_from_dict,
                               graph_to_dot, graph_to_json,
                               validate_admissible)
 
-from conftest import admissible_graphs, color_partner
+from conftest import admissible_graphs, bfs_roots, color_partner
 
 
 def brute_components(g: ColoredGraph, colors) -> int:
@@ -133,11 +133,13 @@ class TestStartPartition:
         assert g.component_roots(b, g.component_roots(a)) == \
                g.component_roots(a | b)
 
-    def test_union_find_from_a_partition(self):
-        uf = UnionFind(5, [0, 0, 2, 2, 4])
-        assert uf.roots() == [0, 0, 2, 2, 4]
-        uf.union(3, 1)
-        assert uf.roots() == [0, 0, 0, 0, 4]
+    @given(admissible_graphs(colors=(2, 3, 4)), st.data())
+    def test_merging_matches_breadth_first_search(self, g, data):
+        a = data.draw(st.sets(st.integers(1, g.d)))
+        b = data.draw(st.sets(st.integers(1, g.d)))
+        assert g.component_roots(a) == bfs_roots(g, a)
+        assert g.component_roots(b, g.component_roots(a)) == \
+               bfs_roots(g, a | b)
 
     def test_start_of_the_wrong_length(self, torus_graph):
         with pytest.raises(ValueError, match="5 entries, expected 6"):

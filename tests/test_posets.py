@@ -18,8 +18,9 @@ from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               poset_from_dict, poset_to_dict,
                               poset_to_json, proper_coloring)
 
-from conftest import (admissible_graphs, link, rewired_simplex_boundary,
-                      to_graph, two_pillows)
+from conftest import (admissible_graphs, bfs_roots, link,
+                      rewired_simplex_boundary, shuffled, to_graph,
+                      two_pillows)
 
 
 def h_by_polynomial_expansion(f):
@@ -48,10 +49,10 @@ def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
 
 def reference_from_graph(g: ColoredGraph) -> SimplicialPoset:
     """Oracle for from_graph: the components of every color subset from
-    its own component_roots call, with nothing carried between subsets."""
+    its own breadth-first search, with nothing carried between subsets."""
     d = g.d
     colors = tuple(range(1, d + 1))
-    roots = {frozenset(sub): g.component_roots(sub)
+    roots = {frozenset(sub): bfs_roots(g, sub)
              for size in range(d + 1) for sub in combinations(colors, size)}
     cell_id = {}
     ranks, covers, labels = [], [], []
@@ -110,6 +111,10 @@ class TestFromGraph:
         g = product_spheres_graph(n, m)
         assert same_poset(from_graph(g), reference_from_graph(g))
 
+    @pytest.mark.parametrize("n,m,seed", [(2, 3, 1), (2, 3, 2), (3, 3, 1)])
+    def test_shuffled_product_graphs_match_the_reference(self, n, m, seed):
+        g = shuffled(product_spheres_graph(n, m), seed)
+        assert same_poset(from_graph(g), reference_from_graph(g))
 
     def test_torus_f_vector(self, torus_graph):
         assert f_vector(from_graph(torus_graph)) == (1, 3, 9, 6)
@@ -161,15 +166,31 @@ class TestFromGraph:
             from_graph(g)
 
     def test_size_limit_counts_a_cell_per_color_set(self, monkeypatch):
-        # d = 3: 2^3 color sets, so 8 cells at least (9 here), allowed at
-        # a limit of 8 and refused below
-        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 8)
+        # d = 3: 2^3 color sets, so 8 cells at least, refused below 8
+        # before any component is computed; the exact count, 9 here, is
+        # refused below 9 once the components are known
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 9)
         assert from_graph(parallel_edges_graph(3)).n_cells == 9
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 8)
+        with pytest.raises(ValueError, match=r"^the cell poset of this "
+                                             r"3-colored graph has 9 cells, "
+                                             r"more than the limit of 8$"):
+            from_graph(parallel_edges_graph(3))
         monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 7)
         with pytest.raises(ValueError, match=r"^the cell poset of a 3-colored "
                                              r"graph has at least 8 cells, "
                                              r"more than the limit of 7$"):
             from_graph(parallel_edges_graph(3))
+
+    def test_size_limit_is_exact_past_the_color_sets(self, monkeypatch):
+        # S^2 x S^2: 2^5 = 32 color sets but 179 cells
+        g = product_spheres_graph(2, 2)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 179)
+        assert from_graph(g).n_cells == 179
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 100)
+        with pytest.raises(ValueError, match="has 179 cells, more than the "
+                                             "limit of 100$"):
+            from_graph(g)
 
     def test_row_bit_limit_bounds_the_two_vertex_graph(self, monkeypatch):
         # d = 3: the rows take at least C(6, 4) = 15 bits (18 here),

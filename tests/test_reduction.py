@@ -99,7 +99,7 @@ def brute_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
 
 def reference_check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
     """Oracle for check_dipole on the edge list: the colors between x and y
-    by an edge scan, components by union-find over the other colors."""
+    by an edge scan, components by component_roots over the other colors."""
     cols = colors_between(g, x, y)
     if not cols:
         return None
@@ -112,7 +112,7 @@ def reference_check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
 def reference_cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
     """Oracle for cancel on the edge list: keep the edges that miss x and y
     in order, append (x's i-partner, y's i-partner, i) for each color i not
-    between them in ascending order, and test connectivity by union-find."""
+    between them in ascending order, and test connectivity by components."""
     if x == y:
         raise ValueError("cannot cancel a vertex with itself")
     cols = colors_between(g, x, y)
