@@ -1,16 +1,17 @@
 """Explicit builders: the 4-block colored graph presenting a product of
-two spheres, the antipodal cross-polytope quotient presenting real
-projective space, connected sums, and simplex boundary fixtures.
+two spheres, the colored graph of facet orbits whose poset is the
+antipodal cross-polytope quotient presenting real projective space,
+connected sums, and simplex boundary fixtures.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import combinations, product
 from math import comb
-from operator import or_, xor
 
 from .graphs import ColoredGraph
-from .posets import MAX_OUTPUT_SIZE, SimplicialPoset, proper_coloring
+from .posets import (MAX_OUTPUT_SIZE, SimplicialPoset, from_graph,
+                     proper_coloring)
 
 
 def set_label(s) -> str:
@@ -79,20 +80,36 @@ def product_spheres_graph(n: int, m: int) -> ColoredGraph:
 
 # --- real projective space as an antipodal quotient -------------------------------
 
+def _rp_graph(n: int) -> ColoredGraph:
+    """The n-colored graph of `cross_polytope_quotient`: its vertices are
+    the sign vectors of length n with first entry -, written as strings of
+    + and -, and color i flips entry i, then negates the whole vector if
+    its first entry became +."""
+    vertices = tuple("-" + "".join(s) for s in product("-+", repeat=n - 1))
+    # vertex t has a + at entry i > 1 when bit n - i of t is set; color 1
+    # flips entry 1 and the negation flips it back with all the others
+    flips = [len(vertices) - 1] + [1 << n - i for i in range(2, n + 1)]
+    return ColoredGraph(n, vertices, tuple(
+        (vertices[t], vertices[t ^ flip], c)
+        for c, flip in enumerate(flips, 1)
+        for t in range(len(vertices)) if t < t ^ flip))
+
+
 def cross_polytope_quotient(n: int) -> SimplicialPoset:
     """Simplicial cell decomposition of (n-1)-dimensional real projective
     space: faces of the boundary of the n-dimensional cross polytope with
     F and -F identified.
 
     Faces are the sign vectors (nonempty subsets of {+-1..+-n} without an
-    antipodal pair); each orbit {F, -F} is one cell, listed under the
-    member written in support order whose first entry is negative.  These
-    representatives come in lexicographic order, each rank's by extending
-    the rank below's by an entry of larger absolute value.  A face's key
-    has bit v - 1 for an entry -v and bit n + v - 1 for +v, so -F swaps
-    the halves of F's key.  Both are keyed to their cell, so a covered
-    face, a key with one bit cleared, needs no normalizing.  n vertices,
-    2^(n-1) facets.
+    antipodal pair), and a cell is an orbit {F, -F}.  The poset is
+    `from_graph` of an n-colored graph whose vertices are the facet orbits,
+    each named by its member with first entry -: color i flips entry i and
+    renormalizes.  The color-i edges are the ridge orbits, a ridge being a
+    facet without +-i and lying in exactly the two facets that differ at
+    entry i.  So the components of the S-colored subgraph are the faces
+    with support [n] - S, up to sign, and a cell labeled ``{S}@v`` is the
+    orbit of v's entries outside S; a facet is labeled by its vector.
+    n vertices, 2^(n-1) facets, (3^n - 1)/2 nonempty cells.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -101,43 +118,7 @@ def cross_polytope_quotient(n: int) -> SimplicialPoset:
         raise ValueError(
             f"the cell decomposition of RP^{n - 1} has at least {n_cells} "
             f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
-
-    low = (1 << n) - 1
-    # the label text of each half of a key in ascending order, an entry
-    # led by a comma
-    low_text, high_text = [""], [""]
-    for v in range(1, n + 1):
-        low_text += [f",{-v}" + t for t in low_text]
-        high_text += [t + f",{v}" for t in high_text]
-    # the entries that may follow an entry: larger absolute value, in
-    # ascending order; a representative starts with a negative entry
-    neg = [1 << v - 1 for v in range(n, 0, -1)]
-    pos = [1 << n + v - 1 for v in range(1, n + 1)]
-    after = {0: neg}
-    for a in range(1, n + 1):
-        after[1 << a - 1] = after[1 << n + a - 1] = neg[:n - a] + pos[a:]
-
-    ids, ranks, covers, labels = {0: 0}, [0], [()], ["0"]
-    # the keys of the representatives of a rank, and the bits of their
-    # entries column by column
-    keys, entries = [0], []
-    for rank in range(1, n + 1):
-        parents, last = [], []
-        for t, b in enumerate(entries[-1] if entries else [0]):
-            parents += [t] * len(after[b])
-            last += after[b]
-        keys = list(map(or_, map(keys.__getitem__, parents), last))
-        entries = [list(map(col.__getitem__, parents))
-                   for col in entries] + [last]
-        ids.update(zip(keys, count(len(ranks))))
-        ids.update(zip([k >> n | (k & low) << n for k in keys],
-                       count(len(ranks))))
-        ranks += [rank] * len(keys)
-        labels += ["{%s}" % (low_text[k & low] + high_text[k >> n])[1:]
-                   for k in keys]
-        covers += map(tuple, map(sorted, zip(*[
-            map(ids.__getitem__, map(xor, keys, col)) for col in entries])))
-    return SimplicialPoset(n, tuple(ranks), tuple(covers), tuple(labels))
+    return from_graph(_rp_graph(n))
 
 
 # --- connected sums ----------------------------------------------------------------

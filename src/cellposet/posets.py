@@ -16,8 +16,13 @@ A component is named by its root, its least vertex index.  The roots for
 S are those for S minus its greatest color c, with the distinct pairs of
 roots that the c-colored edges join merged (`graphs._merge_roots`, the
 kernel of `ColoredGraph.component_roots`).  A color set has a cell per
-distinct root, at least 2^d cells in all; `from_graph` refuses a graph
-with more than `MAX_OUTPUT_SIZE` cells before building any.
+distinct root, at least 2^d cells in all.  The roots give the exact
+f-vector, so a graph whose poset passes `MAX_OUTPUT_SIZE` cells or
+`MAX_ROW_BITS` bits of boundary rows is refused before any cell is built.
+The output skips the constructor's checks, which the construction meets:
+ranks lie in 0..d, the graph is connected (one rank-0 cell), and a cell
+(H, S) covers one cell of rank one lower per color outside S, each of a
+distinct color set; labels are strings, as vertex labels are.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
 from math import comb
+from operator import mul
 
 from .graphs import ColoredGraph, _merge_roots, require_admissible
 
@@ -175,11 +181,19 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
             roots[mask] = _merge_roots(roots[mask ^ 1 << top], *ends[top])
     # a root is the least vertex of its component: one cell per root
     components = {mask: sorted(set(r)) for mask, r in roots.items()}
-    n_cells = sum(map(len, components.values()))
+    f = [0] * (d + 1)
+    for mask, comps in components.items():
+        f[d - mask.bit_count()] += len(comps)
+    n_cells = sum(f)
     if n_cells > MAX_OUTPUT_SIZE:
         raise ValueError(
             f"the cell poset of this {d}-colored graph has {n_cells} "
             f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
+    bits = sum(map(mul, f, f[1:]))
+    if bits > MAX_ROW_BITS:
+        raise ValueError(
+            f"the chain complex of this {d}-colored graph has {bits} bits "
+            f"of boundary rows, more than the limit of {MAX_ROW_BITS}")
 
     # the graph is connected: one rank-0 cell, the minimum
     full = sum(1 << c for c in colors)
@@ -204,7 +218,11 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
                                 map(roots[mask | 1 << i].__getitem__, comps))
                             for i in missing])
 
-    return SimplicialPoset(d, tuple(ranks), tuple(covers), tuple(labels))
+    # the constructor's checks hold by construction (module docstring)
+    p = object.__new__(SimplicialPoset)
+    p.__dict__.update(d=d, ranks=tuple(ranks), covers=tuple(covers),
+                      labels=tuple(labels))
+    return p
 
 
 # --- face and h vectors ------------------------------------------------------

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 from operator import mul
@@ -6,7 +7,7 @@ from operator import mul
 import pytest
 
 from cellposet import constructions
-from cellposet.constructions import (boundary_of_simplex,
+from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph, set_label)
@@ -15,7 +16,7 @@ from cellposet.graphs import validate_admissible
 from cellposet.homology import (betti_gf2, h_double_prime,
                                 is_homology_manifold, validate_poset)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
-                              h_vector, poset_to_json, proper_coloring)
+                              h_vector, proper_coloring)
 
 from conftest import (betti_order_complex, colors_between,
                       is_homology_sphere, to_graph)
@@ -122,12 +123,51 @@ def sorting_cross_polytope_quotient(n: int) -> SimplicialPoset:
     return SimplicialPoset(n, ranks, covers, labels)
 
 
+def rp_face(label: str) -> frozenset[int]:
+    """The sign vector a cell of `cross_polytope_quotient` stands for, up
+    to sign: v's entries outside S for a cell labeled ``{S}@v``, the whole
+    vector for a facet labeled ``v``."""
+    colors, _, signs = label.rpartition("@")
+    outside = set(range(1, len(signs) + 1)) - set(
+        map(int, colors.strip("{}").split(",") if colors else ()))
+    return frozenset(i if signs[i - 1] == "+" else -i for i in outside)
+
+
+def antipode(face: frozenset[int]) -> frozenset[int]:
+    return frozenset(-x for x in face)
+
+
+def rp_cells_by_face(p: SimplicialPoset) -> dict[frozenset[int], int]:
+    """Every sign vector F and -F that a cell of the quotient `p` stands
+    for, keyed to that cell; no sign vector is keyed twice."""
+    cell_of = {}
+    for c in range(1, p.n_cells):
+        face = rp_face(p.labels[c])
+        for f in (face, antipode(face)):
+            assert cell_of.setdefault(f, c) == c, (p.labels[c], sorted(f))
+    return cell_of
+
+
 class TestCrossPolytopeQuotient:
     # RP^7 (n = 8) is the input of the recognize benchmark
     @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_the_sorting_construction(self, n):
-        assert poset_to_json(cross_polytope_quotient(n)) == \
-               poset_to_json(sorting_cross_polytope_quotient(n))
+        # each cell maps to the oracle's cell of the same orbit {F, -F};
+        # the map is a bijection that keeps ranks and covers
+        p, q = cross_polytope_quotient(n), sorting_cross_polytope_quotient(n)
+        oracle = {}
+        for c in range(1, q.n_cells):
+            face = frozenset(map(int, q.labels[c].strip("{}").split(",")))
+            oracle[face] = oracle[antipode(face)] = c
+        image = [0] + [oracle.get(rp_face(label)) for label in p.labels[1:]]
+        unmatched = [p.labels[c] for c, i in enumerate(image) if i is None]
+        assert unmatched[:5] == []
+        assert p.n_cells == q.n_cells == len(set(image))
+        wrong = [p.labels[c] for c in range(p.n_cells)
+                 if p.ranks[c] != q.ranks[image[c]]
+                 or sorted(map(image.__getitem__, p.covers[c]))
+                 != list(q.covers[image[c]])]
+        assert wrong[:5] == []
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_a_face_and_its_antipode_share_a_cell(self, n):
@@ -135,22 +175,17 @@ class TestCrossPolytopeQuotient:
         # exactly one of F and -F, and that cell covers the cells of the
         # faces of F
         p = cross_polytope_quotient(n)
-        cell = {label: i for i, label in enumerate(p.labels)}
-
-        def cell_of(face):
-            ids = {cell.get(set_label(face)),
-                   cell.get(set_label(-x for x in face))} - {None}
-            assert len(ids) == 1
-            return ids.pop()
-
+        cell_of = rp_cells_by_face(p)
+        assert len(cell_of) == 3 ** n - 1
         for size in range(1, n + 1):
             for support in combinations(range(1, n + 1), size):
                 for signs in product((1, -1), repeat=size):
                     face = frozenset(map(mul, signs, support))
-                    c = cell_of(face)
+                    c = cell_of[face]
                     below = (0,) if size == 1 else tuple(sorted(
-                        cell_of(face - {x}) for x in face))
-                    assert (p.ranks[c], p.covers[c]) == (size, below)
+                        cell_of[face - {x}] for x in face))
+                    assert (p.ranks[c], tuple(sorted(p.covers[c]))) == \
+                           (size, below)
 
     def test_small_counts(self):
         assert f_vector(cross_polytope_quotient(2)) == (1, 2, 2)
@@ -180,12 +215,19 @@ class TestCrossPolytopeQuotient:
                                           for i in range(1, n + 1)])
 
     def test_quotient_is_graphical_and_round_trips(self):
-        p = cross_polytope_quotient(3)
-        colors, conflict = proper_coloring(p)
-        assert conflict is None
-        g = to_graph(p, colors)
-        assert validate_admissible(g) == []
-        assert len(g.vertices) == 4 and len(g.edges) == 6
+        # graph -> poset -> graph gives back the graph the poset is built
+        # from, edge for edge
+        for n in range(2, 7):
+            g = _rp_graph(n)
+            p = cross_polytope_quotient(n)
+            colors, conflict = proper_coloring(p)
+            assert conflict is None
+            back = to_graph(p, colors)
+            assert validate_admissible(back) == []
+            assert len(back.vertices) == 2 ** (n - 1)
+            assert set(back.vertices) == set(g.vertices)
+            assert Counter((frozenset(e[:2]), e[2]) for e in back.edges) == \
+                   Counter((frozenset(e[:2]), e[2]) for e in g.edges)
 
     def test_too_small(self):
         with pytest.raises(ValueError):

@@ -101,7 +101,23 @@ def is_normal(p: SimplicialPoset) -> bool:
         if p.ranks[c] <= p.d - 2)
 
 
+def assert_passes_the_constructor_checks(p: SimplicialPoset) -> None:
+    """`from_graph` skips the checks of the `SimplicialPoset` constructor:
+    its output must pass them, and `validate_poset` too."""
+    assert SimplicialPoset(p.d, p.ranks, p.covers, p.labels) == p
+    assert validate_poset(p) == []
+
+
 class TestFromGraph:
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+    def test_products_pass_the_constructor_checks(self, n, m):
+        assert_passes_the_constructor_checks(
+            from_graph(product_spheres_graph(n, m)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_quotients_pass_the_constructor_checks(self, n):
+        assert_passes_the_constructor_checks(cross_polytope_quotient(n))
+
     @given(admissible_graphs(colors=(2, 3, 4)))
     def test_matches_the_per_subset_reference(self, g):
         assert same_poset(from_graph(g), reference_from_graph(g))
@@ -193,16 +209,34 @@ class TestFromGraph:
             from_graph(g)
 
     def test_row_bit_limit_bounds_the_two_vertex_graph(self, monkeypatch):
-        # d = 3: the rows take at least C(6, 4) = 15 bits (18 here),
-        # allowed at a limit of 15 and refused below
-        monkeypatch.setattr(posets, "MAX_ROW_BITS", 15)
+        # d = 3: the rows take at least C(6, 4) = 15 bits, refused below 15
+        # before any component is computed; the exact 3 + 9 + 6 = 18 bits
+        # are refused below 18 once the components are known
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 18)
         assert f_vector(from_graph(parallel_edges_graph(3))) == (1, 3, 3, 2)
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 17)
+        with pytest.raises(ValueError, match=r"^the chain complex of this "
+                                             r"3-colored graph has 18 bits "
+                                             r"of boundary rows, more than "
+                                             r"the limit of 17$"):
+            from_graph(parallel_edges_graph(3))
         monkeypatch.setattr(posets, "MAX_ROW_BITS", 14)
         with pytest.raises(ValueError, match=r"^the chain complex of a "
                                              r"3-colored graph has at least "
                                              r"15 bits of boundary rows, more "
                                              r"than the limit of 14$"):
             from_graph(parallel_edges_graph(3))
+
+    def test_row_bit_limit_is_exact_past_the_color_sets(self, monkeypatch):
+        # S^2 x S^2: at least C(10, 6) = 210 bits, but its rows take 6 738
+        g = product_spheres_graph(2, 2)
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 6738)
+        assert from_graph(g).n_cells == 179
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 6737)
+        with pytest.raises(ValueError, match="has 6738 bits of boundary "
+                                             "rows, more than the limit of "
+                                             "6737$"):
+            from_graph(g)
 
     # d = 18 and 19 pass the cell limit (2^19 < 10^6), not the row limit
     @pytest.mark.parametrize("d", [18, 19, 20, 24, 100])
@@ -215,7 +249,7 @@ class TestFromGraph:
     @given(admissible_graphs())
     def test_random_graphs_give_normal_pseudomanifolds(self, g):
         p = from_graph(g)
-        assert validate_poset(p) == []
+        assert_passes_the_constructor_checks(p)
         assert is_normal(p)
         assert len(p.cells_by_rank[p.d]) == len(g.vertices)
         assert len(p.cells_by_rank[p.d - 1]) == len(g.edges)
