@@ -89,6 +89,8 @@ def check_rp_h(h, n: int) -> CheckResult:
     the parity test on the shifted entry sum is the one on sum(h).
     """
     h = tuple(h)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if len(h) != n + 1:
         raise ValueError(f"h must have length {n + 1}, got {len(h)}")
     res = check_sphere_h(
@@ -133,10 +135,10 @@ def check_manifold_h(h, d: int) -> CheckResult:
     h = tuple(h)
     if d % 2 == 1:
         raise ValueError("the characterization applies to even d only")
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d={d}")
     if len(h) != d + 1:
         raise ValueError(f"h must have length {d + 1}, got {len(h)}")
-    if d == 0:
-        raise ValueError("need d >= 2")
     half = d // 2
     s = h[half] % 2
     binomials = _binomials(d, half + 1)

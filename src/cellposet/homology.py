@@ -7,14 +7,14 @@ elimination is XOR.  Everything here is exact integer arithmetic.
 
 `betti_gf2` eliminates the degrees from the top down with clearing (the
 "twist" of Chen and Kerber, *Persistent homology computation with a
-twist*).  Each pivot q of the degree-(k+1) elimination is the lowest bit
-of a reduced row z, a sum of boundaries of rank-(k+1) cells.  The
+twist*).  Each pivot q of the degree-(k+1) elimination is the highest
+bit of a reduced row z, a sum of boundaries of rank-(k+1) cells.  The
 boundary of z is zero, so row q of the degree-k map is the sum of the
-rows at the other bits of z, all above q.  Those z and the unit vectors
-off the pivots span all k-chains, so the degree-k rank is the rank of the
-rows off the pivots, and the pivot rows are never reduced.  This rests on
-the boundary squaring to zero, which `_boundary_rows` checks on every
-poset.
+rows at the other bits of z, all below q.  The pivots are distinct, so
+those z and the unit vectors off the pivots form a triangular basis of
+all k-chains, and the degree-k rank is the rank of the rows off the
+pivots: the pivot rows are never reduced.  This rests on the boundary
+squaring to zero, which `_boundary_rows` checks on every poset.
 
 The link predicate `is_homology_manifold` needs the homology of the link
 of every cell c, the interval above it (Björner, *Posets, regular CW
@@ -31,7 +31,7 @@ rows, on two facts.
 * Clearing works bottom-up, by the argument above on cochains.  The
   link's cochains are the parent's cochains on U, which the parent's
   coboundary, squaring to zero, keeps on U, as U is an up-set; a pivot of
-  the degree-t coboundary elimination is the lowest bit of a cocycle, so
+  the degree-t coboundary elimination is the highest bit of a cocycle, so
   its row of degree t+1 is skipped (the cohomology clearing of de Silva,
   Morozov and Vejdemo-Johansson, *Dualities in persistent (co)homology*).
 
@@ -84,14 +84,15 @@ from .posets import (MAX_ROW_BITS, SimplicialPoset, _rank_gap, f_vector,
 
 def _pivots(rows) -> dict[int, int]:
     """Gaussian elimination of bit-packed GF(2) rows, keyed by pivot: the
-    lowest set bit of each reduced nonzero row."""
+    bit length of each reduced nonzero row, its highest set bit plus one,
+    which `int.bit_length` reads without building a row-wide int."""
     basis: dict[int, int] = {}
     for row in rows:
         while row:
-            low = row & -row
-            other = basis.get(low)
+            top = row.bit_length()
+            other = basis.get(top)
             if other is None:
-                basis[low] = row
+                basis[top] = row
                 break
             row ^= other
     return basis
@@ -101,9 +102,10 @@ def _cleared_ranks(
         degrees: Iterable[tuple[Iterable[int], Sequence[int]]]) -> list[int]:
     """Ranks of the maps of a complex that squares to zero, in the order
     given, by elimination with clearing: a row whose position is a pivot
-    of the degree before is skipped.  The boundary rows run from the top
-    degree down (see :func:`betti_gf2`), the coboundary rows of a link
-    from degree 1 up (see the module docstring).
+    of the degree before, the highest bit of one of its reduced rows, is
+    skipped.  The boundary rows run from the top degree down (see
+    :func:`betti_gf2`), the coboundary rows of a link from degree 1 up
+    (see the module docstring).
 
     ``degrees`` gives each degree as the positions of its rows and a table
     of rows by position: a row's position is its cell's bit in the rows of
@@ -113,9 +115,10 @@ def _cleared_ranks(
     cleared: set[int] = set()
     for positions, rows in degrees:
         kept = [rows[i] for i in positions if i not in cleared]
-        # keep the pivot indices only, so that one degree's reduced rows
-        # are freed before the next degree is eliminated
-        cleared = {low.bit_length() - 1 for low in _pivots(kept)}
+        # keep the pivot positions only (a key is its position plus one),
+        # so that one degree's reduced rows are freed before the next
+        # degree is eliminated
+        cleared = {key - 1 for key in _pivots(kept)}
         ranks.append(len(cleared))
     return ranks
 

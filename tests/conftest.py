@@ -123,8 +123,14 @@ MAX_CHAINS = 10 ** 6
 
 def gf2_rank(rows) -> int:
     """Rank of a bit-packed GF(2) matrix (one int per row), by an
-    elimination of its own: each row is reduced on its highest bit, where
-    the engines' elimination (`homology._pivots`) pivots on the lowest."""
+    elimination of its own: each row is reduced on its highest bit.
+
+    The engines' kernel (`homology._pivots`) pivots on the highest bit
+    too, and this loop stays apart from it: `betti_order_complex` runs it
+    on the order complex, not on the cellular complex, and reduces every
+    row of every degree, with no clearing, so a fault in the engines'
+    row tables, clearing or kernel does not carry over.  Tests of the
+    kernel compare its rank with this one."""
     basis: dict[int, int] = {}          # leading bit -> reduced row
     for row in rows:
         while row:

@@ -183,6 +183,11 @@ class TestRpH:
         with pytest.raises(ValueError):
             check_rp_h((1, 0, 3, 0), 4)
 
+    @pytest.mark.parametrize("n,h", [(0, (1,)), (-5, (1, 2)), (-1, ())])
+    def test_n_below_one_is_refused_first(self, n, h):
+        with pytest.raises(ValueError, match=rf"^need n >= 1, got n={n}$"):
+            check_rp_h(h, n)
+
     @given(rp_candidates())
     def test_is_the_sphere_test_on_the_shifted_vector(self, case):
         h, n = case
@@ -262,6 +267,11 @@ class TestManifoldH:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             check_manifold_h((1, 0, 0, 1), 4)
+
+    @pytest.mark.parametrize("d,h", [(0, (1,)), (-2, (1, 2)), (-4, ())])
+    def test_d_below_two_is_refused_first(self, d, h):
+        with pytest.raises(ValueError, match=rf"^need d >= 2, got d={d}$"):
+            check_manifold_h(h, d)
 
     def test_monotone_under_sphere_sums(self):
         # adding a sphere h-vector (minus the overlap) keeps acceptance

@@ -390,6 +390,18 @@ class TestCheck:
         if failed:
             assert json.loads(out)["failed_condition"] == failed
 
+    @pytest.mark.parametrize("kind,option,value,message", [
+        ("rp-h", "--n", "0", "need n >= 1, got n=0"),
+        ("rp-h", "--n", "-5", "need n >= 1, got n=-5"),
+        ("manifold-h", "--d", "0", "need d >= 2, got d=0"),
+        ("manifold-h", "--d", "-2", "need d >= 2, got d=-2")])
+    def test_dimension_out_of_range_is_an_input_error(
+            self, capsys, kind, option, value, message):
+        code, out, err = run(capsys, "check", kind, "--h", "1,2",
+                             option, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_bad_vector_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "sphere-h", "--h", "1,x,1")
         assert code == 2 and "bad integer vector" in err

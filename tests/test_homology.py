@@ -8,8 +8,9 @@ from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph)
-from cellposet.homology import (_boundary_rows, betti_gf2, h_double_prime,
-                                is_homology_manifold, link_bettis)
+from cellposet.homology import (_boundary_rows, _pivots, betti_gf2,
+                                h_double_prime, is_homology_manifold,
+                                link_bettis)
 from cellposet.graphs import validate_admissible
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               is_pseudomanifold, is_pure)
@@ -42,6 +43,43 @@ class TestGF2Rank:
 
     def test_zero_rows(self):
         assert gf2_rank([0, 0]) == 0
+
+
+@st.composite
+def gf2_rows(draw):
+    """Bit-packed rows up to about 300 bits wide: some drawn, then sums of
+    drawn rows, repeats and zero rows among them, in any order."""
+    width = draw(st.integers(1, 300))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=25))
+    if rows:
+        for subset in draw(st.lists(st.sets(st.sampled_from(rows)),
+                                    max_size=10)):
+            total = 0
+            for row in subset:
+                total ^= row
+            rows.append(total)
+        rows += draw(st.lists(st.sampled_from(rows), max_size=5))
+    rows += [0] * draw(st.integers(0, 3))
+    return draw(st.permutations(rows))
+
+
+class TestPivots:
+    """The one elimination kernel, `homology._pivots`: each reduced row
+    keyed by its bit length."""
+
+    @settings(max_examples=200)
+    @given(gf2_rows())
+    def test_basis_of_the_row_space(self, rows):
+        basis = _pivots(rows)
+        assert len(basis) == gf2_rank(rows)
+        assert all(key == row.bit_length() for key, row in basis.items())
+        # the basis spans every input row: each reduces to zero on it (a
+        # row outside the span meets a missing key)
+        for row in rows:
+            while row:
+                row ^= basis[row.bit_length()]
+        # and lies in their span
+        assert gf2_rank(rows + list(basis.values())) == len(basis)
 
 
 class TestBetti:
