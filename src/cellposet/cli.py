@@ -65,20 +65,24 @@ def _invariants(p: SimplicialPoset) -> dict:
 
 
 def cmd_build(args) -> int:
+    # files are written before anything is printed, so that a failed write
+    # (exit 2) leaves stdout empty
     if args.target == "product-spheres":
         if args.reduce:
             g, steps = reduction.reduce_product_spheres(args.n, args.m)
-            _emit({"vertices": len(g.vertices),
-                   "steps": [s.to_dict() for s in steps]})
+            summary = {"vertices": len(g.vertices),
+                       "steps": [s.to_dict() for s in steps]}
         else:
             g = constructions.product_spheres_graph(args.n, args.m)
-            _emit({"vertices": len(g.vertices), "edges": len(g.edges)})
+            summary = {"vertices": len(g.vertices), "edges": len(g.edges)}
         _write_out(args.out, graph_to_json(g))
+        _emit(summary)
         return 0
     if args.target == "rp":
         p = constructions.cross_polytope_quotient(args.n)
-        _emit(_invariants(p))
+        summary = _invariants(p)
         _write_out(args.out, poset_to_json(p))
+        _emit(summary)
         return 0
     # from-json: load, validate, summarize
     obj = _load_any(args.file)
@@ -132,11 +136,12 @@ def cmd_reduce(args) -> int:
             obj, reduction.cancellation_schedule(n, m))
     else:
         final, steps = reduction.greedy_reduce(obj)
-    _emit({"vertices": len(final.vertices), "steps": len(steps)})
+    # written before anything is printed, as in `cmd_build`
     if args.certificate:
         Path(args.certificate).write_text(
             json.dumps([s.to_dict() for s in steps], sort_keys=True, indent=2))
     _write_out(args.out, graph_to_json(final))
+    _emit({"vertices": len(final.vertices), "steps": len(steps)})
     return 0
 
 

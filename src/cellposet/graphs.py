@@ -24,10 +24,12 @@ from functools import cached_property
 
 
 def _merge_roots(roots: list[int], us, vs) -> list[int]:
-    """`roots`, a per-element root list whose roots are the least elements
-    of their classes, after joining us[i] to vs[i] for every i.  Only the
-    distinct pairs of roots joined are merged, each parent smaller than
-    its child, and roots stay least elements."""
+    """`roots`, a per-element root list, after joining element us[i] to
+    element vs[i] for every i.  An element is a vertex or a class of
+    vertices, such as a component for a base color set; a root is the
+    least vertex of its element's class.  Only the distinct pairs of roots
+    joined are merged, each parent smaller than its child, and roots stay
+    least vertices."""
     parent: dict[int, int] = {}
     for a, b in set(zip(map(roots.__getitem__, us),
                         map(roots.__getitem__, vs))):

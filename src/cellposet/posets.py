@@ -15,10 +15,14 @@ rank d - |S|.  Facets correspond to graph vertices, ridges to graph edges.
 A component is named by its root, its least vertex index.  The roots for
 S are those for S minus its greatest color c, with the distinct pairs of
 roots that the c-colored edges join merged (`graphs._merge_roots`, the
-kernel of `ColoredGraph.component_roots`).  A color set has a cell per
-distinct root, at least 2^d cells in all.  The roots give the exact
-f-vector, so a graph whose poset passes `MAX_OUTPUT_SIZE` cells or
-`MAX_ROW_BITS` bits of boundary rows is refused before any cell is built.
+kernel of `ColoredGraph.component_roots`).  A set of at most two colors
+has a root per vertex.  A larger S has one per component of its two least
+colors B, a bicolored cycle; every set from B up to S shares that base,
+and the c-colored edges join the distinct pairs of B-components, found
+once per B and c.  A color set has a cell per distinct root, at least 2^d
+cells in all.  The roots give the exact f-vector, so a graph whose poset
+passes `MAX_OUTPUT_SIZE` cells or `MAX_ROW_BITS` bits of boundary rows is
+refused before any cell is built.
 The output skips the constructor's checks, which the construction meets:
 ranks lie in 0..d, the graph is connected (one rank-0 cell), and a cell
 (H, S) covers one cell of rank one lower per color outside S, each of a
@@ -166,19 +170,36 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     colors = tuple(range(1, d + 1))
 
     # The roots for S are those for S - {max S} merged along the edges of
-    # color max S.  Color sets are keyed by bitmask (bit c for color c);
-    # combinations yields every smaller set before the sets built on it.
+    # color max S: per vertex up to |S| = 2, per component of the base B,
+    # S's two least colors, above (module docstring).  at[S] maps a vertex
+    # to its entry in roots[S].  Color sets are keyed by bitmask (bit c
+    # for color c); combinations yields every smaller set before the sets
+    # built on it.
     index = g.index
     ends = {c: ([], []) for c in colors}    # color -> edges' two ends
     for u, v, c in g.edges:
         ends[c][0].append(index[u])
         ends[c][1].append(index[v])
     roots = {0: list(range(len(g.vertices)))}
+    at = {0: roots[0]}
+    joins = {}      # (B, color) -> the distinct pairs of entries joined
     for size in range(1, d + 1):
         for sub in combinations(colors, size):
             top = sub[-1]
             mask = sum(1 << c for c in sub)
-            roots[mask] = _merge_roots(roots[mask ^ 1 << top], *ends[top])
+            base = 1 << sub[0] | 1 << sub[1] if size > 2 else 0
+            if (base, top) not in joins:
+                pos = at[base]
+                joins[base, top] = tuple(zip(*set(zip(
+                    map(pos.__getitem__, ends[top][0]),
+                    map(pos.__getitem__, ends[top][1])))))
+            at[mask] = at[base]
+            roots[mask] = r = _merge_roots(roots[mask ^ 1 << top],
+                                           *joins[base, top])
+            if size == 2:       # S is a base: one entry per component
+                roots[mask] = sorted(set(r))
+                at[mask] = list(map(
+                    dict(zip(roots[mask], count())).__getitem__, r))
     # a root is the least vertex of its component: one cell per root
     components = {mask: sorted(set(r)) for mask, r in roots.items()}
     f = [0] * (d + 1)
@@ -215,7 +236,8 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
             # one column per missing color: the covered cell, which has
             # that color back, of each cell's root
             covers += zip(*[map(cell_of[mask | 1 << i].__getitem__,
-                                map(roots[mask | 1 << i].__getitem__, comps))
+                                map(roots[mask | 1 << i].__getitem__,
+                                    map(at[mask | 1 << i].__getitem__, comps)))
                             for i in missing])
 
     # the constructor's checks hold by construction (module docstring)

@@ -624,3 +624,16 @@ class TestUsage:
     def test_unknown_file(self, capsys):
         code, _, err = run(capsys, "invariants", "no-such-file.json")
         assert code == 2
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ("build", "product-spheres", "--n", "1", "--m", "1", "--out"),
+        ("build", "rp", "--n", "3", "--out"),
+        ("reduce", TORUS, "--out"),
+        ("reduce", TORUS, "--certificate")])
+    def test_exits_two_before_printing(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, str(missing))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellposet.constructions import (boundary_of_simplex,
+from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph)
@@ -122,12 +122,24 @@ class TestFromGraph:
     def test_matches_the_per_subset_reference(self, g):
         assert same_poset(from_graph(g), reference_from_graph(g))
 
+    @given(admissible_graphs(max_pairs=6, colors=(5, 6)))
+    def test_many_colors_match_the_per_subset_reference(self, g):
+        # the color sets of three or more colors merge per component of
+        # their two least colors: at d = 5, 6 most sets take that path
+        assert same_poset(from_graph(g), reference_from_graph(g))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_quotients_match_the_reference(self, n):
+        assert same_poset(cross_polytope_quotient(n),
+                          reference_from_graph(_rp_graph(n)))
+
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (1, 4)])
     def test_product_graphs_match_the_reference(self, n, m):
         g = product_spheres_graph(n, m)
         assert same_poset(from_graph(g), reference_from_graph(g))
 
-    @pytest.mark.parametrize("n,m,seed", [(2, 3, 1), (2, 3, 2), (3, 3, 1)])
+    @pytest.mark.parametrize("n,m,seed",
+                             [(2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 4, 1)])
     def test_shuffled_product_graphs_match_the_reference(self, n, m, seed):
         g = shuffled(product_spheres_graph(n, m), seed)
         assert same_poset(from_graph(g), reference_from_graph(g))
