@@ -13,7 +13,6 @@ for one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,8 @@ def _binomials(n: int, stop: int) -> list[int]:
     return row
 
 
-@lru_cache(maxsize=1)
 def _r_row(n: int) -> tuple[int, ...]:
-    """(r(n, 1), ..., r(n, n)), kept for the last n: :func:`check_rp_h`
-    reads every entry through :func:`r_value`."""
+    """(r(n, 1), ..., r(n, n)), in O(n) steps (see :func:`r_value`)."""
     c = _binomials(n, n - 1)
     return (*(0 if i % 2 else c[i] for i in range(1, n)), -1 if n % 2 else 0)
 
@@ -94,7 +91,7 @@ def check_rp_h(h, n: int) -> CheckResult:
     if len(h) != n + 1:
         raise ValueError(f"h must have length {n + 1}, got {len(h)}")
     res = check_sphere_h(
-        (h[0],) + tuple(h[i] - r_value(n, i) for i in range(1, n + 1)))
+        (h[0], *(x - r for x, r in zip(h[1:], _r_row(n)))))
     if res:
         return res
     return CheckResult(False, "shifted " + res.failed_condition)

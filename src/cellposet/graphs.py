@@ -5,12 +5,14 @@ of interest are *admissible*: connected, with each color class a perfect
 matching.  Every admissible graph encodes a simplicial cell decomposition
 of a closed pseudomanifold (see :mod:`cellposet.posets`).
 
-Graphs keep no incidence index: the dipole reduction builds its own
-partner table for the length of one call (see :mod:`cellposet.reduction`).
-Components of a color-restricted subgraph come from
-:meth:`ColoredGraph.component_roots`, the one component routine, which
-merges the distinct pairs of roots that the edges join;
-:meth:`ColoredGraph.components` is its view by vertex label.
+Two routines find components, one per representation.  `_merge_roots`
+answers every component question on a graph or a poset: connectivity in
+:func:`validate_admissible`, the color-restricted components of
+:func:`cellposet.posets.from_graph` and the strong connectivity of
+:func:`cellposet.posets.is_pseudomanifold`.  The dipole reduction searches
+its own partner table (:func:`cellposet.reduction.run_schedule`): the
+table keeps its cancelled vertices, and the kernel, which would map every
+original index, checks it seven to nine times slower.
 
 All values are immutable; operations return new objects and are safe to
 share between threads.
@@ -91,41 +93,6 @@ class ColoredGraph:
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    def component_roots(self, colors, start: list[int] | None = None) -> list[int]:
-        """Per-vertex root (least index in its component) under color restriction.
-
-        ``start``, if given, is the result of this call for a set of colors
-        T; the result is then that for T together with `colors`, and only
-        the edges of `colors` are merged.
-        """
-        s = frozenset(colors)
-        bad = [c for c in s if not 1 <= c <= self.d]
-        if bad:
-            raise ValueError(f"colors {sorted(bad)} outside 1..{self.d}")
-        n = len(self.vertices)
-        if start is None:
-            start = list(range(n))
-        elif len(start) != n:
-            raise ValueError(
-                f"start partition has {len(start)} entries, expected {n}")
-        index = self.index
-        return _merge_roots(start,
-                            [index[u] for u, _, c in self.edges if c in s],
-                            [index[v] for _, v, c in self.edges if c in s])
-
-    def components(self, colors) -> tuple[tuple[str, ...], ...]:
-        """Connected components of the color-restricted graph, as vertex
-        labels grouped by :meth:`component_roots`.
-
-        Components are ordered by their smallest vertex index, vertices
-        inside a component likewise; this canonical order makes poset
-        construction deterministic.
-        """
-        groups: dict[int, list[str]] = {}   # in ascending order of roots
-        for v, r in zip(self.vertices, self.component_roots(colors)):
-            groups.setdefault(r, []).append(v)
-        return tuple(map(tuple, groups.values()))
-
 
 def validate_admissible(g: ColoredGraph) -> list[str]:
     """Report admissibility violations; an empty list means admissible.
@@ -136,12 +103,15 @@ def validate_admissible(g: ColoredGraph) -> list[str]:
     the edge list and not with d.
     """
     violations: list[str] = []
-    # a transient count: validated graphs are often kept, and an index
-    # cached on them would stay with them
+    index = g.index
     degree: dict[tuple[str, int], int] = {}
+    us: list[int] = []
+    vs: list[int] = []
     for u, v, c in g.edges:
         degree[u, c] = degree.get((u, c), 0) + 1
         degree[v, c] = degree.get((v, c), 0) + 1
+        us.append(index[u])
+        vs.append(index[v])
     carried = sorted({c for _, _, c in g.edges})
     for c in carried:
         for v in g.vertices:
@@ -157,9 +127,9 @@ def validate_admissible(g: ColoredGraph) -> list[str]:
                    for a, b in zip(bounds, bounds[1:]) if b - a > 1]
         if missing:
             violations.append("no edge has color " + ", ".join(missing))
-        comps = g.components(carried)
-        if len(comps) != 1:
-            violations.append(f"graph is disconnected ({len(comps)} components)")
+        k = len(set(_merge_roots(list(range(len(g.vertices))), us, vs)))
+        if k != 1:
+            violations.append(f"graph is disconnected ({k} components)")
     return violations
 
 

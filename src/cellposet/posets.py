@@ -15,7 +15,7 @@ rank d - |S|.  Facets correspond to graph vertices, ridges to graph edges.
 A component is named by its root, its least vertex index.  The roots for
 S are those for S minus its greatest color c, with the distinct pairs of
 roots that the c-colored edges join merged (`graphs._merge_roots`, the
-kernel of `ColoredGraph.component_roots`).  A set of at most two colors
+component kernel of graphs and posets).  A set of at most two colors
 has a root per vertex.  A larger S has one per component of its two least
 colors B, a bicolored cycle; every set from B up to S shares that base,
 and the c-colored edges join the distinct pairs of B-components, found

@@ -58,9 +58,10 @@ def color_partner(g: ColoredGraph, v: str, color: int) -> str:
 
 
 def bfs_roots(g: ColoredGraph, colors) -> list[int]:
-    """Oracle for `ColoredGraph.component_roots`: a breadth-first search
-    over the edges of `colors`, started from each unreached vertex in
-    index order, so that a component's root is its least vertex index."""
+    """Oracle for the roots `graphs._merge_roots` gives the edges of
+    `colors`: a breadth-first search over those edges, started from each
+    unreached vertex in index order, so that a component's root is its
+    least vertex index."""
     index = {v: i for i, v in enumerate(g.vertices)}
     adjacent: list[list[int]] = [[] for _ in g.vertices]
     for u, v, c in g.edges:

@@ -27,25 +27,33 @@ PUBLIC_NAMES = [
 ]
 
 # The public names that nothing outside the tests consumes yet: the
-# realizers of ROADMAP item 1 are to consume these three.
-UNCONSUMED = ("boundary_of_simplex", "connected_sum", "parallel_edges_graph")
+# realizers of ROADMAP item 1 are to consume the first three.  `r_value`
+# is the paper's correction term r(n, i), kept for callers; `check_rp_h`
+# reads the whole row at once.
+UNCONSUMED = ("boundary_of_simplex", "connected_sum", "parallel_edges_graph",
+              "r_value")
 
 
 def test_public_surface_is_pinned():
     assert len(PUBLIC_NAMES) == 39
     assert sorted(cellposet.__all__) == PUBLIC_NAMES
     assert not hasattr(ColoredGraph, "color_partner")
+    assert not hasattr(ColoredGraph, "component_roots")
+    assert not hasattr(ColoredGraph, "components")
     assert [f.name for f in fields(SimplicialPoset)] == [
         "d", "ranks", "covers", "labels"]
 
 
 def test_no_unused_imports():
-    """Every name a module of the package or of its tests imports is used
-    in it; the package's `__init__.py` imports only to re-export."""
+    """Every name a module of the package, of its tests or of the benchmark
+    harness imports is used in it; the package's `__init__.py` imports only
+    to re-export."""
     package = Path(cellposet.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     unused = []
-    for path in sorted(package.glob("*.py")) + sorted(
-            Path(__file__).parent.glob("*.py")):
+    for path in (sorted(package.glob("*.py"))
+                 + sorted(Path(__file__).parent.glob("*.py"))
+                 + sorted(perfbench.glob("**/*.py"))):
         if path == package / "__init__.py":
             continue
         tree = ast.parse(path.read_text())

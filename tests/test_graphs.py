@@ -1,13 +1,23 @@
 import json
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet.graphs import (ColoredGraph, graph_from_dict,
+from cellposet.graphs import (ColoredGraph, _merge_roots, graph_from_dict,
                               graph_to_dot, graph_to_json,
                               validate_admissible)
+from cellposet.posets import from_graph
 
 from conftest import admissible_graphs, bfs_roots, color_partner
+
+
+def ends(g: ColoredGraph, colors) -> tuple[list[int], list[int]]:
+    """The index pairs that the edges of `colors` join, as `_merge_roots`
+    takes them."""
+    pairs = [(g.index[u], g.index[v]) for u, v, c in g.edges if c in colors]
+    return [u for u, _ in pairs], [v for _, v in pairs]
 
 
 def brute_components(g: ColoredGraph, colors) -> int:
@@ -74,6 +84,20 @@ class TestValidation:
         assert validate_admissible(g) == [
             "no edge has color 1", "graph is disconnected (2 components)"]
 
+    @given(st.sampled_from([2, 3]), st.integers(2, 3), st.data())
+    def test_disjoint_union_names_its_component_count(self, d, k, data):
+        parts = [data.draw(admissible_graphs(colors=(d,))) for _ in range(k)]
+        g = ColoredGraph(
+            d, tuple(f"{i}:{v}" for i, h in enumerate(parts) for v in h.vertices),
+            tuple((f"{i}:{u}", f"{i}:{v}", c)
+                  for i, h in enumerate(parts) for u, v, c in h.edges))
+        assert validate_admissible(g) == [
+            f"graph is disconnected ({k} components)"]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "graph is not admissible: graph is disconnected "
+                f"({k} components)") + "$"):
+            from_graph(g)
+
     def test_loops_rejected(self):
         with pytest.raises(ValueError, match="loop"):
             ColoredGraph(1, ("a",), (("a", "a", 1),))
@@ -96,84 +120,84 @@ class TestValidation:
 
 
 class TestRestrict:
-    """Restriction to a color set, seen through its components."""
+    """Restriction to a color set, seen through the roots `_merge_roots`
+    gives its edges."""
 
     def test_single_color_is_a_matching(self, torus_graph):
-        assert set(torus_graph.components({1})) == {
-            ("1", "5"), ("2", "4"), ("3", "6")}
+        # color 1 pairs 1-5, 2-4 and 3-6
+        assert _merge_roots(list(range(6)), *ends(torus_graph, {1})) == [
+            0, 1, 2, 1, 0, 2]
 
     def test_empty_set_gives_edgeless(self, torus_graph):
-        assert torus_graph.component_roots(set()) == list(
+        assert _merge_roots(list(range(6)), *ends(torus_graph, set())) == list(
             range(len(torus_graph.vertices)))
 
     def test_full_set_is_identity(self, torus_graph):
-        assert torus_graph.component_roots({1, 2, 3}) == [0] * 6
-
-    def test_color_out_of_range(self, torus_graph):
-        with pytest.raises(ValueError, match="outside"):
-            torus_graph.component_roots({4})
-        with pytest.raises(ValueError, match="outside"):
-            torus_graph.components({0, 1})
+        assert _merge_roots(list(range(6)),
+                            *ends(torus_graph, {1, 2, 3})) == [0] * 6
 
     @given(admissible_graphs())
     def test_one_color_has_half_the_vertices_in_edges(self, g):
+        ids = list(range(len(g.vertices)))
         for c in range(1, g.d + 1):
-            comps = g.components({c})
-            assert len(comps) == len(g.vertices) // 2
-            assert all(len(comp) == 2 for comp in comps)
+            sizes = Counter(_merge_roots(ids, *ends(g, {c})))
+            assert len(sizes) == len(g.vertices) // 2
+            assert set(sizes.values()) == {2}
 
 
 class TestStartPartition:
-    """component_roots(B, start=component_roots(A)) is component_roots(A | B)."""
+    """Roots merged for A and then for B are the roots for A | B: the rule
+    `from_graph` builds each color set's roots by."""
 
     @given(admissible_graphs(colors=(2, 3, 4)), st.data())
     def test_merging_more_colors(self, g, data):
         a = data.draw(st.sets(st.integers(1, g.d)))
         b = data.draw(st.sets(st.integers(1, g.d)))
-        assert g.component_roots(b, g.component_roots(a)) == \
-               g.component_roots(a | b)
+        ids = list(range(len(g.vertices)))
+        assert _merge_roots(_merge_roots(ids, *ends(g, a)), *ends(g, b)) == \
+               bfs_roots(g, a | b)
 
     @given(admissible_graphs(colors=(2, 3, 4)), st.data())
     def test_merging_matches_breadth_first_search(self, g, data):
         a = data.draw(st.sets(st.integers(1, g.d)))
-        b = data.draw(st.sets(st.integers(1, g.d)))
-        assert g.component_roots(a) == bfs_roots(g, a)
-        assert g.component_roots(b, g.component_roots(a)) == \
-               bfs_roots(g, a | b)
-
-    def test_start_of_the_wrong_length(self, torus_graph):
-        with pytest.raises(ValueError, match="5 entries, expected 6"):
-            torus_graph.component_roots({1}, [0, 1, 2, 3, 4])
+        assert _merge_roots(list(range(len(g.vertices))), *ends(g, a)) == \
+               bfs_roots(g, a)
 
 
 class TestComponents:
+    """Component counts, the distinct roots, against a depth-first search."""
+
     def test_empty_colors_give_singletons(self, torus_graph):
-        comps = torus_graph.components(set())
-        assert comps == tuple((v,) for v in torus_graph.vertices)
+        roots = _merge_roots(list(range(6)), *ends(torus_graph, set()))
+        assert len(set(roots)) == brute_components(torus_graph, set()) == 6
 
     def test_full_colors_connected(self, torus_graph):
-        assert len(torus_graph.components({1, 2, 3})) == 1
+        roots = _merge_roots(list(range(6)), *ends(torus_graph, {1, 2, 3}))
+        assert len(set(roots)) == brute_components(torus_graph, {1, 2, 3}) == 1
 
     def test_two_color_restrictions_against_dfs_oracle(self, torus_graph):
         for pair in [{1, 2}, {1, 3}, {2, 3}]:
-            comps = torus_graph.components(pair)
-            assert len(comps) == brute_components(torus_graph, pair) == 1
+            sizes = Counter(_merge_roots(list(range(6)),
+                                         *ends(torus_graph, pair)))
+            assert len(sizes) == brute_components(torus_graph, pair) == 1
             # two perfect matchings always union into even alternating cycles
-            assert all(len(c) % 2 == 0 for c in comps)
+            assert all(size % 2 == 0 for size in sizes.values())
 
     @given(admissible_graphs(), st.data())
     def test_component_count_matches_oracle(self, g, data):
         sub = data.draw(st.sets(st.integers(1, g.d)))
-        assert len(g.components(sub)) == brute_components(g, sub)
+        roots = _merge_roots(list(range(len(g.vertices))), *ends(g, sub))
+        assert len(set(roots)) == brute_components(g, sub)
 
     @given(admissible_graphs(), st.data())
     def test_refinement_under_color_growth(self, g, data):
         big = data.draw(st.sets(st.integers(1, g.d)))
         small = data.draw(st.sets(st.sampled_from(sorted(big)))) if big else set()
-        fine = g.components(small)
-        coarse = {c: set(c) for c in g.components(big)}
-        for comp in fine:
-            assert any(set(comp) <= parent for parent in coarse.values())
+        ids = list(range(len(g.vertices)))
+        fine = _merge_roots(ids, *ends(g, small))
+        coarse = _merge_roots(ids, *ends(g, big))
+        # each fine component lies in one coarse component
+        assert len(set(zip(fine, coarse))) == len(set(fine))
 
 
 class TestColorPartner:
@@ -200,11 +224,11 @@ class TestConnectedBetween:
     """Two vertices are joined within a color set iff they share a root."""
 
     def test_trivial_self_path(self, torus_graph):
-        roots = torus_graph.component_roots(set())
+        roots = _merge_roots(list(range(6)), *ends(torus_graph, set()))
         assert roots[torus_graph.index["1"]] == torus_graph.index["1"]
 
     def test_single_color_edge(self, torus_graph):
-        roots = torus_graph.component_roots({3})
+        roots = _merge_roots(list(range(6)), *ends(torus_graph, {3}))
         root = {v: roots[torus_graph.index[v]] for v in ("1", "2", "6")}
         assert root["1"] == root["6"]
         assert root["1"] != root["2"]

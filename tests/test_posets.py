@@ -312,7 +312,9 @@ class TestLink:
         # pick a rank-1 cell: component H of a 2-color restriction
         v = p.cells_by_rank[1][0]
         s, root = parse_cell_label(p.labels[v])
-        comp = next(c for c in torus_graph.components(s) if root in c)
+        roots = bfs_roots(torus_graph, s)
+        comp = tuple(u for u, r in zip(torus_graph.vertices, roots)
+                     if r == roots[torus_graph.index[root]])
         relabel = {c: i + 1 for i, c in enumerate(sorted(s))}
         edges = tuple((u, w, relabel[c]) for u, w, c in torus_graph.edges
                       if c in s and u in comp and w in comp)

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -16,8 +17,8 @@ from cellposet.reduction import (CancellationError, CancellationStep, _Table,
                                  cancellation_schedule, greedy_reduce,
                                  reduce_product_spheres, run_schedule)
 
-from conftest import (admissible_graphs, color_partner, colors_between,
-                      insert_dipole)
+from conftest import (admissible_graphs, bfs_roots, color_partner,
+                      colors_between, insert_dipole)
 
 EXPECTED_2_2 = [
     (1, (2, 3), ("A:{2,3}", "A:{1,3}")),
@@ -63,7 +64,7 @@ def cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
     # the rewiring reads the colors only to refuse a full-type pair
     t.cancel_dipole(t.vertex(x), t.vertex(y), tuple(colors_between(g, x, y)))
     result = t.graph()
-    if len(result.components(range(1, g.d + 1))) != 1:
+    if len(set(bfs_roots(result, range(1, g.d + 1)))) != 1:
         raise CancellationError(
             f"cancelling ({x!r}, {y!r}) breaks admissibility: result is "
             "disconnected")
@@ -99,11 +100,12 @@ def brute_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
 
 def reference_check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
     """Oracle for check_dipole on the edge list: the colors between x and y
-    by an edge scan, components by component_roots over the other colors."""
+    by an edge scan, components by a breadth-first search over the other
+    colors."""
     cols = colors_between(g, x, y)
     if not cols:
         return None
-    roots = g.component_roots(frozenset(range(1, g.d + 1)) - cols)
+    roots = bfs_roots(g, frozenset(range(1, g.d + 1)) - cols)
     if roots[g.index[x]] == roots[g.index[y]]:
         return None
     return Dipole(x, y, cols)
@@ -112,7 +114,8 @@ def reference_check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
 def reference_cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
     """Oracle for cancel on the edge list: keep the edges that miss x and y
     in order, append (x's i-partner, y's i-partner, i) for each color i not
-    between them in ascending order, and test connectivity by components."""
+    between them in ascending order, and test connectivity by a
+    breadth-first search."""
     if x == y:
         raise ValueError("cannot cancel a vertex with itself")
     cols = colors_between(g, x, y)
@@ -123,7 +126,7 @@ def reference_cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
         g.d,
         tuple(v for v in g.vertices if v not in (x, y)),
         tuple(new_edges))
-    if len(result.components(range(1, g.d + 1))) != 1:
+    if len(set(bfs_roots(result, range(1, g.d + 1)))) != 1:
         raise CancellationError(
             f"cancelling ({x!r}, {y!r}) breaks admissibility: result is "
             "disconnected")
@@ -222,7 +225,7 @@ class TestCheckDipole:
 
     def test_disconnection_claim_verified_by_component_search(self):
         g = product_spheres_graph(2, 2)
-        roots = g.component_roots(frozenset(range(1, 6)) - {2})
+        roots = bfs_roots(g, frozenset(range(1, 6)) - {2})
         x, y = g.index["A:{2,3}"], g.index["A:{1,3}"]
         assert roots[x] != roots[y]
         assert check_dipole(g, "A:{2,3}", "A:{1,3}") is not None
@@ -400,7 +403,7 @@ class TestCancel:
         except CancellationError:
             return
         for c in range(1, g2.d + 1):
-            assert all(len(comp) == 2 for comp in g2.components({c}))
+            assert set(Counter(bfs_roots(g2, {c})).values()) == {2}
 
 
 class TestSchedule:
@@ -478,7 +481,7 @@ class TestReduceProductSpheres:
         full = range(1, final.d + 1)
         for i in full:
             rest = [c for c in full if c != i]
-            assert len(final.components(rest)) == 1
+            assert len(set(bfs_roots(final, rest))) == 1
         assert f_vector(from_graph(final))[1] == 5
 
     def test_schedule_is_wrecked_by_shuffling(self):
