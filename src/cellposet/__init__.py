@@ -5,8 +5,7 @@ h-vector characterizations."""
 from .graphs import (ColoredGraph, graph_to_dot, graph_to_json,
                      require_admissible, validate_admissible)
 from .posets import (SimplicialPoset, f_vector, from_graph, h_vector,
-                     is_pseudomanifold, is_pure, poset_to_json,
-                     proper_coloring)
+                     is_pseudomanifold, is_pure, poset_to_json)
 from .homology import (betti_gf2, h_double_prime, is_homology_manifold,
                        validate_poset)
 from .constructions import (boundary_of_simplex, connected_sum,
@@ -15,6 +14,6 @@ from .constructions import (boundary_of_simplex, connected_sum,
 from .reduction import (CancellationError, Schedule, cancellation_schedule,
                         greedy_reduce, reduce_product_spheres, run_schedule)
 from .checkers import (CheckResult, check_manifold_h, check_rp_h,
-                       check_sphere_h, r_value)
+                       check_sphere_h)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

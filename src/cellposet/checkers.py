@@ -63,17 +63,11 @@ def _binomials(n: int, stop: int) -> list[int]:
 
 
 def _r_row(n: int) -> tuple[int, ...]:
-    """(r(n, 1), ..., r(n, n)), in O(n) steps (see :func:`r_value`)."""
+    """(r(n, 1), ..., r(n, n)), the correction terms of projective-space
+    h-vectors, in O(n) steps: r(n, i) is C(n, i) at even i < n, 0 at odd
+    i < n, and -1 or 0 at i = n for odd or even n."""
     c = _binomials(n, n - 1)
     return (*(0 if i % 2 else c[i] for i in range(1, n)), -1 if n % 2 else 0)
-
-
-def r_value(n: int, i: int) -> int:
-    """Correction term for projective-space h-vectors: C(n,i) at even
-    i < n, 0 at odd i < n, and -1 or 0 at i = n for odd or even n."""
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return _r_row(n)[i - 1]
 
 
 def check_rp_h(h, n: int) -> CheckResult:

@@ -10,8 +10,7 @@ from itertools import combinations, product
 from math import comb
 
 from .graphs import ColoredGraph
-from .posets import (MAX_OUTPUT_SIZE, SimplicialPoset, from_graph,
-                     proper_coloring)
+from .posets import MAX_OUTPUT_SIZE, SimplicialPoset, from_graph
 
 
 def set_label(s) -> str:
@@ -123,49 +122,42 @@ def cross_polytope_quotient(n: int) -> SimplicialPoset:
 
 # --- connected sums ----------------------------------------------------------------
 
-def _interval_by_vertices(p: SimplicialPoset, facet: int) -> dict[frozenset[int], int]:
-    """All cells below `facet`, keyed by vertex set (boolean intervals make
-    the key unique)."""
-    down: dict[frozenset[int], int] = {}
+def _interval_by_vertices(p: SimplicialPoset, facet: int,
+                          name: str) -> tuple[dict[frozenset[int], int],
+                                              list[int]]:
+    """All cells below `facet`, keyed by vertex set, the rank-1 cells below
+    each, found bottom-up; and the facet's vertices, sorted.  Raises
+    ValueError, naming the facet `name`, unless the keys are the 2^d
+    subsets of the facet's d vertices, one cell each, as they are when the
+    interval is boolean."""
+    below = {facet}
     stack = [facet]
-    seen = {facet}
     while stack:
-        c = stack.pop()
-        down[p.vertex_sets[c]] = c
-        for j in p.covers[c]:
-            if j not in seen:
-                seen.add(j)
+        for j in p.covers[stack.pop()]:
+            if j not in below:
+                below.add(j)
                 stack.append(j)
-    return down
-
-
-def derive_color_matching(p: SimplicialPoset, q: SimplicialPoset,
-                          sigma: int, tau: int) -> dict[int, int]:
-    """Color-preserving vertex bijection V(sigma) -> V(tau), using proper
-    colorings of both posets."""
-    cp, conflict = proper_coloring(p)
-    if cp is None:
-        raise ValueError(f"first poset is not colorable (conflict at {conflict})")
-    cq, conflict = proper_coloring(q)
-    if cq is None:
-        raise ValueError(f"second poset is not colorable (conflict at {conflict})")
-    by_color = {cq[v]: v for v in q.vertex_sets[tau]}
-    return {v: by_color[cp[v]] for v in p.vertex_sets[sigma]}
+    verts: dict[int, frozenset[int]] = {}
+    for c in sorted(below, key=p.ranks.__getitem__):
+        verts[c] = (frozenset((c,)) if p.ranks[c] == 1 else
+                    frozenset().union(*map(verts.__getitem__, p.covers[c])))
+    down = {w: c for c, w in verts.items()}
+    if not (len(verts[facet]) == p.d and len(below) == len(down) == 2 ** p.d):
+        raise ValueError(f"the cells below {name} do not form a boolean "
+                         "interval")
+    return down, sorted(verts[facet])
 
 
 def connected_sum(p: SimplicialPoset, q: SimplicialPoset,
-                  sigma: int, tau: int,
-                  vertex_map: dict[int, int] | None = None) -> SimplicialPoset:
+                  sigma: int, tau: int) -> SimplicialPoset:
     """Connected sum along facets sigma of p and tau of q.
 
     Both facets are removed and their open boundary intervals identified:
-    the face of tau spanned by the image of W under `vertex_map` is glued
-    to the face of sigma spanned by W.  When `vertex_map` is omitted a
-    color-preserving bijection is derived from proper colorings where both
-    posets admit one, otherwise vertices are matched in sorted id order.
-
-    Face counts satisfy f_i(p # q) = f_i(p) + f_i(q) - C(d, i) for i < d
-    and f_d = f_d(p) + f_d(q) - 2.
+    the i-th least vertex id of tau is glued to the i-th least vertex id
+    of sigma, and each face of tau to the face of sigma on the image of
+    its vertices.  The face counts and the GF(2) homology do not depend on
+    the bijection: f_i(p # q) = f_i(p) + f_i(q) - C(d, i) for i < d and
+    f_d = f_d(p) + f_d(q) - 2.
     """
     if p.d != q.d:
         raise ValueError(f"rank mismatch: {p.d} vs {q.d}")
@@ -175,19 +167,9 @@ def connected_sum(p: SimplicialPoset, q: SimplicialPoset,
         if not 0 <= facet < poset.n_cells or poset.ranks[facet] != poset.d \
                 or poset.coverers[facet]:
             raise ValueError(f"{name} is not a facet")
-    if vertex_map is None:
-        try:
-            vertex_map = derive_color_matching(p, q, sigma, tau)
-        except ValueError:
-            # not both colorable: any bijection forms a sum, match sorted ids
-            vertex_map = dict(zip(sorted(p.vertex_sets[sigma]),
-                                  sorted(q.vertex_sets[tau])))
-    vs, vt = p.vertex_sets[sigma], q.vertex_sets[tau]
-    if set(vertex_map.keys()) != set(vs) or set(vertex_map.values()) != set(vt):
-        raise ValueError("vertex_map is not a bijection V(sigma) -> V(tau)")
-
-    down_tau = _interval_by_vertices(q, tau)
-    down_sigma = _interval_by_vertices(p, sigma)
+    down_sigma, vs = _interval_by_vertices(p, sigma, "sigma")
+    down_tau, vt = _interval_by_vertices(q, tau, "tau")
+    to_sigma = dict(zip(vt, vs))
 
     # p keeps everything but sigma; q drops tau and the faces glued into p
     new_of_p: dict[int, int] = {}
@@ -202,12 +184,8 @@ def connected_sum(p: SimplicialPoset, q: SimplicialPoset,
         labels.append(p.labels[c])
         p_covers.append(p.covers[c])
 
-    glued: dict[int, int] = {}
-    for wq, cq_cell in down_tau.items():
-        if cq_cell == tau:
-            continue
-        wp = frozenset(v for v, img in vertex_map.items() if img in wq)
-        glued[cq_cell] = new_of_p[down_sigma[wp]]
+    glued = {c: new_of_p[down_sigma[frozenset(map(to_sigma.__getitem__, w))]]
+             for w, c in down_tau.items() if c != tau}
 
     new_of_q: dict[int, int] = {}
     q_kept: list[int] = []

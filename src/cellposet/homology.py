@@ -79,7 +79,7 @@ from __future__ import annotations
 from math import comb
 from collections.abc import Iterable, Iterator, Sequence
 
-from .posets import (MAX_ROW_BITS, SimplicialPoset, _rank_gap, f_vector,
+from .posets import (SimplicialPoset, _rank_gap, _require_row_bits, f_vector,
                      is_pure)
 
 def _pivots(rows) -> dict[int, int]:
@@ -133,17 +133,6 @@ def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
     return tuple(dims[i + 1] - ranks[i]
                  - (ranks[i + 1] if i + 1 < len(ranks) else 0)
                  for i in range(len(dims) - 1))
-
-
-def _require_row_bits(p: SimplicialPoset) -> None:
-    """Refuse a poset whose boundary rows would take more than
-    ``MAX_ROW_BITS`` bits: sum_k f_k f_{k-1}."""
-    f = [len(cells) for cells in p.cells_by_rank]
-    bits = sum(a * b for a, b in zip(f, f[1:]))
-    if bits > MAX_ROW_BITS:
-        raise ValueError(
-            f"the chain complex has {bits} bits of boundary rows, more "
-            f"than the limit of {MAX_ROW_BITS}")
 
 
 def _boundary_rows(p: SimplicialPoset) -> list[tuple[int, ...]]:

@@ -49,8 +49,20 @@ MAX_OUTPUT_SIZE = 10 ** 6
 
 # The most bits of boundary rows a chain complex holds: a rank-k cell's
 # row is f_{k-1} bits wide, so the rows take sum_k f_k f_{k-1} bits.
-# `homology._boundary_rows` and `from_graph` refuse a larger complex.
+# `from_graph` and `_require_row_bits` refuse a larger complex; both read
+# the constant here, so one patch of it bounds every engine.
 MAX_ROW_BITS = 4 * 10 ** 9
+
+
+def _require_row_bits(p: SimplicialPoset) -> None:
+    """Refuse a poset whose boundary rows would take more than
+    ``MAX_ROW_BITS`` bits: sum_k f_k f_{k-1}."""
+    f = [len(cells) for cells in p.cells_by_rank]
+    bits = sum(a * b for a, b in zip(f, f[1:]))
+    if bits > MAX_ROW_BITS:
+        raise ValueError(
+            f"the chain complex has {bits} bits of boundary rows, more "
+            f"than the limit of {MAX_ROW_BITS}")
 
 
 @dataclass(frozen=True)
@@ -117,21 +129,6 @@ class SimplicialPoset:
             for j in cov:
                 up[j].append(i)
         return tuple(tuple(u) for u in up)
-
-    @cached_property
-    def vertex_sets(self) -> tuple[frozenset[int], ...]:
-        """For each cell, the rank-1 cells below it."""
-        out: list[frozenset[int]] = [frozenset()] * self.n_cells
-        for r in range(1, self.d + 1):
-            for i in self.cells_by_rank[r]:
-                if r == 1:
-                    out[i] = frozenset((i,))
-                else:
-                    acc: frozenset[int] = frozenset()
-                    for j in self.covers[i]:
-                        acc |= out[j]
-                    out[i] = acc
-        return tuple(out)
 
     def facets(self) -> tuple[int, ...]:
         """Maximal cells (cells covered by nothing)."""
@@ -284,57 +281,6 @@ def is_pseudomanifold(p: SimplicialPoset) -> bool:
     us, vs = zip(*(p.coverers[ridge] for ridge in p.cells_by_rank[p.d - 1]))
     roots = _merge_roots(list(range(p.n_cells)), us, vs)
     return len({roots[f] for f in facet_ids}) == 1
-
-
-def proper_coloring(p: SimplicialPoset):
-    """Try to color rank-1 cells with 1..d, rainbow on every facet.
-
-    Colors propagate from an arbitrary seed facet across shared ridges
-    (forced at every step), which is complete for strongly connected pure
-    posets.  Returns (coloring, None) on success and (None, ridge) on a
-    propagation conflict at `ridge`.
-    """
-    if not is_pure(p):
-        raise ValueError("poset is not pure")
-    facet_ids = p.cells_by_rank[p.d]
-    if not facet_ids:
-        raise ValueError("poset has no facets")
-    full = set(range(1, p.d + 1))
-    colors: dict[int, int] = {}
-    seed = facet_ids[0]
-    for c, v in zip(range(1, p.d + 1), sorted(p.vertex_sets[seed])):
-        colors[v] = c
-    done = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for ridge in p.covers[f]:
-                ridge_colors = {colors[v] for v in p.vertex_sets[ridge]}
-                if len(ridge_colors) != p.d - 1:
-                    return None, ridge
-                forced = full - ridge_colors
-                (c,) = forced
-                for g in p.coverers[ridge]:
-                    if g == f:
-                        continue
-                    extra = p.vertex_sets[g] - p.vertex_sets[ridge]
-                    if len(extra) != 1:
-                        return None, ridge
-                    (rest,) = extra
-                    if rest in colors:
-                        if colors[rest] != c:
-                            return None, ridge
-                    else:
-                        colors[rest] = c
-                    if g not in done:
-                        done.add(g)
-                        nxt.append(g)
-        frontier = nxt
-    for f in facet_ids:
-        if len({colors.get(v) for v in p.vertex_sets[f]}) != p.d:
-            return None, f
-    return colors, None
 
 
 # --- validation and JSON ------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import deque
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import settings, strategies as st
 from cellposet.graphs import (ColoredGraph, graph_from_dict,
                               validate_admissible)
 from cellposet.homology import betti_gf2, is_homology_manifold
-from cellposet.posets import SimplicialPoset, is_pseudomanifold
+from cellposet.posets import SimplicialPoset, is_pseudomanifold, is_pure
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -210,6 +211,17 @@ def betti_order_complex(p: SimplicialPoset) -> tuple[int, ...]:
                  for i in range(p.d))
 
 
+def r_value(n: int, i: int) -> int:
+    """Oracle for `checkers._r_row`: the correction term r(n, i) of
+    projective-space h-vectors, in closed form.  C(n, i) at even i < n,
+    0 at odd i < n, and -(n mod 2) at i = n."""
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    if i == n:
+        return -(n % 2)
+    return 0 if i % 2 else comb(n, i)
+
+
 def sphere_pattern(length: int) -> tuple[int, ...]:
     """The reduced Betti vector of a sphere of dimension length - 1."""
     return (0,) * (length - 1) + (1,) if length else ()
@@ -219,6 +231,73 @@ def is_homology_sphere(p: SimplicialPoset) -> bool:
     """A homology manifold with the reduced GF(2) homology of the d-1
     sphere."""
     return is_homology_manifold(p) and betti_gf2(p) == sphere_pattern(p.d)
+
+
+def vertex_sets(p: SimplicialPoset) -> tuple[frozenset[int], ...]:
+    """For each cell, the rank-1 cells below it."""
+    out: list[frozenset[int]] = [frozenset()] * p.n_cells
+    for r in range(1, p.d + 1):
+        for i in p.cells_by_rank[r]:
+            if r == 1:
+                out[i] = frozenset((i,))
+            else:
+                acc: frozenset[int] = frozenset()
+                for j in p.covers[i]:
+                    acc |= out[j]
+                out[i] = acc
+    return tuple(out)
+
+
+def proper_coloring(p: SimplicialPoset):
+    """Try to color rank-1 cells with 1..d, rainbow on every facet.
+
+    Colors propagate from an arbitrary seed facet across shared ridges
+    (forced at every step), which is complete for strongly connected pure
+    posets.  Returns (coloring, None) on success and (None, ridge) on a
+    propagation conflict at `ridge`.
+    """
+    if not is_pure(p):
+        raise ValueError("poset is not pure")
+    facet_ids = p.cells_by_rank[p.d]
+    if not facet_ids:
+        raise ValueError("poset has no facets")
+    verts = vertex_sets(p)
+    full = set(range(1, p.d + 1))
+    colors: dict[int, int] = {}
+    seed = facet_ids[0]
+    for c, v in zip(range(1, p.d + 1), sorted(verts[seed])):
+        colors[v] = c
+    done = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for ridge in p.covers[f]:
+                ridge_colors = {colors[v] for v in verts[ridge]}
+                if len(ridge_colors) != p.d - 1:
+                    return None, ridge
+                forced = full - ridge_colors
+                (c,) = forced
+                for g in p.coverers[ridge]:
+                    if g == f:
+                        continue
+                    extra = verts[g] - verts[ridge]
+                    if len(extra) != 1:
+                        return None, ridge
+                    (rest,) = extra
+                    if rest in colors:
+                        if colors[rest] != c:
+                            return None, ridge
+                    else:
+                        colors[rest] = c
+                    if g not in done:
+                        done.add(g)
+                        nxt.append(g)
+        frontier = nxt
+    for f in facet_ids:
+        if len({colors.get(v) for v in verts[f]}) != p.d:
+            return None, f
+    return colors, None
 
 
 def to_graph(p: SimplicialPoset, coloring: dict[int, int]) -> ColoredGraph:
@@ -239,15 +318,16 @@ def to_graph(p: SimplicialPoset, coloring: dict[int, int]) -> ColoredGraph:
         if v not in coloring:
             raise ValueError(f"coloring leaves vertex {v} ({p.labels[v]!r}) "
                              "uncolored")
+    verts = vertex_sets(p)
     for f in facet_ids:
-        cols = {coloring[v] for v in p.vertex_sets[f]}
+        cols = {coloring[v] for v in verts[f]}
         if len(cols) != p.d:
             raise ValueError(f"coloring is not rainbow on facet {p.labels[f]!r}")
     full = set(range(1, p.d + 1))
     edges = []
     for ridge in p.cells_by_rank[p.d - 1]:
         f1, f2 = p.coverers[ridge]
-        (c,) = full - {coloring[v] for v in p.vertex_sets[ridge]}
+        (c,) = full - {coloring[v] for v in verts[ridge]}
         edges.append((p.labels[f1], p.labels[f2], c))
     return ColoredGraph(p.d, tuple(p.labels[f] for f in facet_ids), tuple(edges))
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import re
 from dataclasses import fields
 from functools import reduce
@@ -7,6 +8,7 @@ from pathlib import Path
 from types import ModuleType
 
 import cellposet
+from cellposet.constructions import connected_sum
 from cellposet.graphs import ColoredGraph
 from cellposet.posets import SimplicialPoset
 
@@ -21,27 +23,27 @@ PUBLIC_NAMES = [
     "graph_to_json", "graphs", "greedy_reduce", "h_double_prime",
     "h_vector", "homology", "is_homology_manifold", "is_pseudomanifold",
     "is_pure", "parallel_edges_graph", "poset_to_json", "posets",
-    "product_spheres_graph", "proper_coloring", "r_value",
-    "reduce_product_spheres", "reduction", "require_admissible",
-    "run_schedule", "validate_admissible", "validate_poset",
+    "product_spheres_graph", "reduce_product_spheres", "reduction",
+    "require_admissible", "run_schedule", "validate_admissible",
+    "validate_poset",
 ]
 
 # The public names that nothing outside the tests consumes yet: the
-# realizers of ROADMAP item 1 are to consume the first three.  `r_value`
-# is the paper's correction term r(n, i), kept for callers; `check_rp_h`
-# reads the whole row at once.
-UNCONSUMED = ("boundary_of_simplex", "connected_sum", "parallel_edges_graph",
-              "r_value")
+# realizers of ROADMAP item 1 are to consume all three.
+UNCONSUMED = ("boundary_of_simplex", "connected_sum", "parallel_edges_graph")
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 37
     assert sorted(cellposet.__all__) == PUBLIC_NAMES
     assert not hasattr(ColoredGraph, "color_partner")
     assert not hasattr(ColoredGraph, "component_roots")
     assert not hasattr(ColoredGraph, "components")
     assert [f.name for f in fields(SimplicialPoset)] == [
         "d", "ranks", "covers", "labels"]
+    assert not hasattr(SimplicialPoset, "vertex_sets")
+    assert list(inspect.signature(connected_sum).parameters) == [
+        "p", "q", "sigma", "tau"]
 
 
 def test_no_unused_imports():

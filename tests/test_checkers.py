@@ -4,14 +4,16 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellposet.checkers import (CheckResult, check_manifold_h, check_rp_h,
-                                check_sphere_h, r_value)
+from cellposet.checkers import (CheckResult, _r_row, check_manifold_h,
+                                check_rp_h, check_sphere_h)
 from cellposet.constructions import (boundary_of_simplex,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.homology import betti_gf2, h_double_prime
 from cellposet.posets import f_vector, from_graph, h_vector
+
+from conftest import r_value
 
 NO_BETTI_VECTOR = ("no symmetric Betti vector makes the transform a sphere "
                    "h-vector")
@@ -137,6 +139,9 @@ class TestSphereH:
 
 
 class TestRValue:
+    """The closed form of r(n, i) in the tests, checked by hand and against
+    the row `check_rp_h` reads."""
+
     def test_even_case(self):
         assert r_value(4, 2) == 6
 
@@ -154,6 +159,10 @@ class TestRValue:
             r_value(3, 0)
         with pytest.raises(ValueError):
             r_value(3, 4)
+
+    def test_engine_row_is_the_closed_form(self):
+        for n in range(1, 40):
+            assert _r_row(n) == tuple(r_value(n, i) for i in range(1, n + 1))
 
 
 @pytest.mark.parametrize("decide,failed", [

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cellposet import homology
+from cellposet import posets
 from cellposet.cli import main
 from cellposet.constructions import (boundary_of_simplex,
                                      parallel_edges_graph,
@@ -486,7 +486,7 @@ class TestMalformedInput:
         # an input error, not a "valid": false report
         src = tmp_path / "p.json"
         src.write_text(json.dumps(poset_to_dict(boundary_of_simplex(3))))
-        monkeypatch.setattr(homology, "MAX_ROW_BITS", 51)
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 51)
         code, out, err = run(capsys, *command, str(src))
         assert code == 2 and out == ""
         assert err == ("error: the chain complex has 52 bits of boundary "

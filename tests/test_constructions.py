@@ -5,21 +5,22 @@ from math import comb
 from operator import mul
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cellposet import constructions
 from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph, set_label)
-from cellposet.checkers import r_value
 from cellposet.graphs import validate_admissible
 from cellposet.homology import (betti_gf2, h_double_prime,
                                 is_homology_manifold, validate_poset)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
-                              h_vector, proper_coloring)
+                              h_vector)
 
-from conftest import (betti_order_complex, colors_between,
-                      is_homology_sphere, to_graph)
+from conftest import (admissible_graphs, betti_order_complex, colors_between,
+                      is_homology_sphere, proper_coloring, r_value,
+                      rewired_simplex_boundary, to_graph, two_pillows)
 
 
 def product_betti(n, m):
@@ -261,6 +262,18 @@ class TestBoundaryOfSimplex:
         assert is_homology_sphere(p)
 
 
+@st.composite
+def connected_sum_summands(draw):
+    """(p, q, sigma, tau): p a graph poset of rank 2 or 3, q another one or
+    the simplex boundary of that rank, and a facet drawn from each."""
+    d = draw(st.sampled_from([2, 3]))
+    p = from_graph(draw(admissible_graphs(colors=(d,))))
+    q = draw(st.one_of(st.just(boundary_of_simplex(d)),
+                       admissible_graphs(colors=(d,)).map(from_graph)))
+    return (p, q, draw(st.sampled_from(p.facets())),
+            draw(st.sampled_from(q.facets())))
+
+
 class TestConnectedSum:
     def test_face_count_identity(self, torus_graph):
         p = from_graph(torus_graph)
@@ -296,15 +309,6 @@ class TestConnectedSum:
         assert betti_order_complex(s) == (0, 4, 1)
         assert is_homology_manifold(s)
 
-    def test_explicit_vertex_map(self, torus_graph):
-        p = from_graph(torus_graph)
-        q = boundary_of_simplex(3)
-        sigma, tau = p.facets()[0], q.facets()[0]
-        vmap = dict(zip(sorted(p.vertex_sets[sigma]),
-                        sorted(q.vertex_sets[tau])))
-        s = connected_sum(p, q, sigma, tau, vmap)
-        assert f_vector(s)[3] == 8
-
     def test_rank_mismatch(self, torus_graph):
         p = from_graph(torus_graph)
         with pytest.raises(ValueError, match="rank mismatch"):
@@ -315,15 +319,51 @@ class TestConnectedSum:
         with pytest.raises(ValueError, match="facet"):
             connected_sum(p, p, 0, p.facets()[0])
 
-    def test_bad_map_rejected(self, torus_graph):
-        p = from_graph(torus_graph)
-        sigma, tau = p.facets()[0], p.facets()[1]
-        vs = sorted(p.vertex_sets[sigma])
-        bad = {v: sorted(p.vertex_sets[tau])[0] for v in vs}
-        with pytest.raises(ValueError, match="bijection"):
-            connected_sum(p, p, sigma, tau, bad)
-
     def test_degenerate_rank_rejected(self):
         p = from_graph(parallel_edges_graph(1))
         with pytest.raises(ValueError, match="rank at least 2"):
             connected_sum(p, p, p.facets()[0], p.facets()[1])
+
+    @pytest.mark.parametrize("share_edge", [False, True])
+    def test_interval_with_too_many_or_few_cells_rejected(self, share_edge):
+        # the top cell of either pillow poset has 18 or 15 cells below it
+        p, q = two_pillows(share_edge), boundary_of_simplex(4)
+        for args, name in (((p, q, p.facets()[0], q.facets()[0]), "sigma"),
+                           ((q, p, q.facets()[0], p.facets()[0]), "tau")):
+            with pytest.raises(ValueError, match=f"^the cells below {name} "
+                                                 "do not form a boolean "
+                                                 "interval$"):
+                connected_sum(*args)
+
+    def test_interval_with_two_cells_on_one_vertex_set_rejected(self):
+        # facet 13 has 8 cells below it, but edges 5 and 7 span vertices
+        # 1 and 2 both
+        p, q = rewired_simplex_boundary(), boundary_of_simplex(3)
+        with pytest.raises(ValueError, match="below tau do not form"):
+            connected_sum(q, p, q.facets()[0], 13)
+
+    def test_facet_on_more_than_d_vertices_rejected(self):
+        # 16 cells on distinct vertex sets below a rank-4 cell on 5
+        # vertices: edges {1,2}, {2,3}, {1,3}, {3,4}, {4,5} and four
+        # triangles on three edges each
+        p = SimplicialPoset(
+            4, (0,) + (1,) * 5 + (2,) * 5 + (3,) * 4 + (4,),
+            ((),) + ((0,),) * 5 + ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5))
+            + ((6, 7, 8), (6, 7, 9), (7, 9, 10), (8, 9, 10), (11, 12, 13, 14)),
+            tuple(map(str, range(16))))
+        q = boundary_of_simplex(4)
+        with pytest.raises(ValueError, match="below sigma do not form"):
+            connected_sum(p, q, 15, q.facets()[0])
+
+    @given(connected_sum_summands())
+    def test_face_identity_and_homology(self, case):
+        p, q, sigma, tau = case
+        s = connected_sum(p, q, sigma, tau)
+        fp, fq, fs = f_vector(p), f_vector(q), f_vector(s)
+        d = p.d
+        assert fs == tuple(fp[i] + fq[i] - comb(d, i) for i in range(d)) \
+            + (fp[d] + fq[d] - 2,)
+        assert validate_poset(s) == []
+        assert betti_gf2(s) == betti_order_complex(s)
+        if is_homology_manifold(p) and is_homology_manifold(q):
+            assert is_homology_manifold(s)

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellposet import homology
+from cellposet import posets
 from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
@@ -151,9 +151,9 @@ class TestChainComplex:
         # the rows of the boundary of the 3-simplex take
         # 4*1 + 6*4 + 4*6 = 52 bits: allowed at a limit of 52 only
         p = boundary_of_simplex(3)
-        monkeypatch.setattr(homology, "MAX_ROW_BITS", 52)
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 52)
         assert [len(rows) for rows in _boundary_rows(p)] == [4, 6, 4]
-        monkeypatch.setattr(homology, "MAX_ROW_BITS", 51)
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 51)
         for engine in (_boundary_rows, betti_gf2, is_homology_manifold,
                        is_homology_sphere):
             with pytest.raises(ValueError, match=(

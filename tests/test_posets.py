@@ -11,16 +11,17 @@ from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph
-from cellposet import homology, posets
-from cellposet.homology import _boundary_rows, link_bettis, validate_poset
+from cellposet import posets
+from cellposet.homology import (_boundary_rows, betti_gf2, link_bettis,
+                                validate_poset)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               h_vector, is_pseudomanifold, is_pure,
                               poset_from_dict, poset_to_dict,
-                              poset_to_json, proper_coloring)
+                              poset_to_json)
 
-from conftest import (admissible_graphs, bfs_roots, link,
+from conftest import (admissible_graphs, bfs_roots, link, proper_coloring,
                       rewired_simplex_boundary, shuffled, to_graph,
-                      two_pillows)
+                      two_pillows, vertex_sets)
 
 
 def h_by_polynomial_expansion(f):
@@ -175,9 +176,9 @@ class TestFromGraph:
         # the rows of the boundary of the 3-simplex take
         # 4*1 + 6*4 + 4*6 = 52 bits
         p = boundary_of_simplex(3)
-        monkeypatch.setattr(homology, "MAX_ROW_BITS", 52)
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 52)
         assert validate_poset(p) == []
-        monkeypatch.setattr(homology, "MAX_ROW_BITS", 51)
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 51)
         with pytest.raises(ValueError, match="52 bits of boundary rows"):
             validate_poset(p)
 
@@ -249,6 +250,21 @@ class TestFromGraph:
                                              "rows, more than the limit of "
                                              "6737$"):
             from_graph(g)
+
+    def test_one_row_bit_limit_bounds_every_engine(self, monkeypatch):
+        # a poset built under the default limit is refused by the engines
+        # once the one constant is lowered below its 6 738 bits
+        g = product_spheres_graph(2, 2)
+        p = from_graph(g)
+        monkeypatch.setattr(posets, "MAX_ROW_BITS", 6737)
+        with pytest.raises(ValueError, match="^the chain complex of this "
+                                             "5-colored graph has 6738 bits"):
+            from_graph(g)
+        for engine in (betti_gf2, validate_poset):
+            with pytest.raises(ValueError, match=(
+                    r"^the chain complex has 6738 bits of boundary rows, "
+                    r"more than the limit of 6737$")):
+                engine(p)
 
     # d = 18 and 19 pass the cell limit (2^19 < 10^6), not the row limit
     @pytest.mark.parametrize("d", [18, 19, 20, 24, 100])
@@ -405,14 +421,15 @@ def rewired_posets(draw):
     keeps every face count of a simplex."""
     p = draw(st.sampled_from(REWIRING_BASES))
     covers = list(p.covers)
+    verts = vertex_sets(p)
     upper = [c for c in range(p.n_cells) if p.ranks[c] >= 2]
     for _ in range(draw(st.integers(1, 2))):
         c = draw(st.sampled_from(upper))
         slot = draw(st.integers(0, p.ranks[c] - 1))
         pool = p.cells_by_rank[p.ranks[c] - 1]
         if draw(st.booleans()):
-            twins = {p.vertex_sets[j] for j in covers[c]}
-            pool = [x for x in pool if p.vertex_sets[x] in twins]
+            twins = {verts[j] for j in covers[c]}
+            pool = [x for x in pool if verts[x] in twins]
         new = draw(st.sampled_from(pool))
         if new not in covers[c]:
             covers[c] = covers[c][:slot] + (new,) + covers[c][slot + 1:]
