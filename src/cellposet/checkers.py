@@ -3,16 +3,18 @@ h''-vectors of cell spheres / products of spheres, as h-vectors of real
 projective spaces, and as h-vectors of odd-dimensional manifolds.
 
 Every decider is a direct test on the entries of its vector, and takes
-O(d) steps: the projective-space test is the sphere test on a shifted
-vector, and the manifold test has a closed form (see
-:func:`check_manifold_h`).  All arithmetic is exact; negative results carry
-the violated condition, positive ones a witness where the theorem calls
-for one.
+O(d) steps: the projective-space and manifold tests are the sphere test on
+h'' (:func:`h_double_prime`) under a fixed and a closed-form Betti vector
+(see :func:`check_manifold_h`).  All arithmetic is exact; negative results
+carry the violated condition, positive ones a witness where the theorem
+calls for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .homology import _binomials, h_double_prime
 
 
 @dataclass(frozen=True)
@@ -53,39 +55,24 @@ def check_sphere_h(h) -> CheckResult:
     return CheckResult(True)
 
 
-def _binomials(n: int, stop: int) -> list[int]:
-    """C(n, 0), ..., C(n, stop) as one running row: O(stop) products with
-    small ints, where a `comb` per entry makes the row quadratic."""
-    row = [1]
-    for k in range(stop):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return row
-
-
-def _r_row(n: int) -> tuple[int, ...]:
-    """(r(n, 1), ..., r(n, n)), the correction terms of projective-space
-    h-vectors, in O(n) steps: r(n, i) is C(n, i) at even i < n, 0 at odd
-    i < n, and -1 or 0 at i = n for odd or even n."""
-    c = _binomials(n, n - 1)
-    return (*(0 if i % 2 else c[i] for i in range(1, n)), -1 if n % 2 else 0)
-
-
 def check_rp_h(h, n: int) -> CheckResult:
     """Does `h` occur as the h-vector of a cell decomposition of
     (n-1)-dimensional real projective space?
 
-    It does when the shifted vector (h_0, h_1 - r(n, 1), ..., h_n - r(n, n))
-    passes :func:`check_sphere_h`; a failed condition is reported with the
-    prefix ``"shifted "``.  For n >= 2 the r(n, i) sum to an even number, so
-    the parity test on the shifted entry sum is the one on sum(h).
+    It does when (h_0, h''_1, ..., h''_{n-1}, h_n + (n mod 2)) passes
+    :func:`check_sphere_h`, where h'' = h_double_prime(h, (0, 1, ..., 1)),
+    the reduced GF(2) Betti vector of RP^(n-1); a failed condition is
+    reported with the prefix ``"shifted "``.  For n >= 2 the shifts sum to
+    an even number, so the parity test on the shifted entry sum is the one
+    on sum(h).
     """
     h = tuple(h)
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if len(h) != n + 1:
         raise ValueError(f"h must have length {n + 1}, got {len(h)}")
-    res = check_sphere_h(
-        (h[0], *(x - r for x, r in zip(h[1:], _r_row(n)))))
+    t = h_double_prime(h, (0,) + (1,) * (n - 1))
+    res = check_sphere_h((h[0], *t[1:n], h[n] + n % 2))
     if res:
         return res
     return CheckResult(False, "shifted " + res.failed_condition)
@@ -95,18 +82,18 @@ def check_manifold_h(h, d: int) -> CheckResult:
     """For even d: does `h` occur as the h-vector of a cell decomposition
     of some closed (d-1)-manifold?
 
-    It does when some Betti vector beta = (1, beta_1, ..., beta_{d-1}) with
-    nonnegative entries, beta_i = beta_{d-1-i} for 0 < i < d-1 and
-    beta_{d-1} = 0, makes the transform t a sphere h-vector
-    (:func:`check_sphere_h`).  Here t_0 = h_0, t_d = h_d and
-    t_k = h_k - C(d, k) a_k for 0 < k < d, where
-    a_k = beta_{k-1} - beta_{k-2} + ... + (-1)^k beta_1 (so a_1 = 0).  The
-    witness is the lexicographically least such beta.
+    It does when h_0 = h_d = 1 and some reduced Betti vector
+    beta = (0, beta_1, ..., beta_{d-2}, 1) with nonnegative entries and
+    beta_i = beta_{d-1-i} for 0 < i < d-1 makes t = h_double_prime(h, beta)
+    pass :func:`check_sphere_h`.  The witness is the lexicographically
+    least such beta.
 
-    The decision is closed-form and takes O(d) steps.  With N = d/2:
+    The decision is closed-form and takes O(d) steps.  With N = d/2 and
+    t_k = h_k - C(d, k) a_k for 0 < k < d as in :func:`h_double_prime`,
+    so that a_1 = 0 and beta_k = a_k + a_{k+1}:
 
     * A symmetric beta gives a_{d-k} = a_k, so t is symmetric exactly when
-      h is, and t_d = h_d.
+      h is, and t_0 = t_d = 1.
     * The entries of t sum to sum(h) minus the even number
       sum_k C(d, k) a_k: the terms k and d-k are equal and C(2N, N) is
       even.  For symmetric h the parity is that of h_N.
@@ -147,4 +134,4 @@ def check_manifold_h(h, d: int) -> CheckResult:
         if a[k] > u(k):
             return rejected
     beta = [a[i] + a[i + 1] for i in range(1, half)]
-    return CheckResult(True, witness=(1, *beta, *beta[::-1], 0))
+    return CheckResult(True, witness=(0, *beta, *beta[::-1], 1))

@@ -76,7 +76,6 @@ it.
 
 from __future__ import annotations
 
-from math import comb
 from collections.abc import Iterable, Iterator, Sequence
 
 from .posets import (SimplicialPoset, _rank_gap, _require_row_bits, f_vector,
@@ -241,21 +240,32 @@ def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:
 
 # --- h'' vectors ---------------------------------------------------------------
 
+def _binomials(n: int, stop: int) -> list[int]:
+    """C(n, 0), ..., C(n, stop) as one running row: O(stop) products with
+    small ints, where a `comb` per entry makes the row quadratic."""
+    row = [1]
+    for k in range(stop):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
 def h_double_prime(h: tuple[int, ...], betti: tuple[int, ...]) -> tuple[int, ...]:
     """h''-vector from an h-vector and reduced Betti numbers.
 
-    h''_0 = 1; for 0 < k < d,
-    h''_k = h_k - C(d,k) * sum_{l=1..k} (-1)^(l-k) betti_{l-1};
-    h''_d = betti_{d-1}.
+    h''_0 = 1; for 0 < k < d, h''_k = h_k - C(d,k) * a_k with
+    a_k = sum_{l=1..k} (-1)^(k-l) betti_{l-1}; h''_d = betti_{d-1}.
+    The sums run as a_k = betti_{k-1} - a_{k-1} beside one binomial row,
+    so the transform takes O(d) steps.
     """
     d = len(h) - 1
     if len(betti) != d:
         raise ValueError(
             f"betti vector has length {len(betti)}, expected {d}")
-    out = [1]
+    binomials = _binomials(d, d - 1)
+    out, a = [1], 0
     for k in range(1, d):
-        s = sum((-1) ** ((k - l) % 2) * betti[l - 1] for l in range(1, k + 1))
-        out.append(h[k] - comb(d, k) * s)
+        a = betti[k - 1] - a
+        out.append(h[k] - binomials[k] * a)
     if d >= 1:
         out.append(betti[d - 1])
     return tuple(out)

@@ -212,9 +212,10 @@ def betti_order_complex(p: SimplicialPoset) -> tuple[int, ...]:
 
 
 def r_value(n: int, i: int) -> int:
-    """Oracle for `checkers._r_row`: the correction term r(n, i) of
-    projective-space h-vectors, in closed form.  C(n, i) at even i < n,
-    0 at odd i < n, and -(n mod 2) at i = n."""
+    """The correction term r(n, i) of projective-space h-vectors, in
+    closed form: C(n, i) at even i < n, 0 at odd i < n, and -(n mod 2) at
+    i = n.  The `check_rp_h` tests shift by it, independently of the
+    engine's route through `h_double_prime`."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     if i == n:

@@ -4,8 +4,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellposet.checkers import (CheckResult, _r_row, check_manifold_h,
-                                check_rp_h, check_sphere_h)
+from cellposet.checkers import (CheckResult, check_manifold_h, check_rp_h,
+                                check_sphere_h)
 from cellposet.constructions import (boundary_of_simplex,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
@@ -19,27 +19,20 @@ NO_BETTI_VECTOR = ("no symmetric Betti vector makes the transform a sphere "
                    "h-vector")
 
 
-def h_beta(h, beta) -> tuple[int, ...]:
-    """The transform of `h` (even d = len(h) - 1) by a symmetric Betti
-    vector beta = (1, beta_1, ..., beta_{d-1}): h'' of `h` with beta_0 = 0
-    and the top Betti number read off h_d.  Entry 0 is 1 whatever h_0 is.
-    """
-    d = len(h) - 1
-    return h_double_prime(h, (0, *beta[1:d - 1], h[d]))
-
-
 def search_manifold_h(h, d: int) -> CheckResult:
     """Oracle for check_manifold_h: exhaustive search, in lexicographic
-    order, over nonnegative symmetric Betti vectors beta with
-    beta_{d-1} = 0 for one whose transform passes check_sphere_h.
-    Nonnegativity of transform entry k+1 bounds the choice of beta_k, so
-    the search ends, but its run time grows with the entries of h."""
+    order, over reduced Betti vectors beta = (0, beta_1, ..., beta_{d-2}, 1)
+    with a nonnegative symmetric interior for one that makes
+    h_double_prime(h, beta) pass check_sphere_h.  That h'' has the ends 1
+    and beta_{d-1} = 1 whatever h is, so h_0 = h_d = 1 is checked apart.
+    Nonnegativity of h'' entry k+1 bounds the choice of beta_k, so the
+    search ends, but its run time grows with the entries of h."""
     h = tuple(h)
     n_free = (d - 2) // 2           # beta_1 .. beta_{(d-2)/2}; mirrors fill the rest
 
     def full_beta(free: list[int]) -> tuple[int, ...]:
         beta = [0] * d
-        beta[0] = 1
+        beta[d - 1] = 1
         for i, val in enumerate(free, start=1):
             beta[i] = val
             beta[d - 1 - i] = val
@@ -49,8 +42,8 @@ def search_manifold_h(h, d: int) -> CheckResult:
         k = len(free) + 1
         if len(free) == n_free:
             beta = full_beta(free)
-            return beta if check_sphere_h(h_beta(h, beta)) else None
-        # transform entry k+1 must stay nonnegative:
+            return beta if check_sphere_h(h_double_prime(h, beta)) else None
+        # h'' entry k+1 must stay nonnegative:
         #   sum_{l<=k+1} (-1)^(l-k-1) beta_{l-1} <= h_{k+1} / C(d, k+1)
         bound = h[k + 1] // comb(d, k + 1) + partial_sum
         for val in range(0, bound + 1):
@@ -59,7 +52,7 @@ def search_manifold_h(h, d: int) -> CheckResult:
                 return found
         return None
 
-    witness = search([], 0) if h[0] == 1 else None
+    witness = search([], 0) if h[0] == h[d] == 1 else None
     if witness is None:
         return CheckResult(False, NO_BETTI_VECTOR)
     return CheckResult(True, witness=witness)
@@ -139,8 +132,7 @@ class TestSphereH:
 
 
 class TestRValue:
-    """The closed form of r(n, i) in the tests, checked by hand and against
-    the row `check_rp_h` reads."""
+    """The closed form of r(n, i) in the tests, checked by hand."""
 
     def test_even_case(self):
         assert r_value(4, 2) == 6
@@ -160,13 +152,16 @@ class TestRValue:
         with pytest.raises(ValueError):
             r_value(3, 4)
 
-    def test_engine_row_is_the_closed_form(self):
-        for n in range(1, 40):
-            assert _r_row(n) == tuple(r_value(n, i) for i in range(1, n + 1))
+
+def rp_h_double_prime(h, n: int) -> CheckResult:
+    """The sphere test on h'' of `h` under the reduced Betti vector
+    (0, 1, ..., 1) of RP^(n-1)."""
+    return check_sphere_h(h_double_prime(h, (0,) + (1,) * (n - 1)))
 
 
 @pytest.mark.parametrize("decide,failed", [
-    (check_manifold_h, None), (check_rp_h, "shifted nonnegativity")])
+    (check_manifold_h, None), (check_rp_h, "shifted nonnegativity"),
+    (rp_h_double_prime, "nonnegativity")])
 def test_deciders_take_linear_time(decide, failed):
     # a binomial per entry took over 30 s at this size
     start = time.perf_counter()
@@ -216,35 +211,22 @@ def odd_dimensional_manifolds() -> list:
             from_graph(product_spheres_graph(2, 3))]
 
 
-class TestHBeta:
-    """The oracle's transform."""
-
-    def test_trivial_beta_is_identity(self):
-        h = (1, 4, -2, 7, 1)
-        assert h_beta(h, (1, 0, 0, 0)) == h
-
-    def test_matches_h_double_prime_on_manifolds(self):
-        for p in odd_dimensional_manifolds():
-            h = h_vector(f_vector(p))
-            betti = betti_gf2(p)
-            assert h_beta(h, (1,) + betti[1:]) == h_double_prime(h, betti)
-
-
 class TestManifoldH:
     def test_sphere_vector(self):
         res = check_manifold_h((1, 0, 0, 0, 1), 4)
-        assert res and res.witness == (1, 0, 0, 0)
+        assert res and res.witness == (0, 0, 0, 1)
 
     def test_search_finds_a_witness(self):
         res = check_manifold_h((1, 0, 6, 0, 1), 4)
-        assert res and res.witness == (1, 0, 0, 0)
+        assert res and res.witness == (0, 0, 0, 1)
 
     def test_nontrivial_betti_needed(self):
         # at d = 6 the entry h_3 can be lifted by beta_1 > beta_2; this
-        # vector is rejected with beta = 0 but accepted at (1,1,0,0,1,0)
+        # vector is rejected with the sphere's beta but accepted at
+        # (0,1,0,0,1,1)
         res = check_manifold_h((1, 0, 15, -20, 15, 0, 1), 6)
-        assert res and res.witness == (1, 1, 0, 0, 1, 0)
-        assert h_beta((1, 0, 15, -20, 15, 0, 1), res.witness) == \
+        assert res and res.witness == (0, 1, 0, 0, 1, 1)
+        assert h_double_prime((1, 0, 15, -20, 15, 0, 1), res.witness) == \
                (1, 0, 0, 0, 0, 0, 1)
 
     def test_exhaustive_rejection(self):
@@ -261,13 +243,21 @@ class TestManifoldH:
     @given(manifold_candidates())
     def test_matches_the_search_oracle(self, case):
         h, d = case
-        assert check_manifold_h(h, d) == search_manifold_h(h, d)
+        res = check_manifold_h(h, d)
+        assert res == search_manifold_h(h, d)
+        if res:
+            beta = res.witness
+            assert beta[0] == 0 and beta[d - 1] == 1
+            assert beta[1:d - 1] == beta[d - 2:0:-1]
+            assert check_sphere_h(h_double_prime(h, beta))
 
     def test_accepts_odd_dimensional_manifolds(self):
         for p in odd_dimensional_manifolds():
             h = h_vector(f_vector(p))
             res = check_manifold_h(h, p.d)
-            assert res and check_sphere_h(h_beta(h, res.witness))
+            assert res and check_sphere_h(h_double_prime(h, res.witness))
+            # the manifold's own Betti vector is a witness too
+            assert check_sphere_h(h_double_prime(h, betti_gf2(p)))
 
     def test_odd_d_rejected(self):
         with pytest.raises(ValueError):

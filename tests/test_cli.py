@@ -362,7 +362,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "manifold-h", "--d", "4",
                            "--h", "1,0,6,0,1")
         assert code == 0
-        assert json.loads(out)["witness"] == [1, 0, 0, 0]
+        assert json.loads(out)["witness"] == [0, 0, 0, 1]
 
     def test_rp_failure_names_the_shifted_sphere_condition(self, capsys):
         code, out, _ = run(capsys, "check", "rp-h", "--n", "3",

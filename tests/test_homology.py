@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +204,16 @@ class TestClearing:
         assert betti_gf2(p) == per_degree_betti(p) == (0, 0, 2, 0, 1)
 
 
+def written_out_h_double_prime(h, betti) -> tuple[int, ...]:
+    """The sum in the `h_double_prime` docstring, one binomial and one
+    alternating sum per entry."""
+    d = len(h) - 1
+    inner = [h[k] - comb(d, k) * sum((-1) ** (k - l) * betti[l - 1]
+                                     for l in range(1, k + 1))
+             for k in range(1, d)]
+    return (1, *inner, *([betti[d - 1]] if d >= 1 else []))
+
+
 class TestHDoublePrime:
     def test_torus(self):
         assert h_double_prime((1, 0, 6, -1), (0, 2, 1)) == (1, 0, 0, 1)
@@ -217,6 +228,19 @@ class TestHDoublePrime:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             h_double_prime((1, 0, 0, 1), (0, 1))
+
+    def test_d_zero(self):
+        assert h_double_prime((5,), ()) == (1,)
+
+    def test_d_one(self):
+        assert h_double_prime((3, 7), (2,)) == (1, 2)
+
+    @given(st.integers(0, 10).flatmap(lambda d: st.tuples(
+        st.lists(st.integers(-50, 50), min_size=d + 1, max_size=d + 1),
+        st.lists(st.integers(0, 5), min_size=d, max_size=d))))
+    def test_matches_the_written_out_sum(self, case):
+        h, betti = map(tuple, case)
+        assert h_double_prime(h, betti) == written_out_h_double_prime(h, betti)
 
 
 class TestSphereManifoldPredicates:
