@@ -137,9 +137,8 @@ def cmd_reduce(args) -> int:
     else:
         final, steps = reduction.greedy_reduce(obj)
     # written before anything is printed, as in `cmd_build`
-    if args.certificate:
-        Path(args.certificate).write_text(
-            json.dumps([s.to_dict() for s in steps], sort_keys=True, indent=2))
+    _write_out(args.certificate, json.dumps(
+        [s.to_dict() for s in steps], sort_keys=True, indent=2))
     _write_out(args.out, graph_to_json(final))
     _emit({"vertices": len(final.vertices), "steps": len(steps)})
     return 0

@@ -6,7 +6,7 @@ connected sums, and simplex boundary fixtures.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import comb
 
 from .graphs import ColoredGraph
@@ -43,7 +43,8 @@ def product_spheres_graph(n: int, m: int) -> ColoredGraph:
     * X(S)-X(S - {k} + {k-1}) of color k when k is in S but k-1 is not,
       within each block X,
 
-    where {k-1,k} degenerates to {1} at k=1 and {n+m} at k=n+m+1.
+    where {k-1,k} degenerates to {1} at k=1 and {n+m} at k=n+m+1.  Each
+    label string is built once per subset and shared by the edges at it.
     """
     if n < 1 or m < 1:
         raise ValueError("both sphere dimensions must be at least 1")
@@ -56,24 +57,22 @@ def product_spheres_graph(n: int, m: int) -> ColoredGraph:
             f"more than the limit of {MAX_OUTPUT_SIZE}")
     top = n + m
     subsets = list(combinations(range(1, top + 1), n))
-    blocks = ("A", "B", "C", "D")
-    vertices = tuple(block_label(b, s) for b in blocks for s in subsets)
+    names = {s: [block_label(b, s) for b in "ABCD"] for s in subsets}
+    vertices = tuple(names[s][b] for b in range(4) for s in subsets)
     edges: list[tuple[str, str, int]] = []
     for s in subsets:
         sset = set(s)
+        a, b, c, d = names[s]
         for k in range(1, top + 2):
             pair = _rule_pair(k, top)
             if not pair & sset:
-                edges.append((block_label("A", s), block_label("B", s), k))
-                edges.append((block_label("C", s), block_label("D", s), k))
+                edges += ((a, b, k), (c, d, k))
             elif pair <= sset:
-                edges.append((block_label("A", s), block_label("C", s), k))
-                edges.append((block_label("B", s), block_label("D", s), k))
+                edges += ((a, c, k), (b, d, k))
         for k in range(2, top + 1):
             if k in sset and k - 1 not in sset:
                 other = tuple(sorted(sset - {k} | {k - 1}))
-                for b in blocks:
-                    edges.append((block_label(b, s), block_label(b, other), k))
+                edges += zip(names[s], names[other], repeat(k))
     return ColoredGraph(top + 1, vertices, tuple(edges))
 
 

@@ -16,13 +16,20 @@ original index, checks it seven to nine times slower.
 
 All values are immutable; operations return new objects and are safe to
 share between threads.
+
+:func:`graph_to_json` writes ``{"d", "edges": [{"color", "u", "v"}],
+"vertices"}`` with sorted keys, a two-space indent and ASCII escapes, byte
+for byte ``json.dumps(..., sort_keys=True, indent=2)`` of the dict form
+the tests keep.  It fills a fixed template and quotes each label with the
+C string encoder ``json.dumps`` uses; ``indent`` would select the
+pure-Python encoder, several times slower.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 
 def _merge_roots(roots: list[int], us, vs) -> list[int]:
@@ -142,14 +149,6 @@ def require_admissible(g: ColoredGraph) -> None:
 
 # --- JSON / DOT interchange -------------------------------------------------
 
-def graph_to_dict(g: ColoredGraph) -> dict:
-    return {
-        "d": g.d,
-        "vertices": list(g.vertices),
-        "edges": [{"u": u, "v": v, "color": c} for u, v, c in g.edges],
-    }
-
-
 def graph_from_dict(data: dict) -> ColoredGraph:
     try:
         vertices = data["vertices"]
@@ -162,8 +161,20 @@ def graph_from_dict(data: dict) -> ColoredGraph:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
 
 
+def _json_array(items, indent: str) -> str:
+    """A JSON array of the already encoded `items`, one per line, in the
+    layout of ``json.dumps(..., indent=2)`` at nesting `indent`."""
+    inner = indent + "  "
+    body = (",\n" + inner).join(items)
+    return "[\n%s%s\n%s]" % (inner, body, indent) if body else "[]"
+
+
 def graph_to_json(g: ColoredGraph) -> str:
-    return json.dumps(graph_to_dict(g), sort_keys=True, indent=2)
+    quoted = dict(zip(g.vertices, map(encode_basestring_ascii, g.vertices)))
+    edges = ['{\n      "color": %d,\n      "u": %s,\n      "v": %s\n    }'
+             % (c, quoted[u], quoted[v]) for u, v, c in g.edges]
+    return '{\n  "d": %d,\n  "edges": %s,\n  "vertices": %s\n}' % (
+        g.d, _json_array(edges, "  "), _json_array(quoted.values(), "  "))
 
 
 def graph_to_dot(g: ColoredGraph) -> str:

@@ -27,18 +27,24 @@ The output skips the constructor's checks, which the construction meets:
 ranks lie in 0..d, the graph is connected (one rank-0 cell), and a cell
 (H, S) covers one cell of rank one lower per color outside S, each of a
 distinct color set; labels are strings, as vertex labels are.
+
+`poset_to_json` writes ``{"cells": [{"covers", "id", "label", "rank"}],
+"d"}`` as `graphs.graph_to_json` writes graphs: sorted keys, a two-space
+indent and ASCII escapes, byte for byte ``json.dumps(..., sort_keys=True,
+indent=2)`` of the dict form the tests keep.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
+from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import mul
 
-from .graphs import ColoredGraph, _merge_roots, require_admissible
+from .graphs import (ColoredGraph, _json_array, _merge_roots,
+                     require_admissible)
 
 # The most cells `from_graph` makes, and the most edges or cells a builder
 # in `constructions` makes; a larger request is refused before its output
@@ -293,17 +299,6 @@ def _rank_gap(p: SimplicialPoset) -> str | None:
     return f"d is {p.d}, but the greatest cell rank is {top}"
 
 
-def poset_to_dict(p: SimplicialPoset) -> dict:
-    return {
-        "d": p.d,
-        "cells": [
-            {"id": i, "rank": p.ranks[i], "covers": list(p.covers[i]),
-             "label": p.labels[i]}
-            for i in range(p.n_cells)
-        ],
-    }
-
-
 def poset_from_dict(data: dict) -> SimplicialPoset:
     """Load a poset; a ``d`` above every cell's rank is refused here, since
     d sizes the f- and h-vectors and the work that reads them."""
@@ -329,4 +324,10 @@ def poset_from_dict(data: dict) -> SimplicialPoset:
 
 
 def poset_to_json(p: SimplicialPoset) -> str:
-    return json.dumps(poset_to_dict(p), sort_keys=True, indent=2)
+    ids = list(map(str, range(p.n_cells)))  # written again per coverer
+    cells = ['{\n      "covers": %s,\n      "id": %s,\n      "label": %s,'
+             '\n      "rank": %d\n    }'
+             % (_json_array(map(ids.__getitem__, cov), "      "), i,
+                encode_basestring_ascii(label), rank)
+             for i, cov, label, rank in zip(ids, p.covers, p.labels, p.ranks)]
+    return '{\n  "cells": %s,\n  "d": %d\n}' % (_json_array(cells, "  "), p.d)

@@ -1,12 +1,14 @@
 import json
 import random
 from collections import deque
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import settings, strategies as st
 
+from cellposet.constructions import _rule_pair, block_label
 from cellposet.graphs import (ColoredGraph, graph_from_dict,
                               validate_admissible)
 from cellposet.homology import betti_gf2, is_homology_manifold
@@ -33,6 +35,56 @@ def torus_suspension_graph(torus_graph) -> ColoredGraph:
              + tuple((copy[u], copy[v], c) for u, v, c in torus_graph.edges)
              + tuple((v, copy[v], 4) for v in torus_graph.vertices))
     return ColoredGraph(4, torus_graph.vertices + tuple(copy.values()), edges)
+
+
+def graph_to_dict(g: ColoredGraph) -> dict:
+    """Oracle: the dict whose ``json.dumps(..., sort_keys=True, indent=2)``
+    `graphs.graph_to_json` writes byte for byte."""
+    return {
+        "d": g.d,
+        "vertices": list(g.vertices),
+        "edges": [{"u": u, "v": v, "color": c} for u, v, c in g.edges],
+    }
+
+
+def poset_to_dict(p: SimplicialPoset) -> dict:
+    """Oracle: the dict whose ``json.dumps(..., sort_keys=True, indent=2)``
+    `posets.poset_to_json` writes byte for byte."""
+    return {
+        "d": p.d,
+        "cells": [
+            {"id": i, "rank": p.ranks[i], "covers": list(p.covers[i]),
+             "label": p.labels[i]}
+            for i in range(p.n_cells)
+        ],
+    }
+
+
+def reference_product_spheres_graph(n: int, m: int) -> ColoredGraph:
+    """Oracle for `constructions.product_spheres_graph`, which shares one
+    label string per block and subset: the same graph with every edge
+    end's label formatted anew by `block_label`."""
+    top = n + m
+    subsets = list(combinations(range(1, top + 1), n))
+    blocks = ("A", "B", "C", "D")
+    vertices = tuple(block_label(b, s) for b in blocks for s in subsets)
+    edges: list[tuple[str, str, int]] = []
+    for s in subsets:
+        sset = set(s)
+        for k in range(1, top + 2):
+            pair = _rule_pair(k, top)
+            if not pair & sset:
+                edges.append((block_label("A", s), block_label("B", s), k))
+                edges.append((block_label("C", s), block_label("D", s), k))
+            elif pair <= sset:
+                edges.append((block_label("A", s), block_label("C", s), k))
+                edges.append((block_label("B", s), block_label("D", s), k))
+        for k in range(2, top + 1):
+            if k in sset and k - 1 not in sset:
+                other = tuple(sorted(sset - {k} | {k - 1}))
+                for b in blocks:
+                    edges.append((block_label(b, s), block_label(b, other), k))
+    return ColoredGraph(top + 1, vertices, tuple(edges))
 
 
 def colors_between(g: ColoredGraph, x: str, y: str) -> frozenset[int]:
@@ -377,6 +429,14 @@ def insert_dipole(g: ColoredGraph, v: str, x: str, y: str) -> ColoredGraph:
         else:
             edges.append((a, b, c))
     return ColoredGraph(g.d, g.vertices + (x, y), tuple(edges))
+
+
+# JSON-hostile label text: quotes, backslashes, control characters,
+# non-ASCII and astral characters, mixed with any other character
+json_labels = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\x80\xe9\u2028\uffff'
+                    '\U0001f600\U0010ffff'),
+    st.characters()), max_size=6)
 
 
 @st.composite

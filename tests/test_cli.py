@@ -14,11 +14,9 @@ from cellposet.cli import main
 from cellposet.constructions import (boundary_of_simplex,
                                      parallel_edges_graph,
                                      product_spheres_graph)
-from cellposet.graphs import graph_to_dict
-from cellposet.posets import poset_to_dict
 
-from conftest import (insert_dipole, rewired_simplex_boundary, shuffled,
-                      two_pillows)
+from conftest import (graph_to_dict, insert_dipole, poset_to_dict,
+                      rewired_simplex_boundary, shuffled, two_pillows)
 
 DATA = Path(__file__).parent / "data"
 TORUS = str(DATA / "torus_crystallization.json")
@@ -164,12 +162,15 @@ def sha256(path: Path) -> str:
 
 class TestByteIdentity:
     """Digests of what `reduce` and `build product-spheres --reduce` write
-    for S^2 x S^3, and `build product-spheres --reduce` for S^3 x S^3.
-    Those for S^2 x S^3 were recorded from the edge-list reduction engine
-    that the partner table replaced, and that for S^3 x S^3 from the
+    for S^2 x S^3, `build product-spheres --reduce` for S^3 x S^3, and
+    `build rp --n 6` and `build product-spheres` for S^2 x S^3 unreduced.
+    Those for S^2 x S^3 reduced were recorded from the edge-list reduction
+    engine that the partner table replaced, that for S^3 x S^3 from the
     partner table that still searched for connectivity after every
-    cancellation, each by running the same command on the same input.
-    They pin the output byte for byte."""
+    cancellation, and the last two from the writers that went through
+    ``json.dumps(..., sort_keys=True, indent=2)`` and the builder that
+    formatted every edge end's label anew, each by running the same
+    command on the same input.  They pin the output byte for byte."""
 
     @staticmethod
     def shuffled_input(path: Path) -> None:
@@ -208,6 +209,21 @@ class TestByteIdentity:
             "db6aa3a2c402e07377e67448939626fc99d27e92a92c8c7408519769caba54f2"
         assert sha256(tmp_path / "o.json") == \
             "9c9dc8d26e7c7766da97309753610124295750d66aad63a59979ff2d062fe13f"
+
+    def test_build_rp(self, capsys, tmp_path):
+        code, _, err = run(capsys, "build", "rp", "--n", "6",
+                           "--out", str(tmp_path / "o.json"))
+        assert (code, err) == (0, "")
+        assert sha256(tmp_path / "o.json") == \
+            "87a15ea515a4a1f35b552924030d636d785490220ef40a1ac544a7dc9cde252b"
+
+    def test_build_product_spheres(self, capsys, tmp_path):
+        code, out, err = run(capsys, "build", "product-spheres", "--n", "2",
+                             "--m", "3", "--out", str(tmp_path / "o.json"))
+        assert (code, out, err) == (
+            0, '{\n  "edges": 120,\n  "vertices": 40\n}\n', "")
+        assert sha256(tmp_path / "o.json") == \
+            "d088828ee547b73d74fc8334e510294c84941478643365617d7fb7b6be4c3eaa"
 
 
 class TestReduce:

@@ -20,6 +20,7 @@ from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
 
 from conftest import (admissible_graphs, betti_order_complex, colors_between,
                       is_homology_sphere, proper_coloring, r_value,
+                      reference_product_spheres_graph,
                       rewired_simplex_boundary, to_graph, two_pillows)
 
 
@@ -58,6 +59,15 @@ class TestProductSpheresGraph:
                 seen[key] = seen.get(key, 0) + 1
         assert all(seen.get((v, c), 0) == 1
                    for v in g.vertices for c in range(1, g.d + 1))
+
+    def test_matches_the_reference_builder(self):
+        for n in range(1, 8):
+            for m in range(1, 9 - n):
+                g = product_spheres_graph(n, m)
+                assert g == reference_product_spheres_graph(n, m)
+                # each edge end is one of the vertices' label objects
+                assert {id(x) for u, v, _ in g.edges for x in (u, v)} \
+                    <= set(map(id, g.vertices))
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
     def test_poset_has_product_homology(self, n, m):

@@ -3,14 +3,30 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cellposet.graphs import (ColoredGraph, _merge_roots, graph_from_dict,
                               graph_to_dot, graph_to_json,
                               validate_admissible)
 from cellposet.posets import from_graph
 
-from conftest import admissible_graphs, bfs_roots, color_partner
+from conftest import (admissible_graphs, bfs_roots, color_partner,
+                      graph_to_dict, json_labels)
+
+
+@st.composite
+def labelled_graphs(draw) -> ColoredGraph:
+    """Colored graphs, admissible or not, with JSON-hostile labels and at
+    most eight edges, possibly none."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    labels = draw(st.lists(json_labels, max_size=5, unique=True))
+    edges = []
+    if len(labels) > 1:
+        edges = draw(st.lists(st.tuples(
+            st.sampled_from(labels), st.sampled_from(labels),
+            st.integers(min_value=1, max_value=d)).filter(
+                lambda e: e[0] != e[1]), max_size=8))
+    return ColoredGraph(d, tuple(labels), tuple(edges))
 
 
 def ends(g: ColoredGraph, colors) -> tuple[list[int], list[int]]:
@@ -262,6 +278,13 @@ class TestInterchange:
             '  "c\\\\";\n'
             '  "a\\"b" -- "c\\\\" [color=1];\n'
             '}\n')
+
+    @given(st.one_of(admissible_graphs(), labelled_graphs()))
+    @example(ColoredGraph(1, (), ()))
+    @example(ColoredGraph(2, ("a", '"\\'), ()))
+    def test_json_is_json_dumps_of_the_dict(self, g):
+        assert graph_to_json(g) == json.dumps(graph_to_dict(g),
+                                              sort_keys=True, indent=2)
 
     @given(admissible_graphs())
     def test_round_trip_random(self, g):

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      cross_polytope_quotient,
@@ -16,10 +16,10 @@ from cellposet.homology import (_boundary_rows, betti_gf2, link_bettis,
                                 validate_poset)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               h_vector, is_pseudomanifold, is_pure,
-                              poset_from_dict, poset_to_dict,
-                              poset_to_json)
+                              poset_from_dict, poset_to_json)
 
-from conftest import (admissible_graphs, bfs_roots, link, proper_coloring,
+from conftest import (admissible_graphs, bfs_roots, json_labels, link,
+                      poset_to_dict, proper_coloring,
                       rewired_simplex_boundary, shuffled, to_graph,
                       two_pillows, vertex_sets)
 
@@ -541,12 +541,27 @@ class TestToGraph:
             to_graph(p, partial)
 
 
+def relabelled(p: SimplicialPoset):
+    """Strategy: `p` with every cell labelled by JSON-hostile text."""
+    return st.lists(json_labels, min_size=p.n_cells, max_size=p.n_cells).map(
+        lambda labels: SimplicialPoset(p.d, p.ranks, p.covers, labels))
+
+
 class TestJson:
     def test_round_trip(self, torus_graph):
         p = from_graph(torus_graph)
         q = poset_from_dict(json.loads(poset_to_json(p)))
         assert (q.d, q.ranks, q.covers, q.labels) == \
                (p.d, p.ranks, p.covers, p.labels)
+
+    @given(st.one_of(admissible_graphs().map(from_graph),
+                     st.integers(min_value=1, max_value=4).map(
+                         boundary_of_simplex)).flatmap(relabelled))
+    @example(SimplicialPoset(0, (0,), ((),), ("0",)))
+    def test_json_is_json_dumps_of_the_dict(self, p):
+        text = poset_to_json(p)
+        assert text == json.dumps(poset_to_dict(p), sort_keys=True, indent=2)
+        assert '"covers": [],' in text      # the minimum's
 
     def test_d_above_every_rank_is_refused(self):
         data = poset_to_dict(boundary_of_simplex(2))
