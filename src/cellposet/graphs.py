@@ -5,14 +5,16 @@ of interest are *admissible*: connected, with each color class a perfect
 matching.  Every admissible graph encodes a simplicial cell decomposition
 of a closed pseudomanifold (see :mod:`cellposet.posets`).
 
-Two routines find components, one per representation.  `_merge_roots`
-answers every component question on a graph or a poset: connectivity in
-:func:`validate_admissible`, the color-restricted components of
-:func:`cellposet.posets.from_graph` and the strong connectivity of
-:func:`cellposet.posets.is_pseudomanifold`.  The dipole reduction searches
-its own partner table (:func:`cellposet.reduction.run_schedule`): the
-table keeps its cancelled vertices, and the kernel, which would map every
-original index, checks it seven to nine times slower.
+A graph's one index form is its partner table, a fixed-point-free
+involution per color, built by the admissibility check
+:func:`require_admissible` and read by :func:`cellposet.posets.from_graph`
+and the dipole reduction.  `_merge_roots` answers every component
+question on a graph or a poset: connectivity in
+:func:`validate_admissible`, the components of :func:`from_graph` and the
+strong connectivity of :func:`cellposet.posets.is_pseudomanifold`.  The
+dipole reduction searches its partner table instead
+(:func:`cellposet.reduction.run_schedule`): it keeps its cancelled
+vertices, and the kernel would check it seven to nine times slower.
 
 All values are immutable; operations return new objects and are safe to
 share between threads.
@@ -27,6 +29,7 @@ pure-Python encoder, several times slower.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -101,31 +104,28 @@ class ColoredGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
 
-def validate_admissible(g: ColoredGraph) -> list[str]:
-    """Report admissibility violations; an empty list means admissible.
-
-    Checks (a) connectivity and (b) that every color class is a perfect
-    matching, naming the offending color and vertex.  The colors that no
-    edge carries are named together in one line, so the report grows with
-    the edge list and not with d.
-    """
-    violations: list[str] = []
-    index = g.index
-    degree: dict[tuple[str, int], int] = {}
-    us: list[int] = []
-    vs: list[int] = []
+def _admissibility(g: ColoredGraph) -> tuple[list[str], list[list[int]]]:
+    """`validate_admissible`'s report and, if empty, `require_admissible`'s
+    table, from one walk over the edges; a row per carried color."""
+    index, size = g.index, len(g.vertices)
+    # color -> partner per vertex, or -1; (vertex, color) -> degree > 1
+    rows, over = defaultdict(lambda: [-1] * size), {}
+    us, vs = [], []
     for u, v, c in g.edges:
-        degree[u, c] = degree.get((u, c), 0) + 1
-        degree[v, c] = degree.get((v, c), 0) + 1
-        us.append(index[u])
-        vs.append(index[v])
-    carried = sorted({c for _, _, c in g.edges})
-    for c in carried:
-        for v in g.vertices:
-            n = degree.get((v, c), 0)
-            if n != 1:
-                violations.append(
-                    f"color {c}: vertex {v!r} meets {n} edges, expected exactly 1")
+        row, iu, iv = rows[c], index[u], index[v]
+        us.append(iu)
+        vs.append(iv)
+        for a, b in (iu, iv), (iv, iu):
+            if row[a] < 0:
+                row[a] = b
+            else:
+                over[a, c] = over.get((a, c), 1) + 1
+    carried = sorted(rows)
+    violations = [f"color {c}: vertex {g.vertices[v]!r} meets {n} edges, "
+                  "expected exactly 1"
+                  for c in carried if over or -1 in rows[c]
+                  for v, w in enumerate(rows[c])
+                  if (n := over.get((v, c), int(w >= 0))) != 1]
     if not g.vertices:
         violations.append("graph has no vertices")
     else:
@@ -134,17 +134,29 @@ def validate_admissible(g: ColoredGraph) -> list[str]:
                    for a, b in zip(bounds, bounds[1:]) if b - a > 1]
         if missing:
             violations.append("no edge has color " + ", ".join(missing))
-        k = len(set(_merge_roots(list(range(len(g.vertices))), us, vs)))
+        k = len(set(_merge_roots(list(range(size)), us, vs)))
         if k != 1:
             violations.append(f"graph is disconnected ({k} components)")
-    return violations
+    return violations, [] if violations else [rows[c] for c in carried]
 
 
-def require_admissible(g: ColoredGraph) -> None:
-    """Raise ValueError naming every violation unless `g` is admissible."""
-    violations = validate_admissible(g)
+def validate_admissible(g: ColoredGraph) -> list[str]:
+    """Report admissibility violations, of four kinds in this order: a
+    vertex that meets some edge's color other than once, with its degree;
+    no vertices; the colors no edge carries, in one line, so the report
+    grows with the edges and not with d; and the component count of a
+    disconnected graph.  An empty list means admissible."""
+    return _admissibility(g)[0]
+
+
+def require_admissible(g: ColoredGraph) -> list[list[int]]:
+    """The partner table of `g`, new on every call: row ``c - 1`` maps each
+    vertex index to its color-c partner.  Raise ValueError naming every
+    violation unless `g` is admissible."""
+    violations, table = _admissibility(g)
     if violations:
         raise ValueError("graph is not admissible: " + "; ".join(violations))
+    return table
 
 
 # --- JSON / DOT interchange -------------------------------------------------

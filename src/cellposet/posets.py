@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, count
+from itertools import combinations, compress, count
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import mul
+from operator import lt, mul
 
 from .graphs import (ColoredGraph, _json_array, _merge_roots,
                      require_admissible)
@@ -153,7 +153,7 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     color set and the least vertex of the component; facet labels are the
     vertex labels themselves.
     """
-    require_admissible(g)
+    partner = require_admissible(g)
     d = g.d
     # every color set has a component, so f_k >= C(d, k): 2^d cells and
     # sum_k C(d, k) C(d, k - 1) = C(2d, d + 1) bits of boundary rows at
@@ -178,12 +178,12 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     # to its entry in roots[S].  Color sets are keyed by bitmask (bit c
     # for color c); combinations yields every smaller set before the sets
     # built on it.
-    index = g.index
-    ends = {c: ([], []) for c in colors}    # color -> edges' two ends
-    for u, v, c in g.edges:
-        ends[c][0].append(index[u])
-        ends[c][1].append(index[v])
-    roots = {0: list(range(len(g.vertices)))}
+    vertices = range(len(g.vertices))
+    ends = {}       # color -> its partner row's pairs (v, w), v < w
+    for c, row in enumerate(partner, start=1):
+        lower = list(map(lt, vertices, row))
+        ends[c] = list(compress(vertices, lower)), list(compress(row, lower))
+    roots = {0: list(vertices)}
     at = {0: roots[0]}
     joins = {}      # (B, color) -> the distinct pairs of entries joined
     for size in range(1, d + 1):

@@ -9,13 +9,15 @@ in C, the i-colored partners of x and y to each other; this preserves the
 perfect-matching property unconditionally and, on manifolds, the
 homeomorphism type of the associated cell complex.
 
-Every public call works on one partner table, built once from an
-admissible graph and dropped when the call returns.  Each color class is
-a fixed-point-free involution, so the table stores ``partner[c][v]`` as a
-d x V table of int lists, the standard encoding of crystallizations
-(Ferri, Gagliardi and Grasselli, 1986; Lins, 1995).  It also holds an
-alive flag per vertex, the live vertex count and an order stamp per edge.
-Nothing is cached on the :class:`ColoredGraph`.
+Every public call builds one partner table with :func:`require_admissible`
+and drops it on return; nothing is cached on the :class:`ColoredGraph`.
+Each color class is a fixed-point-free involution, so the table stores
+``partner[c][v]`` as a d x V table of int lists, the standard encoding of
+crystallizations (Ferri, Gagliardi and Grasselli, 1986; Lins, 1995).  It
+also holds an alive flag per vertex, the live vertex count and the edge
+list, with no order stamp: an edge is in the graph exactly while both its
+ends are alive, as cancelling (x, y) rewires only the partners of x and y
+and so removes just the edges at x or y.
 
 * The dipole test runs a breadth-first search from x and one from y over
   the colors not in C, always growing the smaller frontier.  The pair is
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 from .graphs import ColoredGraph, require_admissible
@@ -71,28 +73,18 @@ class CancellationError(Exception):
 class _Table:
     """The partner table of an admissible graph, rewritten in place.
 
-    Row ``c - 1`` of ``partner`` is the color-c involution; row ``c - 1``
-    of ``stamp`` holds, per vertex, the position in ``edges`` of its
-    color-c edge.  ``edges`` lists the input edges and then every edge a
-    cancellation created, so sorting the live stamps restores edge order.
-    """
+    ``partner`` is the table :func:`require_admissible` returns; ``edges``
+    lists the input edges, then each edge a cancellation made, with no
+    order stamp: the live ones have both ends alive (module docstring)."""
 
     def __init__(self, g: ColoredGraph):
-        require_admissible(g)
+        self.partner = require_admissible(g)
         self.d = g.d
         self.labels = g.vertices
         self.index = g.index
-        size = len(g.vertices)
-        self.partner = [[0] * size for _ in range(g.d)]
-        self.stamp = [[0] * size for _ in range(g.d)]
         self.edges = list(g.edges)
-        for s, (u, v, c) in enumerate(g.edges):
-            iu, iv = self.index[u], self.index[v]
-            row, stamps = self.partner[c - 1], self.stamp[c - 1]
-            row[iu], row[iv] = iv, iu
-            stamps[iu] = stamps[iv] = s
-        self.alive = [True] * size
-        self.live = size
+        self.alive = [True] * len(g.vertices)
+        self.live = len(g.vertices)
 
     def vertex(self, label: str) -> int:
         i = self.index.get(label)
@@ -150,14 +142,12 @@ class _Table:
             raise CancellationError(
                 f"cancelling ({self.labels[x]!r}, {self.labels[y]!r}) breaks "
                 "admissibility: result is disconnected")
-        for c, (row, stamps) in enumerate(zip(self.partner, self.stamp),
-                                          start=1):
+        for c, row in enumerate(self.partner, start=1):
             a = row[x]
             if a == y:
                 continue
             b = row[y]
             row[a], row[b] = b, a
-            stamps[a] = stamps[b] = len(self.edges)
             self.edges.append((self.labels[a], self.labels[b], c))
         self.alive[x] = self.alive[y] = False
         self.live -= 2
@@ -175,13 +165,11 @@ class _Table:
                     yield x, y, colors
 
     def graph(self) -> ColoredGraph:
-        alive = self.alive
-        kept = sorted({s for stamps in self.stamp
-                       for v, s in enumerate(stamps) if alive[v]})
+        alive, index = self.alive, self.index
         return ColoredGraph(
-            self.d,
-            tuple(v for v, a in zip(self.labels, alive) if a),
-            tuple(self.edges[s] for s in kept))
+            self.d, tuple(compress(self.labels, alive)),
+            tuple(e for e in self.edges
+                  if alive[index[e[0]]] and alive[index[e[1]]]))
 
 
 # --- the symbolic cancellation schedule -------------------------------------------

@@ -8,9 +8,10 @@ from pathlib import Path
 from types import ModuleType
 
 import cellposet
-from cellposet.constructions import connected_sum
-from cellposet.graphs import ColoredGraph
+from cellposet.constructions import connected_sum, product_spheres_graph
+from cellposet.graphs import ColoredGraph, require_admissible
 from cellposet.posets import SimplicialPoset
+from cellposet.reduction import _Table
 
 # The names `import cellposet` exports; adding one means editing this list
 # on purpose.
@@ -44,6 +45,18 @@ def test_public_surface_is_pinned():
     assert not hasattr(SimplicialPoset, "vertex_sets")
     assert list(inspect.signature(connected_sum).parameters) == [
         "p", "q", "sigma", "tau"]
+
+
+def test_the_dipole_table_holds_only_the_partner_table():
+    """`_Table` rewrites the partner rows `require_admissible` returns and
+    keeps no edge-stamp table; TestNoStateOnGraphs in test_reduction.py
+    checks that the table is never cached on the graph."""
+    g = product_spheres_graph(1, 2)
+    t = _Table(g)
+    assert not hasattr(t, "stamp")
+    assert t.partner == require_admissible(g)
+    assert set(vars(t)) == {"partner", "d", "labels", "index", "edges",
+                            "alive", "live"}
 
 
 def test_no_unused_imports():

@@ -444,6 +444,10 @@ RANK_ABOVE_D = {"d": 1, "cells": [
     {"id": 2, "rank": 1, "covers": [0], "label": "b"},
     {"id": 3, "rank": 2, "covers": [1, 2], "label": "ab"}]}
 
+# d = 10**9 with one edge: only color 1 is carried
+ONE_COLOR_OF_A_BILLION = {"d": 10 ** 9, "vertices": ["a", "b"],
+                          "edges": [{"u": "a", "v": "b", "color": 1}]}
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("command", [("build", "from-json"),
@@ -537,6 +541,33 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err == f"error: d is {d}, but the greatest cell rank is 2\n"
+
+    @pytest.mark.parametrize("command", [
+        ("invariants",), ("recognize",), ("reduce",),
+        ("reduce", "--schedule", "symbolic", "--n", "1", "--m", "1")])
+    def test_graph_d_above_every_edge_color(self, capsys, tmp_path, command):
+        # the partner table gets a row per color an edge carries, not d
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(ONE_COLOR_OF_A_BILLION))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, str(src))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == ("error: graph is not admissible: no edge has color "
+                       "2..1000000000\n")
+
+    def test_graph_d_above_every_edge_color_is_reported(self, capsys,
+                                                         tmp_path):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(ONE_COLOR_OF_A_BILLION))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "from-json", str(src))
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "kind": "graph", "d": 10 ** 9, "vertices": 2, "edges": 1,
+            "admissible": False,
+            "violations": ["no edge has color 2..1000000000"]}
 
     @pytest.mark.parametrize("command", [("build", "from-json"),
                                          ("invariants",), ("recognize",)])

@@ -1,12 +1,13 @@
 import json
 import re
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from cellposet.graphs import (ColoredGraph, _merge_roots, graph_from_dict,
-                              graph_to_dot, graph_to_json,
+                              graph_to_dot, graph_to_json, require_admissible,
                               validate_admissible)
 from cellposet.posets import from_graph
 
@@ -214,6 +215,72 @@ class TestComponents:
         coarse = _merge_roots(ids, *ends(g, big))
         # each fine component lies in one coarse component
         assert len(set(zip(fine, coarse))) == len(set(fine))
+
+
+class TestPartnerTable:
+    """`require_admissible` returns the partner table, row ``c - 1`` for
+    color c, built in the walk that writes `validate_admissible`'s
+    report."""
+
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_rows_match_the_edge_scan(self, g):
+        table = require_admissible(g)
+        assert len(table) == g.d
+        for c, row in enumerate(table, start=1):
+            assert row == [g.index[color_partner(g, v, c)]
+                           for v in g.vertices]
+
+    @given(st.one_of(admissible_graphs(), labelled_graphs()))
+    @example(ColoredGraph(1, (), ()))
+    @example(ColoredGraph(1, ("a", "b"), (("a", "b", 1), ("a", "b", 1))))
+    def test_raises_exactly_the_report(self, g):
+        violations = validate_admissible(g)
+        if not violations:
+            assert len(require_admissible(g)) == g.d
+            return
+        with pytest.raises(ValueError) as exc:
+            require_admissible(g)
+        assert str(exc.value) == ("graph is not admissible: "
+                                  + "; ".join(violations))
+
+    def test_each_call_builds_a_new_table(self, torus_graph):
+        # the dipole reduction rewrites the rows it is given
+        first, second = (require_admissible(torus_graph) for _ in range(2))
+        assert first == second
+        assert set(map(id, first)).isdisjoint(map(id, second))
+
+    def test_same_color_double_edge_meets_two(self):
+        # every row is a fixed-point-free involution here, so only the
+        # degree count refuses the double edge
+        g = ColoredGraph(2, ("a", "b"), (("a", "b", 1), ("a", "b", 1),
+                                         ("a", "b", 2)))
+        assert validate_admissible(g) == [
+            "color 1: vertex 'a' meets 2 edges, expected exactly 1",
+            "color 1: vertex 'b' meets 2 edges, expected exactly 1"]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "graph is not admissible: color 1: vertex 'a' meets 2 edges, "
+                "expected exactly 1; color 1: vertex 'b' meets 2 edges, "
+                "expected exactly 1") + "$"):
+            require_admissible(g)
+
+    def test_degrees_above_two_and_zero_are_counted(self):
+        g = ColoredGraph(1, ("a", "b", "c", "d"), (
+            ("a", "b", 1), ("c", "a", 1), ("a", "b", 1)))
+        assert validate_admissible(g) == [
+            "color 1: vertex 'a' meets 3 edges, expected exactly 1",
+            "color 1: vertex 'b' meets 2 edges, expected exactly 1",
+            "color 1: vertex 'd' meets 0 edges, expected exactly 1",
+            "graph is disconnected (2 components)"]
+
+    def test_a_huge_d_with_one_color_carried_is_reported_at_once(self):
+        g = ColoredGraph(10 ** 9, ("a", "b"), (("a", "b", 1),))
+        start = time.perf_counter()
+        assert validate_admissible(g) == ["no edge has color 2..1000000000"]
+        with pytest.raises(ValueError, match=r"^graph is not admissible: "
+                                             r"no edge has color "
+                                             r"2\.\.1000000000$"):
+            require_admissible(g)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestColorPartner:

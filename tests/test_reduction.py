@@ -270,6 +270,14 @@ class TestAgainstTheEdgeListOracles:
         final, steps = greedy_reduce(g)
         assert (final, [s.pair for s in steps]) == naive_greedy(g)
 
+    @given(admissible_graphs(max_pairs=6, colors=(2, 3, 4)))
+    def test_greedy_matches_the_naive_loop(self, g):
+        # the final graph pins the edge order that the table rebuilds
+        # from its edge list: every edge whose ends are both alive, in
+        # input order, then in the order the cancellations made them
+        final, steps = greedy_reduce(g)
+        assert (final, [s.pair for s in steps]) == naive_greedy(g)
+
     @pytest.mark.parametrize("call", [
         lambda g: check_dipole(g, "x", "y"),
         lambda g: cancel(g, "x", "y"),
@@ -356,6 +364,12 @@ class TestNoStateOnGraphs:
         assert steps
         assert set(vars(g)) <= GRAPH_ATTRIBUTES
         assert set(vars(final)) <= GRAPH_ATTRIBUTES
+
+    def test_from_graph_and_the_admissibility_check(self):
+        g = product_spheres_graph(1, 2)
+        from_graph(g)
+        assert validate_admissible(g) == []
+        assert set(vars(g)) <= GRAPH_ATTRIBUTES
 
 
 class TestCancel:
