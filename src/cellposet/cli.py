@@ -123,11 +123,12 @@ def cmd_reduce(args) -> int:
         n, m = args.n, args.m
         if n is None or m is None:
             raise ValueError("--schedule symbolic requires --n and --m")
-        require_admissible(obj)
         # the schedule's C(n+m, n) - 1 entries each cancel two vertices and
-        # leave two at least: refuse a graph it cannot fit before building it
+        # leave two at least: refuse a graph it cannot fit before building
+        # it, as not admissible first; `run_schedule` checks one that fits
         if (min(n, m) < 1 or n + m + 1 != obj.d
                 or 2 * comb(n + m, n) > len(obj.vertices)):
+            require_admissible(obj)
             raise ValueError(
                 f"--schedule symbolic --n {n} --m {m} needs n, m >= 1, "
                 f"d = n + m + 1 and at least 2*C(n+m, n) vertices; the "

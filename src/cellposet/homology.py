@@ -37,7 +37,9 @@ rows, on two facts.
 
 `link_bettis` lists each rank's coverer positions and coboundary rows
 once, grows each up-set a rank at a time through them, and runs
-`_cleared_ranks` from degree 1 up.  Nothing is checked per link:
+`_cleared_ranks` from degree 2 up: degree 1 is c's row alone, of rank 1
+when c has coverers, and their rows, of degree 2, sum to its coboundary,
+zero, so one of them is dropped.  Nothing is checked per link:
 `_boundary_rows` proves the parent simplicial, so its boundary squares to
 zero, and every interval of a simplicial poset is boolean, so every link
 is a simplicial poset.
@@ -45,38 +47,52 @@ is a simplicial poset.
 Each link is eliminated only up to its middle, by Poincaré duality
 (Munkres, *Elements of Algebraic Topology*, 1984, §63-65).  Let a cell c
 of rank k >= 1 have link dimension e = d - k - 1; `link_bettis` yields
-beta_0 .. beta_{floor(e/2)} of its link, the sphere pattern cut to that
-length is (1,) for e = 0 and zeros otherwise, and the lemma below makes
-the cut check as strong as the whole one.
+beta_0 .. beta_s, s = floor(e/2), of its link L, and c passes the cut
+check when that is the sphere pattern cut to length s + 1: (1,) for
+e = 0, zeros otherwise.
 
-  Lemma.  Let p be pure and simplicial, and let every cell of rank
-  >= 1 pass the cut check.  Then the link of every such cell c has the
-  reduced GF(2) homology of the e-sphere, beta_0 .. beta_e.
+  Lemma.  Let p be simplicial, let every cell above c pass the cut check
+  and every maximal cell >= c have rank d.  Then L is a closed
+  GF(2)-homology e-manifold, a homology e-sphere if c passes too.
 
 Proof, by induction on e.  For e <= 0 the cut vector is the whole one.
-Let e >= 1.  As p is pure, c lies below a facet, so its link L is a
-nonempty pure simplicial poset of rank e + 1.  The link in L of a cell x
-above c is its link in p, of dimension below e, so by induction it has
-the homology of a sphere of its dimension.  In the order complex of L
-minus c, the link of x is the join of the order complex of the open
-interval (c, x), a subdivided simplex boundary as [c, x] is boolean,
-with that of the link of x minus x: a homology sphere of dimension
-e - 1.  So L is a closed GF(2)-homology e-manifold.  Its beta_0 = 0
-makes it connected, and duality over the field GF(2), which needs no
-orientation, gives b_i = b_{e-i} for the unreduced Betti numbers.  So
-beta_e = b_0 = 1, and for ceil(e/2) <= i < e, beta_i = b_{e-i} = 0,
-since 1 <= e - i <= floor(e/2).  QED.
+Let e >= 1.  Then c is not maximal, so L is a nonempty pure simplicial
+poset of rank e + 1.  By induction the link of each cell x above c, in L
+as in p, is a homology sphere.  In the order complex of L minus c, the
+link of a chain x_1 < ... < x_m is the join of the order complexes of the
+open intervals (c, x_1), ..., (x_{m-1}, x_m), simplex boundaries as the
+intervals are boolean, with that of the link of x_m minus x_m: a homology
+(e - m)-sphere.  So L is a closed GF(2)-homology e-manifold, and duality
+over the field GF(2), which needs no orientation, gives b_i = b_{e-i} for
+its unreduced Betti numbers.  If c passes, beta_0 = 0 makes L connected,
+so beta_e = b_0 = 1, and beta_i = b_{e-i} = 0 for ceil(e/2) <= i < e, as
+1 <= e - i <= floor(e/2).  QED.
 
-The proof reads only the cells above c, so it holds whatever the order
-the cells are checked in, and a failed cut check is a failed whole one.
+So on a pure p the cut check is as strong as the whole one, in any order.
 Purity is needed: a maximal cell of rank below d - 1 has an empty link,
 whose cut vector is all zeros.  `is_homology_manifold` therefore checks
 it.
+
+The lemma also gives the middle of an even link.  Call a cell unsound
+when it fails the cut check, is maximal of rank below d, or is
+covered by an unsound cell; and c clean when it has coverers, none of
+them unsound.  Then the lemma makes the link of a clean c a closed
+homology e-manifold, perhaps disconnected.  For e = 2s >= 2, b_i = b_{e-i}
+folds its Euler characteristic into chi = 2 sum_{i<s} (-1)^i b_i +
+(-1)^s b_s, so beta_s = b_s follows from chi and beta_0 .. beta_{s-1}
+(b_0 = beta_0 + 1), and degree s + 2 is not eliminated.  `link_bettis`
+marks the unsound cells as it yields them, rank by rank, so its vectors
+are those of the whole elimination on every simplicial poset.  Every
+interval [c, x] of rank t is boolean, with t! maximal chains, so c has
+t! N_t chains of covers up t ranks, N_t the number of cells t ranks
+above it; they run through the cells covering c, so one pass from rank d
+down counts them for all cells, and chi = sum_{t>=1} (-1)^(t-1) N_t.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from math import factorial
 
 from .posets import (SimplicialPoset, _rank_gap, _require_row_bits, f_vector,
                      is_pure)
@@ -103,7 +119,7 @@ def _cleared_ranks(
     given, by elimination with clearing: a row whose position is a pivot
     of the degree before, the highest bit of one of its reduced rows, is
     skipped.  The boundary rows run from the top degree down (see
-    :func:`betti_gf2`), the coboundary rows of a link from degree 1 up
+    :func:`betti_gf2`), the coboundary rows of a link from degree 2 up
     (see the module docstring).
 
     ``degrees`` gives each degree as the positions of its rows and a table
@@ -273,8 +289,10 @@ def h_double_prime(h: tuple[int, ...], betti: tuple[int, ...]) -> tuple[int, ...
 
 # --- the homology manifold predicate --------------------------------------
 
-def _sphere_pattern(length: int) -> tuple[int, ...]:
-    return (0,) * (length - 1) + (1,) if length else ()
+def _is_cut_sphere(betti: tuple[int, ...], n: int) -> bool:
+    """Whether `betti` passes the cut check (see the module docstring), for
+    a link with n = d - rank Betti numbers."""
+    return betti == ((1,) if n == 1 else (0,) * ((n + 1) // 2))
 
 
 def is_homology_manifold(p: SimplicialPoset) -> bool:
@@ -290,14 +308,31 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
     every link is a homology sphere.
     """
     _boundary_rows(p)       # the proof that p is simplicial; rows unkept
-    return is_pure(p) and _links_spherical(p)
+    return is_pure(p) and all(_is_cut_sphere(betti, p.d - p.ranks[c])
+                              for c, betti in link_bettis(p))
 
 
-def _links_spherical(p: SimplicialPoset) -> bool:
-    """Every link's cut vector is the sphere pattern of its dimension cut
-    to the same length: (1,) for a link of dimension 0, zeros above."""
-    return all(betti == _sphere_pattern(p.d - p.ranks[c])[:len(betti)]
-               for c, betti in link_bettis(p))
+def _chain_counts(p: SimplicialPoset) -> tuple[list[int], int]:
+    """Item c packs t! N_t, the chains of covers from c up t ranks (see the
+    module docstring), in field t; no field passes max(f) * d!, which
+    gives the width, returned too.  `p` must be simplicial."""
+    width = (max(f_vector(p)) * factorial(p.d)).bit_length()
+    chains, coverers = [0] * p.n_cells, p.coverers
+    get = chains.__getitem__
+    for cells in reversed(p.cells_by_rank):
+        for c in cells:
+            chains[c] = sum(map(get, coverers[c])) << width | 1
+    return chains, width
+
+
+def _face_counts(chains: int, width: int, n: int) -> tuple[int, ...]:
+    """N_0 .. N_n, the cells 0 .. n ranks above a cell, from its item of
+    :func:`_chain_counts`."""
+    mask, t_factorial, counts = (1 << width) - 1, 1, [1]
+    for t in range(1, n + 1):
+        t_factorial *= t
+        counts.append((chains >> t * width & mask) // t_factorial)
+    return tuple(counts)
 
 
 def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -306,17 +341,17 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
     interval above the cell.
 
     For a cell of rank k the link has dimension e = d - k - 1, and the
-    vector is beta_0 .. beta_{floor(e/2)}: empty for a facet, the whole
-    vector for a ridge (e = 0).  On a pure poset whose every link passes
-    the cut sphere check, Poincaré duality fixes the upper half (see the
-    lemma in the module docstring), so nothing above is eliminated: the
-    up-set is grown to link rank floor(e/2) + 1, and the coboundary
-    degrees 1 .. min(floor(e/2) + 2, e + 1) are eliminated.
+    vector is beta_0 .. beta_s, s = floor(e/2); on a pure poset whose every
+    link passes the cut check, duality fixes the rest (see the module
+    docstring).  Facets and ridges are read off: () and
+    (max(coverers - 1, 0),).  A clean cell of even e >= 2 has its up-set
+    grown to link rank s, the degrees up to s + 1 eliminated, and beta_s
+    from the Euler characteristic.  Any other cell has its up-set grown to
+    link rank s + 1 and the degrees up to min(s + 2, e + 1) eliminated.
 
     `p` must be simplicial, as :func:`_boundary_rows` proves it: each link
-    is eliminated on the parent's coboundary rows, unmasked, from degree 1
-    up with clearing (see the module docstring), which is sound only
-    then.
+    is eliminated on the parent's coboundary rows, unmasked, with clearing
+    (see the module docstring), which is sound only then.
     """
     by_rank, coverers = p.cells_by_rank, p.coverers
     pos = {c: i for cells in by_rank for i, c in enumerate(cells)}
@@ -324,14 +359,35 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
     # cell of rank r; cob[r][i]: the same as its coboundary row
     up = [[[pos[u] for u in coverers[c]] for c in cells] for cells in by_rank]
     cob = [[sum(1 << i for i in cov) for cov in level] for level in up]
+    chains, width = _chain_counts(p)
+    unsound: set[int] = set()           # positions in the rank above
     for k in range(p.d, 0, -1):
-        # grow the link to rank floor(e/2) + 1, e = d - k - 1
-        ups, cobs = up[k:k + (p.d - k + 1) // 2], cob[k:p.d]
+        n = p.d - k
+        s, odd = divmod(n - 1, 2)           # e = n - 1 = 2s + odd
+        ups, cobs, below = up[k + 1:p.d], cob[k + 1:p.d], set()
         for j, c in enumerate(by_rank[k]):
-            # levels[t]: the positions of the link's rank-t cells
-            levels = [{j}]
-            for level in ups:
-                levels.append(set().union(*[level[i] for i in levels[-1]]))
-            # degree t + 1: the coboundary rows of levels[t]; facets have none
-            ranks = _cleared_ranks(zip(levels, cobs))
-            yield c, _betti_from_ranks(tuple(map(len, levels)), ranks)
+            cov = up[k][j]
+            tainted = not unsound.isdisjoint(cov)
+            if n < 2:   # a facet's link is empty, a ridge's len(cov) points
+                betti = (max(len(cov) - 1, 0),)[:n]
+            else:
+                euler = bool(cov) and not (odd or tainted)
+                # levels[t - 1]: the positions of the link's rank-t cells
+                levels = [cov]
+                for level in ups[:s - 1 + (not euler)]:
+                    levels.append(set().union(*[level[i] for i in levels[-1]]))
+                # degree t + 1 >= 2: the coboundary rows of levels[t - 1],
+                # one of c's coverers dropped
+                ranks = [1 if cov else 0,
+                         *_cleared_ranks(zip([cov[1:], *levels[1:]], cobs))]
+                betti = _betti_from_ranks([1, *map(len, levels)], ranks)
+                if euler:
+                    n_t = _face_counts(chains[c], width, n)
+                    # (-1)^s beta_s = chi - 2 - 2 sum_{i<s} (-1)^i beta_i
+                    rest = (sum(n_t[1::2]) - sum(n_t[2::2]) - 2
+                            - 2 * (sum(betti[::2]) - sum(betti[1::2])))
+                    betti += (-rest if s % 2 else rest,)
+            yield c, betti
+            if tainted or (n and not cov) or not _is_cut_sphere(betti, n):
+                below.add(j)
+        unsound = below

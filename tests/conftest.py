@@ -418,6 +418,37 @@ def rewired_simplex_boundary() -> SimplicialPoset:
         tuple(map(str, range(15))))
 
 
+def complex_from_facets(d: int, facets) -> SimplicialPoset:
+    """The face poset of the simplicial complex with these facets, each a
+    tuple of vertices: the empty face first, then the faces by size and
+    lexicographically."""
+    faces = sorted({face for facet in facets
+                    for size in range(1, len(facet) + 1)
+                    for face in combinations(sorted(facet), size)},
+                   key=lambda face: (len(face), face))
+    ids = {face: i for i, face in enumerate([(), *faces])}
+    return SimplicialPoset(
+        d, tuple(map(len, ids)),
+        tuple(tuple(sorted(ids[face[:i] + face[i + 1:]]
+                           for i in range(len(face)))) if face else ()
+              for face in ids),
+        tuple(map(str, ids)))
+
+
+def simplex_boundary_wedge(d: int, suspended: bool = False
+                           ) -> SimplicialPoset:
+    """Two boundaries of d-simplices sharing vertex 0, cell 1: no homology
+    manifold for d >= 2.  Suspended, it is joined to two apexes, cells 1
+    and 2, whose links are the wedge, and has rank d + 1."""
+    facets = [tuple(x for x in verts if x != drop)
+              for verts in (range(d + 1), (0, *range(d + 1, 2 * d + 1)))
+              for drop in verts]
+    if suspended:
+        return complex_from_facets(
+            d + 1, [f + (apex,) for f in facets for apex in (-2, -1)])
+    return complex_from_facets(d, facets)
+
+
 def insert_dipole(g: ColoredGraph, v: str, x: str, y: str) -> ColoredGraph:
     """`g` with a dipole of colors {1} inserted at `v`: new vertices x and
     y joined by color 1 and, for every other color, `v` joined to x and

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cellposet import posets
+from cellposet import graphs, posets
 from cellposet.cli import main
+from cellposet.graphs import ColoredGraph
 from cellposet.constructions import (boundary_of_simplex,
                                      parallel_edges_graph,
                                      product_spheres_graph)
@@ -316,6 +317,43 @@ class TestReduce:
         code, out, err = run(capsys, "reduce", str(src), *schedule)
         assert code == 2 and out == ""
         assert err == "error: graph is not admissible: graph has no vertices\n"
+
+
+# the (1,1) product graph without its first edge: 8 vertices, d = 3, and
+# two vertices with no color-1 edge
+BROKEN = ColoredGraph(3, product_spheres_graph(1, 1).vertices,
+                      product_spheres_graph(1, 1).edges[1:])
+NOT_ADMISSIBLE = ("error: graph is not admissible: color 1: vertex "
+                  "'A:{1}' meets 0 edges, expected exactly 1; color 1: "
+                  "vertex 'C:{1}' meets 0 edges, expected exactly 1\n")
+
+
+class TestOneAdmissibilityWalk:
+    """`reduce --schedule symbolic` walks a graph's edges for admissibility
+    once: in `run_schedule` when the graph fits the schedule, and before
+    the fit error, whose message comes second, when it does not."""
+
+    @pytest.mark.parametrize("graph,nm,code,err", [
+        (product_spheres_graph(1, 2), (1, 2), 0, ""),
+        (BROKEN, (1, 1), 2, NOT_ADMISSIBLE),
+        (parallel_edges_graph(5), (2, 2), 2,
+         "error: --schedule symbolic --n 2 --m 2 needs n, m >= 1, d = n + "
+         "m + 1 and at least 2*C(n+m, n) vertices; the graph has d = 5 and "
+         "2 vertices\n"),
+        (BROKEN, (2, 2), 2, NOT_ADMISSIBLE)])
+    def test_symbolic_schedule(self, capsys, tmp_path, monkeypatch, graph,
+                               nm, code, err):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(graph_to_dict(graph)))
+        walks = []
+        walk = graphs._admissibility
+        monkeypatch.setattr(graphs, "_admissibility",
+                            lambda g: walks.append(g) or walk(g))
+        result = run(capsys, "reduce", str(src), "--schedule", "symbolic",
+                     "--n", str(nm[0]), "--m", str(nm[1]))
+        assert len(walks) == 1
+        assert (result[0], result[2]) == (code, err)
+        assert (result[1] == "") == (code != 0)
 
 
 class TestRecognize:

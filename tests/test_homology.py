@@ -9,15 +9,17 @@ from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph)
-from cellposet.homology import (_boundary_rows, _pivots, betti_gf2,
-                                h_double_prime, is_homology_manifold,
-                                link_bettis)
+from cellposet import homology
+from cellposet.homology import (_boundary_rows, _chain_counts, _face_counts,
+                                _pivots, betti_gf2, h_double_prime,
+                                is_homology_manifold, link_bettis)
 from cellposet.graphs import validate_admissible
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               is_pseudomanifold, is_pure)
 
 from conftest import (admissible_graphs, betti_order_complex, gf2_rank,
-                      is_homology_sphere, link, sphere_pattern, two_pillows)
+                      is_homology_sphere, link, simplex_boundary_wedge,
+                      sphere_pattern, two_pillows)
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -295,16 +297,16 @@ def assert_links_match_the_oracle(p: SimplicialPoset) -> bool:
     return verdict
 
 
-def sphere_with_an_extra_edge(hanging: bool) -> SimplicialPoset:
-    """The boundary of the 4-simplex with one more edge, which nothing
-    covers: a simplicial poset that is not pure.  The edge hangs from
-    vertex 1, or lies apart on two new vertices."""
-    p = boundary_of_simplex(4)
+def sphere_with_an_extra_edge(hanging: bool, d: int = 4) -> SimplicialPoset:
+    """The boundary of the d-simplex with one more edge, the last cell,
+    which nothing covers: a simplicial poset that is not pure.  The edge
+    hangs from vertex 1, or lies apart on two new vertices."""
+    p = boundary_of_simplex(d)
     n = p.n_cells
     new = (n,) if hanging else (n, n + 1)
     ends = (1,) + new if hanging else new
     return SimplicialPoset(
-        4, p.ranks + (1,) * len(new) + (2,),
+        d, p.ranks + (1,) * len(new) + (2,),
         p.covers + ((0,),) * len(new) + (ends,),
         p.labels + tuple(f"x{i}" for i in range(len(new) + 1)))
 
@@ -415,3 +417,101 @@ class TestSlicedLinks:
     def test_pillows_are_refused(self, engine, share_edge):
         with pytest.raises(ValueError, match="not a simplicial poset"):
             engine(two_pillows(share_edge))
+
+
+def assert_face_counts_match_the_oracle(p: SimplicialPoset) -> None:
+    """Every cell's face counts from the packed chain counts are the
+    f-vector of its link, built as its own poset by `link`."""
+    chains, width = _chain_counts(p)
+    assert [_face_counts(chains[c], width, p.d - p.ranks[c])
+            for c in range(p.n_cells)] == [f_vector(link(p, c))
+                                           for c in range(p.n_cells)]
+
+
+class TestChainCounts:
+    """The link face counts that give the Euler characteristic of each
+    even link, against the f-vectors of the per-link posets."""
+
+    @given(admissible_graphs(max_pairs=5, colors=(2, 3, 4, 5)))
+    def test_graph_posets(self, g):
+        assert_face_counts_match_the_oracle(from_graph(g))
+
+    @given(st.data())
+    def test_connected_sums(self, data):
+        d = data.draw(st.sampled_from([2, 3, 4]))
+        p = from_graph(data.draw(admissible_graphs(colors=(d,))))
+        q = from_graph(data.draw(admissible_graphs(colors=(d,))))
+        assert_face_counts_match_the_oracle(
+            connected_sum(p, q, p.facets()[0], q.facets()[-1]))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_projective_spaces(self, n):
+        assert_face_counts_match_the_oracle(cross_polytope_quotient(n))
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_wedges(self, d):
+        assert_face_counts_match_the_oracle(simplex_boundary_wedge(d))
+        assert_face_counts_match_the_oracle(
+            simplex_boundary_wedge(d, suspended=True))
+
+    def test_large_d(self):
+        # 12! chains run from the minimum to each of the 13 facets: a field
+        # sized for max(f) alone would overflow into the next
+        p = boundary_of_simplex(12)
+        chains, width = _chain_counts(p)
+        for c in range(p.n_cells):
+            k = p.ranks[c]
+            assert _face_counts(chains[c], width, 12 - k) == tuple(
+                comb(13 - k, t) for t in range(13 - k))
+        assert is_homology_manifold(p)
+
+
+class TestEulerBranch:
+    """The middle Betti number of a clean cell's even link, read from its
+    Euler characteristic, is the one elimination gives."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_wedges_of_simplex_boundaries(self, d):
+        p = simplex_boundary_wedge(d)
+        assert not assert_links_match_the_oracle(p)
+        # the wedge point's link is two disjoint (d-2)-spheres; for d = 4
+        # the point is clean, every cell above it passing, so its link
+        # takes the Euler branch
+        assert dict(link_bettis(p))[1] == lower_half(
+            (1,) + (0,) * (d - 3) + (2,))
+
+    def test_a_failed_cut_check_taints_the_cells_below(self):
+        # the apexes' links are the wedge of two 2-spheres, chi 3, whose
+        # point fails the cut check: read from chi, beta_1 would be -1
+        p = simplex_boundary_wedge(3, suspended=True)
+        assert not assert_links_match_the_oracle(p)
+        cut = dict(link_bettis(p))
+        assert cut[1] == cut[2] == (0, 0)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("hanging", [True, False])
+    def test_maximal_cells_below_the_top_rank(self, d, hanging):
+        # the extra edge is a ridge with no coverers for d = 3, and for
+        # d = 5 a cell whose empty link has even dimension 2: no Euler
+        # branch, its vector is zeros
+        p = sphere_with_an_extra_edge(hanging, d)
+        assert not assert_links_match_the_oracle(p)
+        assert dict(link_bettis(p))[p.n_cells - 1] == (0,) * ((d - 1) // 2)
+
+    @pytest.mark.parametrize("poset,euler_cells", [
+        (lambda: simplex_boundary_wedge(4), 9),
+        # vertex 1 is below the hanging edge, the new vertices below the
+        # edge apart: maximal cells of rank below d taint them
+        (lambda: sphere_with_an_extra_edge(True), 4),
+        (lambda: sphere_with_an_extra_edge(False), 5),
+        # the apexes and the wedge point are tainted, the other six clean
+        (lambda: simplex_boundary_wedge(3, suspended=True), 6)])
+    def test_which_cells_take_the_euler_branch(self, monkeypatch, poset,
+                                               euler_cells):
+        calls = []
+        monkeypatch.setattr(homology, "_face_counts",
+                            lambda *args: calls.append(args)
+                            or _face_counts(*args))
+        p = poset()
+        list(link_bettis(p))
+        assert len(calls) == euler_cells
