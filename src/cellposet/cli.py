@@ -40,6 +40,11 @@ def _load_any(path: str) -> ColoredGraph | SimplicialPoset:
     raise ValueError(f"{path}: neither a graph nor a poset JSON file")
 
 
+def _load_poset(path: str) -> SimplicialPoset:
+    obj = _load_any(path)
+    return from_graph(obj) if isinstance(obj, ColoredGraph) else obj
+
+
 def _write_out(path: str | None, text: str) -> None:
     if path:
         Path(path).write_text(text)
@@ -99,15 +104,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    obj = _load_any(args.file)
-    p = from_graph(obj) if isinstance(obj, ColoredGraph) else obj
-    _emit(_invariants(p))
+    _emit(_invariants(_load_poset(args.file)))
     return 0
 
 
 def cmd_recognize(args) -> int:
-    obj = _load_any(args.file)
-    p = from_graph(obj) if isinstance(obj, ColoredGraph) else obj
+    p = _load_poset(args.file)
     # before anything is printed: this proves `p` simplicial or raises
     manifold = is_homology_manifold(p)
     _emit({"homology_manifold": manifold,

@@ -163,54 +163,30 @@ def connected_sum(p: SimplicialPoset, q: SimplicialPoset,
     if p.d < 2:
         raise ValueError("connected sums need rank at least 2")
     for poset, facet, name in ((p, sigma, "sigma"), (q, tau, "tau")):
-        if not 0 <= facet < poset.n_cells or poset.ranks[facet] != poset.d \
-                or poset.coverers[facet]:
+        # a rank-d cell is covered by nothing
+        if not 0 <= facet < poset.n_cells or poset.ranks[facet] != poset.d:
             raise ValueError(f"{name} is not a facet")
     down_sigma, vs = _interval_by_vertices(p, sigma, "sigma")
     down_tau, vt = _interval_by_vertices(q, tau, "tau")
     to_sigma = dict(zip(vt, vs))
 
-    # p keeps everything but sigma; q drops tau and the faces glued into p
-    new_of_p: dict[int, int] = {}
-    ranks: list[int] = []
-    labels: list[str] = []
-    p_covers: list[tuple[int, ...]] = []
-    for c in range(p.n_cells):
-        if c == sigma:
-            continue
-        new_of_p[c] = len(ranks)
-        ranks.append(p.ranks[c])
-        labels.append(p.labels[c])
-        p_covers.append(p.covers[c])
-
-    glued = {c: new_of_p[down_sigma[frozenset(map(to_sigma.__getitem__, w))]]
-             for w, c in down_tau.items() if c != tau}
-
-    new_of_q: dict[int, int] = {}
-    q_kept: list[int] = []
-    for c in range(q.n_cells):
-        if c == tau or c in glued:
-            continue
-        new_of_q[c] = len(ranks) + len(q_kept)
-        q_kept.append(c)
-
-    def q_image(c: int) -> int:
-        return glued[c] if c in glued else new_of_q[c]
-
-    covers = [tuple(new_of_p[j] for j in cov) for cov in p_covers]
-    for c in q_kept:
-        ranks.append(q.ranks[c])
-        labels.append(q.labels[c])
-        covers.append(tuple(q_image(j) for j in q.covers[c]))
-
-    # renumber so ids are sorted by rank, keeping construction order inside ranks
-    order = sorted(range(len(ranks)), key=lambda i: (ranks[i], i))
+    # q's cells take the ids after p's, those below tau the ids of the
+    # cells of sigma's interval they are glued to; sigma, tau and q's glued
+    # cells go, and the final ids run in (rank, id) order
+    image = list(range(p.n_cells, p.n_cells + q.n_cells))
+    for w, c in down_tau.items():
+        image[c] = down_sigma[frozenset(map(to_sigma.__getitem__, w))]
+    ranks, labels = p.ranks + q.ranks, p.labels + q.labels
+    covers = p.covers + tuple(tuple(map(image.__getitem__, cov))
+                              for cov in q.covers)
+    dropped = {sigma, *(p.n_cells + c for c in down_tau.values())}
+    order = sorted(set(range(len(ranks))) - dropped,
+                   key=lambda i: (ranks[i], i))
     final_id = {old: new for new, old in enumerate(order)}
     return SimplicialPoset(
-        p.d,
-        tuple(ranks[i] for i in order),
-        tuple(tuple(sorted(final_id[j] for j in covers[i])) for i in order),
-        tuple(labels[i] for i in order))
+        p.d, [ranks[i] for i in order],
+        [sorted(map(final_id.__getitem__, covers[i])) for i in order],
+        [labels[i] for i in order])
 
 
 # --- simple sphere fixtures ---------------------------------------------------------
@@ -219,6 +195,11 @@ def boundary_of_simplex(d: int) -> SimplicialPoset:
     """Boundary complex of the d-simplex: f_i = C(d+1, i), h all ones."""
     if d < 1:
         raise ValueError("need d >= 1")
+    n_cells = 2 ** (min(d, 40) + 1) - 1     # exact up to d = 40
+    if n_cells > MAX_OUTPUT_SIZE:
+        raise ValueError(
+            f"the boundary of the {d}-simplex has at least {n_cells} cells, "
+            f"more than the limit of {MAX_OUTPUT_SIZE}")
     verts = tuple(range(d + 1))
     ids: dict[tuple[int, ...], int] = {(): 0}
     ranks = [0]
@@ -239,4 +220,8 @@ def parallel_edges_graph(d: int) -> ColoredGraph:
     admissible graph; its poset is the two-facet cell sphere."""
     if d < 1:
         raise ValueError("need d >= 1")
+    if d > MAX_OUTPUT_SIZE:
+        raise ValueError(
+            f"the two-vertex graph of {d} colors has {d} edges, more than "
+            f"the limit of {MAX_OUTPUT_SIZE}")
     return ColoredGraph(d, ("P", "Q"), tuple(("P", "Q", c) for c in range(1, d + 1)))

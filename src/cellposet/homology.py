@@ -35,8 +35,8 @@ rows, on two facts.
   its row of degree t+1 is skipped (the cohomology clearing of de Silva,
   Morozov and Vejdemo-Johansson, *Dualities in persistent (co)homology*).
 
-`link_bettis` lists each rank's coverer positions and coboundary rows
-once, grows each up-set a rank at a time through them, and runs
+`link_bettis` makes each rank's coboundary rows once from `_up_table`,
+grows each up-set a rank at a time through them, and runs
 `_cleared_ranks` from degree 2 up: degree 1 is c's row alone, of rank 1
 when c has coverers, and their rows, of degree 2, sum to its coboundary,
 zero, so one of them is dropped.  Nothing is checked per link:
@@ -94,8 +94,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
 
-from .posets import (SimplicialPoset, _rank_gap, _require_row_bits, f_vector,
-                     is_pure)
+from .posets import (SimplicialPoset, _positions, _rank_gap,
+                     _require_row_bits, _up_table, f_vector, is_pure)
 
 def _pivots(rows) -> dict[int, int]:
     """Gaussian elimination of bit-packed GF(2) rows, keyed by pivot: the
@@ -185,11 +185,7 @@ def _boundary_rows(p: SimplicialPoset) -> list[tuple[int, ...]]:
     ``MAX_ROW_BITS`` is refused before any row is built.
     """
     _require_row_bits(p)
-    by_rank, covers = p.cells_by_rank, p.covers
-    pos = [0] * p.n_cells           # a cell's index within its rank
-    for cells in by_rank:
-        for i, c in enumerate(cells):
-            pos[c] = i
+    by_rank, covers, pos = p.cells_by_rank, p.covers, _positions(p)
     # a rank-1 cell covers the minimum, and is its own vertex set
     rows: tuple[int, ...] = (1,) * len(by_rank[1]) if p.d else ()
     verts = [1 << i for i in range(len(rows))]
@@ -312,17 +308,17 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
                               for c, betti in link_bettis(p))
 
 
-def _chain_counts(p: SimplicialPoset) -> tuple[list[int], int]:
-    """Item c packs t! N_t, the chains of covers from c up t ranks (see the
-    module docstring), in field t; no field passes max(f) * d!, which
-    gives the width, returned too.  `p` must be simplicial."""
-    width = (max(f_vector(p)) * factorial(p.d)).bit_length()
-    chains, coverers = [0] * p.n_cells, p.coverers
-    get = chains.__getitem__
-    for cells in reversed(p.cells_by_rank):
-        for c in cells:
-            chains[c] = sum(map(get, coverers[c])) << width | 1
-    return chains, width
+def _chain_counts(up: list[list[list[int]]]) -> tuple[list[list[int]], int]:
+    """Item [k][j] packs t! N_t, the chains of covers from the j-th cell
+    of rank k up t ranks (see the module docstring), in field t; `up` is
+    the `posets._up_table` of a simplicial poset.  No field passes
+    max(f) * d!, which gives the width, returned too."""
+    width = (max(map(len, up)) * factorial(len(up) - 1)).bit_length()
+    chains: list[list[int]] = [[]]      # no items above the top rank
+    for level in reversed(up):
+        get = chains[0].__getitem__
+        chains.insert(0, [sum(map(get, cov)) << width | 1 for cov in level])
+    return chains[:-1], width
 
 
 def _face_counts(chains: int, width: int, n: int) -> tuple[int, ...]:
@@ -351,15 +347,13 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
 
     `p` must be simplicial, as :func:`_boundary_rows` proves it: each link
     is eliminated on the parent's coboundary rows, unmasked, with clearing
-    (see the module docstring), which is sound only then.
+    (see the module docstring), which is sound only then.  The rows, the
+    up-sets and :func:`_chain_counts` read one `posets._up_table`.
     """
-    by_rank, coverers = p.cells_by_rank, p.coverers
-    pos = {c: i for cells in by_rank for i, c in enumerate(cells)}
-    # up[r][i]: the positions in rank r + 1 of the cells covering the i-th
-    # cell of rank r; cob[r][i]: the same as its coboundary row
-    up = [[[pos[u] for u in coverers[c]] for c in cells] for cells in by_rank]
+    by_rank, up = p.cells_by_rank, _up_table(p)
+    # cob[r][i]: the coverer positions up[r][i] as a coboundary row
     cob = [[sum(1 << i for i in cov) for cov in level] for level in up]
-    chains, width = _chain_counts(p)
+    chains, width = _chain_counts(up)
     unsound: set[int] = set()           # positions in the rank above
     for k in range(p.d, 0, -1):
         n = p.d - k
@@ -382,7 +376,7 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
                          *_cleared_ranks(zip([cov[1:], *levels[1:]], cobs))]
                 betti = _betti_from_ranks([1, *map(len, levels)], ranks)
                 if euler:
-                    n_t = _face_counts(chains[c], width, n)
+                    n_t = _face_counts(chains[k][j], width, n)
                     # (-1)^s beta_s = chi - 2 - 2 sum_{i<s} (-1)^i beta_i
                     rest = (sum(n_t[1::2]) - sum(n_t[2::2]) - 2
                             - 2 * (sum(betti[::2]) - sum(betti[1::2])))

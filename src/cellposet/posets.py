@@ -7,6 +7,9 @@ explicit cover lists (covers point one rank down); cell 0 is the minimum.
 The constructor checks ranks and cover counts only; the lower intervals
 are proved boolean by `homology._boundary_rows`, which `betti_gf2`,
 `homology.is_homology_manifold` and `homology.validate_poset` run.
+No poset keeps its covers upward.  `_up_table` builds them on each call,
+by `_positions`, a cell's index in its rank: item r lists, for the i-th
+rank-r cell, the ascending positions in rank r + 1 of its coverers.
 
 `from_graph` realizes the cell poset of an admissible d-colored multigraph:
 cells are pairs (H, S) of a color set S and a connected component H of the
@@ -46,11 +49,11 @@ from operator import lt, mul
 from .graphs import (ColoredGraph, _json_array, _merge_roots,
                      require_admissible)
 
-# The most cells `from_graph` makes, and the most edges or cells a builder
-# in `constructions` makes; a larger request is refused before its output
-# is built.  The size is computed exactly for small arguments and bounded
-# from below for large ones, where the exact count would itself take long
-# to compute.
+# The most cells `from_graph` makes, the most edges or cells a builder in
+# `constructions` makes, and the most entries `cancellation_schedule`
+# lists; a larger request is refused before its output is built.  The
+# size is computed exactly for small arguments and bounded from below for
+# large ones, where the exact count would itself take long to compute.
 MAX_OUTPUT_SIZE = 10 ** 6
 
 # The most bits of boundary rows a chain complex holds: a rank-k cell's
@@ -127,18 +130,28 @@ class SimplicialPoset:
             buckets[r].append(i)
         return tuple(tuple(b) for b in buckets)
 
-    @cached_property
-    def coverers(self) -> tuple[tuple[int, ...], ...]:
-        """Inverse covers: for each cell, the cells covering it."""
-        up: list[list[int]] = [[] for _ in range(self.n_cells)]
-        for i, cov in enumerate(self.covers):
-            for j in cov:
-                up[j].append(i)
-        return tuple(tuple(u) for u in up)
-
     def facets(self) -> tuple[int, ...]:
         """Maximal cells (cells covered by nothing)."""
-        return tuple(i for i in range(self.n_cells) if not self.coverers[i])
+        return tuple(sorted(set(range(self.n_cells)).difference(*self.covers)))
+
+
+def _positions(p: SimplicialPoset) -> list[int]:
+    """By cell id, the cell's index within its rank."""
+    pos = [0] * p.n_cells
+    for cells in p.cells_by_rank:
+        for i, c in enumerate(cells):
+            pos[c] = i
+    return pos
+
+
+def _up_table(p: SimplicialPoset) -> list[list[list[int]]]:
+    """The upward cover table of the module docstring."""
+    pos, up = _positions(p), [[[] for _ in cells] for cells in p.cells_by_rank]
+    for level, cells in zip(up, p.cells_by_rank[1:]):
+        for i, c in enumerate(cells):
+            for j in p.covers[c]:
+                level[pos[j]].append(i)
+    return up
 
 
 # --- construction from colored graphs ---------------------------------------
@@ -279,14 +292,12 @@ def is_pseudomanifold(p: SimplicialPoset) -> bool:
     (any two facets linked by a chain of ridge-sharing facets)."""
     if not is_pure(p) or p.d < 1:
         return False
-    facet_ids = p.cells_by_rank[p.d]
-    for ridge in p.cells_by_rank[p.d - 1]:
-        if len(p.coverers[ridge]) != 2:
-            return False
+    ridges = _up_table(p)[p.d - 1]     # each ridge's facets, by position
+    if any(len(facets) != 2 for facets in ridges):
+        return False
     # pure and d >= 1: a facet exists, so a ridge does, with two facets
-    us, vs = zip(*(p.coverers[ridge] for ridge in p.cells_by_rank[p.d - 1]))
-    roots = _merge_roots(list(range(p.n_cells)), us, vs)
-    return len({roots[f] for f in facet_ids}) == 1
+    roots = _merge_roots(list(range(len(p.cells_by_rank[p.d]))), *zip(*ridges))
+    return len(set(roots)) == 1
 
 
 # --- validation and JSON ------------------------------------------------------

@@ -64,6 +64,7 @@ from math import comb
 
 from .graphs import ColoredGraph, require_admissible
 from .constructions import block_label, product_spheres_graph
+from .posets import MAX_OUTPUT_SIZE
 
 
 class CancellationError(Exception):
@@ -208,6 +209,12 @@ def cancellation_schedule(n: int, m: int) -> Schedule:
     """
     if n < 1 or m < 1:
         raise ValueError("both sphere dimensions must be at least 1")
+    # exact up to min(n, m) = 20, as in `product_spheres_graph`
+    n_entries = comb(n + m, min(n, m, 20)) - 1
+    if n_entries > MAX_OUTPUT_SIZE:
+        raise ValueError(
+            f"the cancellation schedule of S^{n} x S^{m} has at least "
+            f"{n_entries} entries, more than the limit of {MAX_OUTPUT_SIZE}")
     entries = []
     for j in range(1, n + 1):
         stage_sets = [s for s in combinations(range(j + 1, n + m + 1), n + 1 - j)]

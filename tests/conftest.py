@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings, strategies as st
 
-from cellposet.constructions import _rule_pair, block_label
+from cellposet.constructions import (_interval_by_vertices, _rule_pair,
+                                     block_label)
 from cellposet.graphs import (ColoredGraph, graph_from_dict,
                               validate_admissible)
 from cellposet.homology import betti_gf2, is_homology_manifold
@@ -145,6 +146,16 @@ def shuffled(g: ColoredGraph, seed: int) -> ColoredGraph:
     return ColoredGraph(g.d, tuple(vertices), tuple(edges))
 
 
+def coverers(p: SimplicialPoset) -> tuple[tuple[int, ...], ...]:
+    """Oracle for `posets._up_table`: for each cell id, the ids of the
+    cells covering it, ascending, by one scan of the covers."""
+    up: list[list[int]] = [[] for _ in range(p.n_cells)]
+    for i, cov in enumerate(p.covers):
+        for j in cov:
+            up[j].append(i)
+    return tuple(tuple(u) for u in up)
+
+
 def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:
     """Oracle for the links of `homology.link_bettis`: the subposet
     of cells above `cell`, reindexed with `cell` as minimum and ranks
@@ -152,12 +163,13 @@ def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:
     if not 0 <= cell < p.n_cells:
         raise ValueError(f"unknown cell {cell}")
     base = p.ranks[cell]
+    up = coverers(p)
     upset = {cell}
     frontier = [cell]
     while frontier:
         nxt = []
         for c in frontier:
-            for u in p.coverers[c]:
+            for u in up[c]:
                 if u not in upset:
                     upset.add(u)
                     nxt.append(u)
@@ -315,6 +327,7 @@ def proper_coloring(p: SimplicialPoset):
     if not facet_ids:
         raise ValueError("poset has no facets")
     verts = vertex_sets(p)
+    up = coverers(p)
     full = set(range(1, p.d + 1))
     colors: dict[int, int] = {}
     seed = facet_ids[0]
@@ -331,7 +344,7 @@ def proper_coloring(p: SimplicialPoset):
                     return None, ridge
                 forced = full - ridge_colors
                 (c,) = forced
-                for g in p.coverers[ridge]:
+                for g in up[ridge]:
                     if g == f:
                         continue
                     extra = verts[g] - verts[ridge]
@@ -377,12 +390,73 @@ def to_graph(p: SimplicialPoset, coloring: dict[int, int]) -> ColoredGraph:
         if len(cols) != p.d:
             raise ValueError(f"coloring is not rainbow on facet {p.labels[f]!r}")
     full = set(range(1, p.d + 1))
+    up = coverers(p)
     edges = []
     for ridge in p.cells_by_rank[p.d - 1]:
-        f1, f2 = p.coverers[ridge]
+        f1, f2 = up[ridge]
         (c,) = full - {coloring[v] for v in verts[ridge]}
         edges.append((p.labels[f1], p.labels[f2], c))
     return ColoredGraph(p.d, tuple(p.labels[f] for f in facet_ids), tuple(edges))
+
+
+def reference_connected_sum(p: SimplicialPoset, q: SimplicialPoset,
+                            sigma: int, tau: int) -> SimplicialPoset:
+    """Oracle for `constructions.connected_sum`, which renumbers in one
+    sort: the same sum built through three id maps, p's cells first, then
+    q's unglued cells, renumbered by (rank, construction order)."""
+    if p.d != q.d:
+        raise ValueError(f"rank mismatch: {p.d} vs {q.d}")
+    if p.d < 2:
+        raise ValueError("connected sums need rank at least 2")
+    for poset, facet, name in ((p, sigma, "sigma"), (q, tau, "tau")):
+        if not 0 <= facet < poset.n_cells or poset.ranks[facet] != poset.d \
+                or coverers(poset)[facet]:
+            raise ValueError(f"{name} is not a facet")
+    down_sigma, vs = _interval_by_vertices(p, sigma, "sigma")
+    down_tau, vt = _interval_by_vertices(q, tau, "tau")
+    to_sigma = dict(zip(vt, vs))
+
+    # p keeps everything but sigma; q drops tau and the faces glued into p
+    new_of_p: dict[int, int] = {}
+    ranks: list[int] = []
+    labels: list[str] = []
+    p_covers: list[tuple[int, ...]] = []
+    for c in range(p.n_cells):
+        if c == sigma:
+            continue
+        new_of_p[c] = len(ranks)
+        ranks.append(p.ranks[c])
+        labels.append(p.labels[c])
+        p_covers.append(p.covers[c])
+
+    glued = {c: new_of_p[down_sigma[frozenset(map(to_sigma.__getitem__, w))]]
+             for w, c in down_tau.items() if c != tau}
+
+    new_of_q: dict[int, int] = {}
+    q_kept: list[int] = []
+    for c in range(q.n_cells):
+        if c == tau or c in glued:
+            continue
+        new_of_q[c] = len(ranks) + len(q_kept)
+        q_kept.append(c)
+
+    def q_image(c: int) -> int:
+        return glued[c] if c in glued else new_of_q[c]
+
+    covers = [tuple(new_of_p[j] for j in cov) for cov in p_covers]
+    for c in q_kept:
+        ranks.append(q.ranks[c])
+        labels.append(q.labels[c])
+        covers.append(tuple(q_image(j) for j in q.covers[c]))
+
+    # renumber so ids are sorted by rank, keeping construction order inside ranks
+    order = sorted(range(len(ranks)), key=lambda i: (ranks[i], i))
+    final_id = {old: new for new, old in enumerate(order)}
+    return SimplicialPoset(
+        p.d,
+        tuple(ranks[i] for i in order),
+        tuple(tuple(sorted(final_id[j] for j in covers[i])) for i in order),
+        tuple(labels[i] for i in order))
 
 
 def two_pillows(share_edge: bool = False) -> SimplicialPoset:

@@ -43,6 +43,7 @@ def test_public_surface_is_pinned():
     assert [f.name for f in fields(SimplicialPoset)] == [
         "d", "ranks", "covers", "labels"]
     assert not hasattr(SimplicialPoset, "vertex_sets")
+    assert not hasattr(SimplicialPoset, "coverers")
     assert list(inspect.signature(connected_sum).parameters) == [
         "p", "q", "sigma", "tau"]
 
@@ -116,6 +117,23 @@ def test_every_public_name_has_a_consumer():
     public = {name for name in cellposet.__all__
               if not isinstance(getattr(cellposet, name), ModuleType)}
     assert sorted(public - consumed) == sorted(UNCONSUMED)
+
+
+def test_every_private_helper_has_a_consumer():
+    """Every private module-level def or class of the package is used in
+    the package outside its own def or class: a helper only the tests
+    call belongs in the tests."""
+    package = Path(cellposet.__file__).parent
+    trees = [ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))]
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_")}
+    consumed = {name for tree in trees for name, owners in uses(tree)
+                if name not in owners}
+    assert private
+    assert sorted(private - consumed) == []
 
 
 def resolves(root, dotted: str) -> bool:

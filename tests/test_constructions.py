@@ -16,10 +16,11 @@ from cellposet.graphs import validate_admissible
 from cellposet.homology import (betti_gf2, h_double_prime,
                                 is_homology_manifold, validate_poset)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
-                              h_vector)
+                              h_vector, poset_to_json)
 
 from conftest import (admissible_graphs, betti_order_complex, colors_between,
                       is_homology_sphere, proper_coloring, r_value,
+                      reference_connected_sum,
                       reference_product_spheres_graph,
                       rewired_simplex_boundary, to_graph, two_pillows)
 
@@ -271,6 +272,50 @@ class TestBoundaryOfSimplex:
         assert f_vector(p) == tuple(comb(d + 1, i) for i in range(d + 1))
         assert is_homology_sphere(p)
 
+    def test_size_limit_counts_the_cells_it_would_build(self, monkeypatch):
+        # 2^4 - 1 = 15 cells: allowed at a limit of 15 only
+        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 15)
+        assert boundary_of_simplex(3).n_cells == 15
+        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 14)
+        with pytest.raises(ValueError, match=r"^the boundary of the "
+                                             r"3-simplex has at least 15 "
+                                             r"cells, more than the limit "
+                                             r"of 14$"):
+            boundary_of_simplex(3)
+
+    @pytest.mark.parametrize("d,n_cells", [(19, 1048575),
+                                           (10 ** 9, 2199023255551)])
+    def test_huge_d_is_refused_at_once(self, d, n_cells):
+        # 2^(d+1) - 1 cells, the exponent capped at 41
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^the boundary of the "
+                                             rf"{d}-simplex has at least "
+                                             rf"{n_cells} cells, more than "
+                                             rf"the limit of 1000000$"):
+            boundary_of_simplex(d)
+        assert time.perf_counter() - start < 1
+
+
+class TestParallelEdgesGraph:
+    def test_size_limit_counts_the_edges_it_would_build(self, monkeypatch):
+        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 3)
+        assert len(parallel_edges_graph(3).edges) == 3
+        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 2)
+        with pytest.raises(ValueError, match=r"^the two-vertex graph of 3 "
+                                             r"colors has 3 edges, more "
+                                             r"than the limit of 2$"):
+            parallel_edges_graph(3)
+
+    @pytest.mark.parametrize("d", [10 ** 6 + 1, 10 ** 18])
+    def test_huge_d_is_refused_at_once(self, d):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^the two-vertex graph of "
+                                             rf"{d} colors has {d} edges, "
+                                             rf"more than the limit of "
+                                             rf"1000000$"):
+            parallel_edges_graph(d)
+        assert time.perf_counter() - start < 1
+
 
 @st.composite
 def connected_sum_summands(draw):
@@ -279,6 +324,18 @@ def connected_sum_summands(draw):
     d = draw(st.sampled_from([2, 3]))
     p = from_graph(draw(admissible_graphs(colors=(d,))))
     q = draw(st.one_of(st.just(boundary_of_simplex(d)),
+                       admissible_graphs(colors=(d,)).map(from_graph)))
+    return (p, q, draw(st.sampled_from(p.facets())),
+            draw(st.sampled_from(q.facets())))
+
+
+@st.composite
+def graph_poset_pairs(draw):
+    """(p, q, sigma, tau): graph posets of one rank from 2 to 4, q drawn
+    anew or p itself, and a facet drawn from each."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    p = from_graph(draw(admissible_graphs(colors=(d,))))
+    q = draw(st.one_of(st.just(p),
                        admissible_graphs(colors=(d,)).map(from_graph)))
     return (p, q, draw(st.sampled_from(p.facets())),
             draw(st.sampled_from(q.facets())))
@@ -364,6 +421,11 @@ class TestConnectedSum:
         q = boundary_of_simplex(4)
         with pytest.raises(ValueError, match="below sigma do not form"):
             connected_sum(p, q, 15, q.facets()[0])
+
+    @given(graph_poset_pairs())
+    def test_matches_the_reference(self, case):
+        assert poset_to_json(connected_sum(*case)) == \
+            poset_to_json(reference_connected_sum(*case))
 
     @given(connected_sum_summands())
     def test_face_identity_and_homology(self, case):

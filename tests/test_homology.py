@@ -14,8 +14,8 @@ from cellposet.homology import (_boundary_rows, _chain_counts, _face_counts,
                                 _pivots, betti_gf2, h_double_prime,
                                 is_homology_manifold, link_bettis)
 from cellposet.graphs import validate_admissible
-from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
-                              is_pseudomanifold, is_pure)
+from cellposet.posets import (SimplicialPoset, _up_table, f_vector,
+                              from_graph, is_pseudomanifold, is_pure)
 
 from conftest import (admissible_graphs, betti_order_complex, gf2_rank,
                       is_homology_sphere, link, simplex_boundary_wedge,
@@ -420,12 +420,14 @@ class TestSlicedLinks:
 
 
 def assert_face_counts_match_the_oracle(p: SimplicialPoset) -> None:
-    """Every cell's face counts from the packed chain counts are the
-    f-vector of its link, built as its own poset by `link`."""
-    chains, width = _chain_counts(p)
-    assert [_face_counts(chains[c], width, p.d - p.ranks[c])
-            for c in range(p.n_cells)] == [f_vector(link(p, c))
-                                           for c in range(p.n_cells)]
+    """Every cell's face counts from the packed chain counts, item [k][j]
+    for the j-th cell of rank k, are the f-vector of its link, built as
+    its own poset by `link`."""
+    chains, width = _chain_counts(_up_table(p))
+    assert [[_face_counts(item, width, p.d - k) for item in items]
+            for k, items in enumerate(chains)] == [
+                [f_vector(link(p, c)) for c in cells]
+                for cells in p.cells_by_rank]
 
 
 class TestChainCounts:
@@ -458,11 +460,12 @@ class TestChainCounts:
         # 12! chains run from the minimum to each of the 13 facets: a field
         # sized for max(f) alone would overflow into the next
         p = boundary_of_simplex(12)
-        chains, width = _chain_counts(p)
-        for c in range(p.n_cells):
-            k = p.ranks[c]
-            assert _face_counts(chains[c], width, 12 - k) == tuple(
-                comb(13 - k, t) for t in range(13 - k))
+        chains, width = _chain_counts(_up_table(p))
+        for k, items in enumerate(chains):
+            assert len(items) == comb(13, k)
+            for item in items:
+                assert _face_counts(item, width, 12 - k) == tuple(
+                    comb(13 - k, t) for t in range(13 - k))
         assert is_homology_manifold(p)
 
 

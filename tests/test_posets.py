@@ -14,12 +14,13 @@ from cellposet.graphs import ColoredGraph
 from cellposet import posets
 from cellposet.homology import (_boundary_rows, betti_gf2, link_bettis,
                                 validate_poset)
-from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
-                              h_vector, is_pseudomanifold, is_pure,
-                              poset_from_dict, poset_to_json)
+from cellposet.posets import (SimplicialPoset, _up_table, f_vector,
+                              from_graph, h_vector, is_pseudomanifold,
+                              is_pure, poset_from_dict, poset_to_json)
 
-from conftest import (admissible_graphs, bfs_roots, json_labels, link,
-                      poset_to_dict, proper_coloring,
+from conftest import (admissible_graphs, bfs_roots, complex_from_facets,
+                      coverers, json_labels, link, poset_to_dict,
+                      proper_coloring,
                       rewired_simplex_boundary, shuffled, to_graph,
                       two_pillows, vertex_sets)
 
@@ -474,6 +475,62 @@ class TestPredicates:
 
     def test_simplex_boundary_is_pseudomanifold(self):
         assert is_normal(boundary_of_simplex(3))
+
+
+def pseudomanifold_by_definition(p: SimplicialPoset) -> bool:
+    """Oracle for `is_pseudomanifold`, by cell id: d >= 1, every maximal
+    cell of rank d, every ridge under exactly two of them, and a search
+    across shared ridges from one facet reaching all."""
+    up = coverers(p)
+    facets = [c for c in range(p.n_cells) if not up[c]]
+    if p.d < 1 or any(p.ranks[f] != p.d for f in facets) or any(
+            len(up[ridge]) != 2 for ridge in p.cells_by_rank[p.d - 1]):
+        return False
+    reached, stack = {facets[0]}, [facets[0]]
+    while stack:
+        for ridge in p.covers[stack.pop()]:
+            for f in set(up[ridge]) - reached:
+                reached.add(f)
+                stack.append(f)
+    return len(reached) == len(facets)
+
+
+class TestUpTable:
+    """The upward cover table by position, and its readers, against the
+    by-id cover scan of `conftest.coverers`."""
+
+    @staticmethod
+    def assert_matches_the_oracle(p: SimplicialPoset) -> None:
+        up, by_id = _up_table(p), coverers(p)
+        assert [[[p.cells_by_rank[r + 1][i] for i in cov] for cov in level]
+                for r, level in enumerate(up)] == [
+                    [list(by_id[c]) for c in cells]
+                    for cells in p.cells_by_rank]
+        assert p.facets() == tuple(c for c in range(p.n_cells)
+                                   if not by_id[c])
+        assert is_pseudomanifold(p) == pseudomanifold_by_definition(p)
+
+    @settings(max_examples=100)
+    @given(rewired_posets())
+    def test_rewired_posets(self, p):
+        self.assert_matches_the_oracle(p)
+
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_graph_posets(self, g):
+        self.assert_matches_the_oracle(from_graph(g))
+
+    def test_small_posets(self, torus_graph):
+        for p in (from_graph(torus_graph), two_disjoint_bigons(),
+                  from_graph(parallel_edges_graph(1)),
+                  # three triangles on one edge, two cycles through
+                  # vertex 3 (every vertex on two edges or more), and a
+                  # hanging edge
+                  complex_from_facets(3, [(1, 2, 3), (1, 2, 4), (1, 2, 5)]),
+                  complex_from_facets(2, [(1, 3), (3, 4), (1, 4), (2, 3),
+                                          (3, 5), (2, 5)]),
+                  complex_from_facets(3, [(1, 2, 3), (1, 4)]),
+                  SimplicialPoset(2, (0,), ((),), ("0",))):
+            self.assert_matches_the_oracle(p)
 
 
 class TestProperColoring:

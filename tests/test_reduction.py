@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -8,6 +9,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, strategies as st
 
+from cellposet import reduction
 from cellposet.constructions import (parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph, validate_admissible
@@ -458,6 +460,28 @@ class TestSchedule:
             assert a_left == []
             assert sorted(b_left) == sorted([
                 tuple(range(m, m + n)), tuple(range(m + 1, m + n + 1))])
+
+    def test_size_limit_counts_the_entries_it_would_list(self, monkeypatch):
+        # C(5, 2) - 1 = 9 entries: allowed at a limit of 9, refused below
+        monkeypatch.setattr(reduction, "MAX_OUTPUT_SIZE", 9)
+        assert len(cancellation_schedule(2, 3).entries) == 9
+        monkeypatch.setattr(reduction, "MAX_OUTPUT_SIZE", 8)
+        with pytest.raises(ValueError, match=r"^the cancellation schedule "
+                                             r"of S\^2 x S\^3 has at least 9 "
+                                             r"entries, more than the limit "
+                                             r"of 8$"):
+            cancellation_schedule(2, 3)
+
+    def test_huge_dimensions_are_refused_at_once(self):
+        # the C(60, 30) - 1 entries would never be listed; the bound caps
+        # the exponent at 20
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^the cancellation schedule "
+                                             r"of S\^30 x S\^30 has at least "
+                                             r"4191844505805494 entries, more "
+                                             r"than the limit of 1000000$"):
+            cancellation_schedule(30, 30)
+        assert time.perf_counter() - start < 1
 
 
 class TestReduceProductSpheres:
