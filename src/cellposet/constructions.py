@@ -9,8 +9,9 @@ from __future__ import annotations
 from itertools import combinations, product, repeat
 from math import comb
 
+from . import posets
 from .graphs import ColoredGraph
-from .posets import MAX_OUTPUT_SIZE, SimplicialPoset, from_graph
+from .posets import SimplicialPoset, _refuse_above, from_graph
 
 
 def set_label(s) -> str:
@@ -51,10 +52,8 @@ def product_spheres_graph(n: int, m: int) -> ColoredGraph:
     # 2*C(n+m, n)*(n+m+1) edges; C(n+m, k) grows with k up to (n+m)/2,
     # so capping k = min(n, m) at 20 keeps it exact there and a bound past
     n_edges = 2 * comb(n + m, min(n, m, 20)) * (n + m + 1)
-    if n_edges > MAX_OUTPUT_SIZE:
-        raise ValueError(
-            f"the graph of S^{n} x S^{m} has at least {n_edges} edges, "
-            f"more than the limit of {MAX_OUTPUT_SIZE}")
+    _refuse_above(posets.MAX_OUTPUT_SIZE, n_edges, f"the graph of "
+                  f"S^{n} x S^{m} has at least {n_edges} edges")
     top = n + m
     subsets = list(combinations(range(1, top + 1), n))
     names = {s: [block_label(b, s) for b in "ABCD"] for s in subsets}
@@ -107,15 +106,13 @@ def cross_polytope_quotient(n: int) -> SimplicialPoset:
     entry i.  So the components of the S-colored subgraph are the faces
     with support [n] - S, up to sign, and a cell labeled ``{S}@v`` is the
     orbit of v's entries outside S; a facet is labeled by its vector.
-    n vertices, 2^(n-1) facets, (3^n - 1)/2 nonempty cells.
+    n vertices, 2^(n-1) facets, (3^n + 1)/2 cells with the minimum.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    n_cells = (3 ** min(n, 40) - 1) // 2  # exact up to n = 40
-    if n_cells > MAX_OUTPUT_SIZE:
-        raise ValueError(
-            f"the cell decomposition of RP^{n - 1} has at least {n_cells} "
-            f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
+    n_cells = (3 ** min(n, 40) + 1) // 2  # exact up to n = 40
+    _refuse_above(posets.MAX_OUTPUT_SIZE, n_cells, f"the cell decomposition "
+                  f"of RP^{n - 1} has at least {n_cells} cells")
     return from_graph(_rp_graph(n))
 
 
@@ -196,10 +193,8 @@ def boundary_of_simplex(d: int) -> SimplicialPoset:
     if d < 1:
         raise ValueError("need d >= 1")
     n_cells = 2 ** (min(d, 40) + 1) - 1     # exact up to d = 40
-    if n_cells > MAX_OUTPUT_SIZE:
-        raise ValueError(
-            f"the boundary of the {d}-simplex has at least {n_cells} cells, "
-            f"more than the limit of {MAX_OUTPUT_SIZE}")
+    _refuse_above(posets.MAX_OUTPUT_SIZE, n_cells, f"the boundary of the "
+                  f"{d}-simplex has at least {n_cells} cells")
     verts = tuple(range(d + 1))
     ids: dict[tuple[int, ...], int] = {(): 0}
     ranks = [0]
@@ -220,8 +215,6 @@ def parallel_edges_graph(d: int) -> ColoredGraph:
     admissible graph; its poset is the two-facet cell sphere."""
     if d < 1:
         raise ValueError("need d >= 1")
-    if d > MAX_OUTPUT_SIZE:
-        raise ValueError(
-            f"the two-vertex graph of {d} colors has {d} edges, more than "
-            f"the limit of {MAX_OUTPUT_SIZE}")
+    _refuse_above(posets.MAX_OUTPUT_SIZE, d, f"the two-vertex graph of "
+                  f"{d} colors has {d} edges")
     return ColoredGraph(d, ("P", "Q"), tuple(("P", "Q", c) for c in range(1, d + 1)))

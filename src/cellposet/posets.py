@@ -50,10 +50,11 @@ from .graphs import (ColoredGraph, _json_array, _merge_roots,
                      require_admissible)
 
 # The most cells `from_graph` makes, the most edges or cells a builder in
-# `constructions` makes, and the most entries `cancellation_schedule`
-# lists; a larger request is refused before its output is built.  The
-# size is computed exactly for small arguments and bounded from below for
-# large ones, where the exact count would itself take long to compute.
+# `constructions` makes, the most entries `cancellation_schedule` lists
+# and the most dipole tests `greedy_reduce` may make; a larger request is
+# refused before any of it is made.  Each reads the constant here when
+# called, so one patch of it bounds them all.  The size is exact for small
+# arguments and a lower bound for large ones, whose exact count is slow.
 MAX_OUTPUT_SIZE = 10 ** 6
 
 # The most bits of boundary rows a chain complex holds: a rank-k cell's
@@ -63,15 +64,19 @@ MAX_OUTPUT_SIZE = 10 ** 6
 MAX_ROW_BITS = 4 * 10 ** 9
 
 
+def _refuse_above(limit: int, size: int, what: str) -> None:
+    """The one size guard: refuse a `size` above `limit`; `what` names it."""
+    if size > limit:
+        raise ValueError(f"{what}, more than the limit of {limit}")
+
+
 def _require_row_bits(p: SimplicialPoset) -> None:
     """Refuse a poset whose boundary rows would take more than
     ``MAX_ROW_BITS`` bits: sum_k f_k f_{k-1}."""
     f = [len(cells) for cells in p.cells_by_rank]
     bits = sum(a * b for a, b in zip(f, f[1:]))
-    if bits > MAX_ROW_BITS:
-        raise ValueError(
-            f"the chain complex has {bits} bits of boundary rows, more "
-            f"than the limit of {MAX_ROW_BITS}")
+    _refuse_above(MAX_ROW_BITS, bits, f"the chain complex has {bits} bits "
+                  "of boundary rows")
 
 
 @dataclass(frozen=True)
@@ -173,16 +178,11 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     # least (Vandermonde); d is capped at 64 so that a huge d costs
     # nothing to bound
     k = min(d, 64)
-    n_cells = 2 ** k
-    if n_cells > MAX_OUTPUT_SIZE:
-        raise ValueError(
-            f"the cell poset of a {d}-colored graph has at least {n_cells} "
-            f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
-    bits = comb(2 * k, k + 1)
-    if bits > MAX_ROW_BITS:
-        raise ValueError(
-            f"the chain complex of a {d}-colored graph has at least {bits} "
-            f"bits of boundary rows, more than the limit of {MAX_ROW_BITS}")
+    n_cells, bits = 2 ** k, comb(2 * k, k + 1)
+    _refuse_above(MAX_OUTPUT_SIZE, n_cells, f"the cell poset of a "
+                  f"{d}-colored graph has at least {n_cells} cells")
+    _refuse_above(MAX_ROW_BITS, bits, f"the chain complex of a {d}-colored "
+                  f"graph has at least {bits} bits of boundary rows")
     colors = tuple(range(1, d + 1))
 
     # The roots for S are those for S - {max S} merged along the edges of
@@ -221,16 +221,11 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
     f = [0] * (d + 1)
     for mask, comps in components.items():
         f[d - mask.bit_count()] += len(comps)
-    n_cells = sum(f)
-    if n_cells > MAX_OUTPUT_SIZE:
-        raise ValueError(
-            f"the cell poset of this {d}-colored graph has {n_cells} "
-            f"cells, more than the limit of {MAX_OUTPUT_SIZE}")
-    bits = sum(map(mul, f, f[1:]))
-    if bits > MAX_ROW_BITS:
-        raise ValueError(
-            f"the chain complex of this {d}-colored graph has {bits} bits "
-            f"of boundary rows, more than the limit of {MAX_ROW_BITS}")
+    n_cells, bits = sum(f), sum(map(mul, f, f[1:]))
+    _refuse_above(MAX_OUTPUT_SIZE, n_cells, f"the cell poset of this "
+                  f"{d}-colored graph has {n_cells} cells")
+    _refuse_above(MAX_ROW_BITS, bits, f"the chain complex of this "
+                  f"{d}-colored graph has {bits} bits of boundary rows")
 
     # the graph is connected: one rank-0 cell, the minimum
     full = sum(1 << c for c in colors)

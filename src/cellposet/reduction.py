@@ -10,7 +10,9 @@ perfect-matching property unconditionally and, on manifolds, the
 homeomorphism type of the associated cell complex.
 
 Every public call builds one partner table with :func:`require_admissible`
-and drops it on return; nothing is cached on the :class:`ColoredGraph`.
+and drops it on return; the only thing cached on the :class:`ColoredGraph`
+is its label index ``ColoredGraph.index``, which the table and the
+admissibility check read.
 Each color class is a fixed-point-free involution, so the table stores
 ``partner[c][v]`` as a d x V table of int lists, the standard encoding of
 crystallizations (Ferri, Gagliardi and Grasselli, 1986; Lins, 1995).  It
@@ -62,9 +64,10 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 from math import comb
 
+from . import posets
 from .graphs import ColoredGraph, require_admissible
 from .constructions import block_label, product_spheres_graph
-from .posets import MAX_OUTPUT_SIZE
+from .posets import _refuse_above
 
 
 class CancellationError(Exception):
@@ -211,10 +214,9 @@ def cancellation_schedule(n: int, m: int) -> Schedule:
         raise ValueError("both sphere dimensions must be at least 1")
     # exact up to min(n, m) = 20, as in `product_spheres_graph`
     n_entries = comb(n + m, min(n, m, 20)) - 1
-    if n_entries > MAX_OUTPUT_SIZE:
-        raise ValueError(
-            f"the cancellation schedule of S^{n} x S^{m} has at least "
-            f"{n_entries} entries, more than the limit of {MAX_OUTPUT_SIZE}")
+    _refuse_above(posets.MAX_OUTPUT_SIZE, n_entries, f"the cancellation "
+                  f"schedule of S^{n} x S^{m} has at least {n_entries} "
+                  "entries")
     entries = []
     for j in range(1, n + 1):
         stage_sets = [s for s in combinations(range(j + 1, n + m + 1), n + 1 - j)]
@@ -297,8 +299,15 @@ def greedy_reduce(g: ColoredGraph
                   ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
     """Cancel dipoles of an admissible graph greedily (the first in scan
     order) until none is left, or only a full-type dipole, which is the
-    whole graph and is kept."""
+    whole graph and is kept.  At most V/2 scans of at most V d/2 joined
+    pairs make at most V^2 d/4 dipole tests, none at V = 2; more than
+    ``posets.MAX_OUTPUT_SIZE`` are refused before the first."""
     t = _Table(g)
+    v = t.live
+    tests = v * v * t.d // 4 if v > 2 else 0
+    _refuse_above(posets.MAX_OUTPUT_SIZE, tests, f"greedy reduction of this "
+                  f"{v}-vertex {t.d}-colored graph may make {tests} dipole "
+                  "tests")
     steps = []
     # a full-type dipole is a whole two-vertex graph, so above two
     # vertices every dipole cancels

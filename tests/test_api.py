@@ -7,11 +7,17 @@ from functools import reduce
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import cellposet
-from cellposet.constructions import connected_sum, product_spheres_graph
+from cellposet import posets
+from cellposet.constructions import (boundary_of_simplex, connected_sum,
+                                     cross_polytope_quotient,
+                                     parallel_edges_graph,
+                                     product_spheres_graph)
 from cellposet.graphs import ColoredGraph, require_admissible
-from cellposet.posets import SimplicialPoset
-from cellposet.reduction import _Table
+from cellposet.posets import SimplicialPoset, from_graph
+from cellposet.reduction import _Table, cancellation_schedule, greedy_reduce
 
 # The names `import cellposet` exports; adding one means editing this list
 # on purpose.
@@ -58,6 +64,48 @@ def test_the_dipole_table_holds_only_the_partner_table():
     assert t.partner == require_admissible(g)
     assert set(vars(t)) == {"partner", "d", "labels", "index", "edges",
                             "alive", "live"}
+
+
+def test_the_limits_are_bound_only_in_posets():
+    """A reader of a limit reads `posets` when called, so that one patch
+    bounds every reader: no other module binds either name."""
+    package = Path(cellposet.__file__).parent
+    modules = [cellposet] + [importlib.import_module(f"cellposet.{path.stem}")
+                             for path in sorted(package.glob("*.py"))
+                             if path.stem != "__init__"]
+    for name in ("MAX_OUTPUT_SIZE", "MAX_ROW_BITS"):
+        assert [m for m in modules if name in vars(m)] == [posets]
+
+
+def test_one_patch_bounds_every_reader(monkeypatch):
+    """Patching `posets.MAX_OUTPUT_SIZE` alone refuses every builder and
+    engine that reads it, each with its own message."""
+    square = ColoredGraph(2, ("a", "b", "c", "d"), (
+        ("a", "b", 1), ("b", "c", 2), ("c", "d", 1), ("d", "a", 2)))
+    torus = product_spheres_graph(1, 1)
+    monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 7)
+    for call, what in [
+            (lambda: boundary_of_simplex(3),
+             "the boundary of the 3-simplex has at least 15 cells"),
+            (lambda: parallel_edges_graph(8),
+             "the two-vertex graph of 8 colors has 8 edges"),
+            (lambda: product_spheres_graph(1, 1),
+             "the graph of S^1 x S^1 has at least 12 edges"),
+            (lambda: cross_polytope_quotient(3),
+             "the cell decomposition of RP^2 has at least 14 cells"),
+            (lambda: from_graph(torus),
+             "the cell poset of a 3-colored graph has at least 8 cells"),
+            (lambda: from_graph(square),
+             "the cell poset of this 2-colored graph has 9 cells"),
+            (lambda: cancellation_schedule(2, 3),
+             "the cancellation schedule of S^2 x S^3 has at least 9 "
+             "entries"),
+            (lambda: greedy_reduce(square),
+             "greedy reduction of this 4-vertex 2-colored graph may make "
+             "8 dipole tests")]:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == what + ", more than the limit of 7"
 
 
 def test_no_unused_imports():

@@ -133,7 +133,7 @@ class TestBuild:
         (("product-spheres", "--n", "14", "--m", "14"), "2326762800 edges"),
         (("product-spheres", "--n", "14", "--m", "14", "--reduce"),
          "2326762800 edges"),
-        (("rp", "--n", "24"), "141214768240 cells")])
+        (("rp", "--n", "24"), "141214768241 cells")])
     def test_output_too_large_exits_two(self, capsys, argv, size):
         start = time.perf_counter()
         code, out, err = run(capsys, "build", *argv)
@@ -306,6 +306,17 @@ class TestReduce:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error: --schedule symbolic --n ")
+
+    def test_greedy_above_its_bound_exits_two(self, capsys, tmp_path):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(graph_to_dict(product_spheres_graph(5, 5))))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reduce", str(src))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (
+            2, "", "error: greedy reduction of this 1008-vertex 11-colored "
+                   "graph may make 2794176 dipole tests, more than the "
+                   "limit of 1000000\n")
 
     @pytest.mark.parametrize("schedule", [("--schedule", "greedy"),
                                           ("--schedule", "symbolic", "--n",

@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet import constructions
+from cellposet import posets
 from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
@@ -85,9 +85,9 @@ class TestProductSpheresGraph:
 
     def test_size_limit_counts_the_edges_it_would_build(self, monkeypatch):
         # 2*C(5, 2)*6 = 120 edges: allowed at a limit of 120, refused below
-        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 120)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 120)
         assert len(product_spheres_graph(2, 3).edges) == 120
-        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 119)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 119)
         with pytest.raises(ValueError, match=r"^the graph of S\^2 x S\^3 "
                                              r"has at least 120 edges, more "
                                              r"than the limit of 119$"):
@@ -246,12 +246,14 @@ class TestCrossPolytopeQuotient:
             cross_polytope_quotient(1)
 
     def test_size_limit_counts_the_cells_it_would_build(self, monkeypatch):
-        # (3^4 - 1)/2 = 40 nonempty cells: allowed at a limit of 40 only
-        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 40)
-        assert cross_polytope_quotient(4).n_cells == 1 + 40
-        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 39)
+        # (3^4 + 1)/2 = 41 cells with the minimum, as `from_graph` counts
+        # them: allowed at a limit of 41 only
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 41)
+        assert cross_polytope_quotient(4).n_cells == 41
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 40)
         with pytest.raises(ValueError, match=r"^the cell decomposition of "
-                                             r"RP\^3 has at least 40 cells"):
+                                             r"RP\^3 has at least 41 cells, "
+                                             r"more than the limit of 40$"):
             cross_polytope_quotient(4)
 
     def test_huge_n_is_refused_at_once(self):
@@ -274,9 +276,9 @@ class TestBoundaryOfSimplex:
 
     def test_size_limit_counts_the_cells_it_would_build(self, monkeypatch):
         # 2^4 - 1 = 15 cells: allowed at a limit of 15 only
-        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 15)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 15)
         assert boundary_of_simplex(3).n_cells == 15
-        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 14)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 14)
         with pytest.raises(ValueError, match=r"^the boundary of the "
                                              r"3-simplex has at least 15 "
                                              r"cells, more than the limit "
@@ -298,9 +300,9 @@ class TestBoundaryOfSimplex:
 
 class TestParallelEdgesGraph:
     def test_size_limit_counts_the_edges_it_would_build(self, monkeypatch):
-        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 3)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 3)
         assert len(parallel_edges_graph(3).edges) == 3
-        monkeypatch.setattr(constructions, "MAX_OUTPUT_SIZE", 2)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 2)
         with pytest.raises(ValueError, match=r"^the two-vertex graph of 3 "
                                              r"colors has 3 edges, more "
                                              r"than the limit of 2$"):

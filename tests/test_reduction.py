@@ -9,7 +9,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet import reduction
+from cellposet import posets
 from cellposet.constructions import (parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph, validate_admissible
@@ -463,9 +463,9 @@ class TestSchedule:
 
     def test_size_limit_counts_the_entries_it_would_list(self, monkeypatch):
         # C(5, 2) - 1 = 9 entries: allowed at a limit of 9, refused below
-        monkeypatch.setattr(reduction, "MAX_OUTPUT_SIZE", 9)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 9)
         assert len(cancellation_schedule(2, 3).entries) == 9
-        monkeypatch.setattr(reduction, "MAX_OUTPUT_SIZE", 8)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 8)
         with pytest.raises(ValueError, match=r"^the cancellation schedule "
                                              r"of S\^2 x S\^3 has at least 9 "
                                              r"entries, more than the limit "
@@ -611,6 +611,33 @@ class TestGreedy:
     def test_greedy_rejects_a_graph_that_is_not_admissible(self, g):
         with pytest.raises(ValueError, match="^graph is not admissible: "):
             greedy_reduce(g)
+
+    def test_huge_input_is_refused_before_the_first_dipole_test(self):
+        # V = 1008 and d = 11: at most V^2 d/4 = 2794176 dipole tests
+        g = product_spheres_graph(5, 5)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^greedy reduction of this "
+                                             r"1008-vertex 11-colored graph "
+                                             r"may make 2794176 dipole "
+                                             r"tests, more than the limit "
+                                             r"of 1000000$"):
+            greedy_reduce(g)
+        assert time.perf_counter() - start < 1
+
+    def test_size_limit_counts_the_dipole_tests_it_may_make(self,
+                                                             monkeypatch):
+        # V = 8 and d = 3: 8^2 * 3/4 = 48 tests; two vertices take none
+        g, two = product_spheres_graph(1, 1), parallel_edges_graph(3)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 48)
+        assert len(greedy_reduce(g)[0].vertices) == 6
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 47)
+        with pytest.raises(ValueError, match=r"^greedy reduction of this "
+                                             r"8-vertex 3-colored graph may "
+                                             r"make 48 dipole tests, more "
+                                             r"than the limit of 47$"):
+            greedy_reduce(g)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 0)
+        assert greedy_reduce(two) == (two, ())
 
     def test_greedy_is_a_no_op_without_dipoles(self, torus_graph):
         final, steps = greedy_reduce(torus_graph)
