@@ -18,8 +18,7 @@ from . import constructions, reduction
 from .checkers import check_manifold_h, check_rp_h, check_sphere_h
 from .graphs import (ColoredGraph, graph_from_dict, graph_to_dot,
                      graph_to_json, require_admissible, validate_admissible)
-from .homology import (betti_gf2, h_double_prime, is_homology_manifold,
-                       validate_poset)
+from .homology import _manifold, betti_gf2, h_double_prime, validate_poset
 from .posets import (SimplicialPoset, f_vector, from_graph, h_vector,
                      is_pseudomanifold, poset_from_dict, poset_to_json)
 
@@ -110,10 +109,10 @@ def cmd_invariants(args) -> int:
 
 def cmd_recognize(args) -> int:
     p = _load_poset(args.file)
-    # before anything is printed: this proves `p` simplicial or raises
-    manifold = is_homology_manifold(p)
+    # one pass, before anything is printed: proves `p` simplicial or raises
+    up, manifold = _manifold(p)
     _emit({"homology_manifold": manifold,
-           "pseudomanifold": is_pseudomanifold(p)})
+           "pseudomanifold": is_pseudomanifold(p, up=up)})
     return 0
 
 

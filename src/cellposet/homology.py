@@ -35,14 +35,16 @@ rows, on two facts.
   its row of degree t+1 is skipped (the cohomology clearing of de Silva,
   Morozov and Vejdemo-Johansson, *Dualities in persistent (co)homology*).
 
-`link_bettis` makes each rank's coboundary rows once from `_up_table`,
-grows each up-set a rank at a time through them, and runs
-`_cleared_ranks` from degree 2 up: degree 1 is c's row alone, of rank 1
-when c has coverers, and their rows, of degree 2, sum to its coboundary,
-zero, so one of them is dropped.  Nothing is checked per link:
-`_boundary_rows` proves the parent simplicial, so its boundary squares to
-zero, and every interval of a simplicial poset is boolean, so every link
-is a simplicial poset.
+`link_bettis` takes `_up_table` and each rank's coboundary rows from
+`_coboundary_pass`, grows each up-set a rank at a time through them, and
+runs `_cleared_ranks` from degree 2 up: degree 1 is c's row alone, of
+rank 1 when c has coverers, and their rows, of degree 2, sum to its
+coboundary, zero, so one of them is dropped.  Nothing is checked per
+link: the pass proves the parent simplicial by the vertex-set law and a
+zero square, as `_boundary_rows` does, but on the coboundary rows, the
+transposed boundary rows over GF(2), so it refuses the same posets (and
+has `_boundary_rows` raise).  Every interval of a simplicial poset is
+boolean, so every link is a simplicial poset.
 
 Each link is eliminated only up to its middle, by Poincaré duality
 (Munkres, *Elements of Algebraic Topology*, 1984, §63-65).  Let a cell c
@@ -291,6 +293,43 @@ def _is_cut_sphere(betti: tuple[int, ...], n: int) -> bool:
     return betti == ((1,) if n == 1 else (0,) * ((n + 1) // 2))
 
 
+def _coboundary_pass(p: SimplicialPoset) -> tuple[list, list]:
+    """The `posets._up_table` of `p` and its coboundary rows: item r holds,
+    for the i-th rank-r cell, its coverers' positions as bits.  Proves `p`
+    simplicial on the way (see the module docstring): the vertex-set law
+    by cell id, then a zero sum of each cell's coverers' rows."""
+    _require_row_bits(p)
+    verts = [0] * p.n_cells         # vertex sets by cell id
+    for i, c in enumerate(p.cells_by_rank[1] if p.d else ()):
+        verts[c] = 1 << i
+    refused = False
+    for k in range(2, p.d + 1):
+        for c in p.cells_by_rank[k]:
+            union, common = 0, -1
+            for j in p.covers[c]:
+                v = verts[j]
+                union |= v
+                common &= v
+            refused = refused or common or union.bit_count() != k
+            verts[c] = union
+    up, cob = _up_table(p), [[]]    # no rows above rank d
+    for level in reversed(up):
+        above, rows = cob[-1], []
+        bits = [1 << i for i in range(len(above))]
+        for cov in level:
+            row = image = 0
+            for i in cov:
+                row |= bits[i]
+                image ^= above[i]
+            refused = refused or image
+            rows.append(row)
+        cob.append(rows)
+    if refused:     # _boundary_rows refuses `p` too, and raises its text
+        _boundary_rows(p)
+        raise AssertionError("the two simplicial checks disagree")
+    return up, cob[:0:-1]
+
+
 def is_homology_manifold(p: SimplicialPoset) -> bool:
     """True iff the poset is pure and every vertex link is a homology
     sphere over GF(2).
@@ -301,11 +340,18 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
     beta_0 .. beta_{floor(e/2)} for a link of dimension e (see
     :func:`link_bettis`): on a pure poset, the duality lemma of the module
     docstring shows that every link passes this cut check exactly when
-    every link is a homology sphere.
-    """
-    _boundary_rows(p)       # the proof that p is simplicial; rows unkept
-    return is_pure(p) and all(_is_cut_sphere(betti, p.d - p.ranks[c])
-                              for c, betti in link_bettis(p))
+    every link is a homology sphere.  :func:`_coboundary_pass` proves `p`
+    simplicial; purity (a coverer for each cell below rank d) and the links
+    are read from its table."""
+    return _manifold(p)[1]
+
+
+def _manifold(p: SimplicialPoset) -> tuple[list[list[list[int]]], bool]:
+    """`p`'s `posets._up_table` and :func:`is_homology_manifold` verdict."""
+    up, cob = _coboundary_pass(p)
+    return up, is_pure(p, up=up) and all(
+        _is_cut_sphere(betti, p.d - p.ranks[c])
+        for c, betti in _link_bettis(p, up, cob))
 
 
 def _chain_counts(up: list[list[list[int]]]) -> tuple[list[list[int]], int]:
@@ -345,14 +391,16 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
     from the Euler characteristic.  Any other cell has its up-set grown to
     link rank s + 1 and the degrees up to min(s + 2, e + 1) eliminated.
 
-    `p` must be simplicial, as :func:`_boundary_rows` proves it: each link
-    is eliminated on the parent's coboundary rows, unmasked, with clearing
-    (see the module docstring), which is sound only then.  The rows, the
-    up-sets and :func:`_chain_counts` read one `posets._up_table`.
-    """
-    by_rank, up = p.cells_by_rank, _up_table(p)
-    # cob[r][i]: the coverer positions up[r][i] as a coboundary row
-    cob = [[sum(1 << i for i in cov) for cov in level] for level in up]
+    Each link is eliminated on the parent's coboundary rows, unmasked, with
+    clearing (see the module docstring), sound on simplicial posets only:
+    :func:`_coboundary_pass` proves `p` one on those rows, the transposed
+    boundary rows, or raises :func:`betti_gf2`'s error."""
+    return _link_bettis(p, *_coboundary_pass(p))
+
+
+def _link_bettis(p: SimplicialPoset, up, cob) -> Iterator[tuple]:
+    """:func:`link_bettis` on the output of :func:`_coboundary_pass`."""
+    by_rank = p.cells_by_rank
     chains, width = _chain_counts(up)
     unsound: set[int] = set()           # positions in the rank above
     for k in range(p.d, 0, -1):

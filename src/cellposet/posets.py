@@ -5,8 +5,9 @@ boolean lower intervals; rank-k cells are the (k-1)-dimensional cells of
 the underlying regular cell complex.  Cells are stored by integer id with
 explicit cover lists (covers point one rank down); cell 0 is the minimum.
 The constructor checks ranks and cover counts only; the lower intervals
-are proved boolean by `homology._boundary_rows`, which `betti_gf2`,
-`homology.is_homology_manifold` and `homology.validate_poset` run.
+are proved boolean in `homology` by `_boundary_rows`, for `betti_gf2` and
+`validate_poset`, and for the link test by `_coboundary_pass`, the same
+checks on the transposed rows, the coboundary rows it eliminates.
 No poset keeps its covers upward.  `_up_table` builds them on each call,
 by `_positions`, a cell's index in its rank: item r lists, for the i-th
 rank-r cell, the ascending positions in rank r + 1 of its coverers.
@@ -278,16 +279,18 @@ def h_vector(f: tuple[int, ...]) -> tuple[int, ...]:
 
 # --- pseudomanifold predicates ------------------------------------------------
 
-def is_pure(p: SimplicialPoset) -> bool:
-    return all(p.ranks[f] == p.d for f in p.facets())
+def is_pure(p: SimplicialPoset, *, up=None) -> bool:
+    """Every cell below rank d has a coverer in `up`, `p`'s `_up_table`."""
+    return all(map(all, (_up_table(p) if up is None else up)[:p.d]))
 
 
-def is_pseudomanifold(p: SimplicialPoset) -> bool:
+def is_pseudomanifold(p: SimplicialPoset, *, up=None) -> bool:
     """Pure + every ridge under exactly two facets + strongly connected
     (any two facets linked by a chain of ridge-sharing facets)."""
-    if not is_pure(p) or p.d < 1:
+    up = _up_table(p) if up is None else up
+    if not is_pure(p, up=up) or p.d < 1:
         return False
-    ridges = _up_table(p)[p.d - 1]     # each ridge's facets, by position
+    ridges = up[p.d - 1]               # each ridge's facets, by position
     if any(len(facets) != 2 for facets in ridges):
         return False
     # pure and d >= 1: a facet exists, so a ridge does, with two facets

@@ -2,7 +2,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cellposet import posets
 from cellposet.constructions import (boundary_of_simplex, connected_sum,
@@ -10,7 +10,8 @@ from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet import homology
-from cellposet.homology import (_boundary_rows, _chain_counts, _face_counts,
+from cellposet.homology import (_boundary_rows, _chain_counts,
+                                _coboundary_pass, _face_counts, _manifold,
                                 _pivots, betti_gf2, h_double_prime,
                                 is_homology_manifold, link_bettis)
 from cellposet.graphs import validate_admissible
@@ -18,8 +19,9 @@ from cellposet.posets import (SimplicialPoset, _up_table, f_vector,
                               from_graph, is_pseudomanifold, is_pure)
 
 from conftest import (admissible_graphs, betti_order_complex, gf2_rank,
-                      is_homology_sphere, link, simplex_boundary_wedge,
-                      sphere_pattern, two_pillows)
+                      is_homology_sphere, link, rewired_simplex_boundary,
+                      simplex_boundary_wedge, sphere_pattern, two_pillows,
+                      vertex_sets)
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -158,7 +160,7 @@ class TestChainComplex:
         assert [len(rows) for rows in _boundary_rows(p)] == [4, 6, 4]
         monkeypatch.setattr(posets, "MAX_ROW_BITS", 51)
         for engine in (_boundary_rows, betti_gf2, is_homology_manifold,
-                       is_homology_sphere):
+                       is_homology_sphere, link_bettis, _manifold):
             with pytest.raises(ValueError, match=(
                     r"^the chain complex has 52 bits of boundary rows, more "
                     r"than the limit of 51$")):
@@ -417,6 +419,126 @@ class TestSlicedLinks:
     def test_pillows_are_refused(self, engine, share_edge):
         with pytest.raises(ValueError, match="not a simplicial poset"):
             engine(two_pillows(share_edge))
+
+    @pytest.mark.parametrize("poset", [
+        lambda: two_pillows(False), lambda: two_pillows(True),
+        rewired_simplex_boundary])
+    def test_link_bettis_proves_its_input(self, poset):
+        # on the call, before any link is eliminated, with the error text
+        # of betti_gf2
+        p = poset()
+        with pytest.raises(ValueError) as expected:
+            betti_gf2(p)
+        assert str(expected.value).startswith("not a simplicial poset: ")
+        assert_refused_alike(p, str(expected.value))
+
+
+def transposed(rows, width: int) -> list[int]:
+    """The `width` columns of bit-packed rows, each packed as a row: bit j
+    of column i is bit i of row j."""
+    return [sum(1 << j for j, row in enumerate(rows) if row >> i & 1)
+            for i in range(width)]
+
+
+# every engine that proves its input simplicial, on either walk
+PROVING_ENGINES = (_boundary_rows, _coboundary_pass, betti_gf2,
+                   is_homology_manifold, link_bettis, _manifold)
+
+
+def assert_refused_alike(p: SimplicialPoset, message: str) -> None:
+    """Every engine of PROVING_ENGINES refuses `p` with `message`."""
+    for engine in PROVING_ENGINES:
+        with pytest.raises(ValueError) as info:
+            engine(p)
+        assert str(info.value) == message, engine
+
+
+def assert_the_rows_are_transposed(p: SimplicialPoset) -> None:
+    """`_coboundary_pass` gives `_up_table` and, for each rank below d,
+    the transpose of the boundary rows of the rank above; the rows of
+    rank d are zero."""
+    up, cob = _coboundary_pass(p)
+    assert up == _up_table(p)
+    f = f_vector(p)
+    assert [transposed(rows, width) for rows, width in zip(
+        _boundary_rows(p), f)] == cob[:p.d]
+    assert cob[p.d] == [0] * f[p.d]
+
+
+@st.composite
+def rewired_once(draw):
+    """A small simplicial poset, the boundary of a 2- to 4-simplex or the
+    poset of an admissible graph, with one cover of a cell of rank >= 2
+    moved to another cell of the same rank: the constructor's checks still
+    hold, and the result may be simplicial or not.  Half the moves go to a
+    cell with the vertex set of one of the cell's covers; in a graph poset
+    of d = 4, a move to the twin of the cover it replaces, below the top
+    rank, keeps the vertex-set law and fails the square only."""
+    if draw(st.booleans()):
+        p = boundary_of_simplex(draw(st.integers(2, 4)))
+    else:
+        p = from_graph(draw(admissible_graphs(colors=(2, 3, 4))))
+    c = draw(st.sampled_from([c for c in range(1, p.n_cells)
+                              if p.ranks[c] >= 2]))
+    pool = [x for x in p.cells_by_rank[p.ranks[c] - 1]
+            if x not in p.covers[c]]
+    if draw(st.booleans()):
+        verts = vertex_sets(p)
+        twins = {verts[j] for j in p.covers[c]}
+        pool = [x for x in pool if verts[x] in twins]
+    assume(pool)
+    slot = draw(st.integers(0, p.ranks[c] - 1))
+    covers = list(p.covers)
+    covers[c] = (covers[c][:slot] + (draw(st.sampled_from(pool)),)
+                 + covers[c][slot + 1:])
+    return SimplicialPoset(p.d, p.ranks, tuple(covers), p.labels)
+
+
+class TestTwoProofs:
+    """The link test proves its input simplicial on the coboundary rows, in
+    `_coboundary_pass`; `_boundary_rows`, the proof on the boundary rows,
+    is the oracle."""
+
+    @settings(max_examples=300)
+    @given(rewired_once())
+    def test_the_engines_refuse_what_the_boundary_walk_refuses(self, p):
+        try:
+            _boundary_rows(p)
+        except ValueError as exc:
+            assert_refused_alike(p, str(exc))
+        else:
+            for engine in PROVING_ENGINES:
+                engine(p)
+            assert_the_rows_are_transposed(p)
+
+    def test_a_zero_square_is_checked_where_the_vertex_sets_pass(self):
+        # a cell below the top rank moved onto a twin of one of its covers,
+        # a cell with the same vertex set and the same covers: each cell
+        # above it then covers the replaced cover once
+        p = from_graph(product_spheres_graph(1, 2))
+        verts = vertex_sets(p)
+        c, i, twin = next(
+            (c, i, x) for c in range(p.n_cells) if 2 <= p.ranks[c] < p.d
+            for i, b in enumerate(p.covers[c])
+            for x in p.cells_by_rank[p.ranks[b]]
+            if x != b and verts[x] == verts[b] and x not in p.covers[c])
+        covers = list(p.covers)
+        covers[c] = covers[c][:i] + (twin,) + covers[c][i + 1:]
+        q = SimplicialPoset(p.d, p.ranks, tuple(covers), p.labels)
+        assert vertex_sets(q) == verts
+        with pytest.raises(ValueError,
+                           match="boundary squared is nonzero") as info:
+            _boundary_rows(q)
+        assert_refused_alike(q, str(info.value))
+
+    @pytest.mark.parametrize("poset", [
+        lambda: SimplicialPoset(0, (0,), ((),), ("0",)),
+        lambda: boundary_of_simplex(1), lambda: boundary_of_simplex(4),
+        lambda: full_simplex_poset(3), lambda: cross_polytope_quotient(5),
+        lambda: from_graph(product_spheres_graph(1, 2)),
+        lambda: simplex_boundary_wedge(3, suspended=True)])
+    def test_simplicial_posets(self, poset):
+        assert_the_rows_are_transposed(poset())
 
 
 def assert_face_counts_match_the_oracle(p: SimplicialPoset) -> None:

@@ -508,7 +508,11 @@ class TestUpTable:
                     for cells in p.cells_by_rank]
         assert p.facets() == tuple(c for c in range(p.n_cells)
                                    if not by_id[c])
-        assert is_pseudomanifold(p) == pseudomanifold_by_definition(p)
+        # purity read from the table is the maximal cells' ranks all d
+        assert is_pure(p) == is_pure(p, up=up) == all(
+            p.ranks[c] == p.d for c in p.facets())
+        assert (is_pseudomanifold(p) == is_pseudomanifold(p, up=up)
+                == pseudomanifold_by_definition(p))
 
     @settings(max_examples=100)
     @given(rewired_posets())
