@@ -13,8 +13,11 @@ boundary of z is zero, so row q of the degree-k map is the sum of the
 rows at the other bits of z, all below q.  The pivots are distinct, so
 those z and the unit vectors off the pivots form a triangular basis of
 all k-chains, and the degree-k rank is the rank of the rows off the
-pivots: the pivot rows are never reduced.  This rests on the boundary
-squaring to zero, which `_boundary_rows` checks on every poset.
+pivots: the pivot rows are never reduced, nor built on a poset that
+`from_graph` built, simplicial by construction (see `posets`), whose rows
+are built a degree at a time, off the degree above's pivots.  This rests
+on the boundary squaring to zero, which `_boundary_rows` checks on every
+other poset.
 
 The link predicate `is_homology_manifold` needs the homology of the link
 of every cell c, the interval above it (Björner, *Posets, regular CW
@@ -125,19 +128,34 @@ def _cleared_ranks(
     (see the module docstring).
 
     ``degrees`` gives each degree as the positions of its rows and a table
-    of rows by position: a row's position is its cell's bit in the rows of
-    the degree before.
+    of rows by position, read at the kept positions only: a row's position
+    is its cell's bit in the rows of the degree before.
     """
     ranks: list[int] = []
     cleared: set[int] = set()
     for positions, rows in degrees:
-        kept = [rows[i] for i in positions if i not in cleared]
         # keep the pivot positions only (a key is its position plus one),
-        # so that one degree's reduced rows are freed before the next
-        # degree is eliminated
-        cleared = {key - 1 for key in _pivots(kept)}
+        # so that one degree's rows, as read and as reduced, are freed
+        # before the next degree's are read
+        cleared = {key - 1 for key in _pivots(
+            [rows[i] for i in positions if i not in cleared])}
         ranks.append(len(cleared))
     return ranks
+
+
+class _RowsOnDemand:
+    """The boundary rows of one rank's cells, each built when read: item i
+    has a bit at the position of each cover of the i-th cell."""
+    __slots__ = ("cells", "covers", "pos")
+
+    def __init__(self, cells, covers, pos):
+        self.cells, self.covers, self.pos = cells, covers, pos
+
+    def __getitem__(self, i: int) -> int:
+        row, pos = 0, self.pos
+        for j in self.covers[self.cells[i]]:
+            row |= 1 << pos[j]
+        return row
 
 
 def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
@@ -244,11 +262,19 @@ def validate_poset(p: SimplicialPoset) -> list[str]:
 def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:
     """Reduced GF(2) Betti vector (beta_0, ..., beta_{d-1}) of the poset,
     from the ranks of its boundary maps, eliminated from the top degree
-    down with clearing (see the module docstring).  Raises ValueError
-    when `p` is not simplicial, as the sphere and manifold tests do (see
-    :func:`_boundary_rows`)."""
-    rows = _boundary_rows(p)
-    ranks = _cleared_ranks((range(len(r)), r) for r in reversed(rows))
+    down with clearing (see the module docstring).  The rows of a poset
+    `from_graph` built are built by degree as the elimination reads them,
+    the cleared ones never; any other poset's come from
+    :func:`_boundary_rows`, which raises ValueError when `p` is not
+    simplicial, as the sphere and manifold tests do."""
+    if p._proved:
+        _require_row_bits(p)
+        pos = _positions(p)
+        degrees = ((range(len(cells)), _RowsOnDemand(cells, p.covers, pos))
+                   for cells in p.cells_by_rank[:0:-1])
+    else:
+        degrees = ((range(len(r)), r) for r in _boundary_rows(p)[::-1])
+    ranks = _cleared_ranks(degrees)
     return _betti_from_ranks(f_vector(p), ranks[::-1])
 
 
@@ -296,31 +322,37 @@ def _is_cut_sphere(betti: tuple[int, ...], n: int) -> bool:
 def _coboundary_pass(p: SimplicialPoset) -> tuple[list, list]:
     """The `posets._up_table` of `p` and its coboundary rows: item r holds,
     for the i-th rank-r cell, its coverers' positions as bits.  Proves `p`
-    simplicial on the way (see the module docstring): the vertex-set law
-    by cell id, then a zero sum of each cell's coverers' rows."""
+    simplicial on the way (see the module docstring), unless `from_graph`
+    built it: the vertex-set law by cell id, then a zero sum of each
+    cell's coverers' rows."""
     _require_row_bits(p)
-    verts = [0] * p.n_cells         # vertex sets by cell id
-    for i, c in enumerate(p.cells_by_rank[1] if p.d else ()):
-        verts[c] = 1 << i
-    refused = False
-    for k in range(2, p.d + 1):
-        for c in p.cells_by_rank[k]:
-            union, common = 0, -1
-            for j in p.covers[c]:
-                v = verts[j]
-                union |= v
-                common &= v
-            refused = refused or common or union.bit_count() != k
-            verts[c] = union
+    refused, proved = False, p._proved
+    if not proved:
+        verts = [0] * p.n_cells         # vertex sets by cell id
+        for i, c in enumerate(p.cells_by_rank[1] if p.d else ()):
+            verts[c] = 1 << i
+        for k in range(2, p.d + 1):
+            for c in p.cells_by_rank[k]:
+                union, common = 0, -1
+                for j in p.covers[c]:
+                    v = verts[j]
+                    union |= v
+                    common &= v
+                refused = refused or common or union.bit_count() != k
+                verts[c] = union
     up, cob = _up_table(p), [[]]    # no rows above rank d
     for level in reversed(up):
         above, rows = cob[-1], []
         bits = [1 << i for i in range(len(above))]
         for cov in level:
             row = image = 0
-            for i in cov:
-                row |= bits[i]
-                image ^= above[i]
+            if proved:
+                for i in cov:
+                    row |= bits[i]
+            else:
+                for i in cov:
+                    row |= bits[i]
+                    image ^= above[i]
             refused = refused or image
             rows.append(row)
         cob.append(rows)

@@ -7,7 +7,9 @@ explicit cover lists (covers point one rank down); cell 0 is the minimum.
 The constructor checks ranks and cover counts only; the lower intervals
 are proved boolean in `homology` by `_boundary_rows`, for `betti_gf2` and
 `validate_poset`, and for the link test by `_coboundary_pass`, the same
-checks on the transposed rows, the coboundary rows it eliminates.
+checks on the transposed rows, the coboundary rows it eliminates.  On a
+poset `from_graph` built, boolean by construction (below), only
+`validate_poset` runs them.
 No poset keeps its covers upward.  `_up_table` builds them on each call,
 by `_positions`, a cell's index in its rank: item r lists, for the i-th
 rank-r cell, the ascending positions in rank r + 1 of its coverers.
@@ -30,7 +32,11 @@ refused before any cell is built.
 The output skips the constructor's checks, which the construction meets:
 ranks lie in 0..d, the graph is connected (one rank-0 cell), and a cell
 (H, S) covers one cell of rank one lower per color outside S, each of a
-distinct color set; labels are strings, as vertex labels are.
+distinct color set; labels are strings, as vertex labels are.  It is
+simplicial: the cells below (H, S) are the (H', S') with S' a superset
+of S, one for each S', the component of the S'-colored subgraph that
+holds H, so [0, (H, S)] is the boolean lattice on [d] - S.  So the output
+is marked `_proved`, which no field, argument or other builder sets.
 
 `poset_to_json` writes ``{"cells": [{"covers", "id", "label", "rank"}],
 "d"}`` as `graphs.graph_to_json` writes graphs: sorted keys, a two-space
@@ -92,6 +98,7 @@ class SimplicialPoset:
     ranks: tuple[int, ...]
     covers: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
+    _proved = False     # set by `from_graph` alone (module docstring)
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(self.ranks))
@@ -252,10 +259,10 @@ def from_graph(g: ColoredGraph) -> SimplicialPoset:
                                     map(at[mask | 1 << i].__getitem__, comps)))
                             for i in missing])
 
-    # the constructor's checks hold by construction (module docstring)
+    # the construction meets the checks and the proof (module docstring)
     p = object.__new__(SimplicialPoset)
     p.__dict__.update(d=d, ranks=tuple(ranks), covers=tuple(covers),
-                      labels=tuple(labels))
+                      labels=tuple(labels), _proved=True)
     return p
 
 

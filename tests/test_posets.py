@@ -1,25 +1,30 @@
+import inspect
 import json
 import time
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cellposet.constructions import (_rp_graph, boundary_of_simplex,
-                                     cross_polytope_quotient,
+                                     connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph
-from cellposet import posets
-from cellposet.homology import (_boundary_rows, betti_gf2, link_bettis,
+from cellposet import homology, posets
+from cellposet.homology import (_RowsOnDemand, _boundary_rows,
+                                _coboundary_pass, betti_gf2,
+                                is_homology_manifold, link_bettis,
                                 validate_poset)
 from cellposet.posets import (SimplicialPoset, _up_table, f_vector,
                               from_graph, h_vector, is_pseudomanifold,
                               is_pure, poset_from_dict, poset_to_json)
 
-from conftest import (admissible_graphs, bfs_roots, complex_from_facets,
-                      coverers, json_labels, link, poset_to_dict,
+from conftest import (admissible_graphs, betti_order_complex, bfs_roots,
+                      complex_from_facets, coverers, gf2_rank, json_labels,
+                      link, poset_to_dict,
                       proper_coloring,
                       rewired_simplex_boundary, shuffled, to_graph,
                       two_pillows, vertex_sets)
@@ -104,10 +109,15 @@ def is_normal(p: SimplicialPoset) -> bool:
 
 
 def assert_passes_the_constructor_checks(p: SimplicialPoset) -> None:
-    """`from_graph` skips the checks of the `SimplicialPoset` constructor:
-    its output must pass them, and `validate_poset` too."""
+    """`from_graph` skips the checks of the `SimplicialPoset` constructor
+    and the simplicial proof, and marks its output: that output must pass
+    the checks, and `validate_poset` too, whose walk ignores the mark."""
+    assert p._proved
     assert SimplicialPoset(p.d, p.ranks, p.covers, p.labels) == p
-    assert validate_poset(p) == []
+    with mock.patch.object(homology, "_boundary_rows",
+                           wraps=homology._boundary_rows) as walk:
+        assert validate_poset(p) == []
+    walk.assert_called_once_with(p)
 
 
 class TestFromGraph:
@@ -261,7 +271,8 @@ class TestFromGraph:
         with pytest.raises(ValueError, match="^the chain complex of this "
                                              "5-colored graph has 6738 bits"):
             from_graph(g)
-        for engine in (betti_gf2, validate_poset):
+        for engine in (betti_gf2, validate_poset, link_bettis,
+                       is_homology_manifold):
             with pytest.raises(ValueError, match=(
                     r"^the chain complex has 6738 bits of boundary rows, "
                     r"more than the limit of 6737$")):
@@ -457,6 +468,98 @@ class TestSimplicialOracle:
     @given(rewired_posets())
     def test_validation_matches_the_definition(self, p):
         assert (validate_poset(p) == []) == boolean_by_definition(p)
+
+
+def unmarked(p: SimplicialPoset) -> SimplicialPoset:
+    """`p` through the constructor, which never marks a poset proved."""
+    return SimplicialPoset(p.d, p.ranks, p.covers, p.labels)
+
+
+def rows_on_demand(p: SimplicialPoset) -> list[list[int]]:
+    """Every row `betti_gf2` may build for a marked poset, by rank."""
+    pos = posets._positions(p)
+    return [[_RowsOnDemand(cells, p.covers, pos)[i] for i in range(len(cells))]
+            for cells in p.cells_by_rank[1:]]
+
+
+def assert_the_row_sources_agree(p: SimplicialPoset) -> None:
+    """The marked `p` and its unmarked copy give `betti_gf2` and
+    `_coboundary_pass` the same rows and results."""
+    q = unmarked(p)
+    assert rows_on_demand(p) == list(map(list, _boundary_rows(q)))
+    assert _coboundary_pass(p) == _coboundary_pass(q)
+    assert betti_gf2(p) == betti_gf2(q)
+    if p.n_cells < 200:     # the order complex grows as d! per facet
+        assert betti_gf2(p) == betti_order_complex(p)
+
+
+NOT_SIMPLICIAL = (two_pillows, lambda: two_pillows(True),
+                  rewired_simplex_boundary)
+NOT_SIMPLICIAL_IDS = ("pillows", "pillows-sharing-an-edge", "rewired")
+
+
+class TestTheProofMark:
+    """`from_graph` marks its output simplicial by construction, and
+    `betti_gf2` and the link test then skip the proof, `betti_gf2`
+    building the uncleared rows only."""
+
+    def test_only_from_graph_marks_its_output(self, torus_graph):
+        p = from_graph(torus_graph)
+        s = boundary_of_simplex(3)
+        assert p._proved and cross_polytope_quotient(4)._proved
+        for q in (unmarked(p), poset_from_dict(poset_to_dict(p)), s,
+                  connected_sum(s, s, s.facets()[0], s.facets()[1]),
+                  reference_from_graph(torus_graph)):
+            assert not q._proved
+        # the mark is no field: equality, repr and JSON do not see it
+        assert p == unmarked(p) and repr(p) == repr(unmarked(p))
+        assert poset_to_json(p) == poset_to_json(unmarked(p))
+        assert "_proved" not in inspect.signature(SimplicialPoset).parameters
+
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_the_mark_is_honest_and_the_row_sources_agree(self, g):
+        p, q = from_graph(g), reference_from_graph(g)
+        assert boolean_by_definition(p)
+        assert rows_on_demand(p) == list(map(list, _boundary_rows(p)))
+        assert _coboundary_pass(p) == _coboundary_pass(q)
+        assert betti_gf2(p) == betti_gf2(q) == betti_order_complex(p)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+    def test_products(self, n, m):
+        assert_the_row_sources_agree(from_graph(product_spheres_graph(n, m)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_quotients(self, n):
+        assert_the_row_sources_agree(cross_polytope_quotient(n))
+
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_cleared_rows_are_never_built(self, g):
+        # degree d reads every row, degree k < d the f_k - rank(d_{k+1})
+        # rows off the pivots of degree k + 1
+        p = from_graph(g)
+        ranks = [gf2_rank(rows) for rows in _boundary_rows(p)]
+        with mock.patch.object(_RowsOnDemand, "__getitem__", autospec=True,
+                               side_effect=_RowsOnDemand.__getitem__) as read:
+            betti_gf2(p)
+        assert read.call_count == p.n_cells - 1 - sum(ranks[1:])
+
+    @pytest.mark.parametrize("build", NOT_SIMPLICIAL, ids=NOT_SIMPLICIAL_IDS)
+    def test_validate_poset_ignores_the_mark(self, build):
+        # a forged mark on a poset that is not simplicial: the walk still
+        # runs and reports it
+        p = build()
+        violations = validate_poset(p)
+        p.__dict__["_proved"] = True
+        assert validate_poset(p) == violations != []
+
+    @pytest.mark.parametrize("build", NOT_SIMPLICIAL, ids=NOT_SIMPLICIAL_IDS)
+    def test_every_engine_refuses_with_the_walks_text(self, build):
+        p = build()
+        (violation,) = validate_poset(p)
+        for engine in (betti_gf2, link_bettis, is_homology_manifold):
+            with pytest.raises(ValueError) as refusal:
+                engine(p)
+            assert str(refusal.value) == violation
 
 
 class TestPredicates:
