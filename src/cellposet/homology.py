@@ -13,11 +13,12 @@ boundary of z is zero, so row q of the degree-k map is the sum of the
 rows at the other bits of z, all below q.  The pivots are distinct, so
 those z and the unit vectors off the pivots form a triangular basis of
 all k-chains, and the degree-k rank is the rank of the rows off the
-pivots: the pivot rows are never reduced, nor built on a poset that
-`from_graph` built, simplicial by construction (see `posets`), whose rows
-are built a degree at a time, off the degree above's pivots.  This rests
-on the boundary squaring to zero, which `_boundary_rows` checks on every
-other poset.
+pivots: the pivot rows are never reduced, nor built, as each degree's
+rows are built when the elimination reads them.  This rests on the
+boundary squaring to zero, so on `p` being simplicial, which every engine
+but `validate_poset` learns from `_require_simplicial` alone: `from_graph`
+marks its output simplicial by construction (see `posets`), and
+`_check_simplicial` proves any other poset one.
 
 The link predicate `is_homology_manifold` needs the homology of the link
 of every cell c, the interval above it (Björner, *Posets, regular CW
@@ -43,11 +44,9 @@ rows, on two facts.
 runs `_cleared_ranks` from degree 2 up: degree 1 is c's row alone, of
 rank 1 when c has coverers, and their rows, of degree 2, sum to its
 coboundary, zero, so one of them is dropped.  Nothing is checked per
-link: the pass proves the parent simplicial by the vertex-set law and a
-zero square, as `_boundary_rows` does, but on the coboundary rows, the
-transposed boundary rows over GF(2), so it refuses the same posets (and
-has `_boundary_rows` raise).  Every interval of a simplicial poset is
-boolean, so every link is a simplicial poset.
+link: the pass runs `_require_simplicial` on the parent first, as
+`betti_gf2` does, and every interval of a simplicial poset is boolean, so
+every link is a simplicial poset.
 
 Each link is eliminated only up to its middle, by Poincaré duality
 (Munkres, *Elements of Algebraic Topology*, 1984, §63-65).  Let a cell c
@@ -170,15 +169,11 @@ def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
                  for i in range(len(dims) - 1))
 
 
-def _boundary_rows(p: SimplicialPoset) -> list[tuple[int, ...]]:
-    """The boundary maps of degrees 1..d of the augmented cellular chain
-    complex of `p` over GF(2), the minimum serving as the augmentation
-    generator: item k-1 holds one bit-packed row per rank-k cell.
-
-    The rows are built in one walk over the covers that also proves `p`
-    simplicial; it raises ValueError ("not a simplicial poset: ...") at
-    the first cell where the proof fails.  For each cell c of rank k >= 2
-    the walk checks two things:
+def _check_simplicial(p: SimplicialPoset) -> None:
+    """Prove `p` simplicial in one walk over the covers, or raise
+    ValueError ("not a simplicial poset: ...") at the first cell where the
+    proof fails.  For each cell c of rank k >= 2 the walk checks two
+    things:
 
     * the boundary of the boundary of c is zero (over GF(2));
     * the vertex-set law: c's k covers carry k distinct (k-1)-subsets
@@ -200,16 +195,15 @@ def _boundary_rows(p: SimplicialPoset) -> list[tuple[int, ...]]:
     subsets of V(c), with x <= y exactly when V(x) is a subset of
     V(y): [0, c] is the boolean lattice on V(c).
 
-    Vertex sets are bitmasks over the rank-1 cells, and only those of
-    two adjacent ranks are kept.  A poset whose rows would pass
-    ``MAX_ROW_BITS`` is refused before any row is built.
+    The boundary rows, as `betti_gf2` builds them, and the vertex sets,
+    bitmasks over the rank-1 cells, are kept for two adjacent ranks only,
+    and neither is returned.  The caller refuses a poset whose rows would
+    pass ``MAX_ROW_BITS`` first.
     """
-    _require_row_bits(p)
     by_rank, covers, pos = p.cells_by_rank, p.covers, _positions(p)
     # a rank-1 cell covers the minimum, and is its own vertex set
-    rows: tuple[int, ...] = (1,) * len(by_rank[1]) if p.d else ()
+    rows = [1] * len(by_rank[1]) if p.d else []
     verts = [1 << i for i in range(len(rows))]
-    boundaries = [rows] if p.d else []
     for k in range(2, p.d + 1):
         lower, lower_verts = rows, verts
         rows, verts = [], []
@@ -238,22 +232,30 @@ def _boundary_rows(p: SimplicialPoset) -> list[tuple[int, ...]]:
                     f"vertex sets among its covers, expected {k} of each")
             rows.append(row)
             verts.append(union)
-        rows = tuple(rows)
-        boundaries.append(rows)
-    return boundaries
+
+
+def _require_simplicial(p: SimplicialPoset) -> None:
+    """The one gate of `betti_gf2` and the link test: refuse `p` when its
+    boundary rows would pass ``MAX_ROW_BITS``, then, unless `from_graph`
+    marked it simplicial by construction, when :func:`_check_simplicial`
+    finds it is not.  No other code here reads the mark."""
+    _require_row_bits(p)
+    if not p._proved:
+        _check_simplicial(p)
 
 
 def validate_poset(p: SimplicialPoset) -> list[str]:
     """The violations of a simplicial poset: ``d`` above every cell's rank,
-    and the first cell where :func:`_boundary_rows` finds a lower interval
-    that is not boolean.  Empty when `p` is simplicial.  A poset whose
-    boundary rows would pass ``MAX_ROW_BITS`` raises ValueError: it is
-    too large to check, which is no violation."""
+    and the first cell where :func:`_check_simplicial` finds a lower
+    interval that is not boolean, on every poset, marked or not.  Empty
+    when `p` is simplicial.  A poset whose boundary rows would pass
+    ``MAX_ROW_BITS`` raises ValueError: it is too large to check, which is
+    no violation."""
     _require_row_bits(p)
     gap = _rank_gap(p)
     violations = [gap] if gap else []
     try:
-        _boundary_rows(p)
+        _check_simplicial(p)
     except ValueError as exc:
         violations.append(str(exc))
     return violations
@@ -262,19 +264,15 @@ def validate_poset(p: SimplicialPoset) -> list[str]:
 def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:
     """Reduced GF(2) Betti vector (beta_0, ..., beta_{d-1}) of the poset,
     from the ranks of its boundary maps, eliminated from the top degree
-    down with clearing (see the module docstring).  The rows of a poset
-    `from_graph` built are built by degree as the elimination reads them,
-    the cleared ones never; any other poset's come from
-    :func:`_boundary_rows`, which raises ValueError when `p` is not
-    simplicial, as the sphere and manifold tests do."""
-    if p._proved:
-        _require_row_bits(p)
-        pos = _positions(p)
-        degrees = ((range(len(cells)), _RowsOnDemand(cells, p.covers, pos))
-                   for cells in p.cells_by_rank[:0:-1])
-    else:
-        degrees = ((range(len(r)), r) for r in _boundary_rows(p)[::-1])
-    ranks = _cleared_ranks(degrees)
+    down with clearing (see the module docstring).  After
+    :func:`_require_simplicial`, which raises ValueError when `p` is not
+    simplicial, as the sphere and manifold tests do, each degree's rows
+    are built as the elimination reads them, the cleared ones never."""
+    _require_simplicial(p)
+    pos = _positions(p)
+    ranks = _cleared_ranks(
+        (range(len(cells)), _RowsOnDemand(cells, p.covers, pos))
+        for cells in p.cells_by_rank[:0:-1])
     return _betti_from_ranks(f_vector(p), ranks[::-1])
 
 
@@ -321,44 +319,18 @@ def _is_cut_sphere(betti: tuple[int, ...], n: int) -> bool:
 
 def _coboundary_pass(p: SimplicialPoset) -> tuple[list, list]:
     """The `posets._up_table` of `p` and its coboundary rows: item r holds,
-    for the i-th rank-r cell, its coverers' positions as bits.  Proves `p`
-    simplicial on the way (see the module docstring), unless `from_graph`
-    built it: the vertex-set law by cell id, then a zero sum of each
-    cell's coverers' rows."""
-    _require_row_bits(p)
-    refused, proved = False, p._proved
-    if not proved:
-        verts = [0] * p.n_cells         # vertex sets by cell id
-        for i, c in enumerate(p.cells_by_rank[1] if p.d else ()):
-            verts[c] = 1 << i
-        for k in range(2, p.d + 1):
-            for c in p.cells_by_rank[k]:
-                union, common = 0, -1
-                for j in p.covers[c]:
-                    v = verts[j]
-                    union |= v
-                    common &= v
-                refused = refused or common or union.bit_count() != k
-                verts[c] = union
+    for the i-th rank-r cell, its coverers' positions as bits.  Runs
+    :func:`_require_simplicial` first."""
+    _require_simplicial(p)
     up, cob = _up_table(p), [[]]    # no rows above rank d
     for level in reversed(up):
-        above, rows = cob[-1], []
-        bits = [1 << i for i in range(len(above))]
+        bits, rows = [1 << i for i in range(len(cob[-1]))], []
         for cov in level:
-            row = image = 0
-            if proved:
-                for i in cov:
-                    row |= bits[i]
-            else:
-                for i in cov:
-                    row |= bits[i]
-                    image ^= above[i]
-            refused = refused or image
+            row = 0
+            for i in cov:
+                row |= bits[i]
             rows.append(row)
         cob.append(rows)
-    if refused:     # _boundary_rows refuses `p` too, and raises its text
-        _boundary_rows(p)
-        raise AssertionError("the two simplicial checks disagree")
     return up, cob[:0:-1]
 
 
@@ -372,9 +344,9 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
     beta_0 .. beta_{floor(e/2)} for a link of dimension e (see
     :func:`link_bettis`): on a pure poset, the duality lemma of the module
     docstring shows that every link passes this cut check exactly when
-    every link is a homology sphere.  :func:`_coboundary_pass` proves `p`
-    simplicial; purity (a coverer for each cell below rank d) and the links
-    are read from its table."""
+    every link is a homology sphere.  :func:`_coboundary_pass` refuses `p`
+    unless simplicial (:func:`_require_simplicial`); purity (a coverer for
+    each cell below rank d) and the links are read from its table."""
     return _manifold(p)[1]
 
 
@@ -425,8 +397,9 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
 
     Each link is eliminated on the parent's coboundary rows, unmasked, with
     clearing (see the module docstring), sound on simplicial posets only:
-    :func:`_coboundary_pass` proves `p` one on those rows, the transposed
-    boundary rows, or raises :func:`betti_gf2`'s error."""
+    :func:`_coboundary_pass` builds those rows after
+    :func:`_require_simplicial`, which raises :func:`betti_gf2`'s error on
+    any other poset."""
     return _link_bettis(p, *_coboundary_pass(p))
 
 

@@ -5,11 +5,10 @@ boolean lower intervals; rank-k cells are the (k-1)-dimensional cells of
 the underlying regular cell complex.  Cells are stored by integer id with
 explicit cover lists (covers point one rank down); cell 0 is the minimum.
 The constructor checks ranks and cover counts only; the lower intervals
-are proved boolean in `homology` by `_boundary_rows`, for `betti_gf2` and
-`validate_poset`, and for the link test by `_coboundary_pass`, the same
-checks on the transposed rows, the coboundary rows it eliminates.  On a
-poset `from_graph` built, boolean by construction (below), only
-`validate_poset` runs them.
+are proved boolean in `homology` by one walk, `_check_simplicial`, which
+`validate_poset` runs on every poset and `_require_simplicial`, the gate of
+`betti_gf2` and the link test, on every poset but those `from_graph`
+built, boolean by construction (below).
 No poset keeps its covers upward.  `_up_table` builds them on each call,
 by `_positions`, a cell's index in its rank: item r lists, for the i-th
 rank-r cell, the ascending positions in rank r + 1 of its coverers.
@@ -36,7 +35,8 @@ distinct color set; labels are strings, as vertex labels are.  It is
 simplicial: the cells below (H, S) are the (H', S') with S' a superset
 of S, one for each S', the component of the S'-colored subgraph that
 holds H, so [0, (H, S)] is the boolean lattice on [d] - S.  So the output
-is marked `_proved`, which no field, argument or other builder sets.
+is marked `_proved`, which no field, argument or other builder sets, and
+which only `homology._require_simplicial` reads.
 
 `poset_to_json` writes ``{"cells": [{"covers", "id", "label", "rank"}],
 "d"}`` as `graphs.graph_to_json` writes graphs: sorted keys, a two-space

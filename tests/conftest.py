@@ -9,11 +9,14 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from cellposet.constructions import (_interval_by_vertices, _rule_pair,
-                                     block_label)
+                                     block_label, boundary_of_simplex,
+                                     cross_polytope_quotient,
+                                     product_spheres_graph)
 from cellposet.graphs import (ColoredGraph, graph_from_dict,
                               validate_admissible)
 from cellposet.homology import betti_gf2, is_homology_manifold
-from cellposet.posets import SimplicialPoset, is_pseudomanifold, is_pure
+from cellposet.posets import (SimplicialPoset, from_graph,
+                              is_pseudomanifold, is_pure)
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -206,6 +209,17 @@ def gf2_rank(rows) -> int:
                 break
             row ^= basis[top]
     return len(basis)
+
+
+def boundary_rows(p: SimplicialPoset) -> list[list[int]]:
+    """Oracle for the rows `homology.betti_gf2` eliminates, the boundary
+    maps of degrees 1..d of the augmented cellular chain complex over
+    GF(2): item k-1 holds, for each rank-k cell in `cells_by_rank` order,
+    a bit at the index within its rank of each cell it covers, the
+    minimum, bit 0, serving as the augmentation generator."""
+    index = {c: i for cells in p.cells_by_rank for i, c in enumerate(cells)}
+    return [[sum(1 << index[j] for j in p.covers[c]) for c in cells]
+            for cells in p.cells_by_rank[1:]]
 
 
 def betti_order_complex(p: SimplicialPoset) -> tuple[int, ...]:
@@ -490,6 +504,62 @@ def rewired_simplex_boundary() -> SimplicialPoset:
         ((), (0,), (0,), (0,), (0,), (1, 2), (1, 3), (1, 2), (2, 3), (2, 4),
          (3, 4), (5, 6, 8), (5, 7, 9), (6, 7, 5), (8, 9, 10)),
         tuple(map(str, range(15))))
+
+
+def unmarked(p: SimplicialPoset) -> SimplicialPoset:
+    """`p` through the constructor, which never marks a poset proved."""
+    return SimplicialPoset(p.d, p.ranks, p.covers, p.labels)
+
+
+def boolean_by_definition(p: SimplicialPoset) -> bool:
+    """Oracle for the simplicial check, from the definition: each cell's
+    lower interval [0, c] maps one to one onto the subsets of c's vertex
+    set (cell to vertex set), and the covers of every cell are the cells
+    with one of its vertices removed."""
+    below: list[set[int]] = [set() for _ in range(p.n_cells)]
+    for c in sorted(range(p.n_cells), key=p.ranks.__getitem__):
+        below[c] = {c}.union(*(below[j] for j in p.covers[c]))
+    verts = [frozenset(x for x in below[c] if p.ranks[x] == 1)
+             for c in range(p.n_cells)]
+    for c in range(p.n_cells):
+        if (len({verts[x] for x in below[c]}) != len(below[c])
+                or len(below[c]) != 2 ** len(verts[c])):
+            return False
+        faces = [verts[j] for j in p.covers[c]]
+        if sorted(faces, key=sorted) != sorted(
+                (verts[c] - {v} for v in verts[c]), key=sorted):
+            return False
+    return True
+
+
+SIMPLICIAL_BASES = (
+    boundary_of_simplex(3), boundary_of_simplex(4),
+    cross_polytope_quotient(4), cross_polytope_quotient(5),
+    from_graph(product_spheres_graph(1, 2)))
+REWIRING_BASES = SIMPLICIAL_BASES + (two_pillows(False), two_pillows(True))
+
+
+@st.composite
+def rewired_posets(draw):
+    """A small poset with one or two covers moved to another cell of the
+    same rank; the constructor's checks still hold.  Half the moves go to
+    a cell with the vertex set of one of the cell's covers, the move that
+    keeps every face count of a simplex."""
+    p = draw(st.sampled_from(REWIRING_BASES))
+    covers = list(p.covers)
+    verts = vertex_sets(p)
+    upper = [c for c in range(p.n_cells) if p.ranks[c] >= 2]
+    for _ in range(draw(st.integers(1, 2))):
+        c = draw(st.sampled_from(upper))
+        slot = draw(st.integers(0, p.ranks[c] - 1))
+        pool = p.cells_by_rank[p.ranks[c] - 1]
+        if draw(st.booleans()):
+            twins = {verts[j] for j in covers[c]}
+            pool = [x for x in pool if verts[x] in twins]
+        new = draw(st.sampled_from(pool))
+        if new not in covers[c]:
+            covers[c] = covers[c][:slot] + (new,) + covers[c][slot + 1:]
+    return SimplicialPoset(p.d, p.ranks, tuple(covers), p.labels)
 
 
 def complex_from_facets(d: int, facets) -> SimplicialPoset:

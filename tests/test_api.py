@@ -135,20 +135,27 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def uses(tree: ast.AST):
-    """Yield (name, the names of the defs and classes around it) for every
-    Name and Attribute node of `tree`."""
+def owned_nodes(tree: ast.AST):
+    """Yield (node, the names of the defs and classes around it, its own
+    included) for every node of `tree`."""
     stack = [(tree, frozenset())]
     while stack:
         node, owners = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             owners |= {node.name}
+        yield node, owners
+        stack += [(child, owners) for child in ast.iter_child_nodes(node)]
+
+
+def uses(tree: ast.AST):
+    """Yield (name, the names of the defs and classes around it) for every
+    Name and Attribute node of `tree`."""
+    for node, owners in owned_nodes(tree):
         if isinstance(node, ast.Name):
             yield node.id, owners
         elif isinstance(node, ast.Attribute):
             yield node.attr, owners
-        stack += [(child, owners) for child in ast.iter_child_nodes(node)]
 
 
 def test_every_public_name_has_a_consumer():
@@ -182,6 +189,28 @@ def test_every_private_helper_has_a_consumer():
                 if name not in owners}
     assert private
     assert sorted(private - consumed) == []
+
+
+def test_the_proof_mark_has_one_writer_and_one_reader():
+    """`_proved` is given a value only in `posets` (its default and
+    `from_graph`), and read only by `homology._require_simplicial`, so
+    that no other code can skip the simplicial proof.  A keyword or a
+    string naming it counts as a write."""
+    package = Path(cellposet.__file__).parent
+    writers, readers = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node, owners in owned_nodes(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name == "_proved" and isinstance(node.ctx, ast.Load):
+                readers.append((path.stem, owners))
+            elif name == "_proved" or (
+                    isinstance(node, ast.keyword) and node.arg == "_proved"
+                    or isinstance(node, ast.Constant)
+                    and node.value == "_proved"):
+                writers.add(path.stem)
+    assert writers == {"posets"}
+    assert readers == [("homology", {"_require_simplicial"})]
 
 
 def resolves(root, dotted: str) -> bool:

@@ -1,5 +1,6 @@
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,18 +11,20 @@ from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet import homology
-from cellposet.homology import (_boundary_rows, _chain_counts,
+from cellposet.homology import (_chain_counts, _check_simplicial,
                                 _coboundary_pass, _face_counts, _manifold,
-                                _pivots, betti_gf2, h_double_prime,
-                                is_homology_manifold, link_bettis)
+                                _pivots, _require_simplicial, betti_gf2,
+                                h_double_prime, is_homology_manifold,
+                                link_bettis, validate_poset)
 from cellposet.graphs import validate_admissible
 from cellposet.posets import (SimplicialPoset, _up_table, f_vector,
                               from_graph, is_pseudomanifold, is_pure)
 
-from conftest import (admissible_graphs, betti_order_complex, gf2_rank,
-                      is_homology_sphere, link, rewired_simplex_boundary,
-                      simplex_boundary_wedge, sphere_pattern, two_pillows,
-                      vertex_sets)
+from conftest import (admissible_graphs, betti_order_complex,
+                      boolean_by_definition, boundary_rows, gf2_rank,
+                      is_homology_sphere, link, rewired_posets,
+                      rewired_simplex_boundary, simplex_boundary_wedge,
+                      sphere_pattern, two_pillows, unmarked, vertex_sets)
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -139,7 +142,7 @@ class TestChainComplex:
             ((), (0,), (0,), (0,), (0,), (1, 2), (2, 3), (1, 4), (5, 6, 7)),
             tuple("abcdefghi"))
         with pytest.raises(ValueError, match="boundary squared"):
-            _boundary_rows(p)
+            _check_simplicial(p)
 
     def test_manifold_test_checks_the_boundary_first(self):
         # the links of this poset are never eliminated: the one check on
@@ -157,17 +160,40 @@ class TestChainComplex:
         # 4*1 + 6*4 + 4*6 = 52 bits: allowed at a limit of 52 only
         p = boundary_of_simplex(3)
         monkeypatch.setattr(posets, "MAX_ROW_BITS", 52)
-        assert [len(rows) for rows in _boundary_rows(p)] == [4, 6, 4]
+        assert [len(rows) for rows in boundary_rows(p)] == [4, 6, 4]
+        assert validate_poset(p) == [] and betti_gf2(p) == (0, 0, 1)
         monkeypatch.setattr(posets, "MAX_ROW_BITS", 51)
-        for engine in (_boundary_rows, betti_gf2, is_homology_manifold,
+        for engine in (validate_poset, betti_gf2, is_homology_manifold,
                        is_homology_sphere, link_bettis, _manifold):
             with pytest.raises(ValueError, match=(
                     r"^the chain complex has 52 bits of boundary rows, more "
                     r"than the limit of 51$")):
                 engine(p)
 
+    @pytest.mark.parametrize("marked", [True, False])
+    @pytest.mark.parametrize("engine", [
+        betti_gf2, validate_poset, is_homology_manifold,
+        lambda p: list(link_bettis(p))],
+        ids=["betti_gf2", "validate_poset", "is_homology_manifold",
+             "link_bettis"])
+    def test_the_row_bit_guard_runs_once_and_first(self, engine, marked):
+        p = from_graph(product_spheres_graph(1, 2))
+        p = p if marked else unmarked(p)
+        with mock.patch.object(homology, "_require_row_bits",
+                               wraps=posets._require_row_bits) as guard:
+            engine(p)
+        guard.assert_called_once_with(p)
+        # a refusal comes before any proof or row is built
+        with mock.patch.object(homology, "_require_row_bits",
+                               side_effect=ValueError("refused")), \
+                mock.patch.object(homology, "_positions") as positions, \
+                mock.patch.object(homology, "_up_table") as up:
+            with pytest.raises(ValueError, match="^refused$"):
+                engine(p)
+        assert not positions.called and not up.called
+
     def test_augmentation_row(self, torus_graph):
-        rows = _boundary_rows(from_graph(torus_graph))
+        rows = boundary_rows(from_graph(torus_graph))
         assert all(row == 1 for row in rows[0])
 
 
@@ -178,7 +204,7 @@ def per_degree_betti(p: SimplicialPoset) -> tuple[int, ...]:
     ranks: beta_{d-1} fixes the degree-d rank, and each beta_{k-1} then
     fixes the degree-k rank."""
     f = f_vector(p)
-    ranks = [gf2_rank(rows) for rows in _boundary_rows(p)] + [0]
+    ranks = [gf2_rank(rows) for rows in boundary_rows(p)] + [0]
     return tuple(f[k] - ranks[k - 1] - ranks[k] for k in range(1, p.d + 1))
 
 
@@ -411,7 +437,7 @@ class TestSlicedLinks:
         # is refused, so no link is eliminated
         p = two_pillows()
         with pytest.raises(ValueError, match="not a simplicial poset"):
-            _boundary_rows(p)
+            _check_simplicial(p)
 
     @pytest.mark.parametrize("share_edge", [False, True])
     @pytest.mark.parametrize("engine", [betti_gf2, is_homology_manifold,
@@ -440,9 +466,9 @@ def transposed(rows, width: int) -> list[int]:
             for i in range(width)]
 
 
-# every engine that proves its input simplicial, on either walk
-PROVING_ENGINES = (_boundary_rows, _coboundary_pass, betti_gf2,
-                   is_homology_manifold, link_bettis, _manifold)
+# every engine that proves its input simplicial, by the one walk
+PROVING_ENGINES = (_check_simplicial, _require_simplicial, _coboundary_pass,
+                   betti_gf2, is_homology_manifold, link_bettis, _manifold)
 
 
 def assert_refused_alike(p: SimplicialPoset, message: str) -> None:
@@ -461,7 +487,7 @@ def assert_the_rows_are_transposed(p: SimplicialPoset) -> None:
     assert up == _up_table(p)
     f = f_vector(p)
     assert [transposed(rows, width) for rows, width in zip(
-        _boundary_rows(p), f)] == cob[:p.d]
+        boundary_rows(p), f)] == cob[:p.d]
     assert cob[p.d] == [0] * f[p.d]
 
 
@@ -495,21 +521,24 @@ def rewired_once(draw):
 
 
 class TestTwoProofs:
-    """The link test proves its input simplicial on the coboundary rows, in
-    `_coboundary_pass`; `_boundary_rows`, the proof on the boundary rows,
-    is the oracle."""
+    """The engines' one proof, the walk of `_check_simplicial`, against a
+    second, the definition of `boolean_by_definition`."""
 
-    @settings(max_examples=300)
-    @given(rewired_once())
-    def test_the_engines_refuse_what_the_boundary_walk_refuses(self, p):
-        try:
-            _boundary_rows(p)
-        except ValueError as exc:
-            assert_refused_alike(p, str(exc))
-        else:
+    @settings(max_examples=600)
+    @given(st.one_of(rewired_once(), rewired_posets()))
+    def test_the_engines_refuse_exactly_the_non_boolean_posets(self, p):
+        violations = validate_poset(p)
+        if boolean_by_definition(p):
+            assert violations == []
             for engine in PROVING_ENGINES:
                 engine(p)
             assert_the_rows_are_transposed(p)
+        else:
+            (message,) = violations
+            assert_refused_alike(p, message)
+        # a forged mark does not reach validate_poset
+        p.__dict__["_proved"] = True
+        assert validate_poset(p) == violations
 
     def test_a_zero_square_is_checked_where_the_vertex_sets_pass(self):
         # a cell below the top rank moved onto a twin of one of its covers,
@@ -528,7 +557,7 @@ class TestTwoProofs:
         assert vertex_sets(q) == verts
         with pytest.raises(ValueError,
                            match="boundary squared is nonzero") as info:
-            _boundary_rows(q)
+            _check_simplicial(q)
         assert_refused_alike(q, str(info.value))
 
     @pytest.mark.parametrize("poset", [

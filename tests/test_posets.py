@@ -14,7 +14,7 @@ from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph
 from cellposet import homology, posets
-from cellposet.homology import (_RowsOnDemand, _boundary_rows,
+from cellposet.homology import (_RowsOnDemand, _check_simplicial,
                                 _coboundary_pass, betti_gf2,
                                 is_homology_manifold, link_bettis,
                                 validate_poset)
@@ -22,12 +22,12 @@ from cellposet.posets import (SimplicialPoset, _up_table, f_vector,
                               from_graph, h_vector, is_pseudomanifold,
                               is_pure, poset_from_dict, poset_to_json)
 
-from conftest import (admissible_graphs, betti_order_complex, bfs_roots,
-                      complex_from_facets, coverers, gf2_rank, json_labels,
-                      link, poset_to_dict,
-                      proper_coloring,
-                      rewired_simplex_boundary, shuffled, to_graph,
-                      two_pillows, vertex_sets)
+from conftest import (SIMPLICIAL_BASES, admissible_graphs,
+                      betti_order_complex, bfs_roots, boolean_by_definition,
+                      boundary_rows, complex_from_facets, coverers, gf2_rank,
+                      json_labels, link, poset_to_dict, proper_coloring,
+                      rewired_posets, rewired_simplex_boundary, shuffled,
+                      to_graph, two_pillows, unmarked)
 
 
 def h_by_polynomial_expansion(f):
@@ -114,8 +114,8 @@ def assert_passes_the_constructor_checks(p: SimplicialPoset) -> None:
     the checks, and `validate_poset` too, whose walk ignores the mark."""
     assert p._proved
     assert SimplicialPoset(p.d, p.ranks, p.covers, p.labels) == p
-    with mock.patch.object(homology, "_boundary_rows",
-                           wraps=homology._boundary_rows) as walk:
+    with mock.patch.object(homology, "_check_simplicial",
+                           wraps=homology._check_simplicial) as walk:
         assert validate_poset(p) == []
     walk.assert_called_once_with(p)
 
@@ -365,7 +365,7 @@ def two_disjoint_bigons() -> SimplicialPoset:
 
 
 class TestRequireSimplicial:
-    """The simplicial check of _boundary_rows: the vertex-set law and the
+    """The simplicial check of _check_simplicial: the vertex-set law and the
     boundary squaring to zero, in one walk over the covers."""
 
     @pytest.mark.parametrize("share_edge,vertices,distinct",
@@ -376,7 +376,7 @@ class TestRequireSimplicial:
         with pytest.raises(ValueError, match=(
                 f"cell {p.n_cells - 1} \\(rank 4\\) has {vertices} vertices "
                 f"and {distinct} distinct vertex sets")):
-            _boundary_rows(p)
+            _check_simplicial(p)
 
     def test_non_boolean_interval_is_refused(self):
         # two edges on the same two vertices under one triangle
@@ -384,68 +384,17 @@ class TestRequireSimplicial:
                             ((), (0,), (0,), (0,), (1, 2), (1, 2), (2, 3),
                              (4, 5, 6)), tuple("abcdefgh"))
         with pytest.raises(ValueError, match="not a simplicial poset"):
-            _boundary_rows(p)
+            _check_simplicial(p)
 
     @given(admissible_graphs(colors=(2, 3, 4)))
     def test_graph_posets_pass(self, g):
-        _boundary_rows(from_graph(g))
+        _check_simplicial(from_graph(g))
 
     def test_small_posets_pass(self, torus_graph):
         for p in (from_graph(torus_graph), boundary_of_simplex(3),
                   two_disjoint_bigons(), from_graph(parallel_edges_graph(1))):
             assert not validate_poset(p)
-            _boundary_rows(p)
-
-
-def boolean_by_definition(p: SimplicialPoset) -> bool:
-    """Oracle for the simplicial check, from the definition: each cell's
-    lower interval [0, c] maps one to one onto the subsets of c's vertex
-    set (cell to vertex set), and the covers of every cell are the cells
-    with one of its vertices removed."""
-    below: list[set[int]] = [set() for _ in range(p.n_cells)]
-    for c in sorted(range(p.n_cells), key=p.ranks.__getitem__):
-        below[c] = {c}.union(*(below[j] for j in p.covers[c]))
-    verts = [frozenset(x for x in below[c] if p.ranks[x] == 1)
-             for c in range(p.n_cells)]
-    for c in range(p.n_cells):
-        if (len({verts[x] for x in below[c]}) != len(below[c])
-                or len(below[c]) != 2 ** len(verts[c])):
-            return False
-        faces = [verts[j] for j in p.covers[c]]
-        if sorted(faces, key=sorted) != sorted(
-                (verts[c] - {v} for v in verts[c]), key=sorted):
-            return False
-    return True
-
-
-SIMPLICIAL_BASES = (
-    boundary_of_simplex(3), boundary_of_simplex(4),
-    cross_polytope_quotient(4), cross_polytope_quotient(5),
-    from_graph(product_spheres_graph(1, 2)))
-REWIRING_BASES = SIMPLICIAL_BASES + (two_pillows(False), two_pillows(True))
-
-
-@st.composite
-def rewired_posets(draw):
-    """A small poset with one or two covers moved to another cell of the
-    same rank; the constructor's checks still hold.  Half the moves go to
-    a cell with the vertex set of one of the cell's covers, the move that
-    keeps every face count of a simplex."""
-    p = draw(st.sampled_from(REWIRING_BASES))
-    covers = list(p.covers)
-    verts = vertex_sets(p)
-    upper = [c for c in range(p.n_cells) if p.ranks[c] >= 2]
-    for _ in range(draw(st.integers(1, 2))):
-        c = draw(st.sampled_from(upper))
-        slot = draw(st.integers(0, p.ranks[c] - 1))
-        pool = p.cells_by_rank[p.ranks[c] - 1]
-        if draw(st.booleans()):
-            twins = {verts[j] for j in covers[c]}
-            pool = [x for x in pool if verts[x] in twins]
-        new = draw(st.sampled_from(pool))
-        if new not in covers[c]:
-            covers[c] = covers[c][:slot] + (new,) + covers[c][slot + 1:]
-    return SimplicialPoset(p.d, p.ranks, tuple(covers), p.labels)
+            _check_simplicial(p)
 
 
 class TestSimplicialOracle:
@@ -470,13 +419,8 @@ class TestSimplicialOracle:
         assert (validate_poset(p) == []) == boolean_by_definition(p)
 
 
-def unmarked(p: SimplicialPoset) -> SimplicialPoset:
-    """`p` through the constructor, which never marks a poset proved."""
-    return SimplicialPoset(p.d, p.ranks, p.covers, p.labels)
-
-
 def rows_on_demand(p: SimplicialPoset) -> list[list[int]]:
-    """Every row `betti_gf2` may build for a marked poset, by rank."""
+    """Every row `betti_gf2` may build for `p`, by rank."""
     pos = posets._positions(p)
     return [[_RowsOnDemand(cells, p.covers, pos)[i] for i in range(len(cells))]
             for cells in p.cells_by_rank[1:]]
@@ -484,9 +428,10 @@ def rows_on_demand(p: SimplicialPoset) -> list[list[int]]:
 
 def assert_the_row_sources_agree(p: SimplicialPoset) -> None:
     """The marked `p` and its unmarked copy give `betti_gf2` and
-    `_coboundary_pass` the same rows and results."""
+    `_coboundary_pass` the same results, and `betti_gf2` the rows of the
+    oracle."""
     q = unmarked(p)
-    assert rows_on_demand(p) == list(map(list, _boundary_rows(q)))
+    assert rows_on_demand(p) == boundary_rows(p)
     assert _coboundary_pass(p) == _coboundary_pass(q)
     assert betti_gf2(p) == betti_gf2(q)
     if p.n_cells < 200:     # the order complex grows as d! per facet
@@ -500,8 +445,8 @@ NOT_SIMPLICIAL_IDS = ("pillows", "pillows-sharing-an-edge", "rewired")
 
 class TestTheProofMark:
     """`from_graph` marks its output simplicial by construction, and
-    `betti_gf2` and the link test then skip the proof, `betti_gf2`
-    building the uncleared rows only."""
+    `betti_gf2` and the link test then skip the proof; `betti_gf2` builds
+    the uncleared rows only, of any poset."""
 
     def test_only_from_graph_marks_its_output(self, torus_graph):
         p = from_graph(torus_graph)
@@ -520,7 +465,7 @@ class TestTheProofMark:
     def test_the_mark_is_honest_and_the_row_sources_agree(self, g):
         p, q = from_graph(g), reference_from_graph(g)
         assert boolean_by_definition(p)
-        assert rows_on_demand(p) == list(map(list, _boundary_rows(p)))
+        assert rows_on_demand(p) == boundary_rows(p)
         assert _coboundary_pass(p) == _coboundary_pass(q)
         assert betti_gf2(p) == betti_gf2(q) == betti_order_complex(p)
 
@@ -535,13 +480,16 @@ class TestTheProofMark:
     @given(admissible_graphs(colors=(2, 3, 4)))
     def test_cleared_rows_are_never_built(self, g):
         # degree d reads every row, degree k < d the f_k - rank(d_{k+1})
-        # rows off the pivots of degree k + 1
+        # rows off the pivots of degree k + 1, on a marked poset as on an
+        # unmarked one
         p = from_graph(g)
-        ranks = [gf2_rank(rows) for rows in _boundary_rows(p)]
-        with mock.patch.object(_RowsOnDemand, "__getitem__", autospec=True,
-                               side_effect=_RowsOnDemand.__getitem__) as read:
-            betti_gf2(p)
-        assert read.call_count == p.n_cells - 1 - sum(ranks[1:])
+        ranks = [gf2_rank(rows) for rows in boundary_rows(p)]
+        for q in (p, unmarked(p)):
+            with mock.patch.object(
+                    _RowsOnDemand, "__getitem__", autospec=True,
+                    side_effect=_RowsOnDemand.__getitem__) as read:
+                betti_gf2(q)
+            assert read.call_count == p.n_cells - 1 - sum(ranks[1:])
 
     @pytest.mark.parametrize("build", NOT_SIMPLICIAL, ids=NOT_SIMPLICIAL_IDS)
     def test_validate_poset_ignores_the_mark(self, build):
