@@ -91,6 +91,19 @@ interval [c, x] of rank t is boolean, with t! maximal chains, so c has
 t! N_t chains of covers up t ranks, N_t the number of cells t ranks
 above it; they run through the cells covering c, so one pass from rank d
 down counts them for all cells, and chi = sum_{t>=1} (-1)^(t-1) N_t.
+
+A poset `from_graph` marked has two kinds of link read off: the link of
+its cell (H, S) is the cell poset of the residue H (see `posets`).
+
+  Lemma.  On a graph poset every cell of rank >= d - 2 passes the cut
+  check, and the link of a cell of rank d - 3 is a connected closed
+  surface, of cut vector (0, 2 - chi).
+
+Proof.  A facet passes, and a ridge, an edge of the loopless graph, has
+its two ends for coverers.  For |S| = 2 the residue H is a bicolored
+cycle, so the link is a polygon, a circle: (0,).  Every cell lies below
+a facet, so the cells of rank d - 3 are clean, and the lemma above makes
+their links closed homology surfaces, connected as H is.  QED.
 """
 
 from __future__ import annotations
@@ -169,7 +182,7 @@ def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
                  for i in range(len(dims) - 1))
 
 
-def _check_simplicial(p: SimplicialPoset) -> None:
+def _check_simplicial(p: SimplicialPoset, pos: list[int]) -> None:
     """Prove `p` simplicial in one walk over the covers, or raise
     ValueError ("not a simplicial poset: ...") at the first cell where the
     proof fails.  For each cell c of rank k >= 2 the walk checks two
@@ -197,10 +210,10 @@ def _check_simplicial(p: SimplicialPoset) -> None:
 
     The boundary rows, as `betti_gf2` builds them, and the vertex sets,
     bitmasks over the rank-1 cells, are kept for two adjacent ranks only,
-    and neither is returned.  The caller refuses a poset whose rows would
-    pass ``MAX_ROW_BITS`` first.
+    and neither is returned.  The caller passes `pos`, `_positions(p)`,
+    and refuses a poset whose rows would pass ``MAX_ROW_BITS`` first.
     """
-    by_rank, covers, pos = p.cells_by_rank, p.covers, _positions(p)
+    by_rank, covers = p.cells_by_rank, p.covers
     # a rank-1 cell covers the minimum, and is its own vertex set
     rows = [1] * len(by_rank[1]) if p.d else []
     verts = [1 << i for i in range(len(rows))]
@@ -234,14 +247,17 @@ def _check_simplicial(p: SimplicialPoset) -> None:
             verts.append(union)
 
 
-def _require_simplicial(p: SimplicialPoset) -> None:
+def _require_simplicial(p: SimplicialPoset) -> tuple[list[int], bool]:
     """The one gate of `betti_gf2` and the link test: refuse `p` when its
     boundary rows would pass ``MAX_ROW_BITS``, then, unless `from_graph`
     marked it simplicial by construction, when :func:`_check_simplicial`
-    finds it is not.  No other code here reads the mark."""
+    finds it is not.  Returns `_positions(p)` and the mark, which no other
+    code here reads."""
     _require_row_bits(p)
-    if not p._proved:
-        _check_simplicial(p)
+    pos, proved = _positions(p), p._proved
+    if not proved:
+        _check_simplicial(p, pos)
+    return pos, proved
 
 
 def validate_poset(p: SimplicialPoset) -> list[str]:
@@ -255,7 +271,7 @@ def validate_poset(p: SimplicialPoset) -> list[str]:
     gap = _rank_gap(p)
     violations = [gap] if gap else []
     try:
-        _check_simplicial(p)
+        _check_simplicial(p, _positions(p))
     except ValueError as exc:
         violations.append(str(exc))
     return violations
@@ -268,8 +284,7 @@ def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:
     :func:`_require_simplicial`, which raises ValueError when `p` is not
     simplicial, as the sphere and manifold tests do, each degree's rows
     are built as the elimination reads them, the cleared ones never."""
-    _require_simplicial(p)
-    pos = _positions(p)
+    pos = _require_simplicial(p)[0]
     ranks = _cleared_ranks(
         (range(len(cells)), _RowsOnDemand(cells, p.covers, pos))
         for cells in p.cells_by_rank[:0:-1])
@@ -317,12 +332,12 @@ def _is_cut_sphere(betti: tuple[int, ...], n: int) -> bool:
     return betti == ((1,) if n == 1 else (0,) * ((n + 1) // 2))
 
 
-def _coboundary_pass(p: SimplicialPoset) -> tuple[list, list]:
-    """The `posets._up_table` of `p` and its coboundary rows: item r holds,
-    for the i-th rank-r cell, its coverers' positions as bits.  Runs
-    :func:`_require_simplicial` first."""
-    _require_simplicial(p)
-    up, cob = _up_table(p), [[]]    # no rows above rank d
+def _coboundary_pass(p: SimplicialPoset) -> tuple[list, list, bool]:
+    """The `posets._up_table` of `p`, its coboundary rows (item r holds,
+    for the i-th rank-r cell, its coverers' positions as bits) and the
+    mark that :func:`_require_simplicial`, run first, returns."""
+    pos, proved = _require_simplicial(p)
+    up, cob = _up_table(p, pos), [[]]   # no rows above rank d
     for level in reversed(up):
         bits, rows = [1 << i for i in range(len(cob[-1]))], []
         for cov in level:
@@ -331,7 +346,7 @@ def _coboundary_pass(p: SimplicialPoset) -> tuple[list, list]:
                 row |= bits[i]
             rows.append(row)
         cob.append(rows)
-    return up, cob[:0:-1]
+    return up, cob[:0:-1], proved
 
 
 def is_homology_manifold(p: SimplicialPoset) -> bool:
@@ -346,16 +361,17 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
     docstring shows that every link passes this cut check exactly when
     every link is a homology sphere.  :func:`_coboundary_pass` refuses `p`
     unless simplicial (:func:`_require_simplicial`); purity (a coverer for
-    each cell below rank d) and the links are read from its table."""
+    each cell below rank d) and the links are read from its table, those of
+    rank >= d - 3 of a graph poset from the construction."""
     return _manifold(p)[1]
 
 
 def _manifold(p: SimplicialPoset) -> tuple[list[list[list[int]]], bool]:
     """`p`'s `posets._up_table` and :func:`is_homology_manifold` verdict."""
-    up, cob = _coboundary_pass(p)
+    up, cob, proved = _coboundary_pass(p)
     return up, is_pure(p, up=up) and all(
         _is_cut_sphere(betti, p.d - p.ranks[c])
-        for c, betti in _link_bettis(p, up, cob))
+        for c, betti in _link_bettis(p, up, cob, proved))
 
 
 def _chain_counts(up: list[list[list[int]]]) -> tuple[list[list[int]], int]:
@@ -390,10 +406,12 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
     vector is beta_0 .. beta_s, s = floor(e/2); on a pure poset whose every
     link passes the cut check, duality fixes the rest (see the module
     docstring).  Facets and ridges are read off: () and
-    (max(coverers - 1, 0),).  A clean cell of even e >= 2 has its up-set
-    grown to link rank s, the degrees up to s + 1 eliminated, and beta_s
-    from the Euler characteristic.  Any other cell has its up-set grown to
-    link rank s + 1 and the degrees up to min(s + 2, e + 1) eliminated.
+    (max(coverers - 1, 0),); on a graph poset (module docstring), so are
+    the cells of rank d - 2 and d - 3: (0,) and (0, 2 - chi).  A clean
+    cell of even e >= 2 has its up-set grown to link rank s, the degrees
+    up to s + 1 eliminated, and beta_s from the Euler characteristic.  Any
+    other cell has its up-set grown to link rank s + 1 and the degrees up
+    to min(s + 2, e + 1) eliminated.
 
     Each link is eliminated on the parent's coboundary rows, unmasked, with
     clearing (see the module docstring), sound on simplicial posets only:
@@ -403,7 +421,7 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
     return _link_bettis(p, *_coboundary_pass(p))
 
 
-def _link_bettis(p: SimplicialPoset, up, cob) -> Iterator[tuple]:
+def _link_bettis(p: SimplicialPoset, up, cob, proved) -> Iterator[tuple]:
     """:func:`link_bettis` on the output of :func:`_coboundary_pass`."""
     by_rank = p.cells_by_rank
     chains, width = _chain_counts(up)
@@ -415,10 +433,12 @@ def _link_bettis(p: SimplicialPoset, up, cob) -> Iterator[tuple]:
         for j, c in enumerate(by_rank[k]):
             cov = up[k][j]
             tainted = not unsound.isdisjoint(cov)
+            euler = n > 1 and bool(cov) and not (odd or tainted)
             if n < 2:   # a facet's link is empty, a ridge's len(cov) points
                 betti = (max(len(cov) - 1, 0),)[:n]
+            elif proved and n < 4:  # a circle, or a surface: beta_0 = 0
+                betti = (0,)
             else:
-                euler = bool(cov) and not (odd or tainted)
                 # levels[t - 1]: the positions of the link's rank-t cells
                 levels = [cov]
                 for level in ups[:s - 1 + (not euler)]:
@@ -428,12 +448,12 @@ def _link_bettis(p: SimplicialPoset, up, cob) -> Iterator[tuple]:
                 ranks = [1 if cov else 0,
                          *_cleared_ranks(zip([cov[1:], *levels[1:]], cobs))]
                 betti = _betti_from_ranks([1, *map(len, levels)], ranks)
-                if euler:
-                    n_t = _face_counts(chains[k][j], width, n)
-                    # (-1)^s beta_s = chi - 2 - 2 sum_{i<s} (-1)^i beta_i
-                    rest = (sum(n_t[1::2]) - sum(n_t[2::2]) - 2
-                            - 2 * (sum(betti[::2]) - sum(betti[1::2])))
-                    betti += (-rest if s % 2 else rest,)
+            if euler:
+                n_t = _face_counts(chains[k][j], width, n)
+                # (-1)^s beta_s = chi - 2 - 2 sum_{i<s} (-1)^i beta_i
+                rest = (sum(n_t[1::2]) - sum(n_t[2::2]) - 2
+                        - 2 * (sum(betti[::2]) - sum(betti[1::2])))
+                betti += (-rest if s % 2 else rest,)
             yield c, betti
             if tainted or (n and not cov) or not _is_cut_sphere(betti, n):
                 below.add(j)

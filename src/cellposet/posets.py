@@ -9,9 +9,9 @@ are proved boolean in `homology` by one walk, `_check_simplicial`, which
 `validate_poset` runs on every poset and `_require_simplicial`, the gate of
 `betti_gf2` and the link test, on every poset but those `from_graph`
 built, boolean by construction (below).
-No poset keeps its covers upward.  `_up_table` builds them on each call,
-by `_positions`, a cell's index in its rank: item r lists, for the i-th
-rank-r cell, the ascending positions in rank r + 1 of its coverers.
+No poset keeps its covers upward.  `_up_table` builds them, by the
+caller's `_positions` (a cell's index in its rank): item r lists, for the
+i-th rank-r cell, the ascending positions in rank r + 1 of its coverers.
 
 `from_graph` realizes the cell poset of an admissible d-colored multigraph:
 cells are pairs (H, S) of a color set S and a connected component H of the
@@ -34,9 +34,12 @@ ranks lie in 0..d, the graph is connected (one rank-0 cell), and a cell
 distinct color set; labels are strings, as vertex labels are.  It is
 simplicial: the cells below (H, S) are the (H', S') with S' a superset
 of S, one for each S', the component of the S'-colored subgraph that
-holds H, so [0, (H, S)] is the boolean lattice on [d] - S.  So the output
-is marked `_proved`, which no field, argument or other builder sets, and
-which only `homology._require_simplicial` reads.
+holds H, so [0, (H, S)] is the boolean lattice on [d] - S; and the
+interval above (H, S) is the cell poset of the connected residue H as an
+|S|-colored graph (Ferri, Gagliardi and Grasselli, *A graph-theoretical
+representation of PL-manifolds*, 1986).  So the output is marked
+`_proved`, built from an admissible graph, which no field, argument or
+other builder sets, and which only `homology._require_simplicial` reads.
 
 `poset_to_json` writes ``{"cells": [{"covers", "id", "label", "rank"}],
 "d"}`` as `graphs.graph_to_json` writes graphs: sorted keys, a two-space
@@ -157,9 +160,9 @@ def _positions(p: SimplicialPoset) -> list[int]:
     return pos
 
 
-def _up_table(p: SimplicialPoset) -> list[list[list[int]]]:
-    """The upward cover table of the module docstring."""
-    pos, up = _positions(p), [[[] for _ in cells] for cells in p.cells_by_rank]
+def _up_table(p: SimplicialPoset, pos: list[int]) -> list[list[list[int]]]:
+    """The upward cover table of the module docstring, by `pos`."""
+    up = [[[] for _ in cells] for cells in p.cells_by_rank]
     for level, cells in zip(up, p.cells_by_rank[1:]):
         for i, c in enumerate(cells):
             for j in p.covers[c]:
@@ -288,13 +291,14 @@ def h_vector(f: tuple[int, ...]) -> tuple[int, ...]:
 
 def is_pure(p: SimplicialPoset, *, up=None) -> bool:
     """Every cell below rank d has a coverer in `up`, `p`'s `_up_table`."""
-    return all(map(all, (_up_table(p) if up is None else up)[:p.d]))
+    up = _up_table(p, _positions(p)) if up is None else up
+    return all(map(all, up[:p.d]))
 
 
 def is_pseudomanifold(p: SimplicialPoset, *, up=None) -> bool:
     """Pure + every ridge under exactly two facets + strongly connected
     (any two facets linked by a chain of ridge-sharing facets)."""
-    up = _up_table(p) if up is None else up
+    up = _up_table(p, _positions(p)) if up is None else up
     if not is_pure(p, up=up) or p.d < 1:
         return False
     ridges = up[p.d - 1]               # each ridge's facets, by position

@@ -384,6 +384,20 @@ class TestRecognize:
                        '  "pseudomanifold": true\n}\n'
                        % json.dumps(manifold))
 
+    @pytest.mark.parametrize("name", ["S^1 x S^2", "torus suspension"])
+    def test_a_graph_and_its_poset_file_print_alike(
+            self, capsys, tmp_path, torus_suspension_graph, name):
+        # the poset file is loaded unmarked, so the link test eliminates
+        # the links it reads off the graph's poset
+        graph = {"S^1 x S^2": product_spheres_graph(1, 2),
+                 "torus suspension": torus_suspension_graph}[name]
+        src, poset = tmp_path / "g.json", tmp_path / "p.json"
+        src.write_text(json.dumps(graph_to_dict(graph)))
+        poset.write_text(posets.poset_to_json(posets.from_graph(graph)))
+        code, out, err = run(capsys, "recognize", str(src))
+        assert code == 0 and err == ""
+        assert run(capsys, "recognize", str(poset)) == (code, out, err)
+
     def test_poset_file(self, capsys, tmp_path):
         src = tmp_path / "rp.json"
         run(capsys, "build", "rp", "--n", "4", "--out", str(src))

@@ -11,20 +11,21 @@ from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet import homology
-from cellposet.homology import (_chain_counts, _check_simplicial,
-                                _coboundary_pass, _face_counts, _manifold,
-                                _pivots, _require_simplicial, betti_gf2,
+from cellposet.homology import (_chain_counts, _coboundary_pass,
+                                _face_counts, _manifold, _pivots,
+                                _require_simplicial, betti_gf2,
                                 h_double_prime, is_homology_manifold,
                                 link_bettis, validate_poset)
 from cellposet.graphs import validate_admissible
-from cellposet.posets import (SimplicialPoset, _up_table, f_vector,
-                              from_graph, is_pseudomanifold, is_pure)
+from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
+                              is_pseudomanifold, is_pure)
 
 from conftest import (admissible_graphs, betti_order_complex,
-                      boolean_by_definition, boundary_rows, gf2_rank,
-                      is_homology_sphere, link, rewired_posets,
+                      boolean_by_definition, boundary_rows, check_simplicial,
+                      gf2_rank, is_homology_sphere, link, rewired_posets,
                       rewired_simplex_boundary, simplex_boundary_wedge,
-                      sphere_pattern, two_pillows, unmarked, vertex_sets)
+                      sphere_pattern, two_pillows, unmarked, up_table,
+                      vertex_sets)
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -142,7 +143,7 @@ class TestChainComplex:
             ((), (0,), (0,), (0,), (0,), (1, 2), (2, 3), (1, 4), (5, 6, 7)),
             tuple("abcdefghi"))
         with pytest.raises(ValueError, match="boundary squared"):
-            _check_simplicial(p)
+            check_simplicial(p)
 
     def test_manifold_test_checks_the_boundary_first(self):
         # the links of this poset are never eliminated: the one check on
@@ -180,9 +181,13 @@ class TestChainComplex:
         p = from_graph(product_spheres_graph(1, 2))
         p = p if marked else unmarked(p)
         with mock.patch.object(homology, "_require_row_bits",
-                               wraps=posets._require_row_bits) as guard:
+                               wraps=posets._require_row_bits) as guard, \
+                mock.patch.object(homology, "_positions",
+                                  wraps=posets._positions) as positions:
             engine(p)
         guard.assert_called_once_with(p)
+        # the walk, the rows and the up table share one position table
+        positions.assert_called_once_with(p)
         # a refusal comes before any proof or row is built
         with mock.patch.object(homology, "_require_row_bits",
                                side_effect=ValueError("refused")), \
@@ -437,7 +442,7 @@ class TestSlicedLinks:
         # is refused, so no link is eliminated
         p = two_pillows()
         with pytest.raises(ValueError, match="not a simplicial poset"):
-            _check_simplicial(p)
+            check_simplicial(p)
 
     @pytest.mark.parametrize("share_edge", [False, True])
     @pytest.mark.parametrize("engine", [betti_gf2, is_homology_manifold,
@@ -467,7 +472,7 @@ def transposed(rows, width: int) -> list[int]:
 
 
 # every engine that proves its input simplicial, by the one walk
-PROVING_ENGINES = (_check_simplicial, _require_simplicial, _coboundary_pass,
+PROVING_ENGINES = (check_simplicial, _require_simplicial, _coboundary_pass,
                    betti_gf2, is_homology_manifold, link_bettis, _manifold)
 
 
@@ -480,11 +485,11 @@ def assert_refused_alike(p: SimplicialPoset, message: str) -> None:
 
 
 def assert_the_rows_are_transposed(p: SimplicialPoset) -> None:
-    """`_coboundary_pass` gives `_up_table` and, for each rank below d,
-    the transpose of the boundary rows of the rank above; the rows of
-    rank d are zero."""
-    up, cob = _coboundary_pass(p)
-    assert up == _up_table(p)
+    """`_coboundary_pass` gives `_up_table`, for each rank below d the
+    transpose of the boundary rows of the rank above, the rows of rank d,
+    zero, and the mark."""
+    up, cob, proved = _coboundary_pass(p)
+    assert up == up_table(p) and proved == p._proved
     f = f_vector(p)
     assert [transposed(rows, width) for rows, width in zip(
         boundary_rows(p), f)] == cob[:p.d]
@@ -557,7 +562,7 @@ class TestTwoProofs:
         assert vertex_sets(q) == verts
         with pytest.raises(ValueError,
                            match="boundary squared is nonzero") as info:
-            _check_simplicial(q)
+            check_simplicial(q)
         assert_refused_alike(q, str(info.value))
 
     @pytest.mark.parametrize("poset", [
@@ -574,7 +579,7 @@ def assert_face_counts_match_the_oracle(p: SimplicialPoset) -> None:
     """Every cell's face counts from the packed chain counts, item [k][j]
     for the j-th cell of rank k, are the f-vector of its link, built as
     its own poset by `link`."""
-    chains, width = _chain_counts(_up_table(p))
+    chains, width = _chain_counts(up_table(p))
     assert [[_face_counts(item, width, p.d - k) for item in items]
             for k, items in enumerate(chains)] == [
                 [f_vector(link(p, c)) for c in cells]
@@ -611,7 +616,7 @@ class TestChainCounts:
         # 12! chains run from the minimum to each of the 13 facets: a field
         # sized for max(f) alone would overflow into the next
         p = boundary_of_simplex(12)
-        chains, width = _chain_counts(_up_table(p))
+        chains, width = _chain_counts(up_table(p))
         for k, items in enumerate(chains):
             assert len(items) == comb(13, k)
             for item in items:
@@ -669,3 +674,59 @@ class TestEulerBranch:
         p = poset()
         list(link_bettis(p))
         assert len(calls) == euler_cells
+
+
+def eliminated_cells(p: SimplicialPoset) -> set[int]:
+    """The cells whose links `link_bettis` hands to `_cleared_ranks`."""
+    cells = set()
+    with mock.patch.object(homology, "_cleared_ranks",
+                           wraps=homology._cleared_ranks) as eliminate:
+        for c, _ in link_bettis(p):
+            if eliminate.called:
+                cells.add(c)
+            eliminate.reset_mock()
+    return cells
+
+
+def assert_read_off_alike(p: SimplicialPoset) -> list:
+    """The marked graph poset `p` and its unmarked copy give the link test
+    the same cell vectors, in the same order, and the same verdict; returns
+    the vectors."""
+    links = list(link_bettis(p))
+    assert links == list(link_bettis(unmarked(p)))
+    assert is_homology_manifold(p) == is_homology_manifold(unmarked(p))
+    return links
+
+
+class TestGraphLinks:
+    """On a poset `from_graph` marked, the link test reads the links of
+    rank d - 2 (circles) and d - 3 (closed surfaces) off the construction;
+    its unmarked copy eliminates them."""
+
+    @settings(max_examples=100)
+    @given(admissible_graphs(max_pairs=4, colors=(3, 4, 5, 6)))
+    def test_the_marked_and_unmarked_paths_agree(self, g):
+        # most of these graphs are no manifolds
+        p = from_graph(g)
+        links = assert_read_off_alike(p)
+        assert sorted(links) == [(c, lower_half(betti))
+                                 for c, betti in oracle_link_bettis(p)]
+
+    def test_the_torus_suspension(self, torus_suspension_graph):
+        # d = 4: the two cone points, of rank 1 = d - 3, have tori for
+        # links, beta_1 = 2 - chi = 2 read off the face counts; the other
+        # three rank-1 cells have 2-spheres
+        p = from_graph(torus_suspension_graph)
+        cut = dict(assert_read_off_alike(p))
+        assert sorted(cut[c] for c in p.cells_by_rank[1]) == (
+            [(0, 0)] * 3 + [(0, 2)] * 2)
+        assert not is_homology_manifold(p)
+        assert not eliminated_cells(p)
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (2, 2)])
+    def test_no_cell_of_rank_d_minus_3_up_is_eliminated(self, n, m):
+        p = from_graph(product_spheres_graph(n, m))
+        by_rank = p.cells_by_rank
+        assert eliminated_cells(p) == set().union(*by_rank[1:p.d - 3])
+        assert eliminated_cells(unmarked(p)) == set().union(
+            *by_rank[1:p.d - 1])

@@ -14,20 +14,20 @@ from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph
 from cellposet import homology, posets
-from cellposet.homology import (_RowsOnDemand, _check_simplicial,
-                                _coboundary_pass, betti_gf2,
+from cellposet.homology import (_RowsOnDemand, _coboundary_pass, betti_gf2,
                                 is_homology_manifold, link_bettis,
                                 validate_poset)
-from cellposet.posets import (SimplicialPoset, _up_table, f_vector,
-                              from_graph, h_vector, is_pseudomanifold,
-                              is_pure, poset_from_dict, poset_to_json)
+from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
+                              h_vector, is_pseudomanifold, is_pure,
+                              poset_from_dict, poset_to_json)
 
 from conftest import (SIMPLICIAL_BASES, admissible_graphs,
                       betti_order_complex, bfs_roots, boolean_by_definition,
-                      boundary_rows, complex_from_facets, coverers, gf2_rank,
-                      json_labels, link, poset_to_dict, proper_coloring,
-                      rewired_posets, rewired_simplex_boundary, shuffled,
-                      to_graph, two_pillows, unmarked)
+                      boundary_rows, check_simplicial, complex_from_facets,
+                      coverers, gf2_rank, json_labels, link, poset_to_dict,
+                      proper_coloring, rewired_posets,
+                      rewired_simplex_boundary, shuffled, to_graph,
+                      two_pillows, unmarked, up_table)
 
 
 def h_by_polynomial_expansion(f):
@@ -117,7 +117,7 @@ def assert_passes_the_constructor_checks(p: SimplicialPoset) -> None:
     with mock.patch.object(homology, "_check_simplicial",
                            wraps=homology._check_simplicial) as walk:
         assert validate_poset(p) == []
-    walk.assert_called_once_with(p)
+    walk.assert_called_once_with(p, posets._positions(p))
 
 
 class TestFromGraph:
@@ -376,7 +376,7 @@ class TestRequireSimplicial:
         with pytest.raises(ValueError, match=(
                 f"cell {p.n_cells - 1} \\(rank 4\\) has {vertices} vertices "
                 f"and {distinct} distinct vertex sets")):
-            _check_simplicial(p)
+            check_simplicial(p)
 
     def test_non_boolean_interval_is_refused(self):
         # two edges on the same two vertices under one triangle
@@ -384,17 +384,17 @@ class TestRequireSimplicial:
                             ((), (0,), (0,), (0,), (1, 2), (1, 2), (2, 3),
                              (4, 5, 6)), tuple("abcdefgh"))
         with pytest.raises(ValueError, match="not a simplicial poset"):
-            _check_simplicial(p)
+            check_simplicial(p)
 
     @given(admissible_graphs(colors=(2, 3, 4)))
     def test_graph_posets_pass(self, g):
-        _check_simplicial(from_graph(g))
+        check_simplicial(from_graph(g))
 
     def test_small_posets_pass(self, torus_graph):
         for p in (from_graph(torus_graph), boundary_of_simplex(3),
                   two_disjoint_bigons(), from_graph(parallel_edges_graph(1))):
             assert not validate_poset(p)
-            _check_simplicial(p)
+            check_simplicial(p)
 
 
 class TestSimplicialOracle:
@@ -428,11 +428,12 @@ def rows_on_demand(p: SimplicialPoset) -> list[list[int]]:
 
 def assert_the_row_sources_agree(p: SimplicialPoset) -> None:
     """The marked `p` and its unmarked copy give `betti_gf2` and
-    `_coboundary_pass` the same results, and `betti_gf2` the rows of the
-    oracle."""
+    `_coboundary_pass` the same results, but for the mark that
+    `_coboundary_pass` hands on, and `betti_gf2` the rows of the oracle."""
     q = unmarked(p)
     assert rows_on_demand(p) == boundary_rows(p)
-    assert _coboundary_pass(p) == _coboundary_pass(q)
+    up, cob, proved = _coboundary_pass(q)
+    assert not proved and _coboundary_pass(p) == (up, cob, True)
     assert betti_gf2(p) == betti_gf2(q)
     if p.n_cells < 200:     # the order complex grows as d! per facet
         assert betti_gf2(p) == betti_order_complex(p)
@@ -466,7 +467,8 @@ class TestTheProofMark:
         p, q = from_graph(g), reference_from_graph(g)
         assert boolean_by_definition(p)
         assert rows_on_demand(p) == boundary_rows(p)
-        assert _coboundary_pass(p) == _coboundary_pass(q)
+        up, cob, proved = _coboundary_pass(q)
+        assert not proved and _coboundary_pass(p) == (up, cob, True)
         assert betti_gf2(p) == betti_gf2(q) == betti_order_complex(p)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
@@ -552,7 +554,7 @@ class TestUpTable:
 
     @staticmethod
     def assert_matches_the_oracle(p: SimplicialPoset) -> None:
-        up, by_id = _up_table(p), coverers(p)
+        up, by_id = up_table(p), coverers(p)
         assert [[[p.cells_by_rank[r + 1][i] for i in cov] for cov in level]
                 for r, level in enumerate(up)] == [
                     [list(by_id[c]) for c in cells]
