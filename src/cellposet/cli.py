@@ -18,7 +18,8 @@ from . import constructions, reduction
 from .checkers import check_manifold_h, check_rp_h, check_sphere_h
 from .graphs import (ColoredGraph, graph_from_dict, graph_to_dot,
                      graph_to_json, require_admissible, validate_admissible)
-from .homology import _manifold, betti_gf2, h_double_prime, validate_poset
+from .homology import (betti_gf2, h_double_prime, is_homology_manifold,
+                       validate_poset)
 from .posets import (SimplicialPoset, f_vector, from_graph, h_vector,
                      is_pseudomanifold, poset_from_dict, poset_to_json)
 
@@ -109,10 +110,10 @@ def cmd_invariants(args) -> int:
 
 def cmd_recognize(args) -> int:
     p = _load_poset(args.file)
-    # one pass, before anything is printed: proves `p` simplicial or raises
-    up, manifold = _manifold(p)
+    # first, before anything is printed: proves `p` simplicial or raises
+    manifold = is_homology_manifold(p)
     _emit({"homology_manifold": manifold,
-           "pseudomanifold": is_pseudomanifold(p, up=up)})
+           "pseudomanifold": is_pseudomanifold(p)})
     return 0
 
 
@@ -124,11 +125,12 @@ def cmd_reduce(args) -> int:
         n, m = args.n, args.m
         if n is None or m is None:
             raise ValueError("--schedule symbolic requires --n and --m")
-        # the schedule's C(n+m, n) - 1 entries each cancel two vertices and
-        # leave two at least: refuse a graph it cannot fit before building
-        # it, as not admissible first; `run_schedule` checks one that fits
+        # the schedule's C(n+m, n) - 1 entries (bounded past min(n, m) = 20)
+        # each cancel two vertices and leave two at least: refuse a graph it
+        # cannot fit before building it, as not admissible first;
+        # `run_schedule` checks one that fits
         if (min(n, m) < 1 or n + m + 1 != obj.d
-                or 2 * comb(n + m, n) > len(obj.vertices)):
+                or 2 * comb(n + m, min(n, m, 20)) > len(obj.vertices)):
             require_admissible(obj)
             raise ValueError(
                 f"--schedule symbolic --n {n} --m {m} needs n, m >= 1, "

@@ -39,9 +39,9 @@ rows, on two facts.
   its row of degree t+1 is skipped (the cohomology clearing of de Silva,
   Morozov and Vejdemo-Johansson, *Dualities in persistent (co)homology*).
 
-`link_bettis` takes `_up_table` and each rank's coboundary rows from
-`_coboundary_pass`, grows each up-set a rank at a time through them, and
-runs `_cleared_ranks` from degree 2 up: degree 1 is c's row alone, of
+`link_bettis` grows each up-set a rank at a time through the poset's
+`_up_table`, takes each rank's coboundary rows from `_coboundary_pass`,
+and runs `_cleared_ranks` from degree 2 up: degree 1 is c's row alone, of
 rank 1 when c has coverers, and their rows, of degree 2, sum to its
 coboundary, zero, so one of them is dropped.  Nothing is checked per
 link: the pass runs `_require_simplicial` on the parent first, as
@@ -111,8 +111,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
 
-from .posets import (SimplicialPoset, _positions, _rank_gap,
-                     _require_row_bits, _up_table, f_vector, is_pure)
+from .posets import (SimplicialPoset, _rank_gap, _require_row_bits,
+                     f_vector, is_pure)
 
 def _pivots(rows) -> dict[int, int]:
     """Gaussian elimination of bit-packed GF(2) rows, keyed by pivot: the
@@ -156,12 +156,12 @@ def _cleared_ranks(
 
 
 class _RowsOnDemand:
-    """The boundary rows of one rank's cells, each built when read: item i
-    has a bit at the position of each cover of the i-th cell."""
+    """The boundary rows of `cells`, one rank of `p`, each built when
+    read: item i has a bit at the position of each cover of the i-th cell."""
     __slots__ = ("cells", "covers", "pos")
 
-    def __init__(self, cells, covers, pos):
-        self.cells, self.covers, self.pos = cells, covers, pos
+    def __init__(self, p: SimplicialPoset, cells):
+        self.cells, self.covers, self.pos = cells, p.covers, p._positions
 
     def __getitem__(self, i: int) -> int:
         row, pos = 0, self.pos
@@ -182,7 +182,7 @@ def _betti_from_ranks(dims, ranks) -> tuple[int, ...]:
                  for i in range(len(dims) - 1))
 
 
-def _check_simplicial(p: SimplicialPoset, pos: list[int]) -> None:
+def _check_simplicial(p: SimplicialPoset) -> None:
     """Prove `p` simplicial in one walk over the covers, or raise
     ValueError ("not a simplicial poset: ...") at the first cell where the
     proof fails.  For each cell c of rank k >= 2 the walk checks two
@@ -210,10 +210,10 @@ def _check_simplicial(p: SimplicialPoset, pos: list[int]) -> None:
 
     The boundary rows, as `betti_gf2` builds them, and the vertex sets,
     bitmasks over the rank-1 cells, are kept for two adjacent ranks only,
-    and neither is returned.  The caller passes `pos`, `_positions(p)`,
-    and refuses a poset whose rows would pass ``MAX_ROW_BITS`` first.
+    and neither is returned.  The caller refuses a poset whose rows would
+    pass ``MAX_ROW_BITS`` before the walk reads `p._positions`.
     """
-    by_rank, covers = p.cells_by_rank, p.covers
+    by_rank, covers, pos = p.cells_by_rank, p.covers, p._positions
     # a rank-1 cell covers the minimum, and is its own vertex set
     rows = [1] * len(by_rank[1]) if p.d else []
     verts = [1 << i for i in range(len(rows))]
@@ -247,17 +247,16 @@ def _check_simplicial(p: SimplicialPoset, pos: list[int]) -> None:
             verts.append(union)
 
 
-def _require_simplicial(p: SimplicialPoset) -> tuple[list[int], bool]:
+def _require_simplicial(p: SimplicialPoset) -> bool:
     """The one gate of `betti_gf2` and the link test: refuse `p` when its
     boundary rows would pass ``MAX_ROW_BITS``, then, unless `from_graph`
     marked it simplicial by construction, when :func:`_check_simplicial`
-    finds it is not.  Returns `_positions(p)` and the mark, which no other
-    code here reads."""
+    finds it is not.  Returns the mark, which no other code here reads."""
     _require_row_bits(p)
-    pos, proved = _positions(p), p._proved
+    proved = p._proved
     if not proved:
-        _check_simplicial(p, pos)
-    return pos, proved
+        _check_simplicial(p)
+    return proved
 
 
 def validate_poset(p: SimplicialPoset) -> list[str]:
@@ -271,7 +270,7 @@ def validate_poset(p: SimplicialPoset) -> list[str]:
     gap = _rank_gap(p)
     violations = [gap] if gap else []
     try:
-        _check_simplicial(p, _positions(p))
+        _check_simplicial(p)
     except ValueError as exc:
         violations.append(str(exc))
     return violations
@@ -284,9 +283,9 @@ def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:
     :func:`_require_simplicial`, which raises ValueError when `p` is not
     simplicial, as the sphere and manifold tests do, each degree's rows
     are built as the elimination reads them, the cleared ones never."""
-    pos = _require_simplicial(p)[0]
+    _require_simplicial(p)
     ranks = _cleared_ranks(
-        (range(len(cells)), _RowsOnDemand(cells, p.covers, pos))
+        (range(len(cells)), _RowsOnDemand(p, cells))
         for cells in p.cells_by_rank[:0:-1])
     return _betti_from_ranks(f_vector(p), ranks[::-1])
 
@@ -332,13 +331,13 @@ def _is_cut_sphere(betti: tuple[int, ...], n: int) -> bool:
     return betti == ((1,) if n == 1 else (0,) * ((n + 1) // 2))
 
 
-def _coboundary_pass(p: SimplicialPoset) -> tuple[list, list, bool]:
-    """The `posets._up_table` of `p`, its coboundary rows (item r holds,
-    for the i-th rank-r cell, its coverers' positions as bits) and the
+def _coboundary_pass(p: SimplicialPoset) -> tuple[list, bool]:
+    """The coboundary rows of `p` (item r holds, for the i-th rank-r cell,
+    its coverers' positions as bits), read off `p._up_table`, and the
     mark that :func:`_require_simplicial`, run first, returns."""
-    pos, proved = _require_simplicial(p)
-    up, cob = _up_table(p, pos), [[]]   # no rows above rank d
-    for level in reversed(up):
+    proved = _require_simplicial(p)
+    cob = [[]]                          # no rows above rank d
+    for level in reversed(p._up_table):
         bits, rows = [1 << i for i in range(len(cob[-1]))], []
         for cov in level:
             row = 0
@@ -346,7 +345,7 @@ def _coboundary_pass(p: SimplicialPoset) -> tuple[list, list, bool]:
                 row |= bits[i]
             rows.append(row)
         cob.append(rows)
-    return up, cob[:0:-1], proved
+    return cob[:0:-1], proved
 
 
 def is_homology_manifold(p: SimplicialPoset) -> bool:
@@ -359,29 +358,24 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
     beta_0 .. beta_{floor(e/2)} for a link of dimension e (see
     :func:`link_bettis`): on a pure poset, the duality lemma of the module
     docstring shows that every link passes this cut check exactly when
-    every link is a homology sphere.  :func:`_coboundary_pass` refuses `p`
-    unless simplicial (:func:`_require_simplicial`); purity (a coverer for
-    each cell below rank d) and the links are read from its table, those of
-    rank >= d - 3 of a graph poset from the construction."""
-    return _manifold(p)[1]
+    every link is a homology sphere.  The call :func:`link_bettis`
+    refuses `p` unless simplicial (:func:`_require_simplicial`), before
+    purity (a coverer for each cell below rank d) is read from
+    `p._up_table`; the links of rank >= d - 3 of a graph poset are read
+    from the construction."""
+    links = link_bettis(p)
+    return is_pure(p) and all(_is_cut_sphere(betti, p.d - p.ranks[c])
+                              for c, betti in links)
 
 
-def _manifold(p: SimplicialPoset) -> tuple[list[list[list[int]]], bool]:
-    """`p`'s `posets._up_table` and :func:`is_homology_manifold` verdict."""
-    up, cob, proved = _coboundary_pass(p)
-    return up, is_pure(p, up=up) and all(
-        _is_cut_sphere(betti, p.d - p.ranks[c])
-        for c, betti in _link_bettis(p, up, cob, proved))
-
-
-def _chain_counts(up: list[list[list[int]]]) -> tuple[list[list[int]], int]:
+def _chain_counts(p: SimplicialPoset) -> tuple[list[list[int]], int]:
     """Item [k][j] packs t! N_t, the chains of covers from the j-th cell
-    of rank k up t ranks (see the module docstring), in field t; `up` is
-    the `posets._up_table` of a simplicial poset.  No field passes
-    max(f) * d!, which gives the width, returned too."""
-    width = (max(map(len, up)) * factorial(len(up) - 1)).bit_length()
+    of rank k up t ranks (see the module docstring), in field t, read off
+    `p._up_table`; `p` is simplicial.  No field passes max(f) * d!, which
+    gives the width, returned too."""
+    width = (max(map(len, p._up_table)) * factorial(p.d)).bit_length()
     chains: list[list[int]] = [[]]      # no items above the top rank
-    for level in reversed(up):
+    for level in reversed(p._up_table):
         get = chains[0].__getitem__
         chains.insert(0, [sum(map(get, cov)) << width | 1 for cov in level])
     return chains[:-1], width
@@ -421,10 +415,10 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
     return _link_bettis(p, *_coboundary_pass(p))
 
 
-def _link_bettis(p: SimplicialPoset, up, cob, proved) -> Iterator[tuple]:
+def _link_bettis(p: SimplicialPoset, cob, proved) -> Iterator[tuple]:
     """:func:`link_bettis` on the output of :func:`_coboundary_pass`."""
-    by_rank = p.cells_by_rank
-    chains, width = _chain_counts(up)
+    by_rank, up = p.cells_by_rank, p._up_table
+    chains, width = _chain_counts(p)
     unsound: set[int] = set()           # positions in the rank above
     for k in range(p.d, 0, -1):
         n = p.d - k

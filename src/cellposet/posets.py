@@ -9,9 +9,11 @@ are proved boolean in `homology` by one walk, `_check_simplicial`, which
 `validate_poset` runs on every poset and `_require_simplicial`, the gate of
 `betti_gf2` and the link test, on every poset but those `from_graph`
 built, boolean by construction (below).
-No poset keeps its covers upward.  `_up_table` builds them, by the
-caller's `_positions` (a cell's index in its rank): item r lists, for the
-i-th rank-r cell, the ascending positions in rank r + 1 of its coverers.
+A poset caches its covers upward in one form, `_up_table`, by its cached
+`_positions` (a cell's index in its rank): item r lists, for the i-th
+rank-r cell, the ascending positions in rank r + 1 of its coverers.  The
+poset is frozen, so both are functions of its fields, and no engine
+writes to either.
 
 `from_graph` realizes the cell poset of an admissible d-colored multigraph:
 cells are pairs (H, S) of a color set S and a connected component H of the
@@ -146,28 +148,29 @@ class SimplicialPoset:
             buckets[r].append(i)
         return tuple(tuple(b) for b in buckets)
 
+    @cached_property
+    def _positions(self) -> list[int]:
+        """By cell id, the cell's index within its rank."""
+        pos = [0] * self.n_cells
+        for cells in self.cells_by_rank:
+            for i, c in enumerate(cells):
+                pos[c] = i
+        return pos
+
+    @cached_property
+    def _up_table(self) -> list[list[list[int]]]:
+        """The upward cover table of the module docstring."""
+        pos, by_rank = self._positions, self.cells_by_rank
+        up = [[[] for _ in cells] for cells in by_rank]
+        for level, cells in zip(up, by_rank[1:]):
+            for i, c in enumerate(cells):
+                for j in self.covers[c]:
+                    level[pos[j]].append(i)
+        return up
+
     def facets(self) -> tuple[int, ...]:
         """Maximal cells (cells covered by nothing)."""
         return tuple(sorted(set(range(self.n_cells)).difference(*self.covers)))
-
-
-def _positions(p: SimplicialPoset) -> list[int]:
-    """By cell id, the cell's index within its rank."""
-    pos = [0] * p.n_cells
-    for cells in p.cells_by_rank:
-        for i, c in enumerate(cells):
-            pos[c] = i
-    return pos
-
-
-def _up_table(p: SimplicialPoset, pos: list[int]) -> list[list[list[int]]]:
-    """The upward cover table of the module docstring, by `pos`."""
-    up = [[[] for _ in cells] for cells in p.cells_by_rank]
-    for level, cells in zip(up, p.cells_by_rank[1:]):
-        for i, c in enumerate(cells):
-            for j in p.covers[c]:
-                level[pos[j]].append(i)
-    return up
 
 
 # --- construction from colored graphs ---------------------------------------
@@ -289,19 +292,17 @@ def h_vector(f: tuple[int, ...]) -> tuple[int, ...]:
 
 # --- pseudomanifold predicates ------------------------------------------------
 
-def is_pure(p: SimplicialPoset, *, up=None) -> bool:
-    """Every cell below rank d has a coverer in `up`, `p`'s `_up_table`."""
-    up = _up_table(p, _positions(p)) if up is None else up
-    return all(map(all, up[:p.d]))
+def is_pure(p: SimplicialPoset) -> bool:
+    """Every cell below rank d has a coverer in `p`'s `_up_table`."""
+    return all(map(all, p._up_table[:p.d]))
 
 
-def is_pseudomanifold(p: SimplicialPoset, *, up=None) -> bool:
+def is_pseudomanifold(p: SimplicialPoset) -> bool:
     """Pure + every ridge under exactly two facets + strongly connected
     (any two facets linked by a chain of ridge-sharing facets)."""
-    up = _up_table(p, _positions(p)) if up is None else up
-    if not is_pure(p, up=up) or p.d < 1:
+    if not is_pure(p) or p.d < 1:
         return False
-    ridges = up[p.d - 1]               # each ridge's facets, by position
+    ridges = p._up_table[p.d - 1]      # each ridge's facets, by position
     if any(len(facets) != 2 for facets in ridges):
         return False
     # pure and d >= 1: a facet exists, so a ridge does, with two facets

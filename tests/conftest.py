@@ -14,10 +14,9 @@ from cellposet.constructions import (_interval_by_vertices, _rule_pair,
                                      product_spheres_graph)
 from cellposet.graphs import (ColoredGraph, graph_from_dict,
                               validate_admissible)
-from cellposet.homology import (_check_simplicial, betti_gf2,
-                                is_homology_manifold)
-from cellposet.posets import (SimplicialPoset, _positions, _up_table,
-                              from_graph, is_pseudomanifold, is_pure)
+from cellposet.homology import betti_gf2, is_homology_manifold
+from cellposet.posets import (SimplicialPoset, from_graph, is_pseudomanifold,
+                              is_pure)
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -151,7 +150,7 @@ def shuffled(g: ColoredGraph, seed: int) -> ColoredGraph:
 
 
 def coverers(p: SimplicialPoset) -> tuple[tuple[int, ...], ...]:
-    """Oracle for `posets._up_table`: for each cell id, the ids of the
+    """Oracle for `SimplicialPoset._up_table`: for each cell id, the ids of the
     cells covering it, ascending, by one scan of the covers."""
     up: list[list[int]] = [[] for _ in range(p.n_cells)]
     for i, cov in enumerate(p.covers):
@@ -510,16 +509,6 @@ def rewired_simplex_boundary() -> SimplicialPoset:
 def unmarked(p: SimplicialPoset) -> SimplicialPoset:
     """`p` through the constructor, which never marks a poset proved."""
     return SimplicialPoset(p.d, p.ranks, p.covers, p.labels)
-
-
-def check_simplicial(p: SimplicialPoset) -> None:
-    """`homology._check_simplicial` on the positions its callers build."""
-    _check_simplicial(p, _positions(p))
-
-
-def up_table(p: SimplicialPoset) -> list[list[list[int]]]:
-    """`posets._up_table` on the positions its callers build."""
-    return _up_table(p, _positions(p))
 
 
 def boolean_by_definition(p: SimplicialPoset) -> bool:

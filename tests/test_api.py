@@ -3,7 +3,7 @@ import importlib
 import inspect
 import re
 from dataclasses import fields
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 from types import ModuleType
 
@@ -16,7 +16,8 @@ from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph, require_admissible
-from cellposet.posets import SimplicialPoset, from_graph
+from cellposet.posets import (SimplicialPoset, from_graph, is_pseudomanifold,
+                              is_pure)
 from cellposet.reduction import _Table, cancellation_schedule, greedy_reduce
 
 # The names `import cellposet` exports; adding one means editing this list
@@ -66,15 +67,50 @@ def test_the_dipole_table_holds_only_the_partner_table():
                             "alive", "live"}
 
 
+def package_modules() -> list[ModuleType]:
+    """The package and each of its modules."""
+    package = Path(cellposet.__file__).parent
+    return [cellposet] + [importlib.import_module(f"cellposet.{path.stem}")
+                          for path in sorted(package.glob("*.py"))
+                          if path.stem != "__init__"]
+
+
 def test_the_limits_are_bound_only_in_posets():
     """A reader of a limit reads `posets` when called, so that one patch
     bounds every reader: no other module binds either name."""
-    package = Path(cellposet.__file__).parent
-    modules = [cellposet] + [importlib.import_module(f"cellposet.{path.stem}")
-                             for path in sorted(package.glob("*.py"))
-                             if path.stem != "__init__"]
     for name in ("MAX_OUTPUT_SIZE", "MAX_ROW_BITS"):
-        assert [m for m in modules if name in vars(m)] == [posets]
+        assert [m for m in package_modules() if name in vars(m)] == [posets]
+
+
+def test_a_poset_owns_its_tables():
+    """The position and up tables are cached on the poset, and no module
+    defines or binds either at module level; the pseudomanifold
+    predicates read them from the poset and take no table."""
+    for name in ("_positions", "_up_table"):
+        assert isinstance(vars(SimplicialPoset)[name], cached_property)
+        assert [m for m in package_modules() if name in vars(m)] == []
+    for predicate in (is_pure, is_pseudomanifold):
+        assert list(inspect.signature(predicate).parameters) == ["p"]
+
+
+def test_the_cli_reads_no_private_name_of_the_package():
+    """The CLI runs library entry points only: it imports no underscore
+    name from the package, nor reads one off a package module."""
+    tree = ast.parse(Path(cellposet.__file__).with_name("cli.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (
+                   node.level or node.module.startswith("cellposet"))]
+    imported = {a.asname or a.name for node in imports for a in node.names}
+    modules = {name for name in imported
+               if isinstance(getattr(cellposet, name, None), ModuleType)}
+    assert modules
+    private = sorted(name for name in imported if name.startswith("_"))
+    private += sorted(node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in modules
+                      and node.attr.startswith("_"))
+    assert private == []
 
 
 def test_one_patch_bounds_every_reader(monkeypatch):

@@ -307,6 +307,21 @@ class TestReduce:
         assert code == 2 and out == ""
         assert err.startswith("error: --schedule symbolic --n ")
 
+    def test_symbolic_fit_check_stays_fast_on_a_huge_d(self, capsys,
+                                                        tmp_path):
+        # n + m + 1 = d: C(2000000, 1000000), computed exactly, took most
+        # of a minute before the graph was found not admissible
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps({"d": 2000001, "vertices": ["a", "b"],
+                                   "edges": [{"u": "a", "v": "b",
+                                              "color": 1}]}))
+        start = time.perf_counter()
+        result = run(capsys, "reduce", str(src), "--schedule", "symbolic",
+                     "--n", "1000000", "--m", "1000000")
+        assert time.perf_counter() - start < 5.0
+        assert result == (2, "", "error: graph is not admissible: no edge "
+                                 "has color 2..2000001\n")
+
     def test_greedy_above_its_bound_exits_two(self, capsys, tmp_path):
         src = tmp_path / "g.json"
         src.write_text(json.dumps(graph_to_dict(product_spheres_graph(5, 5))))

@@ -11,8 +11,8 @@ from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet import homology
-from cellposet.homology import (_chain_counts, _coboundary_pass,
-                                _face_counts, _manifold, _pivots,
+from cellposet.homology import (_chain_counts, _check_simplicial,
+                                _coboundary_pass, _face_counts, _pivots,
                                 _require_simplicial, betti_gf2,
                                 h_double_prime, is_homology_manifold,
                                 link_bettis, validate_poset)
@@ -21,11 +21,10 @@ from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               is_pseudomanifold, is_pure)
 
 from conftest import (admissible_graphs, betti_order_complex,
-                      boolean_by_definition, boundary_rows, check_simplicial,
-                      gf2_rank, is_homology_sphere, link, rewired_posets,
+                      boolean_by_definition, boundary_rows, gf2_rank,
+                      is_homology_sphere, link, rewired_posets,
                       rewired_simplex_boundary, simplex_boundary_wedge,
-                      sphere_pattern, two_pillows, unmarked, up_table,
-                      vertex_sets)
+                      sphere_pattern, two_pillows, unmarked, vertex_sets)
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -143,7 +142,7 @@ class TestChainComplex:
             ((), (0,), (0,), (0,), (0,), (1, 2), (2, 3), (1, 4), (5, 6, 7)),
             tuple("abcdefghi"))
         with pytest.raises(ValueError, match="boundary squared"):
-            check_simplicial(p)
+            _check_simplicial(p)
 
     def test_manifold_test_checks_the_boundary_first(self):
         # the links of this poset are never eliminated: the one check on
@@ -165,7 +164,7 @@ class TestChainComplex:
         assert validate_poset(p) == [] and betti_gf2(p) == (0, 0, 1)
         monkeypatch.setattr(posets, "MAX_ROW_BITS", 51)
         for engine in (validate_poset, betti_gf2, is_homology_manifold,
-                       is_homology_sphere, link_bettis, _manifold):
+                       is_homology_sphere, link_bettis):
             with pytest.raises(ValueError, match=(
                     r"^the chain complex has 52 bits of boundary rows, more "
                     r"than the limit of 51$")):
@@ -178,24 +177,23 @@ class TestChainComplex:
         ids=["betti_gf2", "validate_poset", "is_homology_manifold",
              "link_bettis"])
     def test_the_row_bit_guard_runs_once_and_first(self, engine, marked):
-        p = from_graph(product_spheres_graph(1, 2))
-        p = p if marked else unmarked(p)
+        def build():
+            p = from_graph(product_spheres_graph(1, 2))
+            return p if marked else unmarked(p)
+
+        p = build()
         with mock.patch.object(homology, "_require_row_bits",
-                               wraps=posets._require_row_bits) as guard, \
-                mock.patch.object(homology, "_positions",
-                                  wraps=posets._positions) as positions:
+                               wraps=posets._require_row_bits) as guard:
             engine(p)
         guard.assert_called_once_with(p)
-        # the walk, the rows and the up table share one position table
-        positions.assert_called_once_with(p)
-        # a refusal comes before any proof or row is built
+        # a refusal comes before any proof or row is built, so before the
+        # poset caches its position or up table
+        q = build()
         with mock.patch.object(homology, "_require_row_bits",
-                               side_effect=ValueError("refused")), \
-                mock.patch.object(homology, "_positions") as positions, \
-                mock.patch.object(homology, "_up_table") as up:
+                               side_effect=ValueError("refused")):
             with pytest.raises(ValueError, match="^refused$"):
-                engine(p)
-        assert not positions.called and not up.called
+                engine(q)
+        assert "_positions" not in vars(q) and "_up_table" not in vars(q)
 
     def test_augmentation_row(self, torus_graph):
         rows = boundary_rows(from_graph(torus_graph))
@@ -442,7 +440,7 @@ class TestSlicedLinks:
         # is refused, so no link is eliminated
         p = two_pillows()
         with pytest.raises(ValueError, match="not a simplicial poset"):
-            check_simplicial(p)
+            _check_simplicial(p)
 
     @pytest.mark.parametrize("share_edge", [False, True])
     @pytest.mark.parametrize("engine", [betti_gf2, is_homology_manifold,
@@ -472,8 +470,8 @@ def transposed(rows, width: int) -> list[int]:
 
 
 # every engine that proves its input simplicial, by the one walk
-PROVING_ENGINES = (check_simplicial, _require_simplicial, _coboundary_pass,
-                   betti_gf2, is_homology_manifold, link_bettis, _manifold)
+PROVING_ENGINES = (_check_simplicial, _require_simplicial, _coboundary_pass,
+                   betti_gf2, is_homology_manifold, link_bettis)
 
 
 def assert_refused_alike(p: SimplicialPoset, message: str) -> None:
@@ -485,11 +483,11 @@ def assert_refused_alike(p: SimplicialPoset, message: str) -> None:
 
 
 def assert_the_rows_are_transposed(p: SimplicialPoset) -> None:
-    """`_coboundary_pass` gives `_up_table`, for each rank below d the
-    transpose of the boundary rows of the rank above, the rows of rank d,
-    zero, and the mark."""
-    up, cob, proved = _coboundary_pass(p)
-    assert up == up_table(p) and proved == p._proved
+    """`_coboundary_pass` gives, for each rank below d, the transpose of
+    the boundary rows of the rank above, the rows of rank d, zero, and the
+    mark."""
+    cob, proved = _coboundary_pass(p)
+    assert proved == p._proved
     f = f_vector(p)
     assert [transposed(rows, width) for rows, width in zip(
         boundary_rows(p), f)] == cob[:p.d]
@@ -562,7 +560,7 @@ class TestTwoProofs:
         assert vertex_sets(q) == verts
         with pytest.raises(ValueError,
                            match="boundary squared is nonzero") as info:
-            check_simplicial(q)
+            _check_simplicial(q)
         assert_refused_alike(q, str(info.value))
 
     @pytest.mark.parametrize("poset", [
@@ -579,7 +577,7 @@ def assert_face_counts_match_the_oracle(p: SimplicialPoset) -> None:
     """Every cell's face counts from the packed chain counts, item [k][j]
     for the j-th cell of rank k, are the f-vector of its link, built as
     its own poset by `link`."""
-    chains, width = _chain_counts(up_table(p))
+    chains, width = _chain_counts(p)
     assert [[_face_counts(item, width, p.d - k) for item in items]
             for k, items in enumerate(chains)] == [
                 [f_vector(link(p, c)) for c in cells]
@@ -616,7 +614,7 @@ class TestChainCounts:
         # 12! chains run from the minimum to each of the 13 facets: a field
         # sized for max(f) alone would overflow into the next
         p = boundary_of_simplex(12)
-        chains, width = _chain_counts(up_table(p))
+        chains, width = _chain_counts(p)
         for k, items in enumerate(chains):
             assert len(items) == comb(13, k)
             for item in items:

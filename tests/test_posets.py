@@ -14,7 +14,8 @@ from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph
 from cellposet import homology, posets
-from cellposet.homology import (_RowsOnDemand, _coboundary_pass, betti_gf2,
+from cellposet.homology import (_RowsOnDemand, _check_simplicial,
+                                _coboundary_pass, betti_gf2,
                                 is_homology_manifold, link_bettis,
                                 validate_poset)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
@@ -23,11 +24,11 @@ from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
 
 from conftest import (SIMPLICIAL_BASES, admissible_graphs,
                       betti_order_complex, bfs_roots, boolean_by_definition,
-                      boundary_rows, check_simplicial, complex_from_facets,
-                      coverers, gf2_rank, json_labels, link, poset_to_dict,
+                      boundary_rows, complex_from_facets, coverers,
+                      gf2_rank, json_labels, link, poset_to_dict,
                       proper_coloring, rewired_posets,
                       rewired_simplex_boundary, shuffled, to_graph,
-                      two_pillows, unmarked, up_table)
+                      two_pillows, unmarked)
 
 
 def h_by_polynomial_expansion(f):
@@ -117,7 +118,7 @@ def assert_passes_the_constructor_checks(p: SimplicialPoset) -> None:
     with mock.patch.object(homology, "_check_simplicial",
                            wraps=homology._check_simplicial) as walk:
         assert validate_poset(p) == []
-    walk.assert_called_once_with(p, posets._positions(p))
+    walk.assert_called_once_with(p)
 
 
 class TestFromGraph:
@@ -376,7 +377,7 @@ class TestRequireSimplicial:
         with pytest.raises(ValueError, match=(
                 f"cell {p.n_cells - 1} \\(rank 4\\) has {vertices} vertices "
                 f"and {distinct} distinct vertex sets")):
-            check_simplicial(p)
+            _check_simplicial(p)
 
     def test_non_boolean_interval_is_refused(self):
         # two edges on the same two vertices under one triangle
@@ -384,17 +385,17 @@ class TestRequireSimplicial:
                             ((), (0,), (0,), (0,), (1, 2), (1, 2), (2, 3),
                              (4, 5, 6)), tuple("abcdefgh"))
         with pytest.raises(ValueError, match="not a simplicial poset"):
-            check_simplicial(p)
+            _check_simplicial(p)
 
     @given(admissible_graphs(colors=(2, 3, 4)))
     def test_graph_posets_pass(self, g):
-        check_simplicial(from_graph(g))
+        _check_simplicial(from_graph(g))
 
     def test_small_posets_pass(self, torus_graph):
         for p in (from_graph(torus_graph), boundary_of_simplex(3),
                   two_disjoint_bigons(), from_graph(parallel_edges_graph(1))):
             assert not validate_poset(p)
-            check_simplicial(p)
+            _check_simplicial(p)
 
 
 class TestSimplicialOracle:
@@ -421,8 +422,7 @@ class TestSimplicialOracle:
 
 def rows_on_demand(p: SimplicialPoset) -> list[list[int]]:
     """Every row `betti_gf2` may build for `p`, by rank."""
-    pos = posets._positions(p)
-    return [[_RowsOnDemand(cells, p.covers, pos)[i] for i in range(len(cells))]
+    return [[_RowsOnDemand(p, cells)[i] for i in range(len(cells))]
             for cells in p.cells_by_rank[1:]]
 
 
@@ -432,8 +432,8 @@ def assert_the_row_sources_agree(p: SimplicialPoset) -> None:
     `_coboundary_pass` hands on, and `betti_gf2` the rows of the oracle."""
     q = unmarked(p)
     assert rows_on_demand(p) == boundary_rows(p)
-    up, cob, proved = _coboundary_pass(q)
-    assert not proved and _coboundary_pass(p) == (up, cob, True)
+    cob, proved = _coboundary_pass(q)
+    assert not proved and _coboundary_pass(p) == (cob, True)
     assert betti_gf2(p) == betti_gf2(q)
     if p.n_cells < 200:     # the order complex grows as d! per facet
         assert betti_gf2(p) == betti_order_complex(p)
@@ -467,8 +467,8 @@ class TestTheProofMark:
         p, q = from_graph(g), reference_from_graph(g)
         assert boolean_by_definition(p)
         assert rows_on_demand(p) == boundary_rows(p)
-        up, cob, proved = _coboundary_pass(q)
-        assert not proved and _coboundary_pass(p) == (up, cob, True)
+        cob, proved = _coboundary_pass(q)
+        assert not proved and _coboundary_pass(p) == (cob, True)
         assert betti_gf2(p) == betti_gf2(q) == betti_order_complex(p)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
@@ -548,29 +548,62 @@ def pseudomanifold_by_definition(p: SimplicialPoset) -> bool:
     return len(reached) == len(facets)
 
 
+# every engine that reads a poset's cached position or up table
+TABLE_READERS = (betti_gf2, validate_poset, is_homology_manifold,
+                 lambda p: list(link_bettis(p)), is_pure, is_pseudomanifold)
+
+
+def outcome(reader, p: SimplicialPoset):
+    """`reader(p)`, or the text of the ValueError it raises."""
+    try:
+        return reader(p)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 class TestUpTable:
     """The upward cover table by position, and its readers, against the
     by-id cover scan of `conftest.coverers`."""
 
     @staticmethod
-    def assert_matches_the_oracle(p: SimplicialPoset) -> None:
-        up, by_id = up_table(p), coverers(p)
+    def assert_the_tables_match_the_oracle(p: SimplicialPoset) -> None:
+        """`p._up_table`, read by id, is `coverers(p)`, and `p._positions`
+        a fresh copy's."""
+        by_id = coverers(p)
         assert [[[p.cells_by_rank[r + 1][i] for i in cov] for cov in level]
-                for r, level in enumerate(up)] == [
+                for r, level in enumerate(p._up_table)] == [
                     [list(by_id[c]) for c in cells]
                     for cells in p.cells_by_rank]
+        assert p._positions == unmarked(p)._positions
+
+    def assert_matches_the_oracle(self, p: SimplicialPoset) -> None:
+        self.assert_the_tables_match_the_oracle(p)
+        by_id = coverers(p)
         assert p.facets() == tuple(c for c in range(p.n_cells)
                                    if not by_id[c])
         # purity read from the table is the maximal cells' ranks all d
-        assert is_pure(p) == is_pure(p, up=up) == all(
-            p.ranks[c] == p.d for c in p.facets())
-        assert (is_pseudomanifold(p) == is_pseudomanifold(p, up=up)
-                == pseudomanifold_by_definition(p))
+        assert is_pure(p) == all(p.ranks[c] == p.d for c in p.facets())
+        assert is_pseudomanifold(p) == pseudomanifold_by_definition(p)
 
     @settings(max_examples=100)
     @given(rewired_posets())
     def test_rewired_posets(self, p):
         self.assert_matches_the_oracle(p)
+
+    @settings(max_examples=100)
+    @given(st.one_of(rewired_posets(),
+                     admissible_graphs(colors=(2, 3, 4)).map(from_graph)))
+    def test_no_reader_writes_the_cached_tables(self, p):
+        # each reader twice, on the poset and on its unmarked copy: the
+        # second call sees the tables the first left, and after each call
+        # they still match the oracle
+        for q in (p, unmarked(p)):
+            for reader in TABLE_READERS:
+                results = []
+                for _ in range(2):
+                    results.append(outcome(reader, q))
+                    self.assert_the_tables_match_the_oracle(q)
+                assert results[0] == results[1]
 
     @given(admissible_graphs(colors=(2, 3, 4)))
     def test_graph_posets(self, g):

@@ -1,5 +1,4 @@
 import json
-import random
 import time
 from collections import Counter
 from itertools import combinations
@@ -20,7 +19,7 @@ from cellposet.reduction import (CancellationError, CancellationStep, _Table,
                                  reduce_product_spheres, run_schedule)
 
 from conftest import (admissible_graphs, bfs_roots, color_partner,
-                      colors_between, insert_dipole)
+                      colors_between, insert_dipole, shuffled)
 
 EXPECTED_2_2 = [
     (1, (2, 3), ("A:{2,3}", "A:{1,3}")),
@@ -162,17 +161,6 @@ def naive_greedy(g: ColoredGraph):
             break
         else:
             return g, pairs
-
-
-def shuffled(g: ColoredGraph, seed: int) -> ColoredGraph:
-    """`g` with vertex order, edge order and edge orientation permuted."""
-    rnd = random.Random(seed)
-    vertices = list(g.vertices)
-    rnd.shuffle(vertices)
-    edges = [(u, v, c) if rnd.random() < 0.5 else (v, u, c)
-             for u, v, c in g.edges]
-    rnd.shuffle(edges)
-    return ColoredGraph(g.d, tuple(vertices), tuple(edges))
 
 
 # the only attributes a graph may carry: its fields and the label index
