@@ -11,7 +11,7 @@ from .homology import (betti_gf2, h_double_prime, is_homology_manifold,
 from .constructions import (boundary_of_simplex, connected_sum,
                             cross_polytope_quotient, parallel_edges_graph,
                             product_spheres_graph)
-from .reduction import (CancellationError, Schedule, cancellation_schedule,
+from .reduction import (CancellationError, cancellation_schedule,
                         greedy_reduce, reduce_product_spheres, run_schedule)
 from .checkers import (CheckResult, check_manifold_h, check_rp_h,
                        check_sphere_h)

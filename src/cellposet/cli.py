@@ -11,13 +11,12 @@ import argparse
 import json
 import re
 import sys
-from math import comb
 from pathlib import Path
 
 from . import constructions, reduction
 from .checkers import check_manifold_h, check_rp_h, check_sphere_h
 from .graphs import (ColoredGraph, graph_from_dict, graph_to_dot,
-                     graph_to_json, require_admissible, validate_admissible)
+                     graph_to_json, validate_admissible)
 from .homology import (betti_gf2, h_double_prime, is_homology_manifold,
                        validate_poset)
 from .posets import (SimplicialPoset, f_vector, from_graph, h_vector,
@@ -122,23 +121,12 @@ def cmd_reduce(args) -> int:
     if not isinstance(obj, ColoredGraph):
         raise ValueError("reduce expects a graph JSON file")
     if args.schedule == "symbolic":
-        n, m = args.n, args.m
-        if n is None or m is None:
+        if args.n is None or args.m is None:
             raise ValueError("--schedule symbolic requires --n and --m")
-        # the schedule's C(n+m, n) - 1 entries (bounded past min(n, m) = 20)
-        # each cancel two vertices and leave two at least: refuse a graph it
-        # cannot fit before building it, as not admissible first;
-        # `run_schedule` checks one that fits
-        if (min(n, m) < 1 or n + m + 1 != obj.d
-                or 2 * comb(n + m, min(n, m, 20)) > len(obj.vertices)):
-            require_admissible(obj)
-            raise ValueError(
-                f"--schedule symbolic --n {n} --m {m} needs n, m >= 1, "
-                f"d = n + m + 1 and at least 2*C(n+m, n) vertices; the "
-                f"graph has d = {obj.d} and {len(obj.vertices)} vertices")
-        final, steps = reduction.run_schedule(
-            obj, reduction.cancellation_schedule(n, m))
+        final, steps = reduction.run_schedule(obj, args.n, args.m)
     else:
+        if args.n is not None or args.m is not None:
+            raise ValueError("--n and --m apply only to --schedule symbolic")
         final, steps = reduction.greedy_reduce(obj)
     # written before anything is printed, as in `cmd_build`
     _write_out(args.certificate, json.dumps(

@@ -62,7 +62,7 @@ from .graphs import (ColoredGraph, _json_array, _merge_roots,
                      require_admissible)
 
 # The most cells `from_graph` makes, the most edges or cells a builder in
-# `constructions` makes, the most entries `cancellation_schedule` lists
+# `constructions` makes, the most pairs `cancellation_schedule` lists
 # and the most dipole tests `greedy_reduce` may make; a larger request is
 # refused before any of it is made.  Each reads the constant here when
 # called, so one patch of it bounds them all.  The size is exact for small
@@ -167,10 +167,6 @@ class SimplicialPoset:
                 for j in self.covers[c]:
                     level[pos[j]].append(i)
         return up
-
-    def facets(self) -> tuple[int, ...]:
-        """Maximal cells (cells covered by nothing)."""
-        return tuple(sorted(set(range(self.n_cells)).difference(*self.covers)))
 
 
 # --- construction from colored graphs ---------------------------------------

@@ -19,7 +19,9 @@ crystallizations (Ferri, Gagliardi and Grasselli, 1986; Lins, 1995).  It
 also holds an alive flag per vertex, the live vertex count and the edge
 list, with no order stamp: an edge is in the graph exactly while both its
 ends are alive, as cancelling (x, y) rewires only the partners of x and y
-and so removes just the edges at x or y.
+and so removes just the edges at x or y.  Its one step log records each
+cancellation as a :class:`CancellationStep`, in order; :func:`run_schedule`
+and :func:`greedy_reduce` return it as they find it.
 
 * The dipole test runs a breadth-first search from x and one from y over
   the colors not in C, always growing the smaller frontier.  The pair is
@@ -74,12 +76,26 @@ class CancellationError(Exception):
     """A cancellation step failed (pair not a dipole, or result broken)."""
 
 
+@dataclass(frozen=True)
+class CancellationStep:
+    step: int
+    pair: tuple[str, str]
+    colors: tuple[int, ...]
+    vertices_after: int
+
+    def to_dict(self) -> dict:
+        return {"step": self.step, "pair": list(self.pair),
+                "colors": list(self.colors),
+                "vertices_after": self.vertices_after}
+
+
 class _Table:
     """The partner table of an admissible graph, rewritten in place.
 
     ``partner`` is the table :func:`require_admissible` returns; ``edges``
     lists the input edges, then each edge a cancellation made, with no
-    order stamp: the live ones have both ends alive (module docstring)."""
+    order stamp: the live ones have both ends alive (module docstring).
+    ``steps`` logs each cancellation, in order."""
 
     def __init__(self, g: ColoredGraph):
         self.partner = require_admissible(g)
@@ -89,6 +105,7 @@ class _Table:
         self.edges = list(g.edges)
         self.alive = [True] * len(g.vertices)
         self.live = len(g.vertices)
+        self.steps: list[CancellationStep] = []
 
     def vertex(self, label: str) -> int:
         i = self.index.get(label)
@@ -140,8 +157,9 @@ class _Table:
 
     def cancel_dipole(self, x: int, y: int, colors: tuple[int, ...]) -> None:
         """Cancel a pair whose dipole test just returned `colors`, without
-        a search (see the module docstring).  A full-type dipole is the
-        whole graph: refuse it, leaving the table as it was."""
+        a search (see the module docstring), and log the step.  A
+        full-type dipole is the whole graph: refuse it, leaving the table
+        as it was."""
         if len(colors) == self.d:
             raise CancellationError(
                 f"cancelling ({self.labels[x]!r}, {self.labels[y]!r}) breaks "
@@ -155,6 +173,9 @@ class _Table:
             self.edges.append((self.labels[a], self.labels[b], c))
         self.alive[x] = self.alive[y] = False
         self.live -= 2
+        self.steps.append(CancellationStep(
+            len(self.steps) + 1, (self.labels[x], self.labels[y]), colors,
+            self.live))
 
     def dipoles(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """Yield (x, y, colors) for each dipole, scanning the pairs x < y
@@ -178,26 +199,14 @@ class _Table:
 
 # --- the symbolic cancellation schedule -------------------------------------------
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    subset: tuple[int, ...]
-    pair: tuple[str, str]
-
-
-@dataclass(frozen=True)
-class Schedule:
-    n: int
-    m: int
-    entries: tuple[ScheduleEntry, ...]
-
-
 def _rng(a: int, b: int) -> list[int]:
     """The integers a..b, empty when b < a."""
     return list(range(a, b + 1))
 
 
-def cancellation_schedule(n: int, m: int) -> Schedule:
-    """The pairing that reduces the product-of-spheres graph, stage by stage.
+def cancellation_schedule(n: int, m: int) -> tuple[tuple[str, str], ...]:
+    """The (first, second) label pairs that reduce the product-of-spheres
+    graph, stage by stage.
 
     Stage j (1 <= j <= n) pairs off, for every subset S = {i_1 < ...} of
     [j+1, n+m] with n+1-j elements and S' = S minus i_1:
@@ -206,9 +215,9 @@ def cancellation_schedule(n: int, m: int) -> Schedule:
     * j odd, i_1 > j+1:  A([1,j-1] + S)  with  B([i_1-j-1, i_1-2] + S'),
     * j even:            B([i_1-j, i_1-2] + S)  with  B([i_1-j, i_1-1] + S').
 
-    Entries are ordered stage-ascending and, within a stage, by descending
+    Pairs are ordered stage-ascending and, within a stage, by descending
     reverse-lexicographic order of S.  The schedule has C(n+m, n) - 1
-    entries touching only A- and B-block vertices, pairwise disjointly.
+    pairs touching only A- and B-block vertices, pairwise disjointly.
     """
     if n < 1 or m < 1:
         raise ValueError("both sphere dimensions must be at least 1")
@@ -217,14 +226,12 @@ def cancellation_schedule(n: int, m: int) -> Schedule:
     _refuse_above(posets.MAX_OUTPUT_SIZE, n_entries, f"the cancellation "
                   f"schedule of S^{n} x S^{m} has at least {n_entries} "
                   "entries")
-    entries = []
+    pairs = []
     for j in range(1, n + 1):
-        stage_sets = [s for s in combinations(range(j + 1, n + m + 1), n + 1 - j)]
         # descending reverse-lex = ascending colexicographic
-        stage_sets.sort(key=lambda s: tuple(sorted(s, reverse=True)))
-        for s in stage_sets:
-            i1 = s[0]
-            s_rest = s[1:]
+        for s in sorted(combinations(range(j + 1, n + m + 1), n + 1 - j),
+                        key=lambda s: tuple(sorted(s, reverse=True))):
+            i1, s_rest = s[0], s[1:]
             if j % 2 == 1:
                 first = block_label("A", _rng(1, j - 1) + list(s))
                 if i1 == j + 1:
@@ -234,44 +241,37 @@ def cancellation_schedule(n: int, m: int) -> Schedule:
             else:
                 first = block_label("B", _rng(i1 - j, i1 - 2) + list(s))
                 second = block_label("B", _rng(i1 - j, i1 - 1) + list(s_rest))
-            entries.append(ScheduleEntry(s, (first, second)))
-    return Schedule(n, m, tuple(entries))
+            pairs.append((first, second))
+    return tuple(pairs)
 
 
 # --- end-to-end reduction -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CancellationStep:
-    step: int
-    pair: tuple[str, str]
-    colors: tuple[int, ...]
-    vertices_after: int
-
-    def to_dict(self) -> dict:
-        return {"step": self.step, "pair": list(self.pair),
-                "colors": list(self.colors),
-                "vertices_after": self.vertices_after}
-
-
-def run_schedule(g: ColoredGraph, schedule: Schedule
+def run_schedule(g: ColoredGraph, n: int, m: int
                  ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
-    """Apply a schedule to an admissible graph, verifying the dipole
-    condition at every step, and check that the result is a minimal
-    crystallization of S^n x S^m for the schedule's n and m: it has
+    """Cancel the pairs of :func:`cancellation_schedule` in an admissible
+    graph, verifying the dipole condition at every step, and check that
+    the result is a minimal crystallization of S^n x S^m: it has
     2 + 2*C(n+m, n) vertices and stays connected after deleting any
-    single color class."""
+    single color class.  A graph the C(n+m, n) - 1 pairs cannot fit, as
+    each cancels two vertices and two are left at least, is refused once
+    found admissible and before the pairs are listed; the count is
+    bounded past min(n, m) = 20."""
     t = _Table(g)
-    steps = []
-    for k, entry in enumerate(schedule.entries, start=1):
-        x, y = entry.pair
+    if (min(n, m) < 1 or n + m + 1 != t.d
+            or 2 * comb(n + m, min(n, m, 20)) > t.live):
+        raise ValueError(
+            f"the cancellation schedule of S^{n} x S^{m} needs n, m >= 1, "
+            f"d = n + m + 1 and at least 2*C(n+m, n) vertices; the graph "
+            f"has d = {t.d} and {t.live} vertices")
+    for k, (x, y) in enumerate(cancellation_schedule(n, m), start=1):
         ix, iy = t.vertex(x), t.vertex(y)
         colors = t.dipole_colors(ix, iy)
         if colors is None:
             raise CancellationError(
                 f"step {k}: pair ({x!r}, {y!r}) is not a dipole")
         t.cancel_dipole(ix, iy, colors)
-        steps.append(CancellationStep(k, entry.pair, colors, t.live))
-    expected = 2 + 2 * comb(schedule.n + schedule.m, schedule.n)
+    expected = 2 + 2 * comb(n + m, n)
     if t.live != expected:
         raise CancellationError(
             f"reduced graph has {t.live} vertices, expected {expected}")
@@ -284,15 +284,14 @@ def run_schedule(g: ColoredGraph, schedule: Schedule
             raise CancellationError(
                 f"reduced graph is disconnected without color {i}; "
                 "not a crystallization")
-    return t.graph(), tuple(steps)
+    return t.graph(), tuple(t.steps)
 
 
 def reduce_product_spheres(n: int, m: int
                            ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
     """Build the product-of-spheres graph and cancel it down to a minimal
     crystallization with :func:`run_schedule`."""
-    return run_schedule(product_spheres_graph(n, m),
-                        cancellation_schedule(n, m))
+    return run_schedule(product_spheres_graph(n, m), n, m)
 
 
 def greedy_reduce(g: ColoredGraph
@@ -308,12 +307,8 @@ def greedy_reduce(g: ColoredGraph
     _refuse_above(posets.MAX_OUTPUT_SIZE, tests, f"greedy reduction of this "
                   f"{v}-vertex {t.d}-colored graph may make {tests} dipole "
                   "tests")
-    steps = []
     # a full-type dipole is a whole two-vertex graph, so above two
     # vertices every dipole cancels
     while t.live > 2 and (dipole := next(t.dipoles(), None)):
-        x, y, colors = dipole
-        t.cancel_dipole(x, y, colors)
-        steps.append(CancellationStep(
-            len(steps) + 1, (t.labels[x], t.labels[y]), colors, t.live))
-    return t.graph(), tuple(steps)
+        t.cancel_dipole(*dipole)
+    return t.graph(), tuple(t.steps)

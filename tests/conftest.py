@@ -159,6 +159,11 @@ def coverers(p: SimplicialPoset) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(u) for u in up)
 
 
+def facets(p: SimplicialPoset) -> tuple[int, ...]:
+    """The maximal cells of `p`, the ones nothing covers, ascending."""
+    return tuple(c for c, up in enumerate(coverers(p)) if not up)
+
+
 def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:
     """Oracle for the links of `homology.link_bettis`: the subposet
     of cells above `cell`, reindexed with `cell` as minimum and ranks

@@ -23,8 +23,7 @@ from cellposet.reduction import _Table, cancellation_schedule, greedy_reduce
 # The names `import cellposet` exports; adding one means editing this list
 # on purpose.
 PUBLIC_NAMES = [
-    "CancellationError", "CheckResult", "ColoredGraph", "Schedule",
-    "SimplicialPoset", "betti_gf2", "boundary_of_simplex",
+    "CancellationError", "CheckResult", "ColoredGraph", "SimplicialPoset", "betti_gf2", "boundary_of_simplex",
     "cancellation_schedule", "check_manifold_h", "check_rp_h",
     "check_sphere_h", "checkers", "connected_sum", "constructions",
     "cross_polytope_quotient", "f_vector", "from_graph", "graph_to_dot",
@@ -42,7 +41,7 @@ UNCONSUMED = ("boundary_of_simplex", "connected_sum", "parallel_edges_graph")
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 36
     assert sorted(cellposet.__all__) == PUBLIC_NAMES
     assert not hasattr(ColoredGraph, "color_partner")
     assert not hasattr(ColoredGraph, "component_roots")
@@ -56,15 +55,16 @@ def test_public_surface_is_pinned():
 
 
 def test_the_dipole_table_holds_only_the_partner_table():
-    """`_Table` rewrites the partner rows `require_admissible` returns and
-    keeps no edge-stamp table; TestNoStateOnGraphs in test_reduction.py
-    checks that the table is never cached on the graph."""
+    """`_Table` rewrites the partner rows `require_admissible` returns,
+    keeps no edge-stamp table and logs its steps in one list;
+    TestNoStateOnGraphs in test_reduction.py checks that the table is
+    never cached on the graph."""
     g = product_spheres_graph(1, 2)
     t = _Table(g)
     assert not hasattr(t, "stamp")
     assert t.partner == require_admissible(g)
     assert set(vars(t)) == {"partner", "d", "labels", "index", "edges",
-                            "alive", "live"}
+                            "alive", "live", "steps"}
 
 
 def package_modules() -> list[ModuleType]:
@@ -225,6 +225,29 @@ def test_every_private_helper_has_a_consumer():
                 if name not in owners}
     assert private
     assert sorted(private - consumed) == []
+
+
+def test_every_method_has_a_consumer():
+    """Every method or property defined in a class of the package, dunders
+    aside, is read as an attribute in the package or in the benchmark
+    harness outside its own def: a method only the tests call belongs in
+    the tests.  A variable of the same name does not count."""
+    package = Path(cellposet.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    paths = sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    methods = {item.name for path, tree in trees.items()
+               if path.parent == package
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (item.name.startswith("__")
+                        and item.name.endswith("__"))}
+    read = {node.attr for tree in trees.values()
+            for node, owners in owned_nodes(tree)
+            if isinstance(node, ast.Attribute) and node.attr not in owners}
+    assert methods
+    assert sorted(methods - read) == []
 
 
 def test_the_proof_mark_has_one_writer_and_one_reader():

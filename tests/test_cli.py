@@ -252,6 +252,14 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", TORUS, "--schedule", "symbolic")
         assert code == 2 and "requires" in err
 
+    @pytest.mark.parametrize("options", [("--n", "5", "--m", "7"),
+                                         ("--schedule", "greedy", "--n", "1"),
+                                         ("--m", "1")])
+    def test_dimensions_without_the_symbolic_schedule_exit_two(
+            self, capsys, options):
+        assert run(capsys, "reduce", TORUS, *options) == (
+            2, "", "error: --n and --m apply only to --schedule symbolic\n")
+
     def test_wrong_schedule_pair_fails_cleanly(self, capsys, tmp_path):
         # symbolic schedule for (2,1) against the (1,2) graph: labels differ
         graph_file = tmp_path / "lambda.json"
@@ -305,7 +313,8 @@ class TestReduce:
                              "symbolic", "--n", str(n), "--m", str(m))
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert err.startswith("error: --schedule symbolic --n ")
+        assert err.startswith(f"error: the cancellation schedule of "
+                              f"S^{n} x S^{m} needs ")
 
     def test_symbolic_fit_check_stays_fast_on_a_huge_d(self, capsys,
                                                         tmp_path):
@@ -356,16 +365,17 @@ NOT_ADMISSIBLE = ("error: graph is not admissible: color 1: vertex "
 
 class TestOneAdmissibilityWalk:
     """`reduce --schedule symbolic` walks a graph's edges for admissibility
-    once: in `run_schedule` when the graph fits the schedule, and before
-    the fit error, whose message comes second, when it does not."""
+    once, in `run_schedule`: before the fit check, so that a graph that
+    is not admissible and does not fit the schedule gets the admissibility
+    error."""
 
     @pytest.mark.parametrize("graph,nm,code,err", [
         (product_spheres_graph(1, 2), (1, 2), 0, ""),
         (BROKEN, (1, 1), 2, NOT_ADMISSIBLE),
         (parallel_edges_graph(5), (2, 2), 2,
-         "error: --schedule symbolic --n 2 --m 2 needs n, m >= 1, d = n + "
-         "m + 1 and at least 2*C(n+m, n) vertices; the graph has d = 5 and "
-         "2 vertices\n"),
+         "error: the cancellation schedule of S^2 x S^2 needs n, m >= 1, d "
+         "= n + m + 1 and at least 2*C(n+m, n) vertices; the graph has d = "
+         "5 and 2 vertices\n"),
         (BROKEN, (2, 2), 2, NOT_ADMISSIBLE)])
     def test_symbolic_schedule(self, capsys, tmp_path, monkeypatch, graph,
                                nm, code, err):
@@ -712,7 +722,11 @@ class TestFuzz:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(malformed_documents() | json_values,
            st.sampled_from([("build", "from-json"), ("invariants",),
-                            ("reduce",), ("export",), ("recognize",)]))
+                            ("reduce",), ("export",), ("recognize",)]
+                           + [("reduce", "--schedule", "symbolic",
+                               "--n", str(n), "--m", str(m))
+                              for n, m in ((1, 1), (2, 2), (0, 3),
+                                           (10 ** 6, 10 ** 6))]))
     def test_exit_code_and_no_traceback(self, capsys, tmp_path, doc,
                                         command):
         src = tmp_path / "doc.json"

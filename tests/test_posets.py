@@ -25,7 +25,7 @@ from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
 from conftest import (SIMPLICIAL_BASES, admissible_graphs,
                       betti_order_complex, bfs_roots, boolean_by_definition,
                       boundary_rows, complex_from_facets, coverers,
-                      gf2_rank, json_labels, link, poset_to_dict,
+                      facets, gf2_rank, json_labels, link, poset_to_dict,
                       proper_coloring, rewired_posets,
                       rewired_simplex_boundary, shuffled, to_graph,
                       two_pillows, unmarked)
@@ -454,7 +454,7 @@ class TestTheProofMark:
         s = boundary_of_simplex(3)
         assert p._proved and cross_polytope_quotient(4)._proved
         for q in (unmarked(p), poset_from_dict(poset_to_dict(p)), s,
-                  connected_sum(s, s, s.facets()[0], s.facets()[1]),
+                  connected_sum(s, s, facets(s)[0], facets(s)[1]),
                   reference_from_graph(torus_graph)):
             assert not q._proved
         # the mark is no field: equality, repr and JSON do not see it
@@ -578,11 +578,8 @@ class TestUpTable:
 
     def assert_matches_the_oracle(self, p: SimplicialPoset) -> None:
         self.assert_the_tables_match_the_oracle(p)
-        by_id = coverers(p)
-        assert p.facets() == tuple(c for c in range(p.n_cells)
-                                   if not by_id[c])
         # purity read from the table is the maximal cells' ranks all d
-        assert is_pure(p) == all(p.ranks[c] == p.d for c in p.facets())
+        assert is_pure(p) == all(p.ranks[c] == p.d for c in facets(p))
         assert is_pseudomanifold(p) == pseudomanifold_by_definition(p)
 
     @settings(max_examples=100)

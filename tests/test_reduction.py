@@ -8,7 +8,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet import posets
+from cellposet import posets, reduction
 from cellposet.constructions import (parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph, validate_admissible
@@ -22,11 +22,11 @@ from conftest import (admissible_graphs, bfs_roots, color_partner,
                       colors_between, insert_dipole, shuffled)
 
 EXPECTED_2_2 = [
-    (1, (2, 3), ("A:{2,3}", "A:{1,3}")),
-    (1, (2, 4), ("A:{2,4}", "A:{1,4}")),
-    (1, (3, 4), ("A:{3,4}", "B:{1,4}")),
-    (2, (3,), ("B:{1,3}", "B:{1,2}")),
-    (2, (4,), ("B:{2,4}", "B:{2,3}")),
+    (1, ("A:{2,3}", "A:{1,3}")),
+    (1, ("A:{2,4}", "A:{1,4}")),
+    (1, ("A:{3,4}", "B:{1,4}")),
+    (2, ("B:{1,3}", "B:{1,2}")),
+    (2, ("B:{2,4}", "B:{2,3}")),
 ]
 
 
@@ -134,44 +134,52 @@ def reference_cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
     return result
 
 
-def reference_schedule(g: ColoredGraph, schedule):
+def reference_schedule(g: ColoredGraph, pairs):
     """Oracle for run_schedule: check and cancel each pair on the edge
     list."""
     steps = []
-    for k, entry in enumerate(schedule.entries, start=1):
-        dip = reference_check_dipole(g, *entry.pair)
-        assert dip is not None, entry
-        g = reference_cancel(g, *entry.pair)
-        steps.append(CancellationStep(k, entry.pair, tuple(sorted(dip.colors)),
+    for k, pair in enumerate(pairs, start=1):
+        dip = reference_check_dipole(g, *pair)
+        assert dip is not None, pair
+        g = reference_cancel(g, *pair)
+        steps.append(CancellationStep(k, pair, tuple(sorted(dip.colors)),
                                       len(g.vertices)))
     return g, tuple(steps)
 
 
 def naive_greedy(g: ColoredGraph):
     """Oracle for greedy_reduce: cancel the first cancellable dipole of the
-    brute-force list on the edge list until none is left."""
-    pairs = []
+    brute-force list on the edge list until none is left, recording each
+    step with the colors `reference_check_dipole` finds."""
+    steps = []
     while True:
         for dip in brute_dipoles(g):
             try:
-                g = reference_cancel(g, dip.x, dip.y)
+                after = reference_cancel(g, dip.x, dip.y)
             except CancellationError:
                 continue
-            pairs.append((dip.x, dip.y))
+            colors = reference_check_dipole(g, dip.x, dip.y).colors
+            g = after
+            steps.append(CancellationStep(len(steps) + 1, (dip.x, dip.y),
+                                          tuple(sorted(colors)),
+                                          len(g.vertices)))
             break
         else:
-            return g, pairs
+            return g, tuple(steps)
 
 
 # the only attributes a graph may carry: its fields and the label index
 GRAPH_ATTRIBUTES = {"d", "vertices", "edges", "index"}
 
 
-def staged(sched) -> list:
-    """The entries as (stage j, subset, pair); stage j holds the subsets of
-    size n + 1 - j."""
-    return [(sched.n + 1 - len(e.subset), e.subset, e.pair)
-            for e in sched.entries]
+def staged(n: int, m: int) -> list:
+    """The pairs of the (n, m) schedule as (stage j, pair); stage j holds
+    one pair for each subset of [j+1, n+m] with n + 1 - j elements."""
+    pairs = iter(cancellation_schedule(n, m))
+    out = [(j, next(pairs)) for j in range(1, n + 1)
+           for _ in range(comb(n + m - j, n + 1 - j))]
+    assert next(pairs, None) is None
+    return out
 
 
 def k4_graph() -> ColoredGraph:
@@ -250,23 +258,21 @@ class TestAgainstTheEdgeListOracles:
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
     def test_run_schedule_matches_the_reference_loop(self, n, m):
         g = product_spheres_graph(n, m)
-        sched = cancellation_schedule(n, m)
-        assert run_schedule(g, sched) == reference_schedule(g, sched)
+        assert run_schedule(g, n, m) == \
+            reference_schedule(g, cancellation_schedule(n, m))
 
     @pytest.mark.parametrize("n,m,seed", [(2, 2, 1), (2, 2, 2), (1, 3, 1)])
     def test_greedy_on_a_shuffled_graph_matches_the_naive_loop(self, n, m,
                                                                seed):
         g = shuffled(product_spheres_graph(n, m), seed)
-        final, steps = greedy_reduce(g)
-        assert (final, [s.pair for s in steps]) == naive_greedy(g)
+        assert greedy_reduce(g) == naive_greedy(g)
 
     @given(admissible_graphs(max_pairs=6, colors=(2, 3, 4)))
     def test_greedy_matches_the_naive_loop(self, g):
         # the final graph pins the edge order that the table rebuilds
         # from its edge list: every edge whose ends are both alive, in
         # input order, then in the order the cancellations made them
-        final, steps = greedy_reduce(g)
-        assert (final, [s.pair for s in steps]) == naive_greedy(g)
+        assert greedy_reduce(g) == naive_greedy(g)
 
     @pytest.mark.parametrize("call", [
         lambda g: check_dipole(g, "x", "y"),
@@ -332,8 +338,7 @@ class TestNoSearchAfterAVerifiedDipole:
         assert searches == list(range(1, final.d + 1))
 
     def test_run_schedule(self, searches):
-        final, _ = run_schedule(product_spheres_graph(2, 3),
-                                cancellation_schedule(2, 3))
+        final, _ = run_schedule(product_spheres_graph(2, 3), 2, 3)
         assert searches == list(range(1, final.d + 1))
 
     def test_greedy_reduce(self, searches):
@@ -412,30 +417,28 @@ class TestCancel:
 
 class TestSchedule:
     def test_2_2_matches_the_worked_example(self):
-        assert staged(cancellation_schedule(2, 2)) == EXPECTED_2_2
+        assert staged(2, 2) == EXPECTED_2_2
 
     def test_1_1_single_pair(self):
-        assert staged(cancellation_schedule(1, 1)) == [
-            (1, (2,), ("A:{2}", "A:{1}"))]
+        assert staged(1, 1) == [(1, ("A:{2}", "A:{1}"))]
 
     def test_1_2_and_2_1_by_hand(self):
-        assert [e.pair for e in cancellation_schedule(1, 2).entries] == [
-            ("A:{2}", "A:{1}"), ("A:{3}", "B:{1}")]
-        assert [e.pair for e in cancellation_schedule(2, 1).entries] == [
-            ("A:{2,3}", "A:{1,3}"), ("B:{1,3}", "B:{1,2}")]
+        assert cancellation_schedule(1, 2) == (
+            ("A:{2}", "A:{1}"), ("A:{3}", "B:{1}"))
+        assert cancellation_schedule(2, 1) == (
+            ("A:{2,3}", "A:{1,3}"), ("B:{1,3}", "B:{1,2}"))
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
     def test_length_and_disjointness(self, n, m):
         sched = cancellation_schedule(n, m)
-        assert len(sched.entries) == comb(n + m, n) - 1
-        touched = [v for e in sched.entries for v in e.pair]
+        assert len(sched) == comb(n + m, n) - 1
+        touched = [v for pair in sched for v in pair]
         assert len(touched) == len(set(touched))
         assert all(v[0] in "AB" for v in touched)
 
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (2, 3), (3, 3), (1, 3)])
     def test_survivors_match_the_parity_rule(self, n, m):
-        sched = cancellation_schedule(n, m)
-        touched = {v for e in sched.entries for v in e.pair}
+        touched = {v for pair in cancellation_schedule(n, m) for v in pair}
         subsets = list(combinations(range(1, n + m + 1), n))
         a_left = [s for s in subsets
                   if f"A:{{{','.join(map(str, s))}}}" not in touched]
@@ -452,7 +455,7 @@ class TestSchedule:
     def test_size_limit_counts_the_entries_it_would_list(self, monkeypatch):
         # C(5, 2) - 1 = 9 entries: allowed at a limit of 9, refused below
         monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 9)
-        assert len(cancellation_schedule(2, 3).entries) == 9
+        assert len(cancellation_schedule(2, 3)) == 9
         monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", 8)
         with pytest.raises(ValueError, match=r"^the cancellation schedule "
                                              r"of S\^2 x S\^3 has at least 9 "
@@ -490,9 +493,9 @@ class TestReduceProductSpheres:
     def test_2_2_homology_invariant_across_all_steps(self):
         g = product_spheres_graph(2, 2)
         reference = betti_gf2(from_graph(g))
-        for entry in cancellation_schedule(2, 2).entries:
-            assert check_dipole(g, *entry.pair) is not None
-            g = cancel(g, *entry.pair)
+        for pair in cancellation_schedule(2, 2):
+            assert check_dipole(g, *pair) is not None
+            g = cancel(g, *pair)
             assert betti_gf2(from_graph(g)) == reference == (0, 0, 2, 0, 1)
 
     def test_certificate_serialization(self):
@@ -510,12 +513,13 @@ class TestReduceProductSpheres:
             assert len(set(bfs_roots(final, rest))) == 1
         assert f_vector(from_graph(final))[1] == 5
 
-    def test_schedule_is_wrecked_by_shuffling(self):
+    def test_schedule_is_wrecked_by_shuffling(self, monkeypatch):
         # applying a late pair first must fail the per-step dipole check
-        sched = cancellation_schedule(2, 2)
-        shuffled = type(sched)(2, 2, sched.entries[::-1])
+        pairs = cancellation_schedule(2, 2)
+        monkeypatch.setattr(reduction, "cancellation_schedule",
+                            lambda n, m: pairs[::-1])
         with pytest.raises(CancellationError, match="not a dipole"):
-            run_schedule(product_spheres_graph(2, 2), shuffled)
+            run_schedule(product_spheres_graph(2, 2), 2, 2)
 
     def test_schedule_checks_the_final_vertex_count(self):
         # a torus crystallization four vertices above the minimum: the
@@ -525,7 +529,7 @@ class TestReduceProductSpheres:
         assert betti_gf2(from_graph(g)) == (0, 2, 1)
         with pytest.raises(CancellationError, match=r"^reduced graph has 8 "
                                                     r"vertices, expected 6$"):
-            run_schedule(g, cancellation_schedule(1, 1))
+            run_schedule(g, 1, 1)
 
     def test_schedule_checks_the_crystallization_condition(self):
         # six vertices, but colors 1 and 2 pair them the same way, so
@@ -538,14 +542,39 @@ class TestReduceProductSpheres:
         with pytest.raises(CancellationError, match=r"^reduced graph is "
                                                     r"disconnected without "
                                                     r"color 3; "):
-            run_schedule(g, cancellation_schedule(1, 1))
+            run_schedule(g, 1, 1)
 
     def test_schedule_rejects_a_graph_that_is_not_admissible(self):
-        # the same error from_graph raises; nothing is cancelled
+        # the same error from_graph raises, and before the fit check, as
+        # one vertex is short of the 12 that (2, 2) needs; nothing is
+        # cancelled
         g = ColoredGraph(5, ("x",), ())
         with pytest.raises(ValueError, match=r"^graph is not admissible: "
                                              r"no edge has color 1\.\.5$"):
-            run_schedule(g, cancellation_schedule(2, 2))
+            run_schedule(g, 2, 2)
+
+
+class TestFitCheck:
+    """`run_schedule` refuses a graph its pairs cannot fit, once the graph
+    is found admissible and before the pairs are listed."""
+
+    def test_a_graph_too_small_is_refused(self):
+        # d = 5 fits n = m = 2, whose 5 pairs need at least 12 vertices
+        with pytest.raises(ValueError) as info:
+            run_schedule(parallel_edges_graph(5), 2, 2)
+        assert str(info.value) == (
+            "the cancellation schedule of S^2 x S^2 needs n, m >= 1, d = n "
+            "+ m + 1 and at least 2*C(n+m, n) vertices; the graph has d = 5 "
+            "and 2 vertices")
+
+    def test_huge_dimensions_are_refused_at_once(self):
+        # d = 3 wants n + m = 2: refused before C(28, 14) - 1 pairs are
+        # listed
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^the cancellation schedule "
+                                             r"of S\^14 x S\^14 needs "):
+            run_schedule(product_spheres_graph(1, 1), 14, 14)
+        assert time.perf_counter() - start < 1
 
 
 class TestFindDipoles:
@@ -587,10 +616,8 @@ class TestGreedy:
 
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 2)])
     def test_greedy_matches_the_naive_loop(self, n, m):
-        final, steps = greedy_reduce(product_spheres_graph(n, m))
-        oracle_final, oracle_pairs = naive_greedy(product_spheres_graph(n, m))
-        assert [s.pair for s in steps] == oracle_pairs
-        assert final == oracle_final
+        g = product_spheres_graph(n, m)
+        assert greedy_reduce(g) == naive_greedy(g)
 
     @pytest.mark.parametrize("g", [
         ColoredGraph(1, (), ()),
@@ -637,4 +664,4 @@ class TestGreedy:
         # greedy returns its input
         g = parallel_edges_graph(d)
         assert greedy_reduce(g) == (g, ())
-        assert naive_greedy(g) == (g, [])
+        assert naive_greedy(g) == (g, ())
