@@ -11,6 +11,7 @@ from math import comb
 
 from . import posets
 from .graphs import ColoredGraph
+from .homology import _require_simplicial
 from .posets import SimplicialPoset, _refuse_above, from_graph
 
 
@@ -118,16 +119,13 @@ def cross_polytope_quotient(n: int) -> SimplicialPoset:
 
 # --- connected sums ----------------------------------------------------------------
 
-def _interval_by_vertices(p: SimplicialPoset, facet: int,
-                          name: str) -> tuple[dict[frozenset[int], int],
-                                              list[int]]:
+def _interval_by_vertices(p: SimplicialPoset, facet: int
+                          ) -> tuple[dict[frozenset[int], int], list[int]]:
     """All cells below `facet`, keyed by vertex set, the rank-1 cells below
-    each, found bottom-up; and the facet's vertices, sorted.  Raises
-    ValueError, naming the facet `name`, unless the keys are the 2^d
-    subsets of the facet's d vertices, one cell each, as they are when the
-    interval is boolean."""
-    below = {facet}
-    stack = [facet]
+    each, found bottom-up; and the facet's vertices, sorted.  `p` is
+    simplicial, so the keys are the 2^d subsets of the facet's d vertices,
+    one cell each."""
+    below, stack = {facet}, [facet]
     while stack:
         for j in p.covers[stack.pop()]:
             if j not in below:
@@ -137,11 +135,7 @@ def _interval_by_vertices(p: SimplicialPoset, facet: int,
     for c in sorted(below, key=p.ranks.__getitem__):
         verts[c] = (frozenset((c,)) if p.ranks[c] == 1 else
                     frozenset().union(*map(verts.__getitem__, p.covers[c])))
-    down = {w: c for c, w in verts.items()}
-    if not (len(verts[facet]) == p.d and len(below) == len(down) == 2 ** p.d):
-        raise ValueError(f"the cells below {name} do not form a boolean "
-                         "interval")
-    return down, sorted(verts[facet])
+    return {w: c for c, w in verts.items()}, sorted(verts[facet])
 
 
 def connected_sum(p: SimplicialPoset, q: SimplicialPoset,
@@ -153,7 +147,8 @@ def connected_sum(p: SimplicialPoset, q: SimplicialPoset,
     of sigma, and each face of tau to the face of sigma on the image of
     its vertices.  The face counts and the GF(2) homology do not depend on
     the bijection: f_i(p # q) = f_i(p) + f_i(q) - C(d, i) for i < d and
-    f_d = f_d(p) + f_d(q) - 2.
+    f_d = f_d(p) + f_d(q) - 2.  A summand that is not simplicial is
+    refused, as `betti_gf2` refuses it, by :func:`_require_simplicial`.
     """
     if p.d != q.d:
         raise ValueError(f"rank mismatch: {p.d} vs {q.d}")
@@ -163,8 +158,10 @@ def connected_sum(p: SimplicialPoset, q: SimplicialPoset,
         # a rank-d cell is covered by nothing
         if not 0 <= facet < poset.n_cells or poset.ranks[facet] != poset.d:
             raise ValueError(f"{name} is not a facet")
-    down_sigma, vs = _interval_by_vertices(p, sigma, "sigma")
-    down_tau, vt = _interval_by_vertices(q, tau, "tau")
+    _require_simplicial(p)
+    _require_simplicial(q)
+    down_sigma, vs = _interval_by_vertices(p, sigma)
+    down_tau, vt = _interval_by_vertices(q, tau)
     to_sigma = dict(zip(vt, vs))
 
     # q's cells take the ids after p's, those below tau the ids of the

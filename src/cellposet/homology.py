@@ -39,14 +39,14 @@ rows, on two facts.
   its row of degree t+1 is skipped (the cohomology clearing of de Silva,
   Morozov and Vejdemo-Johansson, *Dualities in persistent (co)homology*).
 
-`link_bettis` grows each up-set a rank at a time through the poset's
-`_up_table`, takes each rank's coboundary rows from `_coboundary_pass`,
-and runs `_cleared_ranks` from degree 2 up: degree 1 is c's row alone, of
-rank 1 when c has coverers, and their rows, of degree 2, sum to its
-coboundary, zero, so one of them is dropped.  Nothing is checked per
-link: the pass runs `_require_simplicial` on the parent first, as
-`betti_gf2` does, and every interval of a simplicial poset is boolean, so
-every link is a simplicial poset.
+`link_bettis` runs `_require_simplicial` on the parent, as `betti_gf2`
+does; `_upward_pass` then builds every rank's coboundary rows in one walk
+of the poset's `_up_table`.  Each up-set grows a rank at a time through
+the table, and `_cleared_ranks` runs from degree 2 up: degree 1 is c's row
+alone, of rank 1 when c has coverers, and their rows, of degree 2, sum to
+its coboundary, zero, so one of them is dropped.  Nothing is checked per
+link: every interval of a simplicial poset is boolean, so every link is a
+simplicial poset.
 
 Each link is eliminated only up to its middle, by Poincaré duality
 (Munkres, *Elements of Algebraic Topology*, 1984, §63-65).  Let a cell c
@@ -248,10 +248,11 @@ def _check_simplicial(p: SimplicialPoset) -> None:
 
 
 def _require_simplicial(p: SimplicialPoset) -> bool:
-    """The one gate of `betti_gf2` and the link test: refuse `p` when its
-    boundary rows would pass ``MAX_ROW_BITS``, then, unless `from_graph`
-    marked it simplicial by construction, when :func:`_check_simplicial`
-    finds it is not.  Returns the mark, which no other code here reads."""
+    """The one gate of `betti_gf2`, the link test and connected sums:
+    refuse `p` when its boundary rows would pass ``MAX_ROW_BITS``, then,
+    unless `from_graph` marked it simplicial by construction, when
+    :func:`_check_simplicial` finds it is not.  Returns the mark, which no
+    other code here reads."""
     _require_row_bits(p)
     proved = p._proved
     if not proved:
@@ -331,23 +332,6 @@ def _is_cut_sphere(betti: tuple[int, ...], n: int) -> bool:
     return betti == ((1,) if n == 1 else (0,) * ((n + 1) // 2))
 
 
-def _coboundary_pass(p: SimplicialPoset) -> tuple[list, bool]:
-    """The coboundary rows of `p` (item r holds, for the i-th rank-r cell,
-    its coverers' positions as bits), read off `p._up_table`, and the
-    mark that :func:`_require_simplicial`, run first, returns."""
-    proved = _require_simplicial(p)
-    cob = [[]]                          # no rows above rank d
-    for level in reversed(p._up_table):
-        bits, rows = [1 << i for i in range(len(cob[-1]))], []
-        for cov in level:
-            row = 0
-            for i in cov:
-                row |= bits[i]
-            rows.append(row)
-        cob.append(rows)
-    return cob[:0:-1], proved
-
-
 def is_homology_manifold(p: SimplicialPoset) -> bool:
     """True iff the poset is pure and every vertex link is a homology
     sphere over GF(2).
@@ -359,31 +343,41 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
     :func:`link_bettis`): on a pure poset, the duality lemma of the module
     docstring shows that every link passes this cut check exactly when
     every link is a homology sphere.  The call :func:`link_bettis`
-    refuses `p` unless simplicial (:func:`_require_simplicial`), before
-    purity (a coverer for each cell below rank d) is read from
-    `p._up_table`; the links of rank >= d - 3 of a graph poset are read
-    from the construction."""
+    refuses `p` unless simplicial (:func:`_require_simplicial`); purity
+    (a coverer for each cell below rank d) is then read from `p._up_table`,
+    and only a pure `p` has its links computed, in one :func:`_upward_pass`."""
     links = link_bettis(p)
     return is_pure(p) and all(_is_cut_sphere(betti, p.d - p.ranks[c])
                               for c, betti in links)
 
 
-def _chain_counts(p: SimplicialPoset) -> tuple[list[list[int]], int]:
-    """Item [k][j] packs t! N_t, the chains of covers from the j-th cell
-    of rank k up t ranks (see the module docstring), in field t, read off
-    `p._up_table`; `p` is simplicial.  No field passes max(f) * d!, which
-    gives the width, returned too."""
-    width = (max(map(len, p._up_table)) * factorial(p.d)).bit_length()
-    chains: list[list[int]] = [[]]      # no items above the top rank
-    for level in reversed(p._up_table):
-        get = chains[0].__getitem__
-        chains.insert(0, [sum(map(get, cov)) << width | 1 for cov in level])
-    return chains[:-1], width
+def _upward_pass(p: SimplicialPoset) -> tuple[list, list, int]:
+    """One walk of `p._up_table` from rank d down, `p` simplicial: the
+    coboundary rows (item r holds, for the i-th rank-r cell, its coverers'
+    positions as bits), and item [k][j] packing t! N_t, the chains of
+    covers from the j-th cell of rank k up t ranks (see the module
+    docstring), in field t.  No field passes max(f) * d!, which gives the
+    width, returned too."""
+    up = p._up_table
+    width = (max(map(len, up)) * factorial(p.d)).bit_length()
+    cob, chains = [[]], [[]]            # no rows or items above rank d
+    for level in reversed(up):
+        bits = [1 << i for i in range(len(cob[-1]))]
+        get, rows, counts = chains[-1].__getitem__, [], []
+        for cov in level:
+            row = 0
+            for i in cov:
+                row |= bits[i]
+            rows.append(row)
+            counts.append(sum(map(get, cov)) << width | 1)
+        cob.append(rows)
+        chains.append(counts)
+    return cob[:0:-1], chains[:0:-1], width
 
 
 def _face_counts(chains: int, width: int, n: int) -> tuple[int, ...]:
-    """N_0 .. N_n, the cells 0 .. n ranks above a cell, from its item of
-    :func:`_chain_counts`."""
+    """N_0 .. N_n, the cells 0 .. n ranks above a cell, from its packed
+    chain counts (:func:`_upward_pass`)."""
     mask, t_factorial, counts = (1 << width) - 1, 1, [1]
     for t in range(1, n + 1):
         t_factorial *= t
@@ -409,16 +403,16 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
 
     Each link is eliminated on the parent's coboundary rows, unmasked, with
     clearing (see the module docstring), sound on simplicial posets only:
-    :func:`_coboundary_pass` builds those rows after
-    :func:`_require_simplicial`, which raises :func:`betti_gf2`'s error on
-    any other poset."""
-    return _link_bettis(p, *_coboundary_pass(p))
+    the call runs :func:`_require_simplicial`, which raises
+    :func:`betti_gf2`'s error on any other poset, and the first item runs
+    :func:`_upward_pass`, which builds those rows."""
+    return _link_bettis(p, _require_simplicial(p))
 
 
-def _link_bettis(p: SimplicialPoset, cob, proved) -> Iterator[tuple]:
-    """:func:`link_bettis` on the output of :func:`_coboundary_pass`."""
+def _link_bettis(p: SimplicialPoset, proved: bool) -> Iterator[tuple]:
+    """:func:`link_bettis` on `p`, proved simplicial, with the gate's mark."""
     by_rank, up = p.cells_by_rank, p._up_table
-    chains, width = _chain_counts(p)
+    cob, chains, width = _upward_pass(p)
     unsound: set[int] = set()           # positions in the rank above
     for k in range(p.d, 0, -1):
         n = p.d - k

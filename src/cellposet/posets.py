@@ -6,9 +6,9 @@ the underlying regular cell complex.  Cells are stored by integer id with
 explicit cover lists (covers point one rank down); cell 0 is the minimum.
 The constructor checks ranks and cover counts only; the lower intervals
 are proved boolean in `homology` by one walk, `_check_simplicial`, which
-`validate_poset` runs on every poset and `_require_simplicial`, the gate of
-`betti_gf2` and the link test, on every poset but those `from_graph`
-built, boolean by construction (below).
+`validate_poset` runs on every poset and `_require_simplicial`, the one
+gate of `betti_gf2`, the link test and `connected_sum`, on every poset but
+those `from_graph` built, boolean by construction (below).
 A poset caches its covers upward in one form, `_up_table`, by its cached
 `_positions` (a cell's index in its rank): item r lists, for the i-th
 rank-r cell, the ascending positions in rank r + 1 of its coverers.  The

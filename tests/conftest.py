@@ -1,7 +1,7 @@
 import json
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -431,8 +431,8 @@ def reference_connected_sum(p: SimplicialPoset, q: SimplicialPoset,
         if not 0 <= facet < poset.n_cells or poset.ranks[facet] != poset.d \
                 or coverers(poset)[facet]:
             raise ValueError(f"{name} is not a facet")
-    down_sigma, vs = _interval_by_vertices(p, sigma, "sigma")
-    down_tau, vt = _interval_by_vertices(q, tau, "tau")
+    down_sigma, vs = _interval_by_vertices(p, sigma)
+    down_tau, vt = _interval_by_vertices(q, tau)
     to_sigma = dict(zip(vt, vs))
 
     # p keeps everything but sigma; q drops tau and the faces glued into p
@@ -609,6 +609,51 @@ def insert_dipole(g: ColoredGraph, v: str, x: str, y: str) -> ColoredGraph:
         else:
             edges.append((a, b, c))
     return ColoredGraph(g.d, g.vertices + (x, y), tuple(edges))
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts of at most `largest`, each as a
+    nonincreasing tuple."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def _perfect_matchings(items: tuple):
+    """Every perfect matching of `items`, as a tuple of pairs: the first
+    item is paired with each other in turn."""
+    if not items:
+        yield ()
+    for i in range(1, len(items)):
+        for rest in _perfect_matchings(items[1:i] + items[i + 1:]):
+            yield ((items[0], items[i]), *rest)
+
+
+def census_graphs(d: int, n_vertices: int):
+    """Every connected admissible d-colored graph on `n_vertices` vertices,
+    up to color-preserving isomorphism, some more than once.  Colors 1 and
+    2 form bicolored cycles, so a partition of V/2 into cycle half-lengths
+    fixes them up to such an isomorphism; colors 3..d run over all perfect
+    matchings, and a graph is kept when `bfs_roots` finds it connected."""
+    labels = tuple(f"v{i}" for i in range(n_vertices))
+    matchings = list(_perfect_matchings(tuple(range(n_vertices))))
+    for parts in _partitions(n_vertices // 2, n_vertices // 2):
+        cycles, start = [], 0
+        for half in parts:
+            # vertices start .. start + 2 half - 1 around one cycle
+            for i in range(start, start + 2 * half, 2):
+                cycles += [(i, i + 1, 1),
+                           (i + 1, start + (i + 2 - start) % (2 * half), 2)]
+            start += 2 * half
+        for chosen in product(matchings, repeat=d - 2):
+            edges = cycles + [(a, b, c) for c, matching in enumerate(chosen, 3)
+                              for a, b in matching]
+            g = ColoredGraph(d, labels, tuple(
+                (labels[a], labels[b], c) for a, b, c in edges))
+            if len(set(bfs_roots(g, range(1, d + 1)))) == 1:
+                yield g
 
 
 # JSON-hostile label text: quotes, backslashes, control characters,

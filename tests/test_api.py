@@ -272,6 +272,27 @@ def test_the_proof_mark_has_one_writer_and_one_reader():
     assert readers == [("homology", {"_require_simplicial"})]
 
 
+def test_one_simplicial_proof_behind_one_gate():
+    """Only the gate `homology._require_simplicial` and `validate_poset`
+    name the proof walk `_check_simplicial`, and exactly `betti_gf2`,
+    `link_bettis` and `connected_sum` name the gate: every engine that
+    assumes a simplicial poset asks the gate itself, and no function
+    passes the gate's mark on.  Imports and docstrings do not count; a
+    use at module level would count as its module's."""
+    package = Path(cellposet.__file__).parent
+    users = {"_check_simplicial": set(), "_require_simplicial": set()}
+    for path in sorted(package.glob("*.py")):
+        for name, owners in uses(ast.parse(path.read_text())):
+            if name in users:
+                users[name].add((path.stem, *sorted(owners)))
+    assert users == {
+        "_check_simplicial": {("homology", "_require_simplicial"),
+                              ("homology", "validate_poset")},
+        "_require_simplicial": {("homology", "betti_gf2"),
+                                ("homology", "link_bettis"),
+                                ("constructions", "connected_sum")}}
+
+
 def resolves(root, dotted: str) -> bool:
     try:
         reduce(getattr, dotted.split("."), root)

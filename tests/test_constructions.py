@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from cellposet import posets
+from cellposet import homology, posets
 from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
@@ -395,21 +395,37 @@ class TestConnectedSum:
 
     @pytest.mark.parametrize("share_edge", [False, True])
     def test_interval_with_too_many_or_few_cells_rejected(self, share_edge):
-        # the top cell of either pillow poset has 18 or 15 cells below it
+        # the top cell of either pillow poset has 18 or 15 cells below it;
+        # as either summand, the pillows get the simplicial walk's message
         p, q = two_pillows(share_edge), boundary_of_simplex(4)
-        for args, name in (((p, q, facets(p)[0], facets(q)[0]), "sigma"),
-                           ((q, p, facets(q)[0], facets(p)[0]), "tau")):
-            with pytest.raises(ValueError, match=f"^the cells below {name} "
-                                                 "do not form a boolean "
-                                                 "interval$"):
+        (message,) = validate_poset(p)
+        for args in ((p, q, facets(p)[0], facets(q)[0]),
+                     (q, p, facets(q)[0], facets(p)[0])):
+            with pytest.raises(ValueError) as info:
                 connected_sum(*args)
+            assert str(info.value) == message
+            assert message.startswith("not a simplicial poset: cell ")
 
     def test_interval_with_two_cells_on_one_vertex_set_rejected(self):
         # facet 13 has 8 cells below it, but edges 5 and 7 span vertices
         # 1 and 2 both
         p, q = rewired_simplex_boundary(), boundary_of_simplex(3)
-        with pytest.raises(ValueError, match="below tau do not form"):
+        with pytest.raises(ValueError) as info:
             connected_sum(q, p, facets(q)[0], 13)
+        assert str(info.value) == (
+            "not a simplicial poset: boundary squared is nonzero at cell "
+            "12; lower intervals are not boolean")
+
+    def test_a_summand_that_is_not_simplicial_is_refused(self):
+        # below facet 11 of the rewired boundary lie 8 cells on the 8
+        # subsets of its 3 vertices, so no test of that interval alone
+        # refuses it; the sum would be no simplicial poset
+        p, q = rewired_simplex_boundary(), boundary_of_simplex(3)
+        with pytest.raises(ValueError) as info:
+            connected_sum(p, q, 11, facets(q)[0])
+        assert str(info.value) == (
+            "not a simplicial poset: boundary squared is nonzero at cell "
+            "12; lower intervals are not boolean")
 
     def test_facet_on_more_than_d_vertices_rejected(self):
         # 16 cells on distinct vertex sets below a rank-4 cell on 5
@@ -421,8 +437,23 @@ class TestConnectedSum:
             + ((6, 7, 8), (6, 7, 9), (7, 9, 10), (8, 9, 10), (11, 12, 13, 14)),
             tuple(map(str, range(16))))
         q = boundary_of_simplex(4)
-        with pytest.raises(ValueError, match="below sigma do not form"):
+        with pytest.raises(ValueError) as info:
             connected_sum(p, q, 15, facets(q)[0])
+        assert str(info.value) == (
+            "not a simplicial poset: boundary squared is nonzero at cell "
+            "12; lower intervals are not boolean")
+
+    def test_graph_summands_take_the_gate_without_the_walk(self, monkeypatch,
+                                                          torus_graph):
+        # a poset from_graph marked is proved by its construction; an
+        # unmarked summand is walked once
+        calls = []
+        monkeypatch.setattr(homology, "_check_simplicial", calls.append)
+        p, q = from_graph(torus_graph), boundary_of_simplex(3)
+        connected_sum(p, p, facets(p)[0], facets(p)[1])
+        assert calls == []
+        connected_sum(p, q, facets(p)[0], facets(q)[0])
+        assert calls == [q]
 
     @given(graph_poset_pairs())
     def test_matches_the_reference(self, case):

@@ -11,18 +11,20 @@ from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet import homology
-from cellposet.homology import (_chain_counts, _check_simplicial,
-                                _coboundary_pass, _face_counts, _pivots,
-                                _require_simplicial, betti_gf2,
-                                h_double_prime, is_homology_manifold,
-                                link_bettis, validate_poset)
+from cellposet.homology import (_check_simplicial, _face_counts, _pivots,
+                                _require_simplicial, _upward_pass,
+                                betti_gf2, h_double_prime,
+                                is_homology_manifold, link_bettis,
+                                validate_poset)
+from cellposet.checkers import check_manifold_h
 from cellposet.graphs import validate_admissible
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
-                              is_pseudomanifold, is_pure)
+                              h_vector, is_pseudomanifold, is_pure)
 
 from conftest import (admissible_graphs, betti_order_complex,
-                      boolean_by_definition, boundary_rows, facets, gf2_rank,
-                      is_homology_sphere, link, rewired_posets,
+                      boolean_by_definition, boundary_rows, census_graphs,
+                      facets, gf2_rank, is_homology_sphere, link,
+                      rewired_posets,
                       rewired_simplex_boundary, simplex_boundary_wedge,
                       sphere_pattern, two_pillows, unmarked, vertex_sets)
 
@@ -469,9 +471,18 @@ def transposed(rows, width: int) -> list[int]:
             for i in range(width)]
 
 
-# every engine that proves its input simplicial, by the one walk
-PROVING_ENGINES = (_check_simplicial, _require_simplicial, _coboundary_pass,
-                   betti_gf2, is_homology_manifold, link_bettis)
+def summed_with_a_simplex_boundary(p: SimplicialPoset) -> SimplicialPoset:
+    """`connected_sum` of `p`, of rank d >= 2, at its first rank-d cell,
+    and the boundary of the d-simplex."""
+    q = boundary_of_simplex(p.d)
+    return connected_sum(p, q, p.cells_by_rank[p.d][0], facets(q)[0])
+
+
+# every engine that proves its input simplicial, by the one walk; the
+# posets they are given have rank d >= 2 and a cell of rank d
+PROVING_ENGINES = (_check_simplicial, _require_simplicial, betti_gf2,
+                   is_homology_manifold, link_bettis,
+                   summed_with_a_simplex_boundary)
 
 
 def assert_refused_alike(p: SimplicialPoset, message: str) -> None:
@@ -483,11 +494,11 @@ def assert_refused_alike(p: SimplicialPoset, message: str) -> None:
 
 
 def assert_the_rows_are_transposed(p: SimplicialPoset) -> None:
-    """`_coboundary_pass` gives, for each rank below d, the transpose of
-    the boundary rows of the rank above, the rows of rank d, zero, and the
-    mark."""
-    cob, proved = _coboundary_pass(p)
-    assert proved == p._proved
+    """After the gate, which returns the mark, `_upward_pass` gives, for
+    each rank below d, the transpose of the boundary rows of the rank
+    above, and the rows of rank d, zero."""
+    assert _require_simplicial(p) == p._proved
+    cob = _upward_pass(p)[0]
     f = f_vector(p)
     assert [transposed(rows, width) for rows, width in zip(
         boundary_rows(p), f)] == cob[:p.d]
@@ -573,11 +584,46 @@ class TestTwoProofs:
         assert_the_rows_are_transposed(poset())
 
 
+class TestTheUpwardPass:
+    """`is_homology_manifold` walks the upward table in one `_upward_pass`
+    per call, after the gate, and only on a pure poset."""
+
+    @pytest.mark.parametrize("poset,passes", [
+        (lambda: from_graph(product_spheres_graph(1, 2)), 1),
+        (lambda: unmarked(from_graph(product_spheres_graph(1, 2))), 1),
+        (lambda: cross_polytope_quotient(4), 1),
+        (lambda: boundary_of_simplex(4), 1),
+        (lambda: simplex_boundary_wedge(3), 1),
+        # purity fails first: no link is computed
+        (lambda: sphere_with_an_extra_edge(True), 0)])
+    def test_one_pass_per_call(self, monkeypatch, poset, passes):
+        calls = []
+        monkeypatch.setattr(homology, "_upward_pass",
+                            lambda p: calls.append(p) or _upward_pass(p))
+        p = poset()
+        is_homology_manifold(p)
+        assert calls == [p] * passes
+        is_homology_manifold(p)
+        assert calls == [p] * 2 * passes
+
+    @pytest.mark.parametrize("poset", [
+        lambda: two_pillows(False), lambda: two_pillows(True),
+        rewired_simplex_boundary])
+    def test_no_pass_when_the_gate_refuses(self, monkeypatch, poset):
+        calls = []
+        monkeypatch.setattr(homology, "_upward_pass", calls.append)
+        with pytest.raises(ValueError, match="^not a simplicial poset: "):
+            is_homology_manifold(poset())
+        assert calls == []
+
+
 def assert_face_counts_match_the_oracle(p: SimplicialPoset) -> None:
-    """Every cell's face counts from the packed chain counts, item [k][j]
-    for the j-th cell of rank k, are the f-vector of its link, built as
-    its own poset by `link`."""
-    chains, width = _chain_counts(p)
+    """Every cell's face counts from the packed chain counts of
+    `_upward_pass`, run after the gate, item [k][j] for the j-th cell of
+    rank k, are the f-vector of its link, built as its own poset by
+    `link`."""
+    _require_simplicial(p)
+    _, chains, width = _upward_pass(p)
     assert [[_face_counts(item, width, p.d - k) for item in items]
             for k, items in enumerate(chains)] == [
                 [f_vector(link(p, c)) for c in cells]
@@ -614,7 +660,8 @@ class TestChainCounts:
         # 12! chains run from the minimum to each of the 13 facets: a field
         # sized for max(f) alone would overflow into the next
         p = boundary_of_simplex(12)
-        chains, width = _chain_counts(p)
+        _require_simplicial(p)
+        _, chains, width = _upward_pass(p)
         for k, items in enumerate(chains):
             assert len(items) == comb(13, k)
             for item in items:
@@ -728,3 +775,46 @@ class TestGraphLinks:
         assert eliminated_cells(p) == set().union(*by_rank[1:p.d - 3])
         assert eliminated_cells(unmarked(p)) == set().union(
             *by_rank[1:p.d - 1])
+
+
+# (d, V): the connected admissible graphs of `census_graphs`, and the
+# homology manifolds among their posets
+CENSUS = {(3, 4): (5, 5), (3, 6): (35, 35), (3, 8): (411, 411),
+          (4, 4): (17, 10), (4, 6): (641, 177), (5, 4): (53, 22)}
+
+
+class TestCensus:
+    """Every connected admissible graph of a few small (d, V), up to
+    color-preserving isomorphism: the counts, the paper's necessary
+    conditions on every homology manifold, and the link test against the
+    per-link oracle on every graph of d >= 4."""
+
+    @pytest.mark.parametrize("d,n_vertices", sorted(CENSUS))
+    def test_every_manifold_meets_the_necessary_conditions(self, d,
+                                                           n_vertices):
+        graphs = manifolds = 0
+        for g in census_graphs(d, n_vertices):
+            graphs += 1
+            p = from_graph(g)
+            if not is_homology_manifold(p):
+                continue
+            manifolds += 1
+            f, betti = f_vector(p), betti_gf2(p)
+            h = h_vector(f)
+            hpp = h_double_prime(h, betti)
+            assert min(hpp) >= 0 and hpp == hpp[::-1], g
+            # Euler-Poincare: the reduced Euler characteristic, f_0 = 1
+            # counting the empty face, of dimension -1
+            assert sum((-1) ** (k - 1) * n for k, n in enumerate(f)) == sum(
+                (-1) ** i * b for i, b in enumerate(betti)), g
+            if d % 2 == 0:
+                assert check_manifold_h(h, d), g
+        assert (graphs, manifolds) == CENSUS[d, n_vertices]
+
+    @pytest.mark.parametrize("d,n_vertices", [(4, 6), (5, 4)])
+    def test_link_bettis_match_the_oracle(self, d, n_vertices):
+        for g in census_graphs(d, n_vertices):
+            p = from_graph(g)
+            assert sorted(link_bettis(p)) == [
+                (c, lower_half(betti))
+                for c, betti in oracle_link_bettis(p)], g

@@ -15,9 +15,9 @@ from cellposet.constructions import (_rp_graph, boundary_of_simplex,
 from cellposet.graphs import ColoredGraph
 from cellposet import homology, posets
 from cellposet.homology import (_RowsOnDemand, _check_simplicial,
-                                _coboundary_pass, betti_gf2,
-                                is_homology_manifold, link_bettis,
-                                validate_poset)
+                                _require_simplicial, _upward_pass,
+                                betti_gf2, is_homology_manifold,
+                                link_bettis, validate_poset)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               h_vector, is_pseudomanifold, is_pure,
                               poset_from_dict, poset_to_json)
@@ -428,12 +428,12 @@ def rows_on_demand(p: SimplicialPoset) -> list[list[int]]:
 
 def assert_the_row_sources_agree(p: SimplicialPoset) -> None:
     """The marked `p` and its unmarked copy give `betti_gf2` and
-    `_coboundary_pass` the same results, but for the mark that
-    `_coboundary_pass` hands on, and `betti_gf2` the rows of the oracle."""
+    `_upward_pass`, run after the gate, the same results, though the gate
+    returns their two marks, and `betti_gf2` the rows of the oracle."""
     q = unmarked(p)
     assert rows_on_demand(p) == boundary_rows(p)
-    cob, proved = _coboundary_pass(q)
-    assert not proved and _coboundary_pass(p) == (cob, True)
+    assert (_require_simplicial(p), _require_simplicial(q)) == (True, False)
+    assert _upward_pass(p) == _upward_pass(q)
     assert betti_gf2(p) == betti_gf2(q)
     if p.n_cells < 200:     # the order complex grows as d! per facet
         assert betti_gf2(p) == betti_order_complex(p)
@@ -467,8 +467,9 @@ class TestTheProofMark:
         p, q = from_graph(g), reference_from_graph(g)
         assert boolean_by_definition(p)
         assert rows_on_demand(p) == boundary_rows(p)
-        cob, proved = _coboundary_pass(q)
-        assert not proved and _coboundary_pass(p) == (cob, True)
+        assert (_require_simplicial(p), _require_simplicial(q)) == (
+            True, False)
+        assert _upward_pass(p) == _upward_pass(q)
         assert betti_gf2(p) == betti_gf2(q) == betti_order_complex(p)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
