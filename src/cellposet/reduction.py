@@ -35,23 +35,37 @@ and :func:`greedy_reduce` return it as they find it.
   color.
 
 The engine loops cancel only pairs whose dipole test they have just
-passed, and run no connectivity search afterwards.  A dipole (x, y)
-whose colors C are not all d colors always cancels to a connected graph;
-cancelling it is a dipole move, which keeps the PL type of a
-crystallization (Ferri, Gagliardi and Grasselli, 1986).  Write Ĉ for the
-colors not in C, and K for x's component of the Ĉ-colored subgraph; K
-misses y, as the pair is a dipole.
+passed, and run no connectivity search afterwards: a dipole (x, y) whose
+colors C are not all d colors always cancels to a connected graph, by
+the lemma below with E all d colors.  Cancelling it is a dipole move,
+which keeps the PL type of a crystallization (Ferri, Gagliardi and
+Grasselli, 1986).  Write Ĉ for the colors not in C and Γ_E for the
+subgraph of the colors in E; the new edge of each color c in Ĉ joins
+x's c-partner to y's.
 
-* Parity.  Take a component L of K - x.  Each color c in Ĉ pairs the
-  vertices of L among themselves, except x's c-partner if it lies in L,
-  so |L| is odd exactly when that partner does.  This holds for every c
-  in Ĉ, so L holds all of x's Ĉ-partners or none of them.  Being part of
-  the connected K, it holds one, hence all: K - x is connected, on edges
-  that miss x and y.  The same holds for y.
-* Joining.  The new edges join x's Ĉ-partners to y's.
-* Reach.  Every other vertex reaches x or y in the old graph.  A shortest
-  such path enters them from one of their Ĉ-partners, since x's C-partner
-  is y, and before that it misses x and y, so it survives.
+* Parity.  For a nonempty E ⊆ Ĉ, x's component K of Γ_E misses y, as
+  Γ_E ⊆ Γ_Ĉ and the pair is a dipole.  Take a component L of K - x.
+  Each color c in E pairs the vertices of L among themselves, except x's
+  c-partner if it lies in L, so |L| is odd exactly when that partner
+  does.  This holds for every c in E, so L holds all of x's E-partners
+  or none of them.  Being part of the connected K, it holds one, hence
+  all: K - x is connected, on edges that miss x and y.  The same holds
+  for y.
+* Lemma.  For every color set E, two surviving vertices in one component
+  of Γ_E stay in one after the cancellation.  A component that misses x
+  and y keeps its edges.  If E is empty there is nothing to prove.  If
+  E ⊆ C, x's component is {x, y}: it goes.  If E misses C, x's K - x
+  and y's K - y are connected by Parity, and the new E-edges join them.
+  Otherwise the same holds for E' = E - C, so x's and y's E'-partners
+  end up in one component.  Every other vertex of x's component reaches
+  x or y in Γ_E; a shortest such path enters them from one of those
+  partners, since x's C-partner is y, and before that it misses x and y,
+  so it survives.
+* Corollary.  A surviving pair that no new edge joins keeps its colors
+  D, and by the lemma, with E the colors not in D, it stays joined
+  without them if it was: only the pairs that the cancellation joins can
+  become dipoles.  So greedy's one scan (`_Table.dipoles`) tests again
+  only those pairs.
 
 A dipole whose colors are all d colors makes up the whole graph, as in
 :func:`parallel_edges_graph`, and cancelling it would leave none; it is
@@ -157,7 +171,8 @@ class _Table:
 
     def cancel_dipole(self, x: int, y: int, colors: tuple[int, ...]) -> None:
         """Cancel a pair whose dipole test just returned `colors`, without
-        a search (see the module docstring), and log the step.  A
+        a search (see the module docstring), and log the step.  The rows
+        of x and y stay as they were, for `dipoles` to read.  A
         full-type dipole is the whole graph: refuse it, leaving the table
         as it was."""
         if len(colors) == self.d:
@@ -179,15 +194,38 @@ class _Table:
 
     def dipoles(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """Yield (x, y, colors) for each dipole, scanning the pairs x < y
-        joined by an edge in index order.  After a cancellation, start a
-        new scan."""
-        for x, alive in enumerate(self.alive):
-            if not alive:
-                continue
-            for y in sorted({row[x] for row in self.partner if row[x] > x}):
+        joined by an edge in index order.  When the consumer cancels the
+        pair just yielded, the scan resumes: it first tests, least first,
+        the pairs the new edges join whose smaller end it has passed, the
+        only ones that can have become dipoles (module docstring), then
+        goes on from the next vertex.  So a consumer that cancels every
+        pair it takes always takes the least dipole in scan order."""
+        partner, alive = self.partner, self.alive
+        pending: set[tuple[int, int]] = set()
+        for s in range(len(alive)):
+            ys = sorted({row[s] for row in partner if row[s] > s},
+                        reverse=True) if alive[s] else []
+            while pending or ys:
+                if pending:
+                    x, y = pair = min(pending)
+                    pending.remove(pair)
+                else:
+                    x, y = s, ys.pop()
+                if not (alive[x] and alive[y]):
+                    continue
                 colors = self.dipole_colors(x, y)
-                if colors is not None:
-                    yield x, y, colors
+                if colors is None:
+                    continue
+                yield x, y, colors
+                if alive[x]:
+                    continue
+                # the new c-edge joins the dead rows' c-partners, which
+                # cancel_dipole leaves as they were
+                for row in partner:
+                    if row[x] != y:
+                        a, b = sorted((row[x], row[y]))
+                        if a <= s:
+                            pending.add((a, b))
 
     def graph(self) -> ColoredGraph:
         alive, index = self.alive, self.index
@@ -296,11 +334,15 @@ def reduce_product_spheres(n: int, m: int
 
 def greedy_reduce(g: ColoredGraph
                   ) -> tuple[ColoredGraph, tuple[CancellationStep, ...]]:
-    """Cancel dipoles of an admissible graph greedily (the first in scan
-    order) until none is left, or only a full-type dipole, which is the
-    whole graph and is kept.  At most V/2 scans of at most V d/2 joined
-    pairs make at most V^2 d/4 dipole tests, none at V = 2; more than
-    ``posets.MAX_OUTPUT_SIZE`` are refused before the first."""
+    """Cancel dipoles of an admissible graph greedily, each the least in
+    scan order, until none is left, or only a full-type dipole, which is
+    the whole graph and is kept.  One resumable scan (`_Table.dipoles`)
+    tests each pair an edge joins once, and again only when a new edge
+    joins it, so it makes at most V d/2 + (d - 1) * steps dipole tests.
+    The refusal still counts the V^2 d/4 tests of a scan restarted after
+    each of up to V/2 steps, none at V = 2, so that it refuses the same
+    graphs as before: more than ``posets.MAX_OUTPUT_SIZE`` are refused
+    before the first."""
     t = _Table(g)
     v = t.live
     tests = v * v * t.d // 4 if v > 2 else 0
@@ -309,6 +351,7 @@ def greedy_reduce(g: ColoredGraph
                   "tests")
     # a full-type dipole is a whole two-vertex graph, so above two
     # vertices every dipole cancels
-    while t.live > 2 and (dipole := next(t.dipoles(), None)):
+    scan = t.dipoles()
+    while t.live > 2 and (dipole := next(scan, None)):
         t.cancel_dipole(*dipole)
     return t.graph(), tuple(t.steps)

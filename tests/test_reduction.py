@@ -18,8 +18,8 @@ from cellposet.reduction import (CancellationError, CancellationStep, _Table,
                                  cancellation_schedule, greedy_reduce,
                                  reduce_product_spheres, run_schedule)
 
-from conftest import (admissible_graphs, bfs_roots, color_partner,
-                      colors_between, insert_dipole, shuffled)
+from conftest import (admissible_graphs, bfs_roots, census_graphs,
+                      color_partner, colors_between, insert_dipole, shuffled)
 
 EXPECTED_2_2 = [
     (1, ("A:{2,3}", "A:{1,3}")),
@@ -274,6 +274,12 @@ class TestAgainstTheEdgeListOracles:
         # input order, then in the order the cancellations made them
         assert greedy_reduce(g) == naive_greedy(g)
 
+    @pytest.mark.parametrize("d,n_vertices", [(3, 8), (4, 6), (5, 4)])
+    def test_greedy_matches_the_naive_loop_on_the_census(self, d,
+                                                         n_vertices):
+        for g in census_graphs(d, n_vertices):
+            assert greedy_reduce(g) == naive_greedy(g), g
+
     @pytest.mark.parametrize("call", [
         lambda g: check_dipole(g, "x", "y"),
         lambda g: cancel(g, "x", "y"),
@@ -312,6 +318,41 @@ class TestDipoleLemma:
                     assert t.graph() == g
                     assert t.partner == _Table(g).partner
 
+    @given(admissible_graphs(colors=(2, 3, 4)))
+    def test_every_color_set_keeps_its_joined_pairs(self, g):
+        # the lemma: two surviving vertices in one component of the
+        # E-colored subgraph stay in one after the cancellation
+        color_sets = [set(cs) for k in range(g.d + 1)
+                      for cs in combinations(range(1, g.d + 1), k)]
+        for x, y in combinations(g.vertices, 2):
+            dip = reference_check_dipole(g, x, y)
+            if dip is None or len(dip.colors) == g.d:
+                continue
+            after = reference_cancel(g, x, y)
+            index = [g.index[v] for v in after.vertices]
+            for colors in color_sets:
+                old, new = bfs_roots(g, colors), bfs_roots(after, colors)
+                for (i, u), (j, v) in combinations(enumerate(index), 2):
+                    if old[u] == old[v]:
+                        assert new[i] == new[j], (x, y, colors)
+
+    @pytest.mark.parametrize("d,n_vertices", [(3, 8), (4, 6)])
+    def test_only_the_joined_pairs_become_dipoles(self, d, n_vertices):
+        # the corollary, on every dipole of every census graph; the
+        # listing cancels nothing and matches `brute_dipoles`
+        # (TestFindDipoles), which would take several seconds here
+        for g in census_graphs(d, n_vertices):
+            before = set(find_dipoles(g))
+            for dip in before:
+                if len(dip.colors) == d:
+                    continue
+                joined = {frozenset((color_partner(g, dip.x, c),
+                                     color_partner(g, dip.y, c)))
+                          for c in range(1, d + 1) if c not in dip.colors}
+                for new in set(find_dipoles(
+                        reference_cancel(g, dip.x, dip.y))) - before:
+                    assert {new.x, new.y} in joined, (g, dip, new)
+
 
 @pytest.fixture
 def searches(monkeypatch):
@@ -344,6 +385,42 @@ class TestNoSearchAfterAVerifiedDipole:
     def test_greedy_reduce(self, searches):
         final, steps = greedy_reduce(shuffled(product_spheres_graph(2, 3), 1))
         assert steps and searches == []
+
+
+@pytest.fixture
+def dipole_tests(monkeypatch):
+    """The (x, y) of every `_Table.dipole_colors` call, in order."""
+    calls = []
+    dipole_colors = _Table.dipole_colors
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return dipole_colors(self, x, y)
+
+    monkeypatch.setattr(_Table, "dipole_colors", counted)
+    return calls
+
+
+class TestOneScan:
+    """Greedy's scan tests each pair an edge joins once, and after a
+    cancellation only the pairs its new edges join, which it reads off
+    the cancelled vertices' rows."""
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (3, 4)])
+    def test_greedy_tests_each_edge_once(self, dipole_tests, n, m):
+        g = shuffled(product_spheres_graph(n, m), 1)
+        _, steps = greedy_reduce(g)
+        v, d = len(g.vertices), g.d
+        assert steps
+        assert len(dipole_tests) <= v * d // 2 + (d - 1) * len(steps)
+
+    def test_cancel_dipole_leaves_the_dead_rows(self):
+        t = _Table(product_spheres_graph(2, 2))
+        x, y = t.vertex("A:{2,3}"), t.vertex("A:{1,3}")
+        rows = [(row[x], row[y]) for row in t.partner]
+        t.cancel_dipole(x, y, t.dipole_colors(x, y))
+        assert not t.alive[x] and not t.alive[y]
+        assert [(row[x], row[y]) for row in t.partner] == rows
 
 
 class TestNoStateOnGraphs:
