@@ -15,7 +15,6 @@ strong connectivity of :func:`cellposet.posets.is_pseudomanifold`.  The
 dipole reduction searches its partner table instead
 (:func:`cellposet.reduction.run_schedule`): it keeps its cancelled
 vertices, and the kernel would check it seven to nine times slower.
-Greedy's resumable scan reads those vertices' rows too.
 
 All values are immutable; operations return new objects and are safe to
 share between threads.

@@ -65,6 +65,10 @@ def test_the_dipole_table_holds_only_the_partner_table():
     assert t.partner == require_admissible(g)
     assert set(vars(t)) == {"partner", "d", "labels", "index", "edges",
                             "alive", "live", "steps"}
+    # greedy keeps its candidate pairs in one heap, not in a table method
+    assert {name for name, value in vars(_Table).items()
+            if inspect.isfunction(value) and name != "__init__"} == {
+        "vertex", "dipole_colors", "connected", "cancel_dipole", "graph"}
 
 
 def package_modules() -> list[ModuleType]:
