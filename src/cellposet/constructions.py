@@ -149,6 +149,8 @@ def connected_sum(p: SimplicialPoset, q: SimplicialPoset,
     the bijection: f_i(p # q) = f_i(p) + f_i(q) - C(d, i) for i < d and
     f_d = f_d(p) + f_d(q) - 2.  A summand that is not simplicial is
     refused, as `betti_gf2` refuses it, by :func:`_require_simplicial`.
+    A sum with no rank-d cell left, as of two summands of one facet each,
+    is refused by the `SimplicialPoset` constructor.
     """
     if p.d != q.d:
         raise ValueError(f"rank mismatch: {p.d} vs {q.d}")

@@ -111,8 +111,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
 
-from .posets import (SimplicialPoset, _rank_gap, _require_row_bits,
-                     f_vector, is_pure)
+from .posets import SimplicialPoset, _require_row_bits, f_vector, is_pure
 
 def _pivots(rows) -> dict[int, int]:
     """Gaussian elimination of bit-packed GF(2) rows, keyed by pivot: the
@@ -261,20 +260,17 @@ def _require_simplicial(p: SimplicialPoset) -> bool:
 
 
 def validate_poset(p: SimplicialPoset) -> list[str]:
-    """The violations of a simplicial poset: ``d`` above every cell's rank,
-    and the first cell where :func:`_check_simplicial` finds a lower
-    interval that is not boolean, on every poset, marked or not.  Empty
-    when `p` is simplicial.  A poset whose boundary rows would pass
-    ``MAX_ROW_BITS`` raises ValueError: it is too large to check, which is
-    no violation."""
+    """The violation of a simplicial poset: the first cell where
+    :func:`_check_simplicial` finds a lower interval that is not boolean,
+    on every poset, marked or not.  Empty when `p` is simplicial.  A poset
+    whose boundary rows would pass ``MAX_ROW_BITS`` raises ValueError: it
+    is too large to check, which is no violation."""
     _require_row_bits(p)
-    gap = _rank_gap(p)
-    violations = [gap] if gap else []
     try:
         _check_simplicial(p)
     except ValueError as exc:
-        violations.append(str(exc))
-    return violations
+        return [str(exc)]
+    return []
 
 
 def betti_gf2(p: SimplicialPoset) -> tuple[int, ...]:

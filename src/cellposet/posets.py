@@ -4,11 +4,12 @@ A simplicial poset has a unique minimum cell (rank 0) below everything and
 boolean lower intervals; rank-k cells are the (k-1)-dimensional cells of
 the underlying regular cell complex.  Cells are stored by integer id with
 explicit cover lists (covers point one rank down); cell 0 is the minimum.
-The constructor checks ranks and cover counts only; the lower intervals
-are proved boolean in `homology` by one walk, `_check_simplicial`, which
-`validate_poset` runs on every poset and `_require_simplicial`, the one
-gate of `betti_gf2`, the link test and `connected_sum`, on every poset but
-those `from_graph` built, boolean by construction (below).
+The constructor checks ranks, cover counts and that d is the greatest cell
+rank; the lower intervals are proved boolean in `homology` by one walk,
+`_check_simplicial`, which `validate_poset` runs on every poset and
+`_require_simplicial`, the one gate of `betti_gf2`, the link test and
+`connected_sum`, on every poset but those `from_graph` built, boolean by
+construction (below).
 A poset caches its covers upward in one form, `_up_table`, by its cached
 `_positions` (a cell's index in its rank): item r lists, for the i-th
 rank-r cell, the ascending positions in rank r + 1 of its coverers.  The
@@ -31,17 +32,18 @@ cells in all.  The roots give the exact f-vector, so a graph whose poset
 passes `MAX_OUTPUT_SIZE` cells or `MAX_ROW_BITS` bits of boundary rows is
 refused before any cell is built.
 The output skips the constructor's checks, which the construction meets:
-ranks lie in 0..d, the graph is connected (one rank-0 cell), and a cell
-(H, S) covers one cell of rank one lower per color outside S, each of a
-distinct color set; labels are strings, as vertex labels are.  It is
-simplicial: the cells below (H, S) are the (H', S') with S' a superset
-of S, one for each S', the component of the S'-colored subgraph that
-holds H, so [0, (H, S)] is the boolean lattice on [d] - S; and the
-interval above (H, S) is the cell poset of the connected residue H as an
-|S|-colored graph (Ferri, Gagliardi and Grasselli, *A graph-theoretical
-representation of PL-manifolds*, 1986).  So the output is marked
-`_proved`, built from an admissible graph, which no field, argument or
-other builder sets, and which only `homology._require_simplicial` reads.
+ranks lie in 0..d, each vertex is a facet of rank d, the graph is
+connected (one rank-0 cell), and a cell (H, S) covers one cell of rank one
+lower per color outside S, each of a distinct color set; labels are
+strings, as vertex labels are.  It is simplicial: the cells below (H, S)
+are the (H', S') with S' a superset of S, one for each S', the component
+of the S'-colored subgraph that holds H, so [0, (H, S)] is the boolean
+lattice on [d] - S; and the interval above (H, S) is the cell poset of the
+connected residue H as an |S|-colored graph (Ferri, Gagliardi and
+Grasselli, *A graph-theoretical representation of PL-manifolds*, 1986).
+So the output is marked `_proved`, built from an admissible graph, which
+no field, argument or other builder sets, and which only
+`homology._require_simplicial` reads.
 
 `poset_to_json` writes ``{"cells": [{"covers", "id", "label", "rank"}],
 "d"}`` as `graphs.graph_to_json` writes graphs: sorted keys, a two-space
@@ -96,7 +98,8 @@ class SimplicialPoset:
     """Cells indexed 0..N-1; cell 0 is the minimum element.
 
     ``ranks[i]`` is the rank of cell i, ``covers[i]`` the ids of the cells
-    it covers (each one rank lower), ``labels[i]`` a free-form name.
+    it covers (each one rank lower), ``labels[i]`` a free-form name; ``d``,
+    which sizes every engine's work, is the greatest of the ranks.
     """
 
     d: int
@@ -136,6 +139,10 @@ class SimplicialPoset:
                     raise ValueError(f"cell {i} covers {j!r} of wrong rank")
         if self.covers[0]:
             raise ValueError("the minimum cell covers nothing")
+        top = max(self.ranks)
+        if top != self.d:
+            raise ValueError(
+                f"d is {self.d}, but the greatest cell rank is {top}")
 
     @property
     def n_cells(self) -> int:
@@ -308,17 +315,9 @@ def is_pseudomanifold(p: SimplicialPoset) -> bool:
 
 # --- validation and JSON ------------------------------------------------------
 
-def _rank_gap(p: SimplicialPoset) -> str | None:
-    """A violation when ``d`` is above every cell's rank, else None."""
-    top = max(p.ranks)
-    if top == p.d:
-        return None
-    return f"d is {p.d}, but the greatest cell rank is {top}"
-
-
 def poset_from_dict(data: dict) -> SimplicialPoset:
-    """Load a poset; a ``d`` above every cell's rank is refused here, since
-    d sizes the f- and h-vectors and the work that reads them."""
+    """Load a poset from its dict form through the constructor, which
+    refuses a ``d`` above every cell's rank."""
     try:
         for c in data["cells"]:     # true and 1.0 compare equal to 1
             if type(c["id"]) is not int:
@@ -334,9 +333,6 @@ def poset_from_dict(data: dict) -> SimplicialPoset:
             tuple(c["label"] for c in cells))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed poset JSON: {exc}") from exc
-    gap = _rank_gap(p)
-    if gap:
-        raise ValueError(gap)
     return p
 
 

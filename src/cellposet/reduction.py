@@ -6,8 +6,8 @@ A pair (x, y) with edge colors C between them is a dipole when C is
 nonempty and x, y fall in different components once the colors C are
 removed.  Cancelling deletes x and y and rewires, for every color i not
 in C, the i-colored partners of x and y to each other; this preserves the
-perfect-matching property unconditionally and, on manifolds, the
-homeomorphism type of the associated cell complex.
+perfect-matching property and the homotopy type of the associated cell
+complex (Lemma A below) and, on manifolds, its homeomorphism type.
 
 Every public call builds one partner table with :func:`require_admissible`
 and drops it on return; the only thing cached on the :class:`ColoredGraph`
@@ -66,6 +66,37 @@ x's c-partner to y's.
   without them if it was: only the pairs that the cancellation joins can
   become dipoles.  So greedy's heap of candidate pairs (`greedy_reduce`)
   takes in again only the pairs :meth:`_Table.cancel_dipole` returns.
+
+Two more lemmas hold on any admissible graph Γ, manifold or not, for a
+dipole (x, y) of colors C short of all d.  Write Γ' for the result and
+|Γ| for the realization of `from_graph`'s poset, whose cell (H, E), H a
+component of Γ_E, has the vertex colors not in E; σ_x is x's facet.
+
+* Lemma A.  |Γ| ≃ |Γ'|, so both have the same Betti numbers over every
+  field.  A face of σ_x is one of σ_y iff its vertex colors miss a color
+  c of C, as its residue then holds x's c-partner y, and else lies in
+  Γ_Ĉ, which parts x from y.  So B = σ_x ∪ σ_y is the join of the sphere
+  of the two C-faces with the Ĉ-face, a ball whose interior belongs to x
+  and y alone.  With Y = |Γ| minus that interior, |Γ'| is Y with each
+  x-side face of ∂B that holds C glued to its y-side twin, which folds
+  ∂B onto D = ∂(Ĉ-face) * C, a cone.  B and D are contractible, so
+  |Γ| ≃ |Γ|/B = Y/∂B = |Γ'|/D ≃ |Γ'| (Hatcher, *Algebraic Topology*,
+  Prop. 0.17).
+* Lemma B.  |Γ| is a GF(2) homology manifold iff |Γ'| is, that is (the
+  poset is pure, and the link of (H, E) is H's poset) iff every residue
+  of 1 to d - 1 colors has a sphere's Betti vector.  A residue missing x
+  and y is unchanged.  If E meets C and Ĉ, x's residue loses its dipole
+  (x, y) of colors C ∩ E (E - C ⊆ Ĉ parts them) and keeps its Betti
+  numbers by Lemma A.  If E ⊆ Ĉ, x's and y's residues become their graph
+  sum at x and y, whose poset is the connected sum of theirs: by
+  Mayer-Vietoris on these strongly connected pseudomanifolds with a
+  GF(2) fundamental class, its reduced Betti numbers are the sums of
+  theirs below the top degree and 1 there, a sphere's iff both are.  If
+  E ⊆ C, the residue {x, y}, a sphere, goes.
+
+So greedy and `run_schedule` keep `betti_gf2` and `is_homology_manifold`.
+Neither lemma gives the PL type of a non-manifold, which needs the
+properness condition of the singular-manifold literature.
 
 A dipole whose colors are all d colors makes up the whole graph, as in
 :func:`parallel_edges_graph`, and cancelling it would leave none; it is

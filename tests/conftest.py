@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings, strategies as st
 
-from cellposet.constructions import (_interval_by_vertices, _rule_pair,
-                                     block_label, boundary_of_simplex,
+from cellposet.constructions import (_rule_pair, block_label,
+                                     boundary_of_simplex,
                                      cross_polytope_quotient,
                                      product_spheres_graph)
 from cellposet.graphs import (ColoredGraph, graph_from_dict,
@@ -167,7 +167,7 @@ def facets(p: SimplicialPoset) -> tuple[int, ...]:
 def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:
     """Oracle for the links of `homology.link_bettis`: the subposet
     of cells above `cell`, reindexed with `cell` as minimum and ranks
-    dropped by rank(cell)."""
+    dropped by rank(cell), of rank its greatest cell rank."""
     if not 0 <= cell < p.n_cells:
         raise ValueError(f"unknown cell {cell}")
     base = p.ranks[cell]
@@ -189,7 +189,7 @@ def link(p: SimplicialPoset, cell: int) -> SimplicialPoset:
         tuple(new_id[j] for j in p.covers[c] if j in upset) if c != cell else ()
         for c in order)
     labels = tuple(p.labels[c] for c in order)
-    return SimplicialPoset(p.d - base, ranks, covers, labels)
+    return SimplicialPoset(max(ranks), ranks, covers, labels)
 
 
 MAX_CHAINS = 10 ** 6
@@ -418,6 +418,20 @@ def to_graph(p: SimplicialPoset, coloring: dict[int, int]) -> ColoredGraph:
     return ColoredGraph(p.d, tuple(p.labels[f] for f in facet_ids), tuple(edges))
 
 
+def interval_by_vertices(p: SimplicialPoset, facet: int):
+    """The cells below `facet`, its down-closure through the covers, keyed
+    by `vertex_sets`; and the facet's vertices, sorted.  The closure comes
+    first, as two cells of a simplicial poset may share a vertex set."""
+    below, stack = {facet}, [facet]
+    while stack:
+        for j in p.covers[stack.pop()]:
+            if j not in below:
+                below.add(j)
+                stack.append(j)
+    verts = vertex_sets(p)
+    return {verts[c]: c for c in below}, sorted(verts[facet])
+
+
 def reference_connected_sum(p: SimplicialPoset, q: SimplicialPoset,
                             sigma: int, tau: int) -> SimplicialPoset:
     """Oracle for `constructions.connected_sum`, which renumbers in one
@@ -431,8 +445,8 @@ def reference_connected_sum(p: SimplicialPoset, q: SimplicialPoset,
         if not 0 <= facet < poset.n_cells or poset.ranks[facet] != poset.d \
                 or coverers(poset)[facet]:
             raise ValueError(f"{name} is not a facet")
-    down_sigma, vs = _interval_by_vertices(p, sigma)
-    down_tau, vt = _interval_by_vertices(q, tau)
+    down_sigma, vs = interval_by_vertices(p, sigma)
+    down_tau, vt = interval_by_vertices(q, tau)
     to_sigma = dict(zip(vt, vs))
 
     # p keeps everything but sigma; q drops tau and the faces glued into p

@@ -86,6 +86,22 @@ def test_the_limits_are_bound_only_in_posets():
         assert [m for m in package_modules() if name in vars(m)] == [posets]
 
 
+def test_the_rank_law_has_one_owner():
+    """Only the constructor, `SimplicialPoset.__post_init__`, refuses a d
+    above every cell's rank: its message appears nowhere else in the
+    package, and no module binds a helper `_rank_gap`."""
+    text = "but the greatest cell rank is"
+    package = Path(cellposet.__file__).parent
+    found = [(path.stem, owners) for path in sorted(package.glob("*.py"))
+             for node, owners in owned_nodes(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and text in node.value]
+    assert found == [("posets", {"SimplicialPoset", "__post_init__"})]
+    assert sum(path.read_text().count(text)
+               for path in package.glob("*.py")) == 1
+    assert [m for m in package_modules() if "_rank_gap" in vars(m)] == []
+
+
 def test_a_poset_owns_its_tables():
     """The position and up tables are cached on the poset, and no module
     defines or binds either at module level; the pseudomanifold

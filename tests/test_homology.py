@@ -115,6 +115,15 @@ class TestBetti:
         assert betti_order_complex(p) == (0, 0, 0)
         assert betti_gf2(p) == (0, 0, 0)
 
+    def test_sum_of_two_lone_facets_is_refused(self):
+        # the sum drops the 3-simplex's one rank-4 cell from both summands,
+        # so no cell of rank d = 4 is left
+        p = full_simplex_poset(3)
+        (top,) = p.cells_by_rank[p.d]
+        with pytest.raises(ValueError, match="^d is 4, but the greatest "
+                           "cell rank is 3$"):
+            connected_sum(p, p, top, top)
+
     def test_oracle_agrees_on_torus(self, torus_graph):
         p = from_graph(torus_graph)
         assert betti_order_complex(p) == betti_gf2(p) == (0, 2, 1)
@@ -306,8 +315,13 @@ def lower_half(betti: tuple[int, ...]) -> tuple[int, ...]:
 
 def oracle_link_bettis(p: SimplicialPoset) -> list:
     """(cell, order-complex Betti vector of its link) for every cell of
-    rank >= 1, in cell order, the link built as its own poset by `link`."""
-    return [(c, betti_order_complex(link(p, c))) for c in range(1, p.n_cells)]
+    rank >= 1, in cell order, the link built as its own poset by `link`.
+    A link below rank d - rank(c) has no homology above its own rank, so
+    its vector is padded with zeros to d - rank(c) entries."""
+    def padded(c):
+        betti = betti_order_complex(link(p, c))
+        return betti + (0,) * (p.d - p.ranks[c] - len(betti))
+    return [(c, padded(c)) for c in range(1, p.n_cells)]
 
 
 def oracle_verdicts(p: SimplicialPoset, links) -> tuple[bool, bool]:

@@ -12,14 +12,15 @@ from cellposet import posets, reduction
 from cellposet.constructions import (parallel_edges_graph,
                                      product_spheres_graph)
 from cellposet.graphs import ColoredGraph, validate_admissible
-from cellposet.homology import betti_gf2
+from cellposet.homology import betti_gf2, is_homology_manifold
 from cellposet.posets import f_vector, from_graph
 from cellposet.reduction import (CancellationError, CancellationStep, _Table,
                                  cancellation_schedule, greedy_reduce,
                                  reduce_product_spheres, run_schedule)
 
-from conftest import (admissible_graphs, bfs_roots, census_graphs,
-                      color_partner, colors_between, insert_dipole, shuffled)
+from conftest import (admissible_graphs, betti_order_complex, bfs_roots,
+                      census_graphs, color_partner, colors_between,
+                      insert_dipole, shuffled)
 
 EXPECTED_2_2 = [
     (1, ("A:{2,3}", "A:{1,3}")),
@@ -355,6 +356,31 @@ class TestDipoleLemma:
                 for new in set(find_dipoles(
                         reference_cancel(g, dip.x, dip.y))) - before:
                     assert {new.x, new.y} in joined, (g, dip, new)
+
+
+class TestWhatACancellationKeeps:
+    """Lemmas A and B of the `reduction` docstring, on graphs that need not
+    be manifolds: a cancellation keeps the GF(2) Betti numbers, by the
+    order-complex oracle, and the homology-manifold verdict."""
+
+    @given(admissible_graphs(max_pairs=6, colors=(3, 4, 5)))
+    def test_every_cancellation_keeps_both(self, g):
+        p = from_graph(g)
+        kept = betti_order_complex(p), is_homology_manifold(p)
+        for x, y in combinations(g.vertices, 2):
+            dip = reference_check_dipole(g, x, y)
+            if dip is not None and len(dip.colors) < g.d:
+                after = from_graph(reference_cancel(g, x, y))
+                assert (betti_order_complex(after),
+                        is_homology_manifold(after)) == kept, (x, y)
+
+    @pytest.mark.parametrize("d,n_vertices",
+                             [(3, 6), (3, 8), (4, 4), (4, 6), (5, 4)])
+    def test_greedy_keeps_both_on_the_census(self, d, n_vertices):
+        for g in census_graphs(d, n_vertices):
+            p, q = from_graph(g), from_graph(greedy_reduce(g)[0])
+            assert (betti_gf2(q), is_homology_manifold(q)) == \
+                (betti_gf2(p), is_homology_manifold(p)), g
 
 
 @pytest.fixture
