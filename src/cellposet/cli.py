@@ -129,8 +129,7 @@ def cmd_reduce(args) -> int:
             raise ValueError("--n and --m apply only to --schedule symbolic")
         final, steps = reduction.greedy_reduce(obj)
     # written before anything is printed, as in `cmd_build`
-    _write_out(args.certificate, json.dumps(
-        [s.to_dict() for s in steps], sort_keys=True, indent=2))
+    _write_out(args.certificate, reduction.steps_to_json(steps))
     _write_out(args.out, graph_to_json(final))
     _emit({"vertices": len(final.vertices), "steps": len(steps)})
     return 0

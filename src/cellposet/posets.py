@@ -35,15 +35,17 @@ The output skips the constructor's checks, which the construction meets:
 ranks lie in 0..d, each vertex is a facet of rank d, the graph is
 connected (one rank-0 cell), and a cell (H, S) covers one cell of rank one
 lower per color outside S, each of a distinct color set; labels are
-strings, as vertex labels are.  It is simplicial: the cells below (H, S)
-are the (H', S') with S' a superset of S, one for each S', the component
-of the S'-colored subgraph that holds H, so [0, (H, S)] is the boolean
-lattice on [d] - S; and the interval above (H, S) is the cell poset of the
-connected residue H as an |S|-colored graph (Ferri, Gagliardi and
-Grasselli, *A graph-theoretical representation of PL-manifolds*, 1986).
-So the output is marked `_proved`, built from an admissible graph, which
-no field, argument or other builder sets, and which only
-`homology._require_simplicial` reads.
+strings, as vertex labels are.  Facet i is vertex i, and its covers are
+its d ridges, one per color, ascending: the facets' covers give back the
+partner table, which `homology._certified` reads.  It is simplicial: the
+cells below (H, S) are the (H', S') with S' a superset of S, one for each
+S', the component of the S'-colored subgraph that holds H, so [0, (H, S)]
+is the boolean lattice on [d] - S; and the interval above (H, S) is the
+cell poset of the connected residue H as an |S|-colored graph (Ferri,
+Gagliardi and Grasselli, *A graph-theoretical representation of
+PL-manifolds*, 1986).  So the output is marked `_proved`, built from an
+admissible graph, which no field, argument or other builder sets, and
+which only `homology._require_simplicial` reads.
 
 `poset_to_json` writes ``{"cells": [{"covers", "id", "label", "rank"}],
 "d"}`` as `graphs.graph_to_json` writes graphs: sorted keys, a two-space

@@ -106,13 +106,15 @@ crystallization condition once, with d searches.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, compress
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from . import posets
-from .graphs import ColoredGraph, require_admissible
+from .graphs import ColoredGraph, _json_array, require_admissible
 from .constructions import block_label, product_spheres_graph
 from .posets import _refuse_above
 
@@ -132,6 +134,17 @@ class CancellationStep:
         return {"step": self.step, "pair": list(self.pair),
                 "colors": list(self.colors),
                 "vertices_after": self.vertices_after}
+
+
+def steps_to_json(steps) -> str:
+    """The step certificate, byte for byte ``json.dumps(..., sort_keys=True,
+    indent=2)`` of the steps' dicts, from a template (see `graphs`)."""
+    return _json_array([
+        '{\n    "colors": %s,\n    "pair": %s,\n    "step": %d,'
+        '\n    "vertices_after": %d\n  }'
+        % (_json_array(map(str, s.colors), "    "),
+           _json_array(map(encode_basestring_ascii, s.pair), "    "),
+           s.step, s.vertices_after) for s in steps], "")
 
 
 class _Table:
@@ -345,22 +358,33 @@ def greedy_reduce(g: ColoredGraph
     bound grows from 4779 to 46188 on shuffled products of 504 to 3696
     vertices, while greedy's CPU time grows from 0.05 to 3.2 s."""
     t = _Table(g)
-    v = t.live
+    _cancel_greedily(t, by_type=False)
+    return t.graph(), tuple(t.steps)
+
+
+def _cancel_greedily(t: _Table, by_type: bool) -> None:
+    """:func:`greedy_reduce`'s refusal and loop on `t`, its heap keyed by
+    pair or, `by_type`, by (-type, pair), the type being the count of the
+    colors joining the pair when pushed, which a cancellation can raise."""
+    v, partner = t.live, t.partner
     tests = v * v * t.d // 4 if v > 2 else 0
     _refuse_above(posets.MAX_OUTPUT_SIZE, tests, f"greedy reduction of this "
                   f"{v}-vertex {t.d}-colored graph may make {tests} dipole "
                   "tests")
-    heap = sorted({(a, b) for row in t.partner
-                   for a, b in enumerate(row) if a < b})
+    types = Counter((a, b) for row in partner
+                    for a, b in enumerate(row) if a < b)
+    heap = sorted([(-n, a, b) for (a, b), n in types.items()] if by_type
+                  else types)
     last = None
     # a full-type dipole is a whole two-vertex graph, so above two
-    # vertices every dipole cancels; equal pairs pop together
+    # vertices every dipole cancels; equal items pop together
     while heap and t.live > 2:
-        x, y = pair = heappop(heap)
-        if pair != last and t.alive[x] and t.alive[y]:
+        item = heappop(heap)
+        x, y = item[-2:]
+        if item != last and t.alive[x] and t.alive[y]:
             colors = t.dipole_colors(x, y)
             if colors:
-                for joined in t.cancel_dipole(x, y, colors):
-                    heappush(heap, joined)
-        last = pair
-    return t.graph(), tuple(t.steps)
+                for a, b in t.cancel_dipole(x, y, colors):
+                    heappush(heap, (-sum(row[a] == b for row in partner),
+                                    a, b) if by_type else (a, b))
+        last = item

@@ -243,10 +243,13 @@ class TestReduce:
         assert all(c.keys() == {"step", "pair", "colors", "vertices_after"}
                    for c in cert)
 
-    def test_greedy_on_minimal_graph_is_a_no_op(self, capsys):
-        code, out, _ = run(capsys, "reduce", TORUS, "--schedule", "greedy")
+    def test_greedy_on_minimal_graph_is_a_no_op(self, capsys, tmp_path):
+        cert_file = tmp_path / "cert.json"
+        code, out, _ = run(capsys, "reduce", TORUS, "--schedule", "greedy",
+                           "--certificate", str(cert_file))
         assert code == 0
         assert json.loads(out) == {"vertices": 6, "steps": 0}
+        assert cert_file.read_text() == "[]"
 
     def test_symbolic_needs_dimensions(self, capsys):
         code, _, err = run(capsys, "reduce", TORUS, "--schedule", "symbolic")

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -5,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cellposet import posets
+from cellposet import posets, reduction
 from cellposet.constructions import (boundary_of_simplex, connected_sum,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
@@ -747,6 +748,12 @@ def eliminated_cells(p: SimplicialPoset) -> set[int]:
     return cells
 
 
+def without_the_certificate():
+    """Patch the vertex-link certificate off, so that the link test
+    eliminates on every poset."""
+    return mock.patch.object(homology, "_certified", return_value=False)
+
+
 def assert_read_off_alike(p: SimplicialPoset) -> list:
     """The marked graph poset `p` and its unmarked copy give the link test
     the same cell vectors, in the same order, and the same verdict; returns
@@ -784,11 +791,15 @@ class TestGraphLinks:
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 2)])
     def test_no_cell_of_rank_d_minus_3_up_is_eliminated(self, n, m):
+        # at d = 5 the vertex-link certificate answers first, and then
+        # nothing is eliminated: the read-off is pinned without it
         p = from_graph(product_spheres_graph(n, m))
         by_rank = p.cells_by_rank
-        assert eliminated_cells(p) == set().union(*by_rank[1:p.d - 3])
-        assert eliminated_cells(unmarked(p)) == set().union(
-            *by_rank[1:p.d - 1])
+        with without_the_certificate():
+            assert eliminated_cells(p) == set().union(*by_rank[1:p.d - 3])
+            assert eliminated_cells(unmarked(p)) == set().union(
+                *by_rank[1:p.d - 1])
+        assert eliminated_cells(p) == set()
 
 
 # (d, V): the connected admissible graphs of `census_graphs`, and the
@@ -832,3 +843,87 @@ class TestCensus:
             assert sorted(link_bettis(p)) == [
                 (c, lower_half(betti))
                 for c, betti in oracle_link_bettis(p)], g
+
+
+def assert_certificate_changes_nothing(p: SimplicialPoset) -> bool:
+    """`link_bettis` yields the same vectors, in the same order, and the
+    link test the same verdict, with the certificate and without it;
+    returns the verdict."""
+    links, verdict = list(link_bettis(p)), is_homology_manifold(p)
+    with without_the_certificate():
+        assert list(link_bettis(p)) == links
+        assert is_homology_manifold(p) == verdict
+    return verdict
+
+
+def census_sample(d: int, n_vertices: int, k: int) -> list:
+    """`k` graphs of the census of (d, n_vertices), drawn with a fixed seed."""
+    return random.Random(f"{d}/{n_vertices}").sample(
+        list(census_graphs(d, n_vertices)), k)
+
+
+class TestTheVertexLinkCertificate:
+    """On a poset `from_graph` marked, of d >= 5, the link test first
+    cancels every vertex link's residue greedily; when each ends at two
+    vertices, every cell gets the sphere's cut vector, with no
+    elimination, and otherwise the elimination runs as before."""
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (1, 4), (2, 3),
+                                     (1, 5), (2, 4), (3, 3)])
+    def test_products(self, n, m):
+        p = from_graph(product_spheres_graph(n, m))
+        assert homology._certified(p)
+        assert assert_certificate_changes_nothing(p)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_projective_spaces(self, n):
+        assert assert_certificate_changes_nothing(cross_polytope_quotient(n))
+
+    @pytest.mark.parametrize("graphs,counts", [
+        (lambda: census_graphs(5, 4), (53, 22)),
+        (lambda: census_sample(5, 6, 400), (400, 37))])
+    def test_the_census(self, graphs, counts):
+        # every non-manifold fails the certificate, as it must, and here
+        # every manifold passes it
+        seen = manifolds = 0
+        for g in graphs():
+            p = from_graph(g)
+            verdict = assert_certificate_changes_nothing(p)
+            assert homology._certified(p) == verdict, g
+            seen += 1
+            manifolds += verdict
+        assert (seen, manifolds) == counts
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (2, 3)])
+    def test_a_certified_poset_eliminates_nothing(self, monkeypatch, n, m):
+        calls = []
+        monkeypatch.setattr(homology, "_upward_pass",
+                            lambda p: calls.append(p) or _upward_pass(p))
+        p = from_graph(product_spheres_graph(n, m))
+        assert is_homology_manifold(p)
+        assert eliminated_cells(p) == set()
+        assert calls == []
+
+    @pytest.mark.parametrize("poset", [
+        lambda: from_graph(product_spheres_graph(1, 2)),
+        lambda: cross_polytope_quotient(4),
+        lambda: unmarked(from_graph(product_spheres_graph(2, 2)))])
+    def test_no_certificate_below_d_5_or_on_an_unmarked_poset(self, poset):
+        with mock.patch.object(homology, "_certified") as certified:
+            assert is_homology_manifold(poset())
+        certified.assert_not_called()
+
+    def test_a_refused_residue_falls_back_to_elimination(self, monkeypatch):
+        # greedy's bound, V^2 (d - 1)/4 dipole tests for a residue of V
+        # vertices, is lowered below the largest residue's: that residue
+        # is refused, the links are eliminated, and the verdict holds
+        p = from_graph(product_spheres_graph(2, 2))
+        bounds, cancel = [], reduction._cancel_greedily
+        monkeypatch.setattr(
+            reduction, "_cancel_greedily", lambda t, by_type: bounds.append(
+                t.live ** 2 * t.d // 4) or cancel(t, by_type))
+        assert homology._certified(p)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", max(bounds) - 1)
+        assert not homology._certified(p)
+        assert assert_certificate_changes_nothing(p)
+        assert eliminated_cells(p) == set().union(*p.cells_by_rank[1:p.d - 3])

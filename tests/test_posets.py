@@ -12,7 +12,7 @@ from cellposet.constructions import (_rp_graph, boundary_of_simplex,
                                      connected_sum, cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph)
-from cellposet.graphs import ColoredGraph
+from cellposet.graphs import ColoredGraph, require_admissible
 from cellposet import homology, posets
 from cellposet.homology import (_RowsOnDemand, _check_simplicial,
                                 _require_simplicial, _upward_pass,
@@ -24,9 +24,9 @@ from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
 
 from conftest import (SIMPLICIAL_BASES, admissible_graphs,
                       betti_order_complex, bfs_roots, boolean_by_definition,
-                      boundary_rows, complex_from_facets, coverers,
-                      facets, gf2_rank, json_labels, link, poset_to_dict,
-                      proper_coloring, rewired_posets,
+                      boundary_rows, census_graphs, complex_from_facets,
+                      coverers, facets, gf2_rank, json_labels, link,
+                      poset_to_dict, proper_coloring, rewired_posets,
                       rewired_simplex_boundary, shuffled, to_graph,
                       two_pillows, unmarked)
 
@@ -294,6 +294,53 @@ class TestFromGraph:
         assert is_normal(p)
         assert len(p.cells_by_rank[p.d]) == len(g.vertices)
         assert len(p.cells_by_rank[p.d - 1]) == len(g.edges)
+
+
+def partner_table_from_facets(p: SimplicialPoset) -> list[list[int]]:
+    """The partner table read off `p` by the contract of the `posets`
+    docstring: facet i is vertex i, and its covers are its ridges, one per
+    color, in ascending order; each ridge lies in two facets."""
+    facets = p.cells_by_rank[p.d]
+    ends: dict[int, list[int]] = {}
+    for i, f in enumerate(facets):
+        for ridge in p.covers[f]:
+            ends.setdefault(ridge, []).append(i)
+    assert all(len(two) == 2 for two in ends.values())
+    return [[sum(ends[p.covers[f][c]]) - i for i, f in enumerate(facets)]
+            for c in range(p.d)]
+
+
+def assert_the_facets_give_the_partner_table(g: ColoredGraph) -> None:
+    p = from_graph(g)
+    assert [p.labels[f] for f in p.cells_by_rank[p.d]] == list(g.vertices)
+    assert partner_table_from_facets(p) == require_admissible(g)
+
+
+class TestThePartnerTableContract:
+    """`from_graph` makes facet i of vertex i and lists its covers as its
+    ridges by color, so the facets' covers give back the partner table of
+    `require_admissible`, which the vertex-link certificate of `homology`
+    reads."""
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3),
+                                     (3, 3), (3, 4)])
+    def test_products(self, n, m):
+        g = product_spheres_graph(n, m)
+        assert_the_facets_give_the_partner_table(g)
+        assert_the_facets_give_the_partner_table(shuffled(g, n + m))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_quotients(self, n):
+        assert_the_facets_give_the_partner_table(_rp_graph(n))
+
+    @pytest.mark.parametrize("d,n_vertices", [(4, 6), (5, 4)])
+    def test_census(self, d, n_vertices):
+        for g in census_graphs(d, n_vertices):
+            assert_the_facets_give_the_partner_table(g)
+
+    @given(admissible_graphs(max_pairs=5, colors=(2, 3, 4, 5)))
+    def test_random_graphs(self, g):
+        assert_the_facets_give_the_partner_table(g)
 
 
 class TestHVector:

@@ -16,11 +16,12 @@ from cellposet.homology import betti_gf2, is_homology_manifold
 from cellposet.posets import f_vector, from_graph
 from cellposet.reduction import (CancellationError, CancellationStep, _Table,
                                  cancellation_schedule, greedy_reduce,
-                                 reduce_product_spheres, run_schedule)
+                                 reduce_product_spheres, run_schedule,
+                                 steps_to_json)
 
 from conftest import (admissible_graphs, betti_order_complex, bfs_roots,
                       census_graphs, color_partner, colors_between,
-                      insert_dipole, shuffled)
+                      insert_dipole, json_labels, shuffled)
 
 EXPECTED_2_2 = [
     (1, ("A:{2,3}", "A:{1,3}")),
@@ -585,6 +586,34 @@ class TestSchedule:
                                              r"than the limit of 1000000$"):
             cancellation_schedule(30, 30)
         assert time.perf_counter() - start < 1
+
+
+def dumped(steps) -> str:
+    """The step certificate as the standard library writes it."""
+    return json.dumps([s.to_dict() for s in steps], sort_keys=True, indent=2)
+
+
+class TestStepsToJson:
+    """`steps_to_json` writes the step certificate from a template, byte
+    for byte as ``json.dumps(..., sort_keys=True, indent=2)`` would."""
+
+    def test_the_4_5_schedule(self):
+        _, steps = reduce_product_spheres(4, 5)
+        assert len(steps) == 125
+        assert steps_to_json(steps) == dumped(steps)
+
+    def test_a_greedy_run(self):
+        _, steps = greedy_reduce(shuffled(product_spheres_graph(2, 3), 1))
+        assert steps and steps_to_json(steps) == dumped(steps)
+
+    def test_no_steps(self):
+        assert steps_to_json(()) == dumped(()) == "[]"
+
+    @given(st.lists(json_labels, min_size=2, max_size=2, unique=True))
+    def test_labels_are_escaped_alike(self, pair):
+        steps = [CancellationStep(1, tuple(pair), (1, 3), 8),
+                 CancellationStep(2, tuple(pair[::-1]), (2,), 6)]
+        assert steps_to_json(steps) == dumped(steps)
 
 
 class TestReduceProductSpheres:
