@@ -105,22 +105,27 @@ cycle, so the link is a polygon, a circle: (0,).  Every cell lies below
 a facet, so the cells of rank d - 3 are clean, and the lemma above makes
 their links closed homology surfaces, connected as H is.  QED.
 
-A marked poset of d >= 5 first tries `_certified`: greedy, highest type
-first, cancels each residue of d - 1 colors, the link of a rank-1 cell.
-Dipole moves keep Betti numbers and the manifold verdict (Lemmas A and B
-of `reduction`), so if each residue ends at two vertices, a sphere, the
-poset, pure as each cell lies below a facet, is a homology manifold, and
-every link a homology sphere: each cell gets the sphere's cut vector,
-exact, with no elimination.  Otherwise the links are eliminated as above;
-for d <= 4 every link of a marked poset is read off already.
+A marked poset of d >= 5 first tries `_certified`: for each color c,
+greedy, highest type first, cancels one table of the other colors' rows
+over all V facets, whose components, the residues without c, are the
+links of rank-1 cells; a dipole test searches one component, so each is
+cancelled as it would be alone.  Dipole moves keep Betti numbers and the
+manifold verdict (Lemmas A and B of `reduction`), so if each residue ends
+at two vertices, a sphere, the poset, pure as each cell lies below a
+facet, is a homology manifold, and every link a homology sphere: each cell
+gets the sphere's cut vector, exact, with no elimination.  Otherwise, or
+if greedy's bound of V^2 (d - 1)/4 tests refuses a table, the links are
+eliminated as above.  That bound is the largest residue's where a color
+leaves the graph connected, as on products and RP^n.  For d <= 4 every
+link of a marked poset is read off already.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress
 from math import factorial
 
-from .graphs import ColoredGraph, _merge_roots
 from .posets import SimplicialPoset, _require_row_bits, f_vector, is_pure
 
 def _pivots(rows) -> dict[int, int]:
@@ -466,25 +471,19 @@ def _certified(p: SimplicialPoset) -> bool:
     # `reduction` imports this module via `constructions`
     from .reduction import _cancel_greedily, _Table
     d, pos, ridges = p.d, p._positions, p._up_table[p.d - 1]
-    facets, vertices = p.cells_by_rank[d], range(len(p.cells_by_rank[d]))
+    facets = p.cells_by_rank[d]
     # facet i is vertex i, its covers its ridges by color (`posets`)
     partner = [[sum(ridges[pos[p.covers[f][c]]]) - i
                 for i, f in enumerate(facets)] for c in range(d)]
     for c in range(d):
-        rows, residues = partner[:c] + partner[c + 1:], {}
-        roots = _merge_roots(list(vertices), [*vertices] * (d - 1),
-                             [w for row in rows for w in row])
-        for v, root in enumerate(roots):
-            residues.setdefault(root, {})[v] = str(v)
-        for at in residues.values():
-            t = _Table(ColoredGraph(d - 1, tuple(at.values()), tuple(
-                (at[v], at[row[v]], color)
-                for color, row in enumerate(rows, start=1)
-                for v in at if v < row[v])))
-            try:
-                _cancel_greedily(t, by_type=True)
-            except ValueError:      # refused
-                return False
-            if t.live > 2:
-                return False
+        t = _Table([row[:] for row in partner[:c] + partner[c + 1:]],
+                   range(len(facets)), ())
+        try:
+            _cancel_greedily(t, by_type=True)
+        except ValueError:      # refused
+            return False
+        # a residue of two vertices has one partner in every row
+        if any(len(set(partners)) > 1
+               for partners in compress(zip(*t.partner), t.alive)):
+            return False
     return True

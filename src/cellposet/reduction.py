@@ -10,9 +10,8 @@ perfect-matching property and the homotopy type of the associated cell
 complex (Lemma A below) and, on manifolds, its homeomorphism type.
 
 Every public call builds one partner table with :func:`require_admissible`
-and drops it on return; the only thing cached on the :class:`ColoredGraph`
-is its label index ``ColoredGraph.index``, which the table and the
-admissibility check read.
+and drops it on return, caching nothing on the :class:`ColoredGraph` but
+``ColoredGraph.index``; the table reads rows, labels and edges, no graph.
 Each color class is a fixed-point-free involution, so the table stores
 ``partner[c][v]`` as a d x V table of int lists, the standard encoding of
 crystallizations (Ferri, Gagliardi and Grasselli, 1986; Lins, 1995).  It
@@ -98,10 +97,10 @@ So greedy and `run_schedule` keep `betti_gf2` and `is_homology_manifold`.
 Neither lemma gives the PL type of a non-manifold, which needs the
 properness condition of the singular-manifold literature.
 
-A dipole whose colors are all d colors makes up the whole graph, as in
-:func:`parallel_edges_graph`, and cancelling it would leave none; it is
-refused before anything is rewired.  :func:`run_schedule` checks the
-crystallization condition once, with d searches.
+A dipole of all d colors is a whole component (:func:`parallel_edges_graph`)
+that cancelling would empty: greedy keeps it, `cancel_dipole` refuses it
+before rewiring anything.  :func:`run_schedule` checks the crystallization
+condition once, with d searches.
 """
 
 from __future__ import annotations
@@ -150,20 +149,20 @@ def steps_to_json(steps) -> str:
 class _Table:
     """The partner table of an admissible graph, rewritten in place.
 
-    ``partner`` is the table :func:`require_admissible` returns; ``edges``
-    lists the input edges, then each edge a cancellation made, with no
-    order stamp: the live ones have both ends alive (module docstring).
-    ``steps`` logs each cancellation, in order; `cancel_dipole` returns
-    the pairs its new edges join."""
+    ``partner`` is the table :func:`require_admissible` returns, or some of
+    its rows, over the ``labels``; ``edges`` lists the input edges, then
+    each edge a cancellation made, with no order stamp: the live ones have
+    both ends alive (module docstring).  ``steps`` logs each cancellation,
+    in order; `cancel_dipole` returns the pairs its new edges join."""
 
-    def __init__(self, g: ColoredGraph):
-        self.partner = require_admissible(g)
-        self.d = g.d
-        self.labels = g.vertices
-        self.index = g.index
-        self.edges = list(g.edges)
-        self.alive = [True] * len(g.vertices)
-        self.live = len(g.vertices)
+    def __init__(self, partner: list[list[int]], labels, edges):
+        self.partner = partner
+        self.d = len(partner)
+        self.labels = labels
+        self.index = dict(zip(labels, range(len(labels))))
+        self.edges = list(edges)
+        self.alive = [True] * len(labels)
+        self.live = len(labels)
         self.steps: list[CancellationStep] = []
 
     def vertex(self, label: str) -> int:
@@ -309,7 +308,7 @@ def run_schedule(g: ColoredGraph, n: int, m: int
     each cancels two vertices and two are left at least, is refused once
     found admissible and before the pairs are listed; the count is
     bounded past min(n, m) = 20."""
-    t = _Table(g)
+    t = _Table(require_admissible(g), g.vertices, g.edges)
     if (min(n, m) < 1 or n + m + 1 != t.d
             or 2 * comb(n + m, min(n, m, 20)) > t.live):
         raise ValueError(
@@ -357,7 +356,7 @@ def greedy_reduce(g: ColoredGraph
     of V^2 d/4, none at V = 2, are refused before the first: the heap's
     bound grows from 4779 to 46188 on shuffled products of 504 to 3696
     vertices, while greedy's CPU time grows from 0.05 to 3.2 s."""
-    t = _Table(g)
+    t = _Table(require_admissible(g), g.vertices, g.edges)
     _cancel_greedily(t, by_type=False)
     return t.graph(), tuple(t.steps)
 
@@ -365,7 +364,8 @@ def greedy_reduce(g: ColoredGraph
 def _cancel_greedily(t: _Table, by_type: bool) -> None:
     """:func:`greedy_reduce`'s refusal and loop on `t`, its heap keyed by
     pair or, `by_type`, by (-type, pair), the type being the count of the
-    colors joining the pair when pushed, which a cancellation can raise."""
+    colors joining the pair when pushed, which a cancellation can raise.
+    A full-type dipole, a whole two-vertex component, is kept."""
     v, partner = t.live, t.partner
     tests = v * v * t.d // 4 if v > 2 else 0
     _refuse_above(posets.MAX_OUTPUT_SIZE, tests, f"greedy reduction of this "
@@ -376,14 +376,14 @@ def _cancel_greedily(t: _Table, by_type: bool) -> None:
     heap = sorted([(-n, a, b) for (a, b), n in types.items()] if by_type
                   else types)
     last = None
-    # a full-type dipole is a whole two-vertex graph, so above two
-    # vertices every dipole cancels; equal items pop together
+    # a full-type dipole is a whole two-vertex component, so a connected
+    # table stops at two vertices; equal items pop together
     while heap and t.live > 2:
         item = heappop(heap)
         x, y = item[-2:]
         if item != last and t.alive[x] and t.alive[y]:
             colors = t.dipole_colors(x, y)
-            if colors:
+            if colors and len(colors) < t.d:
                 for a, b in t.cancel_dipole(x, y, colors):
                     heappush(heap, (-sum(row[a] == b for row in partner),
                                     a, b) if by_type else (a, b))

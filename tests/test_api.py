@@ -60,7 +60,7 @@ def test_the_dipole_table_holds_only_the_partner_table():
     TestNoStateOnGraphs in test_reduction.py checks that the table is
     never cached on the graph."""
     g = product_spheres_graph(1, 2)
-    t = _Table(g)
+    t = _Table(require_admissible(g), g.vertices, g.edges)
     assert not hasattr(t, "stamp")
     assert t.partner == require_admissible(g)
     assert set(vars(t)) == {"partner", "d", "labels", "index", "edges",

@@ -5,19 +5,21 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cellposet import graphs, posets
+from cellposet import graphs, homology, posets
 from cellposet.cli import main
 from cellposet.graphs import ColoredGraph
 from cellposet.constructions import (boundary_of_simplex,
                                      parallel_edges_graph,
                                      product_spheres_graph)
 
-from conftest import (graph_to_dict, insert_dipole, poset_to_dict,
-                      rewired_simplex_boundary, shuffled, two_pillows)
+from conftest import (census_graphs, graph_to_dict, insert_dipole,
+                      poset_to_dict, rewired_simplex_boundary, shuffled,
+                      two_pillows)
 
 DATA = Path(__file__).parent / "data"
 TORUS = str(DATA / "torus_crystallization.json")
@@ -395,15 +397,28 @@ class TestOneAdmissibilityWalk:
         assert (result[1] == "") == (code != 0)
 
 
+def recognize_input(name: str, torus_suspension_graph) -> ColoredGraph:
+    """A graph for `recognize`: two of d = 4 and two of d = 5, where the
+    link test of a graph's poset first tries the vertex-link certificate."""
+    return {"S^1 x S^2": lambda: product_spheres_graph(1, 2),
+            "torus suspension": lambda: torus_suspension_graph,
+            "S^2 x S^2": lambda: product_spheres_graph(2, 2),
+            "census non-manifold": lambda: next(
+                g for g in census_graphs(5, 6)
+                if not homology.is_homology_manifold(posets.from_graph(g)))
+            }[name]()
+
+
 class TestRecognize:
     @pytest.mark.parametrize("name,manifold", [("S^1 x S^2", True),
-                                               ("torus suspension", False)])
+                                               ("torus suspension", False),
+                                               ("S^2 x S^2", True),
+                                               ("census non-manifold", False)])
     def test_graph_files(self, capsys, tmp_path, torus_suspension_graph,
                          name, manifold):
         # the suspension of the torus is a pseudomanifold whose two cone
         # points have tori for links
-        graph = {"S^1 x S^2": product_spheres_graph(1, 2),
-                 "torus suspension": torus_suspension_graph}[name]
+        graph = recognize_input(name, torus_suspension_graph)
         src = tmp_path / "g.json"
         src.write_text(json.dumps(graph_to_dict(graph)))
         code, out, err = run(capsys, "recognize", str(src))
@@ -412,19 +427,26 @@ class TestRecognize:
                        '  "pseudomanifold": true\n}\n'
                        % json.dumps(manifold))
 
-    @pytest.mark.parametrize("name", ["S^1 x S^2", "torus suspension"])
+    @pytest.mark.parametrize("name", ["S^1 x S^2", "torus suspension",
+                                      "S^2 x S^2", "census non-manifold"])
     def test_a_graph_and_its_poset_file_print_alike(
             self, capsys, tmp_path, torus_suspension_graph, name):
         # the poset file is loaded unmarked, so the link test eliminates
-        # the links it reads off the graph's poset
-        graph = {"S^1 x S^2": product_spheres_graph(1, 2),
-                 "torus suspension": torus_suspension_graph}[name]
+        # the links it reads off the graph's poset; at d = 5 the graph's
+        # poset takes the certificate, which passes exactly on a manifold
+        graph = recognize_input(name, torus_suspension_graph)
         src, poset = tmp_path / "g.json", tmp_path / "p.json"
         src.write_text(json.dumps(graph_to_dict(graph)))
         poset.write_text(posets.poset_to_json(posets.from_graph(graph)))
-        code, out, err = run(capsys, "recognize", str(src))
-        assert code == 0 and err == ""
-        assert run(capsys, "recognize", str(poset)) == (code, out, err)
+        certified, verdicts = homology._certified, []
+        with mock.patch.object(
+                homology, "_certified",
+                lambda p: verdicts.append(certified(p)) or verdicts[-1]):
+            code, out, err = run(capsys, "recognize", str(src))
+            assert code == 0 and err == ""
+            assert run(capsys, "recognize", str(poset)) == (code, out, err)
+        assert verdicts == [json.loads(out)["homology_manifold"]] * (
+            graph.d >= 5)
 
     def test_poset_file(self, capsys, tmp_path):
         src = tmp_path / "rp.json"

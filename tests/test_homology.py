@@ -1,13 +1,15 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, compress
 from math import comb
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cellposet import posets, reduction
-from cellposet.constructions import (boundary_of_simplex, connected_sum,
+from cellposet import graphs, posets, reduction
+from cellposet.constructions import (_rp_graph, boundary_of_simplex,
+                                     connected_sum,
                                      cross_polytope_quotient,
                                      parallel_edges_graph,
                                      product_spheres_graph)
@@ -18,16 +20,18 @@ from cellposet.homology import (_check_simplicial, _face_counts, _pivots,
                                 is_homology_manifold, link_bettis,
                                 validate_poset)
 from cellposet.checkers import check_manifold_h
-from cellposet.graphs import validate_admissible
+from cellposet.graphs import (ColoredGraph, require_admissible,
+                              validate_admissible)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               h_vector, is_pseudomanifold, is_pure)
+from cellposet.reduction import _cancel_greedily, _Table, greedy_reduce
 
-from conftest import (admissible_graphs, betti_order_complex,
+from conftest import (admissible_graphs, betti_order_complex, bfs_roots,
                       boolean_by_definition, boundary_rows, census_graphs,
-                      facets, gf2_rank, is_homology_sphere, link,
-                      rewired_posets,
-                      rewired_simplex_boundary, simplex_boundary_wedge,
-                      sphere_pattern, two_pillows, unmarked, vertex_sets)
+                      facets, gf2_rank, insert_dipole, is_homology_sphere,
+                      link, rewired_posets, rewired_simplex_boundary,
+                      shuffled, simplex_boundary_wedge, sphere_pattern,
+                      two_pillows, unmarked, vertex_sets)
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -862,6 +866,23 @@ def census_sample(d: int, n_vertices: int, k: int) -> list:
         list(census_graphs(d, n_vertices)), k)
 
 
+def swapped(g: ColoredGraph, a: int, b: int) -> ColoredGraph:
+    """`g` with colors a and b swapped."""
+    swap = {a: b, b: a}
+    return ColoredGraph(g.d, g.vertices, tuple(
+        (u, v, swap.get(c, c)) for u, v, c in g.edges))
+
+
+def every_color_split() -> ColoredGraph:
+    """The graph of S^2 x S^2 with a dipole of color 1 and one of color 5
+    inserted: colors 2, 3 and 4 leave it disconnected already, and each
+    dipole's color parts its two ends."""
+    g = product_spheres_graph(2, 2)
+    h = insert_dipole(g, g.vertices[0], "x", "y")
+    return swapped(insert_dipole(swapped(h, 1, 5), g.vertices[1], "u", "w"),
+                   1, 5)
+
+
 class TestTheVertexLinkCertificate:
     """On a poset `from_graph` marked, of d >= 5, the link test first
     cancels every vertex link's residue greedily; when each ends at two
@@ -914,16 +935,142 @@ class TestTheVertexLinkCertificate:
         certified.assert_not_called()
 
     def test_a_refused_residue_falls_back_to_elimination(self, monkeypatch):
-        # greedy's bound, V^2 (d - 1)/4 dipole tests for a residue of V
-        # vertices, is lowered below the largest residue's: that residue
-        # is refused, the links are eliminated, and the verdict holds
+        # greedy's bound, V^2 (d - 1)/4 dipole tests for the table of V
+        # facets of each color, is lowered below it: the first table is
+        # refused, the links are eliminated, and the verdict holds.  Colors
+        # 1 and d leave this graph connected, so a table's bound is its
+        # largest residue's
         p = from_graph(product_spheres_graph(2, 2))
         bounds, cancel = [], reduction._cancel_greedily
         monkeypatch.setattr(
             reduction, "_cancel_greedily", lambda t, by_type: bounds.append(
                 t.live ** 2 * t.d // 4) or cancel(t, by_type))
         assert homology._certified(p)
+        assert bounds == [24 ** 2 * 4 // 4] * p.d
         monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE", max(bounds) - 1)
         assert not homology._certified(p)
         assert assert_certificate_changes_nothing(p)
         assert eliminated_cells(p) == set().union(*p.cells_by_rank[1:p.d - 3])
+
+    def test_the_bound_counts_every_facet_of_a_split_graph(self,
+                                                           monkeypatch):
+        # every color leaves several residues, so the table's bound is
+        # above every residue's: lowered between them, it refuses the
+        # certificate of a manifold that cancels, and the elimination
+        # gives the verdict
+        g = every_color_split()
+        d, v = g.d, len(g.vertices)
+        sizes = [Counter(bfs_roots(g, set(range(1, d + 1)) - {c})).values()
+                 for c in range(1, d + 1)]
+        assert min(map(len, sizes)) > 1
+        p = from_graph(g)
+        assert homology._certified(p)
+        monkeypatch.setattr(posets, "MAX_OUTPUT_SIZE",
+                            v * v * (d - 1) // 4 - 1)
+        largest = max(map(max, sizes))
+        assert largest ** 2 * (d - 1) // 4 <= posets.MAX_OUTPUT_SIZE
+        assert not homology._certified(p)
+        assert assert_certificate_changes_nothing(p)
+
+    @pytest.mark.parametrize("graph", [
+        lambda: product_spheres_graph(2, 2),
+        lambda: next(g for g in census_graphs(5, 6)
+                     if not is_homology_manifold(from_graph(g)))])
+    def test_no_graph_is_built_and_no_admissibility_walk_runs(self, graph):
+        # the certificate cancels on the rows it rebuilt from the poset
+        g = graph()
+        p = from_graph(g)
+        with mock.patch.object(graphs, "_admissibility",
+                               wraps=graphs._admissibility) as walk, \
+                mock.patch.object(ColoredGraph, "__post_init__",
+                                  autospec=True,
+                                  side_effect=ColoredGraph.__post_init__
+                                  ) as built:
+            is_homology_manifold(p)
+            assert (walk.call_count, built.call_count) == (0, 0)
+            # the patches see a walk and a build
+            require_admissible(shuffled(g, 1))
+            assert (walk.call_count, built.call_count) == (1, 1)
+
+
+def residues_one_by_one(g: ColoredGraph, c: int, by_type: bool) -> dict:
+    """Reference for the certificate's cancellation of `g` without color c:
+    each residue, a component of the graph without c, as its own graph
+    whose vertices are named by their index in `g`, in ascending order, and
+    cancelled greedily, by `greedy_reduce` for the index key.  Maps each
+    residue's least vertex to its cancelled index pairs, in order, and its
+    final vertex count."""
+    others = [k for k in range(1, g.d + 1) if k != c]
+    partner, residues, out = require_admissible(g), {}, {}
+    for v, root in enumerate(bfs_roots(g, others)):
+        residues.setdefault(root, []).append(v)
+    for root, vertices in residues.items():
+        h = ColoredGraph(g.d - 1, tuple(map(str, vertices)), tuple(
+            (str(v), str(partner[k - 1][v]), color)
+            for color, k in enumerate(others, start=1)
+            for v in vertices if v < partner[k - 1][v]))
+        if by_type:
+            t = _Table(require_admissible(h), h.vertices, h.edges)
+            _cancel_greedily(t, by_type=True)
+            final, steps = t.graph(), t.steps
+        else:
+            final, steps = greedy_reduce(h)
+        out[root] = ([tuple(map(int, s.pair)) for s in steps],
+                     len(final.vertices))
+    return out
+
+
+def one_table(g: ColoredGraph, c: int, by_type: bool) -> dict:
+    """The certificate's cancellation of `g` without color c, on one table
+    of the other colors' rows over all vertices, read per residue as
+    :func:`residues_one_by_one` gives it."""
+    roots = bfs_roots(g, set(range(1, g.d + 1)) - {c})
+    partner = require_admissible(g)
+    t = _Table(partner[:c - 1] + partner[c:], range(len(g.vertices)), ())
+    _cancel_greedily(t, by_type)
+    out = {root: ([], 0) for root in roots}
+    for s in t.steps:
+        out[roots[s.pair[0]]][0].append(s.pair)
+    for v in compress(range(len(roots)), t.alive):
+        pairs, live = out[roots[v]]
+        out[roots[v]] = pairs, live + 1
+    return out
+
+
+class TestOneTablePerColor:
+    """The certificate cancels each color's residues on one table over all
+    facets; cancelling each residue as its own graph, as the certificate
+    did before, is the oracle.  Each residue makes the same cancellations,
+    in the same order, with either key, and a residue of two vertices, a
+    full-type dipole, is kept, not refused."""
+
+    @staticmethod
+    def assert_alike(g: ColoredGraph) -> int:
+        """Checks `g` and returns the count of its two-vertex residues."""
+        finals = []
+        for c in range(1, g.d + 1):
+            for by_type in (False, True):
+                expected = residues_one_by_one(g, c, by_type)
+                assert one_table(g, c, by_type) == expected, (g, c, by_type)
+            finals += expected.values()
+        assert homology._certified(from_graph(g)) == all(
+            n == 2 for _, n in finals)
+        return sum(not steps and n == 2 for steps, n in finals)
+
+    @pytest.mark.parametrize("inputs", [
+        lambda: census_graphs(5, 4), lambda: census_sample(5, 6, 100)])
+    def test_the_census(self, inputs):
+        # some residues are two vertices from the start
+        assert sum(map(self.assert_alike, inputs())) > 0
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (1, 4), (2, 3),
+                                     (1, 5), (2, 4), (3, 3)])
+    def test_products(self, n, m):
+        self.assert_alike(product_spheres_graph(n, m))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_projective_spaces(self, n):
+        self.assert_alike(_rp_graph(n))
+
+    def test_a_graph_every_color_splits(self):
+        self.assert_alike(every_color_split())

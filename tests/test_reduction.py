@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 from cellposet import posets, reduction
 from cellposet.constructions import (parallel_edges_graph,
                                      product_spheres_graph)
-from cellposet.graphs import ColoredGraph, validate_admissible
+from cellposet.graphs import (ColoredGraph, require_admissible,
+                             validate_admissible)
 from cellposet.homology import betti_gf2, is_homology_manifold
 from cellposet.posets import f_vector, from_graph
 from cellposet.reduction import (CancellationError, CancellationStep, _Table,
@@ -43,7 +44,7 @@ class Dipole(NamedTuple):
 def check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
     """The partner table's dipole test on one pair of an admissible
     graph."""
-    t = _Table(g)
+    t = _Table(require_admissible(g), g.vertices, g.edges)
     colors = t.dipole_colors(t.vertex(x), t.vertex(y))
     return None if colors is None else Dipole(x, y, frozenset(colors))
 
@@ -51,7 +52,7 @@ def check_dipole(g: ColoredGraph, x: str, y: str) -> Dipole | None:
 def find_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
     """The partner table's dipole test on every pair (i, j) of an
     admissible graph joined by an edge, with i < j, in index order."""
-    t = _Table(g)
+    t = _Table(require_admissible(g), g.vertices, g.edges)
     pairs = sorted({(x, y) for row in t.partner
                     for x, y in enumerate(row) if x < y})
     return tuple(Dipole(t.labels[x], t.labels[y], frozenset(colors))
@@ -66,7 +67,7 @@ def cancel(g: ColoredGraph, x: str, y: str) -> ColoredGraph:
     graph."""
     if x == y:
         raise ValueError("cannot cancel a vertex with itself")
-    t = _Table(g)
+    t = _Table(require_admissible(g), g.vertices, g.edges)
     # the rewiring reads the colors only to refuse a full-type pair
     t.cancel_dipole(t.vertex(x), t.vertex(y), tuple(colors_between(g, x, y)))
     result = t.graph()
@@ -307,7 +308,7 @@ class TestDipoleLemma:
                 dip = None if x == y else reference_check_dipole(g, x, y)
                 if dip is None:
                     continue
-                t = _Table(g)
+                t = _Table(require_admissible(g), g.vertices, g.edges)
                 ix, iy = t.vertex(x), t.vertex(y)
                 colors = tuple(sorted(dip.colors))
                 if len(colors) < g.d:
@@ -321,7 +322,7 @@ class TestDipoleLemma:
                                        match="result is disconnected"):
                         t.cancel_dipole(ix, iy, colors)
                     assert t.graph() == g
-                    assert t.partner == _Table(g).partner
+                    assert t.partner == require_admissible(g)
 
     @given(admissible_graphs(colors=(2, 3, 4)))
     def test_every_color_set_keeps_its_joined_pairs(self, g):
@@ -447,7 +448,8 @@ class TestOneScan:
         assert len(dipole_tests) == {(3, 3): 161, (3, 4): 342}[n, m]
 
     def test_cancel_dipole_returns_the_joined_pairs(self):
-        t = _Table(product_spheres_graph(2, 2))
+        g = product_spheres_graph(2, 2)
+        t = _Table(require_admissible(g), g.vertices, g.edges)
         x, y = t.vertex("A:{2,3}"), t.vertex("A:{1,3}")
         colors = t.dipole_colors(x, y)
         n_edges = len(t.edges)
