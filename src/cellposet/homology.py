@@ -113,17 +113,21 @@ cancelled as it would be alone.  Dipole moves keep Betti numbers and the
 manifold verdict (Lemmas A and B of `reduction`), so if each residue ends
 at two vertices, a sphere, the poset, pure as each cell lies below a
 facet, is a homology manifold, and every link a homology sphere: each cell
-gets the sphere's cut vector, exact, with no elimination.  Otherwise, or
-if greedy's bound of V^2 (d - 1)/4 tests refuses a table, the links are
-eliminated as above.  That bound is the largest residue's where a color
-leaves the graph connected, as on products and RP^n.  For d <= 4 every
-link of a marked poset is read off already.
+gets the sphere's cut vector, exact, with no elimination.  The certified
+path reads only the facets' covers: facet i is vertex i, its covers its
+ridges by color, and a ridge lies in two facets, so sorting all facets'
+ridges by id pairs the facets into the partner rows; no position or up
+table is built, and each rank's cells share one cut vector.
+Otherwise, or if greedy's bound of V^2 (d - 1)/4 tests refuses a table,
+the links are eliminated as above.  That bound is the largest residue's
+where a color leaves the graph connected, as on products and RP^n.  For
+d <= 4 every link of a marked poset is read off already.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import compress
+from itertools import chain, compress, repeat
 from math import factorial
 
 from .posets import SimplicialPoset, _require_row_bits, f_vector, is_pure
@@ -355,12 +359,15 @@ def is_homology_manifold(p: SimplicialPoset) -> bool:
     docstring shows that every link passes this cut check exactly when
     every link is a homology sphere.  The call :func:`link_bettis`
     refuses `p` unless simplicial (:func:`_require_simplicial`); purity
-    (a coverer for each cell below rank d) is then read from `p._up_table`,
-    and only a pure `p` has its links computed: by the certificate of the
-    module docstring, if it holds, else in one :func:`_upward_pass`."""
+    (a coverer for each cell below rank d) is then read from the covers
+    by :func:`is_pure`, and only a pure `p` has its links computed: by the
+    certificate of the module docstring, if it holds, else in one
+    :func:`_upward_pass`, the only step that builds `p._up_table`.  Each
+    vector is compared with its rank's entry in one table of cut
+    vectors."""
     links = link_bettis(p)
-    return is_pure(p) and all(betti == _sphere_cut(p.d - p.ranks[c])
-                              for c, betti in links)
+    cuts, ranks = [_sphere_cut(p.d - k) for k in range(p.d + 1)], p.ranks
+    return is_pure(p) and all(betti == cuts[ranks[c]] for c, betti in links)
 
 
 def _upward_pass(p: SimplicialPoset) -> tuple[list, list, int]:
@@ -417,18 +424,21 @@ def link_bettis(p: SimplicialPoset) -> Iterator[tuple[int, tuple[int, ...]]]:
     clearing (see the module docstring), sound on simplicial posets only:
     the call runs :func:`_require_simplicial`, which raises
     :func:`betti_gf2`'s error on any other poset, and the first item runs
-    :func:`_upward_pass`, which builds those rows, unless the certificate
-    of the module docstring gives every cell the sphere's cut vector."""
+    :func:`_upward_pass`, which builds those rows from `p._up_table`,
+    unless the certificate of the module docstring gives every cell the
+    sphere's cut vector: that path reads only the facets' covers and
+    builds no table."""
     return _link_bettis(p, _require_simplicial(p))
 
 
 def _link_bettis(p: SimplicialPoset, proved: bool) -> Iterator[tuple]:
     """:func:`link_bettis` on `p`, proved simplicial, with the gate's mark."""
-    by_rank, up = p.cells_by_rank, p._up_table
+    by_rank = p.cells_by_rank
     if proved and p.d >= 5 and _certified(p):
-        yield from ((c, _sphere_cut(p.d - k))
-                    for k in range(p.d, 0, -1) for c in by_rank[k])
+        for k in range(p.d, 0, -1):
+            yield from zip(by_rank[k], repeat(_sphere_cut(p.d - k)))
         return
+    up = p._up_table
     cob, chains, width = _upward_pass(p)
     unsound: set[int] = set()           # positions in the rank above
     for k in range(p.d, 0, -1):
@@ -470,14 +480,19 @@ def _certified(p: SimplicialPoset) -> bool:
     cancels greedily to two vertices (module docstring)."""
     # `reduction` imports this module via `constructions`
     from .reduction import _cancel_greedily, _Table
-    d, pos, ridges = p.d, p._positions, p._up_table[p.d - 1]
-    facets = p.cells_by_rank[d]
-    # facet i is vertex i, its covers its ridges by color (`posets`)
-    partner = [[sum(ridges[pos[p.covers[f][c]]]) - i
-                for i, f in enumerate(facets)] for c in range(d)]
+    d, facets = p.d, p.cells_by_rank[p.d]
+    # facet i is vertex i, its covers its ridges by color (`posets`), so
+    # item i d + c is vertex i's ridge of color c; a ridge lies in two
+    # facets, so sorted by ridge id the items pair off
+    ridges = list(chain.from_iterable(map(p.covers.__getitem__, facets)))
+    order = sorted(range(len(ridges)), key=ridges.__getitem__)
+    mates = [0] * len(ridges)
+    for a, b in zip(order[::2], order[1::2]):
+        mates[a], mates[b] = b // d, a // d
+    vertices = range(len(facets))
     for c in range(d):
-        t = _Table([row[:] for row in partner[:c] + partner[c + 1:]],
-                   range(len(facets)), ())
+        # each table cancels its own copies of the other colors' rows
+        t = _Table([mates[k::d] for k in range(d) if k != c], vertices, ())
         try:
             _cancel_greedily(t, by_type=True)
         except ValueError:      # refused

@@ -298,8 +298,11 @@ def h_vector(f: tuple[int, ...]) -> tuple[int, ...]:
 # --- pseudomanifold predicates ------------------------------------------------
 
 def is_pure(p: SimplicialPoset) -> bool:
-    """Every cell below rank d has a coverer in `p`'s `_up_table`."""
-    return all(map(all, p._up_table[:p.d]))
+    """Every cell below rank d has a coverer.  Covers point one rank down,
+    so the covers name only cells below rank d, and all of them exactly
+    when they name n_cells - f_d distinct cells: one set over `p.covers`,
+    with no `_up_table`."""
+    return len(set().union(*p.covers)) == p.n_cells - p.ranks.count(p.d)
 
 
 def is_pseudomanifold(p: SimplicialPoset) -> bool:

@@ -29,9 +29,10 @@ from cellposet.reduction import _cancel_greedily, _Table, greedy_reduce
 from conftest import (admissible_graphs, betti_order_complex, bfs_roots,
                       boolean_by_definition, boundary_rows, census_graphs,
                       facets, gf2_rank, insert_dipole, is_homology_sphere,
-                      link, rewired_posets, rewired_simplex_boundary,
-                      shuffled, simplex_boundary_wedge, sphere_pattern,
-                      two_pillows, unmarked, vertex_sets)
+                      link, pure_by_the_up_table, rewired_posets,
+                      rewired_simplex_boundary, shuffled,
+                      simplex_boundary_wedge, sphere_pattern, two_pillows,
+                      unmarked, vertex_sets)
 
 
 def full_simplex_poset(d: int) -> SimplicialPoset:
@@ -373,6 +374,43 @@ def small_posets(torus_graph, torus_suspension_graph):
         "boundary of the 4-simplex": boundary_of_simplex(4),
         "3-simplex": full_simplex_poset(3),
     }
+
+
+def purity_posets(torus_graph, torus_suspension_graph) -> dict:
+    """Posets of every kind `is_pure` reads: marked and unmarked, pure and
+    not, down to d = 0 and d = 1."""
+    marked = {
+        **small_posets(torus_graph, torus_suspension_graph),
+        "S^1 x S^3": from_graph(product_spheres_graph(1, 3)),
+        "RP^5": cross_polytope_quotient(5),
+        "S^0, marked": from_graph(ColoredGraph(1, ("a", "b"),
+                                               (("a", "b", 1),))),
+    }
+    return {
+        **marked,
+        **{f"{name}, unmarked": unmarked(p) for name, p in marked.items()},
+        "a hanging edge": sphere_with_an_extra_edge(True),
+        "an edge apart": sphere_with_an_extra_edge(False),
+        "an edge apart, d = 2": sphere_with_an_extra_edge(False, 2),
+        "the minimum alone": SimplicialPoset(0, (0,), ((),), ("0",)),
+        "S^0": boundary_of_simplex(1),
+        "a point": SimplicialPoset(1, (0, 1), ((), (0,)), ("0", "1")),
+    }
+
+
+class TestPurityFromTheCovers:
+    """`is_pure` counts the distinct cells the covers name; the up table
+    it read before is the oracle."""
+
+    def test_every_poset_fixture(self, torus_graph, torus_suspension_graph):
+        fixtures = purity_posets(torus_graph, torus_suspension_graph)
+        verdicts = set()
+        for name, p in fixtures.items():
+            verdict = is_pure(p)
+            assert "_up_table" not in vars(p), name
+            assert verdict == pure_by_the_up_table(p), name
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestSlicedLinks:
@@ -926,6 +964,37 @@ class TestTheVertexLinkCertificate:
         assert calls == []
 
     @pytest.mark.parametrize("poset", [
+        lambda: from_graph(product_spheres_graph(1, 4)),
+        lambda: from_graph(product_spheres_graph(2, 3)),
+        lambda: cross_polytope_quotient(6),
+        lambda: cross_polytope_quotient(7),
+        lambda: cross_polytope_quotient(8)],
+        ids=["S1xS4", "S2xS3", "RP5", "RP6", "RP7"])
+    @pytest.mark.parametrize("reader", [
+        is_homology_manifold, lambda p: list(link_bettis(p))],
+        ids=["manifold", "links"])
+    def test_a_certified_poset_builds_no_table(self, poset, reader):
+        # the certificate reads the facets' covers, purity the covers
+        p = poset()
+        assert reader(p)
+        assert "_up_table" not in vars(p) and "_positions" not in vars(p)
+
+    def test_a_refused_certificate_runs_once_per_call(self):
+        # a non-manifold fails the certificate, once per call, and then
+        # one upward pass eliminates its links
+        g = next(g for g in census_graphs(5, 4)
+                 if not is_homology_manifold(from_graph(g)))
+        p = from_graph(g)
+        with mock.patch.object(homology, "_certified",
+                               wraps=homology._certified) as certified, \
+                mock.patch.object(homology, "_upward_pass",
+                                  wraps=_upward_pass) as upward:
+            for calls in (1, 2):
+                assert not is_homology_manifold(p)
+                assert (certified.call_count, upward.call_count) == (
+                    calls, calls)
+
+    @pytest.mark.parametrize("poset", [
         lambda: from_graph(product_spheres_graph(1, 2)),
         lambda: cross_polytope_quotient(4),
         lambda: unmarked(from_graph(product_spheres_graph(2, 2)))])
@@ -1074,3 +1143,48 @@ class TestOneTablePerColor:
 
     def test_a_graph_every_color_splits(self):
         self.assert_alike(every_color_split())
+
+
+def certificate_rows(p: SimplicialPoset) -> tuple[list, bool]:
+    """The partner rows `_certified` hands to each color's `_Table`, as
+    handed, before any cancellation, and its verdict."""
+    rows, cancel = [], reduction._cancel_greedily
+
+    def capture(t, by_type):
+        rows.append([row[:] for row in t.partner])
+        return cancel(t, by_type)
+
+    with mock.patch.object(reduction, "_cancel_greedily", capture):
+        verdict = homology._certified(p)
+    return rows, verdict
+
+
+class TestTheCertificatesPartnerRows:
+    """The certificate reads each color's partner row back from the
+    facets' covers; `require_admissible` on the graph, that color's row
+    removed, is the oracle.  A refused certificate stops at the first
+    color whose residues do not cancel to two vertices."""
+
+    @staticmethod
+    def assert_rows_match(g: ColoredGraph) -> bool:
+        """Checks `g` and returns the certificate's verdict."""
+        rows, verdict = certificate_rows(from_graph(g))
+        partner = require_admissible(g)
+        expected = [partner[:c] + partner[c + 1:] for c in range(g.d)]
+        assert rows == expected[:len(rows)], g
+        assert len(rows) == g.d if verdict else 0 < len(rows) <= g.d
+        return verdict
+
+    @pytest.mark.parametrize("n,m", [(1, 4), (2, 3), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shuffled_products(self, n, m, seed):
+        assert self.assert_rows_match(
+            shuffled(product_spheres_graph(n, m), seed))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_projective_spaces(self, n):
+        assert self.assert_rows_match(_rp_graph(n))
+
+    def test_the_census(self):
+        verdicts = Counter(map(self.assert_rows_match, census_graphs(5, 4)))
+        assert verdicts == {True: 22, False: 31}

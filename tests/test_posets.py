@@ -26,7 +26,8 @@ from conftest import (SIMPLICIAL_BASES, admissible_graphs,
                       betti_order_complex, bfs_roots, boolean_by_definition,
                       boundary_rows, census_graphs, complex_from_facets,
                       coverers, facets, gf2_rank, json_labels, link,
-                      poset_to_dict, proper_coloring, rewired_posets,
+                      poset_to_dict, proper_coloring,
+                      pure_by_the_up_table, rewired_posets,
                       rewired_simplex_boundary, shuffled, to_graph,
                       two_pillows, unmarked)
 
@@ -596,7 +597,8 @@ def pseudomanifold_by_definition(p: SimplicialPoset) -> bool:
     return len(reached) == len(facets)
 
 
-# every engine that reads a poset's cached position or up table
+# every engine that reads, or once read, a poset's cached position or up
+# table
 TABLE_READERS = (betti_gf2, validate_poset, is_homology_manifold,
                  lambda p: list(link_bettis(p)), is_pure, is_pseudomanifold)
 
@@ -626,8 +628,10 @@ class TestUpTable:
 
     def assert_matches_the_oracle(self, p: SimplicialPoset) -> None:
         self.assert_the_tables_match_the_oracle(p)
-        # purity read from the table is the maximal cells' ranks all d
+        # purity, read from the covers as from the table, is the maximal
+        # cells' ranks all d
         assert is_pure(p) == all(p.ranks[c] == p.d for c in facets(p))
+        assert is_pure(p) == pure_by_the_up_table(p)
         assert is_pseudomanifold(p) == pseudomanifold_by_definition(p)
 
     @settings(max_examples=100)
