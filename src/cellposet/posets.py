@@ -307,11 +307,13 @@ def is_pure(p: SimplicialPoset) -> bool:
 
 def is_pseudomanifold(p: SimplicialPoset) -> bool:
     """Pure + every ridge under exactly two facets + strongly connected
-    (any two facets linked by a chain of ridge-sharing facets)."""
-    if not is_pure(p) or p.d < 1:
+    (any two facets linked by a chain of ridge-sharing facets), all read
+    off `_up_table`: purity is a coverer for every cell below rank d."""
+    if p.d < 1:
         return False
-    ridges = p._up_table[p.d - 1]      # each ridge's facets, by position
-    if any(len(facets) != 2 for facets in ridges):
+    up = p._up_table
+    ridges = up[p.d - 1]               # each ridge's facets, by position
+    if not all(map(all, up[:p.d])) or any(len(f) != 2 for f in ridges):
         return False
     # pure and d >= 1: a facet exists, so a ridge does, with two facets
     roots = _merge_roots(list(range(len(p.cells_by_rank[p.d]))), *zip(*ridges))

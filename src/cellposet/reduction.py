@@ -18,9 +18,8 @@ crystallizations (Ferri, Gagliardi and Grasselli, 1986; Lins, 1995).  It
 also holds an alive flag per vertex, the live vertex count and the edge
 list, with no order stamp: an edge is in the graph exactly while both its
 ends are alive, as cancelling (x, y) rewires only the partners of x and y
-and so removes just the edges at x or y.  Its one step log records each
-cancellation as a :class:`CancellationStep`, in order; :func:`run_schedule`
-and :func:`greedy_reduce` return it as they find it.
+and so removes just the edges at x or y.  Its log of cancellations (x, y,
+colors) and its new edges hold indices; only the entry points label them.
 
 * The dipole test runs a breadth-first search from x and one from y over
   the colors not in C, always growing the smaller frontier.  The pair is
@@ -107,10 +106,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import combinations, compress
+from heapq import heapify, heappop, heappush
+from itertools import chain, combinations, compress, count
 from json.encoder import encode_basestring_ascii
 from math import comb
+from operator import lt
 
 from . import posets
 from .graphs import ColoredGraph, _json_array, require_admissible
@@ -151,9 +151,10 @@ class _Table:
 
     ``partner`` is the table :func:`require_admissible` returns, or some of
     its rows, over the ``labels``; ``edges`` lists the input edges, then
-    each edge a cancellation made, with no order stamp: the live ones have
-    both ends alive (module docstring).  ``steps`` logs each cancellation,
-    in order; `cancel_dipole` returns the pairs its new edges join."""
+    each edge a cancellation made, as an index triple, with no order stamp:
+    the live ones have both ends alive (module docstring).  ``steps`` logs
+    each cancellation as (x, y, colors), in order, for :func:`_steps`;
+    `cancel_dipole` returns the pairs its new edges join."""
 
     def __init__(self, partner: list[list[int]], labels, edges):
         self.partner = partner
@@ -163,7 +164,7 @@ class _Table:
         self.edges = list(edges)
         self.alive = [True] * len(labels)
         self.live = len(labels)
-        self.steps: list[CancellationStep] = []
+        self.steps: list[tuple[int, int, tuple[int, ...]]] = []
 
     def vertex(self, label: str) -> int:
         i = self.index.get(label)
@@ -173,11 +174,14 @@ class _Table:
 
     def dipole_colors(self, x: int, y: int) -> tuple[int, ...] | None:
         """The colors joining x and y if the pair is a dipole, else None."""
-        colors = tuple(c for c, row in enumerate(self.partner, start=1)
-                       if row[x] == y)
+        colors, rows = [], []
+        for c, row in enumerate(self.partner, start=1):
+            if row[x] == y:
+                colors.append(c)
+            else:
+                rows.append(row)
         if not colors:
             return None
-        rows = [row for row in self.partner if row[x] != y]
         seen = ({x}, {y})
         frontier = [[x], [y]]
         while True:
@@ -193,7 +197,7 @@ class _Table:
                         mine.add(w)
                         grown.append(w)
             if not grown:
-                return colors
+                return tuple(colors)
             frontier[k] = grown
 
     def connected(self, skip: int) -> bool:
@@ -231,21 +235,30 @@ class _Table:
                 continue
             b = row[y]
             row[a], row[b] = b, a
-            self.edges.append((self.labels[a], self.labels[b], c))
+            self.edges.append((a, b, c))
             joined.append((a, b) if a < b else (b, a))
         self.alive[x] = self.alive[y] = False
         self.live -= 2
-        self.steps.append(CancellationStep(
-            len(self.steps) + 1, (self.labels[x], self.labels[y]), colors,
-            self.live))
+        self.steps.append((x, y, colors))
         return joined
 
     def graph(self) -> ColoredGraph:
-        alive, index = self.alive, self.index
+        # the input edges, labelled, then d - |colors| per step, by index
+        alive, index, labels = self.alive, self.index, self.labels
+        given = len(self.edges) - sum(self.d - len(s[2]) for s in self.steps)
         return ColoredGraph(
-            self.d, tuple(compress(self.labels, alive)),
-            tuple(e for e in self.edges
-                  if alive[index[e[0]]] and alive[index[e[1]]]))
+            self.d, tuple(compress(labels, alive)), tuple(chain(
+                (e for e in self.edges[:given]
+                 if alive[index[e[0]]] and alive[index[e[1]]]),
+                ((labels[a], labels[b], c) for a, b, c in self.edges[given:]
+                 if alive[a] and alive[b]))))
+
+
+def _steps(t: _Table) -> tuple[CancellationStep, ...]:
+    """`t`'s step log labelled: step k leaves V - 2k of the V vertices."""
+    n, labels = len(t.labels), t.labels
+    return tuple(CancellationStep(k, (labels[x], labels[y]), colors, n - 2*k)
+                 for k, (x, y, colors) in enumerate(t.steps, start=1))
 
 
 # --- the symbolic cancellation schedule -------------------------------------------
@@ -335,7 +348,7 @@ def run_schedule(g: ColoredGraph, n: int, m: int
             raise CancellationError(
                 f"reduced graph is disconnected without color {i}; "
                 "not a crystallization")
-    return t.graph(), tuple(t.steps)
+    return t.graph(), _steps(t)
 
 
 def reduce_product_spheres(n: int, m: int
@@ -358,7 +371,7 @@ def greedy_reduce(g: ColoredGraph
     vertices, while greedy's CPU time grows from 0.05 to 3.2 s."""
     t = _Table(require_admissible(g), g.vertices, g.edges)
     _cancel_greedily(t, by_type=False)
-    return t.graph(), tuple(t.steps)
+    return t.graph(), _steps(t)
 
 
 def _cancel_greedily(t: _Table, by_type: bool) -> None:
@@ -366,25 +379,25 @@ def _cancel_greedily(t: _Table, by_type: bool) -> None:
     pair or, `by_type`, by (-type, pair), the type being the count of the
     colors joining the pair when pushed, which a cancellation can raise.
     A full-type dipole, a whole two-vertex component, is kept."""
-    v, partner = t.live, t.partner
+    v, partner, alive = t.live, t.partner, t.alive
     tests = v * v * t.d // 4 if v > 2 else 0
     _refuse_above(posets.MAX_OUTPUT_SIZE, tests, f"greedy reduction of this "
                   f"{v}-vertex {t.d}-colored graph may make {tests} dipole "
                   "tests")
-    types = Counter((a, b) for row in partner
-                    for a, b in enumerate(row) if a < b)
-    heap = sorted([(-n, a, b) for (a, b), n in types.items()] if by_type
-                  else types)
+    types = Counter(chain.from_iterable(
+        compress(enumerate(row), map(lt, count(), row)) for row in partner))
+    heap = [(-n, a, b) for (a, b), n in types.items()] if by_type else [*types]
+    heapify(heap)
     last = None
     # a full-type dipole is a whole two-vertex component, so a connected
     # table stops at two vertices; equal items pop together
     while heap and t.live > 2:
         item = heappop(heap)
         x, y = item[-2:]
-        if item != last and t.alive[x] and t.alive[y]:
+        if item != last and alive[x] and alive[y]:
             colors = t.dipole_colors(x, y)
             if colors and len(colors) < t.d:
                 for a, b in t.cancel_dipole(x, y, colors):
-                    heappush(heap, (-sum(row[a] == b for row in partner),
+                    heappush(heap, (-[row[a] for row in partner].count(b),
                                     a, b) if by_type else (a, b))
         last = item

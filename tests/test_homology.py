@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from hashlib import sha256
 from itertools import combinations, compress
 from math import comb
 from unittest import mock
@@ -20,8 +21,8 @@ from cellposet.homology import (_check_simplicial, _face_counts, _pivots,
                                 is_homology_manifold, link_bettis,
                                 validate_poset)
 from cellposet.checkers import check_manifold_h
-from cellposet.graphs import (ColoredGraph, require_admissible,
-                              validate_admissible)
+from cellposet.graphs import (ColoredGraph, _merge_roots,
+                              require_admissible, validate_admissible)
 from cellposet.posets import (SimplicialPoset, f_vector, from_graph,
                               h_vector, is_pseudomanifold, is_pure)
 from cellposet.reduction import _cancel_greedily, _Table, greedy_reduce
@@ -411,6 +412,44 @@ class TestPurityFromTheCovers:
             assert verdict == pure_by_the_up_table(p), name
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def pseudomanifold_as_before(p: SimplicialPoset) -> bool:
+    """Oracle for `is_pseudomanifold`, its body before it read purity off
+    the up table its ridge check builds: `is_pure`'s covers scan first."""
+    if not is_pure(p) or p.d < 1:
+        return False
+    ridges = p._up_table[p.d - 1]
+    if any(len(facets) != 2 for facets in ridges):
+        return False
+    return len(set(_merge_roots(list(range(len(p.cells_by_rank[p.d]))),
+                                *zip(*ridges)))) == 1
+
+
+class TestPseudomanifoldPurityFromTheTable:
+    """`is_pseudomanifold` reads purity off the up table it builds for its
+    ridges and never scans the covers for it; the old body is the
+    oracle."""
+
+    def test_every_poset_fixture(self, torus_graph, torus_suspension_graph):
+        fixtures = purity_posets(torus_graph, torus_suspension_graph)
+        verdicts = set()
+        with mock.patch.object(posets, "is_pure") as pure:
+            for name, p in fixtures.items():
+                verdict = is_pseudomanifold(p)
+                assert verdict == pseudomanifold_as_before(unmarked(p)), name
+                verdicts.add(verdict)
+        pure.assert_not_called()
+        assert verdicts == {True, False}
+
+    def test_the_census(self):
+        seen = 0
+        for g in census_graphs(4, 6):
+            p = from_graph(g)
+            assert is_pseudomanifold(p) == pseudomanifold_as_before(
+                unmarked(p)), g
+            seen += 1
+        assert seen == 641
 
 
 class TestSlicedLinks:
@@ -1062,6 +1101,77 @@ class TestTheVertexLinkCertificate:
             assert (walk.call_count, built.call_count) == (1, 1)
 
 
+def certificate_tests(p: SimplicialPoset) -> tuple[bool, list]:
+    """`_certified(p)`, and the count and a digest of the pairs (x, y) of
+    each color table's `dipole_colors` calls, in order."""
+    tables, dipole_colors = [], _Table.dipole_colors
+
+    def counted(t, x, y):
+        if not tables or tables[-1][0] is not t:
+            tables.append((t, []))
+        tables[-1][1].append((x, y))
+        return dipole_colors(t, x, y)
+
+    with mock.patch.object(_Table, "dipole_colors", counted):
+        verdict = homology._certified(p)
+    return verdict, [
+        (len(pairs), sha256(repr(pairs).encode()).hexdigest()[:16])
+        for _, pairs in tables]
+
+
+class TestTheCertificatesCancellations:
+    """The dipole tests each color's table makes, pinned before the table
+    logged index records instead of steps: the lean engine makes the same
+    tests in the same order.  These are the benchmark's two `recognize`
+    posets but for the shuffle's seed, 598 and 504 tests."""
+
+    def test_a_shuffled_product(self):
+        p = from_graph(shuffled(product_spheres_graph(3, 4), 1))
+        assert certificate_tests(p) == (True, [
+            (69, "7d444ab3c89f175a"), (74, "39b1296402362bb6"),
+            (77, "b431ebb2eac4f183"), (79, "dc042f921d503838"),
+            (79, "7379b0fd314f1a1f"), (77, "093596870b6e59bd"),
+            (74, "10e400c3c74c3f3e"), (69, "46bbce61e1b2c9f9")])
+
+    def test_a_projective_space(self):
+        assert certificate_tests(cross_polytope_quotient(8)) == (True, [
+            (63, "7c6c1bc247480055"), (63, "7c6c1bc247480055"),
+            (63, "1d8e1162c3c8affe"), (63, "35f26ea7b268ea18"),
+            (63, "f16439be9d42540a"), (63, "25538e0ade2346f5"),
+            (63, "767b685de2a4a754"), (63, "65c3f7189033b16b")])
+
+
+class TestNoStepObjects:
+    """The table logs index records; only `greedy_reduce` and
+    `run_schedule` label them as `CancellationStep`s, so the certificate's
+    tables build none."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made, step = [], reduction.CancellationStep
+        monkeypatch.setattr(reduction, "CancellationStep",
+                            lambda *args: made.append(args) or step(*args))
+        return made
+
+    @pytest.mark.parametrize("poset", [
+        lambda: from_graph(shuffled(product_spheres_graph(2, 3), 1)),
+        lambda: cross_polytope_quotient(7),
+        lambda: from_graph(next(g for g in census_graphs(5, 4)
+                                if not is_homology_manifold(from_graph(g))))],
+        ids=["S2xS3", "RP6", "a non-manifold"])
+    def test_the_certificate_makes_none(self, made, poset):
+        p = poset()
+        with mock.patch.object(homology, "_certified",
+                               wraps=homology._certified) as certified:
+            is_homology_manifold(p)
+        certified.assert_called_once()
+        assert made == []
+
+    def test_greedy_makes_one_per_step(self, made):
+        _, steps = greedy_reduce(shuffled(product_spheres_graph(3, 3), 1))
+        assert steps and len(made) == len(steps)
+
+
 def residues_one_by_one(g: ColoredGraph, c: int, by_type: bool) -> dict:
     """Reference for the certificate's cancellation of `g` without color c:
     each residue, a component of the graph without c, as its own graph
@@ -1081,7 +1191,7 @@ def residues_one_by_one(g: ColoredGraph, c: int, by_type: bool) -> dict:
         if by_type:
             t = _Table(require_admissible(h), h.vertices, h.edges)
             _cancel_greedily(t, by_type=True)
-            final, steps = t.graph(), t.steps
+            final, steps = t.graph(), reduction._steps(t)
         else:
             final, steps = greedy_reduce(h)
         out[root] = ([tuple(map(int, s.pair)) for s in steps],
@@ -1098,8 +1208,8 @@ def one_table(g: ColoredGraph, c: int, by_type: bool) -> dict:
     t = _Table(partner[:c - 1] + partner[c:], range(len(g.vertices)), ())
     _cancel_greedily(t, by_type)
     out = {root: ([], 0) for root in roots}
-    for s in t.steps:
-        out[roots[s.pair[0]]][0].append(s.pair)
+    for x, y, _ in t.steps:
+        out[roots[x]][0].append((x, y))
     for v in compress(range(len(roots)), t.alive):
         pairs, live = out[roots[v]]
         out[roots[v]] = pairs, live + 1

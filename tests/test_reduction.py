@@ -1,6 +1,7 @@
 import json
 import time
 from collections import Counter
+from hashlib import sha256
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -11,8 +12,8 @@ from hypothesis import given, strategies as st
 from cellposet import posets, reduction
 from cellposet.constructions import (parallel_edges_graph,
                                      product_spheres_graph)
-from cellposet.graphs import (ColoredGraph, require_admissible,
-                             validate_admissible)
+from cellposet.graphs import (ColoredGraph, graph_to_json,
+                             require_admissible, validate_admissible)
 from cellposet.homology import betti_gf2, is_homology_manifold
 from cellposet.posets import f_vector, from_graph
 from cellposet.reduction import (CancellationError, CancellationStep, _Table,
@@ -457,8 +458,35 @@ class TestOneScan:
         new = t.edges[n_edges:]
         assert [c for _, _, c in new] == [c for c in range(1, t.d + 1)
                                           if c not in colors]
-        assert joined == [tuple(sorted((t.index[u], t.index[v])))
-                          for u, v, _ in new]
+        # the table keeps its new edges as index triples, and the graph
+        # labels them
+        assert joined == [tuple(sorted((u, v))) for u, v, _ in new]
+        assert t.graph().edges[-len(new):] == tuple(
+            (t.labels[u], t.labels[v], c) for u, v, c in new)
+
+
+class TestTheLabelledLog:
+    """The table logs index records and keeps its new edges as index
+    triples; the entry points label them.  The digests of the step
+    certificate and of the final graph's JSON were taken while the table
+    still logged labelled steps and edges."""
+
+    @pytest.mark.parametrize("run,steps,digests", [
+        (lambda: greedy_reduce(shuffled(product_spheres_graph(2, 3), 1)), 9,
+         ("9530845563a1df4be0d5e1ad23d1cb604fb7634cf5bebdede290222cb53fe1b7",
+          "42cfcd6577857e35f3f4312ecde0ada305e2a5a2113ee99c3a30bf7059821c3c")),
+        (lambda: greedy_reduce(shuffled(product_spheres_graph(3, 3), 2)), 17,
+         ("145ea9980a080fdb2a5823f10dad534d65b2ca93348d98f4df019a1cf4aac67b",
+          "40ab7809909b0cafa9b6bc0639ff4b386df75a198052c5ebaac2d0e04dbb8f8c")),
+        (lambda: reduce_product_spheres(3, 3), 19,
+         ("d8cdca1694da9e6825fef26455f720a4b0e33d62d78ee53de50cde145b181c1a",
+          "9c9dc8d26e7c7766da97309753610124295750d66aad63a59979ff2d062fe13f")
+         )], ids=["greedy S2xS3", "greedy S3xS3", "schedule S3xS3"])
+    def test_the_bytes_are_pinned(self, run, steps, digests):
+        final, log = run()
+        assert len(log) == steps
+        assert (sha256(steps_to_json(log).encode()).hexdigest(),
+                sha256(graph_to_json(final).encode()).hexdigest()) == digests
 
 
 class TestNoStateOnGraphs:
